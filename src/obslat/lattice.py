@@ -1,10 +1,14 @@
 """Finite bounded lattices with optional orthocomplement.
 
 Elements are identified by index into a name tuple.  The order relation is a
-dense boolean matrix ``leq`` with ``leq[i, j] == True`` iff ``i <= j``.  Meet
-and join are precomputed n-by-n tables; structural checks (distributivity,
-orthomodularity) scan exhaustively and report the first counterexample in
-lexicographic index order.
+dense boolean matrix ``leq`` with ``leq[i, j] == True`` iff ``i <= j``.  Each
+element also keeps its down-set and its up-set as int bitmasks (bit k set for
+element k).  The lower bounds of a pair are ``down[i] & down[j]``, and the
+pair has a meet exactly when that mask is itself the down-set of an element,
+which a dict from down-set mask to element looks up; joins are found the same
+way from up-sets.  Meet and join are precomputed n-by-n tables; structural
+checks (distributivity, orthomodularity) scan exhaustively and report the
+first counterexample in lexicographic index order.
 
 Subsets of elements are passed around as bitmasks (int) throughout the
 package; helpers live at the bottom of this module.
@@ -57,6 +61,8 @@ class FiniteOrthoLattice:
 
         self.zero = self._unique_extremum(bottom=True)
         self.one = self._unique_extremum(bottom=False)
+        self._down = [mask_from(np.flatnonzero(self.leq[:, i])) for i in range(n)]
+        self._up = [mask_from(np.flatnonzero(self.leq[i, :])) for i in range(n)]
         self.meet_table, self.join_table = self._build_tables()
 
         self.ortho: tuple[int, ...] | None = None
@@ -118,27 +124,26 @@ class FiniteOrthoLattice:
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
         n = len(self.names)
-        meet = np.empty((n, n), dtype=np.int64)
-        join = np.empty((n, n), dtype=np.int64)
-        leq = self.leq
+        below = {m: k for k, m in enumerate(self._down)}
+        above = {m: k for k, m in enumerate(self._up)}
+        meet = [[0] * n for _ in range(n)]
+        join = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                lb = np.flatnonzero(leq[:, i] & leq[:, j])
-                # glb = the lower bound that dominates all lower bounds
-                glb = [int(k) for k in lb if leq[lb, k].all()]
-                if len(glb) != 1:
+                # the lower bounds are the down-set of the meet, if it exists
+                glb = below.get(self._down[i] & self._down[j])
+                if glb is None:
                     raise InputError(
                         f"no greatest lower bound for ({self.names[i]}, {self.names[j]})",
                         witness=[self.names[i], self.names[j]])
-                meet[i, j] = meet[j, i] = glb[0]
-                ub = np.flatnonzero(leq[i, :] & leq[j, :])
-                lub = [int(k) for k in ub if leq[k, ub].all()]
-                if len(lub) != 1:
+                meet[i][j] = meet[j][i] = glb
+                lub = above.get(self._up[i] & self._up[j])
+                if lub is None:
                     raise InputError(
                         f"no least upper bound for ({self.names[i]}, {self.names[j]})",
                         witness=[self.names[i], self.names[j]])
-                join[i, j] = join[j, i] = lub[0]
-        return meet, join
+                join[i][j] = join[j][i] = lub
+        return np.array(meet, dtype=np.int64), np.array(join, dtype=np.int64)
 
     def _validate_ortho(self):
         o = self.ortho
@@ -203,34 +208,21 @@ class FiniteOrthoLattice:
 
     def atoms(self) -> list[int]:
         """Minimal nonzero elements, ascending by index."""
-        out = []
-        for a in range(self.n):
-            if a == self.zero:
-                continue
-            below = np.flatnonzero(self.leq[:, a])
-            if all(b in (a, self.zero) for b in below):
-                out.append(a)
-        return out
+        return [a for a in range(self.n) if a != self.zero
+                and self._down[a] == (1 << a) | (1 << self.zero)]
 
     def upset_mask(self, a: int) -> int:
         """Bitmask of ``{b : a <= b}``."""
-        return mask_from(np.flatnonzero(self.leq[a, :]))
+        return self._up[a]
 
     def downset(self, a: int) -> list[int]:
-        return [int(b) for b in np.flatnonzero(self.leq[:, a])]
+        return bits(self._down[a])
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (a, b) with b covering a."""
-        out = []
-        for a in range(self.n):
-            for b in range(self.n):
-                if a == b or not self.leq[a, b]:
-                    continue
-                between = [c for c in range(self.n)
-                           if c not in (a, b) and self.leq[a, c] and self.leq[c, b]]
-                if not between:
-                    out.append((a, b))
-        return out
+        # b covers a when the interval [a, b] holds nothing else
+        return [(a, b) for a in range(self.n) for b in range(self.n)
+                if a != b and self._up[a] & self._down[b] == (1 << a) | (1 << b)]
 
     # -- structural checks -------------------------------------------------
 
@@ -380,10 +372,8 @@ def mask_from(indices: Iterable[int]) -> int:
 
 def bits(mask: int) -> list[int]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask          # one step per set bit, lowest first
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out

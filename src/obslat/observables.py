@@ -6,32 +6,41 @@ ideals is the supremum of the values) and upper semicontinuity (equivalently,
 the function is decreasing under inclusion and every value is the minimum of
 the values at the principal up-sets of the ideal's members).
 
-Since every dual ideal of a finite lattice is the principal up-set of its
-generator, a table is stored as one real per nonzero element.  The dual
-picture (completely increasing element functions) and the translation in both
-directions live here too, as does the rebuild of the unique spectral family
-from a valid table.
+Every dual ideal of a finite lattice is the principal up-set of its
+generator, so a table holds one real per nonzero element under its top, and
+both axioms are decided on that element table, for a top below the lattice
+top as for the whole lattice.  Under the top, up(a) meets up(b) in
+up(a join b), so the intersection condition is the join law
+r(a join b) = max(r(a), r(b)); up(a) lies strictly inside up(b) exactly when
+b < a, so decreasing under inclusion is r increasing.  Witnesses name the
+first failing pair in the canonical ideal order (size, then member tuple).
+The rebuilt spectral family takes at each value v the join of the elements
+valued at most v.  Completely increasing element functions are the same
+tables read on elements.
 
-Values are compared exactly as 64-bit floats; reconstruction partitions the
-table by value equality, so tables should stick to exactly representable
+Values are finite 64-bit floats compared exactly; reconstruction partitions
+the table by value equality, so tables should stick to exactly representable
 decimals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .errors import CheckFailure, InputError, PreconditionError
-from .lattice import FiniteOrthoLattice, bits, mask_from
+from .lattice import FiniteOrthoLattice, bits
 from .spectral import SpectralFamily, spectral_family
-from .stone import (DualIdeal, dual_ideal_violation, enumerate_dual_ideals,
-                    enumerate_quasipoints, cone, principal)
+from .stone import DualIdeal
 
 
 @dataclass(frozen=True)
 class ObservableFunction:
     """Total real table on the dual ideals of (the down-set under top of) a
-    finite lattice, keyed by the ideal's generator."""
+    finite lattice, keyed by the ideal's generator.  Read on elements, the
+    same table is the function r(P) = f(up-set of P)."""
     lattice: FiniteOrthoLattice = field(compare=False)
     values: tuple[float | None, ...] = ()    # indexed by element; None off-domain
     top: int = 0
@@ -47,6 +56,8 @@ class ObservableFunction:
                 witness=self.lattice.names[a])
         return v
 
+    at = at_element     # the element picture's name for the same lookup
+
     def at_ideal(self, ideal: DualIdeal) -> float:
         """f of a dual ideal: the value at its generator (= min over members)."""
         return self.at_element(ideal.generator())
@@ -56,6 +67,11 @@ class ObservableFunction:
 
     def table_by_name(self) -> dict[str, float]:
         return {self.lattice.names[a]: self.values[a] for a in self.domain()}
+
+
+# The element picture's name for the same table: real values on nonzero
+# elements meant to turn joins into maxima.
+CompletelyIncreasingFunction = ObservableFunction
 
 
 def observable(lattice: FiniteOrthoLattice, values: dict[int, float],
@@ -75,6 +91,10 @@ def observable(lattice: FiniteOrthoLattice, values: dict[int, float],
                 f"values may only sit at nonzero elements under the top "
                 f"{lattice.names[top]}", witness=lattice.names[a])
         cells[a] = float(v)
+        if not math.isfinite(cells[a]):
+            raise InputError(
+                f"the value at {lattice.names[a]} is not a finite real",
+                witness=lattice.names[a])
     missing = [lattice.names[a] for a in range(lattice.n)
                if a != lattice.zero and lattice.le(a, top) and cells[a] is None]
     if missing:
@@ -111,14 +131,36 @@ def observable_table(family: SpectralFamily) -> ObservableFunction:
     return observable(lat, vals, top=family.top, checked=False)
 
 
-def _ideals(f: ObservableFunction) -> list[DualIdeal]:
-    lat = f.lattice
-    if f.top == lat.one:
-        return enumerate_dual_ideals(lat)
-    sub_mask = mask_from(f.domain())
-    out = [DualIdeal(lat, principal(lat, a).mask & sub_mask) for a in f.domain()]
-    out.sort(key=lambda j: (j.size(), tuple(j.members())))
-    return out
+# -- the axioms, decided on elements ------------------------------------------
+
+def _ideal_of(f: ObservableFunction, a: int) -> list[int]:
+    """Members of the dual ideal generated by a, within the table's domain."""
+    return [b for b in bits(f.lattice.upset_mask(a)) if f.values[b] is not None]
+
+
+def _ideal_names(f: ObservableFunction, a: int) -> list[str]:
+    return [f.lattice.names[b] for b in _ideal_of(f, a)]
+
+
+def _canonical(f: ObservableFunction) -> dict[int, list[int]]:
+    """Each domain element with the members of its ideal, in the canonical
+    order of the ideals."""
+    ideals = [(a, _ideal_of(f, a)) for a in f.domain()]
+    return dict(sorted(ideals, key=lambda p: (len(p[1]), p[1])))
+
+
+def _first_join_failure(f: ObservableFunction, order: list[int]
+                        ) -> tuple[int, int] | None:
+    """First pair (a, b) of ``order`` squared, row by row, with
+    f(a join b) != max(f(a), f(b)); None when the join law holds."""
+    idx = np.array(order, dtype=np.int64)
+    vals = np.array([0.0 if v is None else v for v in f.values])
+    joins = f.lattice.join_table[np.ix_(idx, idx)]
+    bad = np.flatnonzero(vals[joins] != np.maximum.outer(vals[idx], vals[idx]))
+    if not bad.size:
+        return None
+    i, k = divmod(int(bad[0]), len(order))
+    return order[i], order[k]
 
 
 def check_intersection_condition(f: ObservableFunction
@@ -126,44 +168,46 @@ def check_intersection_condition(f: ObservableFunction
     """f(J intersect K) == max(f(J), f(K)) over all pairs of dual ideals.
 
     Pairs decide all finite families: intersecting one ideal at a time turns
-    any family into a chain of binary steps, so a pairwise pass is exact.
+    any family into a chain of binary steps, so a pairwise pass is exact.  The
+    ideals generated by a and b meet in the one generated by a join b, so the
+    pass is the join law on the generators, in the canonical ideal order.
     """
-    lat = f.lattice
-    ideals = _ideals(f)
-    for ja in ideals:
-        for jb in ideals:
-            inter = ja.mask & jb.mask
-            expected = max(f.at_ideal(ja), f.at_ideal(jb))
-            # in a bounded-from-above table the intersection always contains top
-            got = f.at_ideal(DualIdeal(lat, inter))
-            if got != expected:
-                return False, {
-                    "family": [ja.names(), jb.names()],
-                    "intersection": DualIdeal(lat, inter).names(),
-                    "value": got, "sup_of_values": expected}
-    return True, None
+    pair = _first_join_failure(f, list(_canonical(f)))
+    if pair is None:
+        return True, None
+    a, b = pair
+    j = f.lattice.join(a, b)
+    return False, {
+        "family": [_ideal_names(f, a), _ideal_names(f, b)],
+        "intersection": _ideal_names(f, j),
+        "value": f.values[j], "sup_of_values": max(f.values[a], f.values[b])}
 
 
 def check_upper_semicontinuous(f: ObservableFunction
                                ) -> tuple[bool, dict | None]:
     """Decreasing under inclusion, and every value is the min over the
     ideal's principal values.  On a finite lattice these two together are the
-    upper-semicontinuity of the table."""
-    ideals = _ideals(f)
-    for ja in ideals:
-        for jb in ideals:
-            if (ja.mask & jb.mask) == ja.mask and ja.mask != jb.mask:
-                if f.at_ideal(ja) < f.at_ideal(jb):
-                    return False, {
-                        "kind": "not-decreasing",
-                        "smaller": ja.names(), "larger": jb.names(),
-                        "values": [f.at_ideal(ja), f.at_ideal(jb)]}
-    for j in ideals:
-        low = min(f.at_element(p) for p in j.members())
-        if f.at_ideal(j) != low:
+    upper-semicontinuity of the table.  The ideal of a lies strictly inside
+    the ideal of b exactly when b < a, so the first part asks r increasing."""
+    ideals = _canonical(f)
+    order = list(ideals)
+    idx = np.array(order, dtype=np.int64)
+    vals = np.array([f.values[a] for a in order], dtype=float)
+    below = f.lattice.leq[np.ix_(idx, idx)].T & ~np.eye(len(order), dtype=bool)
+    bad = np.flatnonzero(below & (vals[:, None] < vals[None, :]))
+    if bad.size:
+        i, k = divmod(int(bad[0]), len(order))
+        a, b = order[i], order[k]
+        return False, {
+            "kind": "not-decreasing",
+            "smaller": _ideal_names(f, a), "larger": _ideal_names(f, b),
+            "values": [f.values[a], f.values[b]]}
+    for a in order:
+        low = min(f.values[p] for p in ideals[a])
+        if f.values[a] != low:
             return False, {
                 "kind": "not-min-of-principal-values",
-                "ideal": j.names(), "value": f.at_ideal(j),
+                "ideal": _ideal_names(f, a), "value": f.values[a],
                 "min_over_members": low}
     return True, None
 
@@ -171,12 +215,13 @@ def check_upper_semicontinuous(f: ObservableFunction
 def usc_epsilon_witness(f: ObservableFunction, ideal: DualIdeal,
                         epsilon: float) -> int | None:
     """A member P of the ideal with f within epsilon of f(ideal) on every
-    dual ideal containing P; None when no member works."""
-    ideals = _ideals(f)
+    dual ideal containing P, i.e. on the domain's nonzero elements under P
+    (none when P is off the domain); None when no member works."""
+    lat = f.lattice
     base = f.at_ideal(ideal)
     for p in ideal.members():
-        spread = [f.at_ideal(j) for j in ideals if j.contains(p)]
-        if all(v <= base + epsilon for v in spread):
+        under = lat.downset(p) if f.values[p] is not None else []
+        if all(f.values[c] <= base + epsilon for c in under if c != lat.zero):
             return p
     return None
 
@@ -184,9 +229,9 @@ def usc_epsilon_witness(f: ObservableFunction, ideal: DualIdeal,
 def reconstruct(f: ObservableFunction) -> SpectralFamily:
     """The unique bounded spectral family whose table is f.
 
-    Refuses tables that fail either axiom.  For each value v in the image,
-    the candidate projection is the generator of the intersection of all
-    ideals with value <= v; the breakpoints are exactly the image values.
+    Refuses tables that fail either axiom.  The breakpoints are exactly the
+    image values; at value v the element is the generator of the intersection
+    of all ideals with value <= v, which is the join of their generators.
     """
     ok, witness = check_intersection_condition(f)
     if not ok:
@@ -196,75 +241,45 @@ def reconstruct(f: ObservableFunction) -> SpectralFamily:
     if not ok:
         raise CheckFailure("reconstruction refused: upper semicontinuity "
                            "fails", witness=witness)
+    return _rebuild(f)
+
+
+def _rebuild(f: ObservableFunction) -> SpectralFamily:
+    """``reconstruct`` for a table already known to obey the join law."""
     lat = f.lattice
-    ideals = _ideals(f)
-    pairs = []
-    for v in f.image():
-        inter = None
-        for j in ideals:
-            if f.at_ideal(j) <= v:
-                inter = j.mask if inter is None else inter & j.mask
-        bad = dual_ideal_violation(lat, inter)
-        if bad is not None:
-            raise CheckFailure(
-                "minimal preimage is not a dual ideal", witness=bad)
-        pairs.append((v, DualIdeal(lat, inter).generator()))
+    dom = f.domain()
+    pairs = [(v, lat.join_of(a for a in dom if f.values[a] <= v))
+             for v in f.image()]
     return spectral_family(lat, pairs, top=f.top)
 
 
 # -- completely increasing element functions --------------------------------
 
-@dataclass(frozen=True)
-class CompletelyIncreasingFunction:
-    """Real values on nonzero elements meant to turn joins into maxima."""
-    lattice: FiniteOrthoLattice = field(compare=False)
-    values: tuple[float | None, ...] = ()
-    top: int = 0
-
-    def domain(self) -> list[int]:
-        return [a for a in range(self.lattice.n) if self.values[a] is not None]
-
-    def at(self, a: int) -> float:
-        v = self.values[a]
-        if v is None:
-            raise PreconditionError(
-                f"no value at {self.lattice.names[a]}",
-                witness=self.lattice.names[a])
-        return v
-
-    def table_by_name(self) -> dict[str, float]:
-        return {self.lattice.names[a]: self.values[a] for a in self.domain()}
-
-
 def increasing_function(lattice: FiniteOrthoLattice, values: dict[int, float],
                         top: int | None = None) -> CompletelyIncreasingFunction:
-    f = observable(lattice, values, top=top, checked=False)
-    return CompletelyIncreasingFunction(lattice, f.values, f.top)
+    return observable(lattice, values, top=top, checked=False)
 
 
 def check_completely_increasing(r: CompletelyIncreasingFunction
                                 ) -> tuple[bool, dict | None]:
     """r(a join b) == max(r(a), r(b)) on all pairs; pairs decide all finite
     joins by the same chaining argument as the intersection condition."""
+    pair = _first_join_failure(r, r.domain())
+    if pair is None:
+        return True, None
+    a, b = pair
     lat = r.lattice
-    dom = r.domain()
-    for a in dom:
-        for b in dom:
-            j = lat.join(a, b)
-            if not lat.le(j, r.top):
-                continue
-            if r.at(j) != max(r.at(a), r.at(b)):
-                return False, {
-                    "family": [lat.names[a], lat.names[b]],
-                    "join": lat.names[j],
-                    "value": r.at(j),
-                    "sup_of_values": max(r.at(a), r.at(b))}
-    return True, None
+    j = lat.join(a, b)
+    return False, {
+        "family": [lat.names[a], lat.names[b]],
+        "join": lat.names[j],
+        "value": r.values[j],
+        "sup_of_values": max(r.values[a], r.values[b])}
 
 
 def r_from_f(f: ObservableFunction) -> CompletelyIncreasingFunction:
-    """The element picture: r(P) = f(up-set of P)."""
-    return CompletelyIncreasingFunction(f.lattice, f.values, f.top)
+    """The element picture: r(P) = f(up-set of P), the same table."""
+    return f
 
 
 def f_from_r(r: CompletelyIncreasingFunction, ideal: DualIdeal) -> float:
@@ -282,13 +297,9 @@ def observable_from_increasing(r: CompletelyIncreasingFunction
     The table is computed either way; the flag tells whether r satisfies the
     join condition (when it does, f_r is an observable function).
     """
-    lat = r.lattice
     ok, witness = check_completely_increasing(r)
-    vals: dict[int, float] = {}
-    for a in r.domain():
-        up = [b for b in bits(lat.upset_mask(a)) if lat.le(b, r.top)]
-        vals[a] = min(r.at(b) for b in up)
-    f = observable(lat, vals, top=r.top, checked=False)
+    vals = {a: min(r.values[b] for b in _ideal_of(r, a)) for a in r.domain()}
+    f = observable(r.lattice, vals, top=r.top, checked=False)
     return f, ok, witness
 
 
@@ -298,13 +309,13 @@ def observability_criterion(lattice: FiniteOrthoLattice,
     """Decide whether a real table on the quasipoints extends to an
     observable function.
 
-    The candidate element function takes at P the max over the quasipoints
-    containing P (finite, so the sup is attained); the verdict is whether
-    that candidate is completely increasing.  On success the reconstructed
-    spectral family is returned as the witness of observability.
+    The quasipoints are the up-sets of the atoms.  The candidate element
+    function takes at P the max over the quasipoints containing P (finite,
+    so the sup is attained); the verdict is whether that candidate is
+    completely increasing.  On success the reconstructed spectral family is
+    returned as the witness of observability.
     """
-    qs = enumerate_quasipoints(lattice)
-    atoms = {q.generator(): q for q in qs}
+    atoms = lattice.atoms()
     if set(quasipoint_values) != set(atoms):
         raise InputError(
             "need exactly one value per quasipoint, keyed by its atom",
@@ -324,23 +335,19 @@ def observability_criterion(lattice: FiniteOrthoLattice,
     ok, witness = check_completely_increasing(r)
     if not ok:
         return False, witness, None
-    f, _, _ = observable_from_increasing(r)
-    return True, None, reconstruct(f)
+    # the join law makes r increasing, so f_r is r itself and obeys both axioms
+    return True, None, _rebuild(r)
 
 
 def restrict_observable(f: ObservableFunction, members: Iterable[int]
                         ) -> tuple[ObservableFunction, FiniteOrthoLattice]:
     """Restriction to a sub-ortholattice: evaluate f at the parent cone of
-    each of the sub's dual ideals."""
+    each of the sub's dual ideals.  The cone of the sub's up-set of a is the
+    parent's up-set of a, so the value is f's value at a."""
     lat = f.lattice
     if f.top != lat.one:
         raise PreconditionError("restriction starts from a whole-lattice table")
     sub, parent_idx = lat.sublattice(members)
-    vals: dict[int, float] = {}
-    for a_sub in range(sub.n):
-        if a_sub == sub.zero:
-            continue
-        sub_ideal_parent_members = [parent_idx[b] for b in
-                                    bits(sub.upset_mask(a_sub))]
-        vals[a_sub] = f.at_ideal(cone(lat, sub_ideal_parent_members))
+    vals = {a_sub: f.at_element(parent_idx[a_sub])
+            for a_sub in range(sub.n) if a_sub != sub.zero}
     return observable(sub, vals, checked=False), sub

@@ -260,3 +260,15 @@ def test_suite_reports_nine_passing_criteria(capsys):
     assert len(payload["results"]) == 9
     assert all(r["passed"] for r in payload["results"])
     assert [r["number"] for r in payload["results"]] == list(range(1, 10))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_table_values_exit_2(capsys, tmp_path, bad):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"lattice": "mo2", "values": {
+        "a,1": 1.0, "a',1": bad, "b,1": 2.0, "b',1": 2.0, "1": 2.0}}))
+    for cmd in ("check", "reconstruct"):
+        code, out, err = run(capsys, "obs", cmd, "--table", str(table))
+        assert code == 2 and out == ""
+        # strict JSON: a NaN or Infinity literal fails the test
+        assert json.loads(err, parse_constant=pytest.fail)["witness"] == "a'"

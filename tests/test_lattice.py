@@ -27,13 +27,23 @@ def brute_join(lat, a, b):
     return bot[0]
 
 
-@pytest.mark.parametrize("name", ["mo2", "b2xchain3", "o6", "b3"])
+def brute_covers(lat):
+    return [(a, b) for a in range(lat.n) for b in range(lat.n)
+            if a != b and lat.le(a, b)
+            and not any(c not in (a, b) and lat.le(a, c) and lat.le(c, b)
+                        for c in range(lat.n))]
+
+
+@pytest.mark.parametrize("name", ["mo2", "b2xchain3", "o6", "b3", "mo3xb3"])
 def test_tables_match_brute_force(lattices, name):
-    lat = lattices[name]
+    lat = (lattices[name] if name in lattices
+           else corpus.product(corpus.mo(3), corpus.boolean_algebra(3)))
     for a in range(lat.n):
         for b in range(lat.n):
             assert lat.meet(a, b) == brute_meet(lat, a, b)
             assert lat.join(a, b) == brute_join(lat, a, b)
+    assert lat.covers() == brute_covers(lat)
+    assert lat.atoms() == [b for a, b in brute_covers(lat) if a == lat.zero]
 
 
 def test_mo2_shape(lattices):
@@ -140,8 +150,15 @@ def test_from_relation_rejects_non_lattice():
     names = ["0", "a", "b", "x", "y", "1"]
     pairs = [("0", "a"), ("0", "b"), ("a", "x"), ("b", "x"),
              ("a", "y"), ("b", "y"), ("x", "1"), ("y", "1")]
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         FiniteOrthoLattice.from_relation(names, pairs)
+    assert str(err.value) == "no least upper bound for (a, b)"
+    assert err.value.witness == ["a", "b"]
+    # the order dual: a and b share the lower bounds x and y
+    with pytest.raises(InputError) as err:
+        FiniteOrthoLattice.from_relation(names, [(q, p) for p, q in pairs])
+    assert str(err.value) == "no greatest lower bound for (a, b)"
+    assert err.value.witness == ["a", "b"]
 
 
 def test_from_relation_rejects_bad_ortho():

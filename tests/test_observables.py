@@ -1,15 +1,19 @@
 """Tables on dual ideals: the two axioms, reconstruction, and the element
-picture.  The independent oracle enumerates every bounded family outright and
-compares memberships."""
+picture.  One independent oracle enumerates every bounded family outright and
+compares memberships; the other is the pairwise scan over dual ideals that
+the element-side checks replaced, compared witness for witness."""
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from obslat import corpus, observables as ob, stone
 from obslat.errors import CheckFailure, InputError, PreconditionError
-from obslat.spectral import sample_family, spectral_family
-from obslat.stone import principal
+from obslat.lattice import FiniteOrthoLattice, mask_from
+from obslat.spectral import restrict_family, sample_family, spectral_family
+from obslat.stone import DualIdeal, dual_ideal_violation, principal
 
 
 def all_bounded_families(lat, values):
@@ -31,6 +35,141 @@ def all_bounded_families(lat, values):
         for vals in itertools.combinations(sorted(values), len(chain)):
             fams.append(spectral_family(lat, list(zip(vals, chain))))
     return fams
+
+
+# -- reference scans over dual ideals -----------------------------------------
+
+def ref_ideals(f):
+    """The dual ideals of the table's domain, in canonical order."""
+    lat = f.lattice
+    if f.top == lat.one:
+        return stone.enumerate_dual_ideals(lat)
+    sub_mask = mask_from(f.domain())
+    out = [DualIdeal(lat, principal(lat, a).mask & sub_mask) for a in f.domain()]
+    out.sort(key=lambda j: (j.size(), tuple(j.members())))
+    return out
+
+
+def ref_intersection(f):
+    lat = f.lattice
+    ideals = ref_ideals(f)
+    for ja in ideals:
+        for jb in ideals:
+            inter = DualIdeal(lat, ja.mask & jb.mask)
+            expected = max(f.at_ideal(ja), f.at_ideal(jb))
+            got = f.at_ideal(inter)
+            if got != expected:
+                return False, {
+                    "family": [ja.names(), jb.names()],
+                    "intersection": inter.names(),
+                    "value": got, "sup_of_values": expected}
+    return True, None
+
+
+def ref_usc(f):
+    ideals = ref_ideals(f)
+    for ja in ideals:
+        for jb in ideals:
+            if (ja.mask & jb.mask) == ja.mask and ja.mask != jb.mask:
+                if f.at_ideal(ja) < f.at_ideal(jb):
+                    return False, {
+                        "kind": "not-decreasing",
+                        "smaller": ja.names(), "larger": jb.names(),
+                        "values": [f.at_ideal(ja), f.at_ideal(jb)]}
+    for j in ideals:
+        low = min(f.at_element(p) for p in j.members())
+        if f.at_ideal(j) != low:
+            return False, {
+                "kind": "not-min-of-principal-values",
+                "ideal": j.names(), "value": f.at_ideal(j),
+                "min_over_members": low}
+    return True, None
+
+
+def ref_epsilon_witness(f, ideal, epsilon):
+    ideals = ref_ideals(f)
+    base = f.at_ideal(ideal)
+    for p in ideal.members():
+        if all(f.at_ideal(j) <= base + epsilon for j in ideals if j.contains(p)):
+            return p
+    return None
+
+
+def ref_reconstruct(f):
+    """Generator of the intersection of the ideals valued at most v, for each
+    image value v; whole-lattice tops only."""
+    lat = f.lattice
+    assert f.top == lat.one
+    pairs = []
+    for v in f.image():
+        inter = None
+        for j in ref_ideals(f):
+            if f.at_ideal(j) <= v:
+                inter = j.mask if inter is None else inter & j.mask
+        assert dual_ideal_violation(lat, inter) is None
+        pairs.append((v, DualIdeal(lat, inter).generator()))
+    return spectral_family(lat, pairs, top=f.top)
+
+
+def perturbed_table(lat, r):
+    """A sampled table, restricted to a random top a third of the time, with
+    zero to two of its values moved."""
+    fam = sample_family(lat, r)
+    if r.random() < 1 / 3:
+        c = r.choice([a for a in range(lat.n) if a != lat.zero])
+        fam = restrict_family(fam, c)
+    f = ob.observable_table(fam)
+    vals = {a: f.values[a] for a in f.domain()}
+    moves = fam.spectrum() + [min(fam.spectrum()) - 0.25,
+                              max(fam.spectrum()) + 0.25]
+    for _ in range(r.randrange(3)):
+        vals[r.choice(f.domain())] = r.choice(moves)
+    return ob.observable(lat, vals, top=f.top, checked=False)
+
+
+def assert_matches_reference(f):
+    ok1, w1 = ob.check_intersection_condition(f)
+    assert (ok1, w1) == ref_intersection(f)
+    ok2, w2 = ob.check_upper_semicontinuous(f)
+    assert (ok2, w2) == ref_usc(f)
+    for a in f.domain()[:4]:
+        ideal = principal(f.lattice, a)
+        assert (ob.usc_epsilon_witness(f, ideal, 0.25)
+                == ref_epsilon_witness(f, ideal, 0.25))
+    if ok1 and ok2:
+        rec = ob.reconstruct(f)
+        assert ob.observable_table(rec).values == f.values
+        if f.top == f.lattice.one:
+            assert rec == ref_reconstruct(f)
+
+
+def shuffled(lat, r):
+    """The same lattice with its element indices shuffled, so that index
+    order is no longer a linear extension of the lattice order."""
+    perm = list(range(lat.n))      # new index k holds old element perm[k]
+    r.shuffle(perm)
+    pos = {old: k for k, old in enumerate(perm)}
+    ortho = None if lat.ortho is None else [pos[lat.ortho[p]] for p in perm]
+    return FiniteOrthoLattice([lat.names[p] for p in perm],
+                              lat.leq[np.ix_(perm, perm)], ortho)
+
+
+def test_checks_match_reference_scans_on_corpus(lattices):
+    r = random.Random(3)
+    for lat in lattices.values():
+        # ties in ideal size are broken by member tuple, not by generator
+        # index; only shuffled copies, and only a few tables, tell them apart
+        for copy in [lat] + [shuffled(lat, r) for _ in range(6)]:
+            for _ in range(12):
+                assert_matches_reference(perturbed_table(copy, r))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(list(corpus.standard_lattices())),
+       seed=st.integers(0, 10 ** 6))
+def test_checks_match_reference_scans_sampled(name, seed):
+    lat = corpus.standard_lattices()[name]
+    assert_matches_reference(perturbed_table(lat, random.Random(seed)))
 
 
 def mo2_example(lattices):
@@ -129,6 +268,11 @@ def test_construction_errors(lattices):
     with pytest.raises(InputError):
         # b does not sit under the top a
         ob.observable(mo2, {a: 1.0, mo2.index("b"): 2.0}, top=a)
+    whole = {b: 1.0 for b in range(mo2.n) if b != mo2.zero}
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError) as err:
+            ob.observable(mo2, {**whole, mo2.index("b"): bad}, checked=False)
+        assert err.value.witness == "b"
 
 
 @pytest.mark.parametrize("name,values", [
@@ -222,7 +366,6 @@ def test_restrict_observable_to_block(lattices):
 @given(name=st.sampled_from(["mo2", "b2", "b3", "chain4", "o6"]),
        seed=st.integers(0, 10 ** 6))
 def test_reconstruction_roundtrip_sampled(name, seed):
-    import random
     lat = corpus.standard_lattices()[name]
     fam = sample_family(lat, random.Random(seed))
     f = ob.observable_table(fam)
@@ -231,13 +374,32 @@ def test_reconstruction_roundtrip_sampled(name, seed):
     assert rec.top == fam.top
 
 
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["mo2", "mo3", "b4", "o6", "chain5"]),
+       seed=st.integers(0, 10 ** 6))
+def test_reconstruction_roundtrip_restricted_top(name, seed):
+    lat = corpus.standard_lattices()[name]
+    r = random.Random(seed)
+    fam = restrict_family(sample_family(lat, r),
+                          r.choice([a for a in range(lat.n) if a != lat.zero]))
+    assert ob.reconstruct(ob.observable_table(fam)) == fam
+
+
+def test_constant_table_under_a_smaller_top(lattices):
+    from obslat.spectral import constant_family
+    mo2 = lattices["mo2"]
+    fam = constant_family(mo2, 0.5, top=mo2.index("a"))
+    f = ob.observable_table(fam)
+    assert ob.check_intersection_condition(f) == (True, None)
+    assert ob.check_upper_semicontinuous(f) == (True, None)
+    assert ob.reconstruct(f) == fam
+
+
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(["mo2", "b3"]), seed=st.integers(0, 10 ** 6))
 def test_restriction_of_table_matches_family_restriction(name, seed):
     """Restricting the family, then tabulating, agrees with the table's own
     restriction wherever both are defined (on the block's principal ideals)."""
-    import random
-    from obslat.spectral import restrict_family
     lat = corpus.standard_lattices()[name]
     r = random.Random(seed)
     fam = sample_family(lat, r)
