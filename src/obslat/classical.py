@@ -17,6 +17,7 @@ statements that need boundedness skip those with a notice.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, bits, mask_from
+from .spectral import _canonical_steps, _step_value, spectral_family
 
 OPENS_CAP = 4096
 
@@ -226,13 +228,7 @@ class TopSpectralFamily:
     unbounded_above: bool = False
 
     def value_at(self, lam: float) -> int:
-        out = self.base
-        for lam_i, u in self.breakpoints:
-            if lam_i <= lam:
-                out = u
-            else:
-                break
-        return out
+        return _step_value(self.breakpoints, lam, self.base)
 
     def admissible_domain(self) -> int:
         """Complement of the intersection of all values (= of the base)."""
@@ -245,44 +241,24 @@ class TopSpectralFamily:
 def top_spectral_family(space: FiniteTopSpace,
                         pairs, base: int = 0,
                         unbounded_above: bool = False) -> TopSpectralFamily:
-    """Validate and canonicalize: all values open, increasing with the base
-    below everything; entries equal to their predecessor (or to the base, at
-    the front) are dropped; the last value must be the whole space unless the
-    family is flagged unbounded above."""
+    """Canonical form (``spectral._canonical_steps``) in the inclusion order
+    from the open base; all values open, the last one the whole space unless
+    the family is flagged unbounded above."""
     if not space.is_open(base):
         raise InputError("base value must be open",
                          witness=space.set_names(base))
-    raw = sorted(((float(lam), int(u)) for lam, u in pairs),
-                 key=lambda p: p[0])
-    if not raw and not unbounded_above:
-        raise InputError("a bounded family needs at least one breakpoint")
-    for lam, u in raw:
-        if not math.isfinite(lam):
-            raise InputError("breakpoints must be finite reals", witness=lam)
+
+    def check(u: int) -> int:
         if not space.is_open(u):
             raise InputError("family values must be open",
                              witness=space.set_names(u))
-    for (l1, u1), (l2, u2) in zip(raw, raw[1:]):
-        if l1 == l2 and u1 != u2:
-            raise InputError(f"two different values at breakpoint {l1:g}")
-        if u1 & u2 != u1:
-            raise InputError(
-                "family is not increasing",
-                witness=[space.set_names(u1), space.set_names(u2)])
-    canon = []
-    for lam, u in raw:
-        if base & u != base:
-            raise InputError("base must lie below every value",
-                             witness=space.set_names(u))
-        if not canon and u == base:
-            continue
-        if canon and canon[-1][1] == u:
-            continue
-        canon.append((lam, u))
-    if not unbounded_above:
-        if not canon or canon[-1][1] != space.full:
-            raise InputError("family must reach the whole space")
-    return TopSpectralFamily(space, base, tuple(canon), unbounded_above)
+        return u
+
+    steps = _canonical_steps(((lam, int(u)) for lam, u in pairs),
+                             lambda u, v: u & v == u, operator.eq, base,
+                             None if unbounded_above else space.full,
+                             space.set_names, check)
+    return TopSpectralFamily(space, base, steps, unbounded_above)
 
 
 def sigma_from_function(space: FiniteTopSpace, values: dict[str, float]
@@ -408,7 +384,6 @@ def open_set_lattice(space: FiniteTopSpace, cap: int = 64
 
 def lattice_family_of(family: TopSpectralFamily, cap: int = 64):
     """The same family as a lattice-valued one over the open-set lattice."""
-    from .spectral import spectral_family
     if family.unbounded_above:
         raise PreconditionError("lattice form needs a bounded family")
     if family.base != 0:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
@@ -45,7 +46,15 @@ def _parse_tol(pairs) -> Tolerances:
         if key not in allowed:
             raise InputError("unknown tolerance key",
                              witness={"key": key, "known": sorted(allowed)})
-        overrides[key] = int(val) if key == "jacobi_sweeps" else float(val)
+        try:
+            x = int(val) if key == "jacobi_sweeps" else float(val)
+        except ValueError:
+            x = math.nan
+        if not 0 <= x < math.inf:
+            raise InputError("a tolerance is a finite nonnegative number "
+                             "(an integer for jacobi_sweeps)",
+                             witness={"key": key, "value": val})
+        overrides[key] = x
     return TOL.scaled(**overrides)
 
 

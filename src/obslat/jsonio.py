@@ -59,6 +59,16 @@ def load_json(path: Path):
                          witness={"file": str(path), "error": str(exc)})
 
 
+def _real(v, key: str) -> float:
+    """A number read from a file; anything float() refuses is an InputError
+    naming the key it came from."""
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("expected a real number",
+                         witness={"key": key, "value": v}) from None
+
+
 def save_json(path, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
@@ -102,10 +112,8 @@ def load_family(ref, referrer: Path | None = None) -> SpectralFamily:
     if not isinstance(data, dict) or "breakpoints" not in data:
         raise InputError("a family file needs 'lattice' and 'breakpoints'")
     lat = load_lattice(data.get("lattice"), path)
-    pairs = []
-    for item in data["breakpoints"]:
-        lam, name = item
-        pairs.append((float(lam), lat.index(str(name))))
+    pairs = [(_real(lam, f"breakpoints[{k}]"), lat.index(str(name)))
+             for k, (lam, name) in enumerate(data["breakpoints"])]
     top = lat.index(str(data["top"])) if "top" in data else None
     return spectral_family(lat, pairs, top=top)
 
@@ -172,10 +180,11 @@ def load_table(ref, referrer: Path | None = None) -> ObservableFunction:
                 raise InputError(
                     "key does not list the members of a dual ideal",
                     witness={"key": key, "generator": lat.names[gen]})
-        if gen in vals and vals[gen] != float(v):
+        v = _real(v, f"values[{key}]")
+        if gen in vals and vals[gen] != v:
             raise InputError("conflicting values for one ideal",
                              witness={"key": key})
-        vals[gen] = float(v)
+        vals[gen] = v
     top = lat.index(str(data["top"])) if "top" in data else None
     return observable(lat, vals, top=top,
                       checked=bool(data.get("checked", True)))
@@ -193,12 +202,12 @@ def table_to_json(f: ObservableFunction,
 
 # -- matrices ------------------------------------------------------------------------
 
-def _entry(e) -> complex:
+def _entry(e, key: str) -> complex:
     if isinstance(e, (list, tuple)):
         if len(e) != 2:
             raise InputError("a complex entry is a [re, im] pair", witness=e)
-        return complex(float(e[0]), float(e[1]))
-    return complex(float(e))
+        return complex(_real(e[0], key), _real(e[1], key))
+    return complex(_real(e, key))
 
 
 def load_matrix(ref, referrer: Path | None = None) -> np.ndarray:
@@ -207,7 +216,8 @@ def load_matrix(ref, referrer: Path | None = None) -> np.ndarray:
         data = data.get("matrix")
     if not isinstance(data, list) or not data:
         raise InputError("a matrix file is a nonempty list of rows")
-    rows = [[_entry(e) for e in row] for row in data]
+    rows = [[_entry(e, f"matrix[{i}][{j}]") for j, e in enumerate(row)]
+            for i, row in enumerate(data)]
     return as_matrix(rows)
 
 
@@ -271,8 +281,9 @@ def load_top_family(ref, referrer: Path | None = None):
     if not isinstance(data, dict) or "breakpoints" not in data:
         raise InputError("a family file needs 'space' and 'breakpoints'")
     space = load_space(data.get("space"), path)
-    pairs = [(float(lam), space.mask_of([str(p) for p in names]))
-             for lam, names in data["breakpoints"]]
+    pairs = [(_real(lam, f"breakpoints[{k}]"),
+              space.mask_of([str(p) for p in names]))
+             for k, (lam, names) in enumerate(data["breakpoints"])]
     base = space.mask_of([str(p) for p in data.get("base", [])])
     return top_spectral_family(
         space, pairs, base=base,
@@ -299,7 +310,7 @@ def load_point_values(ref, referrer: Path | None = None) -> dict[str, float]:
         data = data["values"]
     if not isinstance(data, dict):
         raise InputError("a function file maps point names to numbers")
-    return {str(k): float(v) for k, v in data.items()}
+    return {str(k): _real(v, f"values[{k}]") for k, v in data.items()}
 
 
 # -- context diagrams and sections ------------------------------------------------------
@@ -347,7 +358,8 @@ def load_section(ref, referrer: Path | None = None,
         ctx = dia.context_named(str(cname))
         vals: dict[int, float] = {}
         for elem_name, v in table.items():
-            vals[ctx.lattice.index(str(elem_name))] = float(v)
+            vals[ctx.lattice.index(str(elem_name))] = _real(
+                v, f"values[{cname}][{elem_name}]")
         section[str(cname)] = vals
     return dia, section
 
@@ -375,7 +387,8 @@ def load_presheaf(ref, referrer: Path | None = None
     kind = str(data["kind"])
     if kind == "spectral":
         lat = load_lattice(data.get("lattice"), path)
-        grid = [float(g) for g in data.get("grid", [])]
+        grid = [_real(g, f"grid[{k}]")
+                for k, g in enumerate(data.get("grid", []))]
         ps = spectral_presheaf(lat, grid)
         return ps, {"kind": kind, "lattice": lat, "grid": grid}
     if kind == "functions":

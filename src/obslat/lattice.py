@@ -91,10 +91,9 @@ class FiniteOrthoLattice:
                 raise InputError(f"leq pair ({a!r}, {b!r}) names unknown element",
                                  witness=[a, b])
             rel[index[a], index[b]] = True
-        ortho = None
+        lat = cls(names, rel, ortho=None, cap=cap)
         if ortho_pairs is not None:
-            tmp = cls(names, rel, ortho=None, cap=cap)
-            omap: dict[int, int] = {tmp.zero: tmp.one, tmp.one: tmp.zero}
+            omap: dict[int, int] = {lat.zero: lat.one, lat.one: lat.zero}
             for a, b in ortho_pairs.items():
                 if a not in index or b not in index:
                     raise InputError(f"ortho pair ({a!r}, {b!r}) names unknown element",
@@ -110,8 +109,9 @@ class FiniteOrthoLattice:
             if missing:
                 raise InputError("orthocomplement undefined for some elements",
                                  witness=missing)
-            ortho = [omap[i] for i in range(n)]
-        return cls(names, rel, ortho=ortho, cap=cap)
+            lat.ortho = tuple(omap[i] for i in range(n))
+            lat._validate_ortho()
+        return lat
 
     def _unique_extremum(self, bottom: bool) -> int:
         mat = self.leq if bottom else self.leq.T

@@ -13,7 +13,7 @@ from itertools import combinations, product as iproduct
 from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, bits, mask_from
-from .spectral import SpectralFamily, restrict_family, spectral_family
+from .spectral import restrict_family, spectral_family
 from .stone import DualIdeal
 
 WORK_CAP = 200_000
@@ -309,10 +309,6 @@ def _restrict_key(lattice, fam_key, a):
                           top=fam_key[-1][1])
     sub = restrict_family(fam, a)
     return tuple(sub.breakpoints)
-
-
-def family_key(family: SpectralFamily) -> tuple:
-    return tuple(family.breakpoints)
 
 
 def function_presheaf(space, values) -> tuple[LatticePresheaf,

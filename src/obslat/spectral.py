@@ -1,22 +1,68 @@
-"""Bounded spectral families with values in a finite lattice.
+"""Bounded spectral families, and the canonical form shared by the three
+orders that carry one: elements of a finite lattice (here), open sets of a
+finite space (``classical``) and projections (``vn``).
 
 A family is a finite list of breakpoints (lambda_i, E_i) with strictly
-increasing lambdas and increasing elements, read as the right-continuous step
-map that is E_i on [lambda_i, lambda_{i+1}) and bottom below lambda_1.  The
-last element must equal the family's top (the whole-lattice top by default; a
-smaller top models a family living in the down-set sublattice under it).
-
-Breakpoint reals are compared exactly: the corpus sticks to small decimals, so
-no epsilon is needed at the lattice layer.
+increasing lambdas and increasing values, read as the right-continuous step
+map that is E_i on [lambda_i, lambda_{i+1}) and the base value below
+lambda_1.  ``_canonical_steps`` and ``_step_value`` build and evaluate it for
+any order; the three family types wrap them.  In a lattice the base is
+bottom and the last element must equal the family's top (the whole-lattice
+top by default; a smaller top models a family living in the down-set
+sublattice under it).  Breakpoint reals are compared exactly: the corpus
+sticks to small decimals, so no epsilon is needed at the lattice layer.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InputError, PreconditionError
 from .lattice import FiniteOrthoLattice
+
+
+def _canonical_steps(pairs, le, same, base, top, show, check=lambda v: v):
+    """Canonical (lambda, value) steps in the order ``le``: lambdas finite,
+    values passed through ``check`` in input order, then sorted by lambda,
+    one value per lambda, increasing from ``base``; a step ``same`` as
+    ``base`` at the front or as its predecessor is dropped (the step map is
+    unchanged), and the last value must be ``top`` unless that is None.
+    Witnesses render values with ``show``."""
+    raw = [(float(lam), v) for lam, v in pairs]
+    if not raw and top is not None:
+        raise InputError("a spectral family needs at least one breakpoint")
+    for k, (lam, v) in enumerate(raw):
+        if not math.isfinite(lam):
+            raise InputError("breakpoints must be finite reals", witness=lam)
+        raw[k] = (lam, check(v))
+    raw.sort(key=lambda p: p[0])
+    for (l1, v1), (l2, v2) in zip(raw, raw[1:]):
+        if l1 == l2 and not same(v1, v2):
+            raise InputError(f"two different elements at breakpoint {l1:g}",
+                             witness=[show(v1), show(v2)])
+        if not le(v1, v2):
+            raise InputError("family is not increasing",
+                             witness=[[l1, show(v1)], [l2, show(v2)]])
+    if raw and not le(base, raw[0][1]):
+        raise InputError("base must lie below every value",
+                         witness=show(raw[0][1]))
+    canon: list[tuple[float, object]] = []
+    for lam, v in raw:
+        if not same(v, canon[-1][1] if canon else base):
+            canon.append((lam, v))
+    if top is not None and not (canon and same(canon[-1][1], top)):
+        raise InputError("family must reach its top element",
+                         witness=show(top))
+    return tuple(canon)
+
+
+def _step_value(steps, lam: float, below):
+    """The value at the largest breakpoint <= lam; ``below`` before the
+    first.  ``steps`` iterates (lambda, value) in increasing lambda."""
+    reached = [v for lam_i, v in steps if lam_i <= lam]
+    return reached[-1] if reached else below
 
 
 @dataclass(frozen=True)
@@ -33,13 +79,7 @@ class SpectralFamily:
 
     def value_at(self, lam: float) -> int:
         """The step value: the element at the largest breakpoint <= lam."""
-        out = self.lattice.zero
-        for lam_i, e in self.breakpoints:
-            if lam_i <= lam:
-                out = e
-            else:
-                break
-        return out
+        return _step_value(self.breakpoints, lam, self.lattice.zero)
 
     def to_pairs(self) -> list[tuple[float, str]]:
         return [(lam, self.lattice.names[e]) for lam, e in self.breakpoints]
@@ -53,21 +93,12 @@ class SpectralFamily:
 def spectral_family(lattice: FiniteOrthoLattice,
                     pairs: Iterable[tuple[float, int]],
                     top: int | None = None) -> SpectralFamily:
-    """Validate and canonicalize breakpoint data.
-
-    Canonical form: sorted by lambda, versions of the bottom element at the
-    front dropped, an entry whose element repeats the previous one dropped
-    (the step map is unchanged by both), and the final element must equal
-    ``top``.  Duplicate lambdas and order violations are rejected.
-    """
+    """Canonical form (``_canonical_steps``) in the lattice order from
+    bottom; every element must lie in range and below ``top``."""
     if top is None:
         top = lattice.one
-    raw = [(float(lam), int(e)) for lam, e in pairs]
-    if not raw:
-        raise InputError("a spectral family needs at least one breakpoint")
-    for lam, e in raw:
-        if not math.isfinite(lam):
-            raise InputError("breakpoints must be finite reals", witness=lam)
+
+    def check(e: int) -> int:
         if not 0 <= e < lattice.n:
             raise InputError("breakpoint element out of range", witness=e)
         if not lattice.le(e, top):
@@ -75,28 +106,12 @@ def spectral_family(lattice: FiniteOrthoLattice,
                 f"element {lattice.names[e]} exceeds the family top "
                 f"{lattice.names[top]}",
                 witness=[lattice.names[e], lattice.names[top]])
-    raw.sort(key=lambda p: p[0])
-    for (l1, e1), (l2, e2) in zip(raw, raw[1:]):
-        if l1 == l2 and e1 != e2:
-            raise InputError(
-                f"two different elements at breakpoint {l1:g}",
-                witness=[lattice.names[e1], lattice.names[e2]])
-        if not lattice.le(e1, e2):
-            raise InputError(
-                "family is not increasing",
-                witness=[[l1, lattice.names[e1]], [l2, lattice.names[e2]]])
-    canon: list[tuple[float, int]] = []
-    for lam, e in raw:
-        if not canon and e == lattice.zero:
-            continue
-        if canon and canon[-1][1] == e:
-            continue
-        canon.append((lam, e))
-    if not canon or canon[-1][1] != top:
-        raise InputError(
-            "family must reach its top element",
-            witness=lattice.names[top])
-    return SpectralFamily(lattice, tuple(canon), top)
+        return e
+
+    steps = _canonical_steps(((lam, int(e)) for lam, e in pairs), lattice.le,
+                             operator.eq, lattice.zero, top,
+                             lattice.names.__getitem__, check)
+    return SpectralFamily(lattice, steps, top)
 
 
 def constant_family(lattice: FiniteOrthoLattice, value: float,

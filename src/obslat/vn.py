@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceError
+from .spectral import _canonical_steps, _step_value
 
 MAX_DIM = 16
 
@@ -28,7 +29,6 @@ MAX_DIM = 16
 class Tolerances:
     sym: float = 1e-12         # Hermitian symmetry defect
     proj: float = 1e-10        # idempotence defect of projections
-    rec: float = 1e-9          # reconstruction residuals (Frobenius)
     sub: float = 1e-9          # subspace membership / principal angles
     cluster: float = 1e-8      # eigenvalue clustering gap
     pivot: float = 1e-10       # rank decisions in orthonormalization
@@ -48,6 +48,9 @@ def as_matrix(entries) -> np.ndarray:
         raise InputError("matrix must be square", witness=list(a.shape))
     if a.shape[0] > MAX_DIM:
         raise ResourceError(f"dimension {a.shape[0]} exceeds {MAX_DIM}")
+    if not np.isfinite(a).all():
+        raise InputError("matrix entries must be finite", witness=[
+            int(k) for k in np.argwhere(~np.isfinite(a))[0]])
     return a
 
 
@@ -196,13 +199,8 @@ class OperatorSpectralFamily:
     dim: int = 0
 
     def value_at(self, lam: float) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for mu, e in zip(self.breakpoints, self.projections):
-            if mu <= lam:
-                out = e
-            else:
-                break
-        return out
+        return _step_value(zip(self.breakpoints, self.projections), lam,
+                           np.zeros((self.dim, self.dim), dtype=complex))
 
     def synthesize(self) -> np.ndarray:
         """sum of mu_i (E_i - E_{i-1})."""
@@ -243,30 +241,18 @@ def spectral_family_of(a, tol: Tolerances = TOL) -> OperatorSpectralFamily:
 
 def family_from_steps(breakpoints, projections, tol: Tolerances = TOL
                       ) -> OperatorSpectralFamily:
-    """Canonicalize (lambda, projection) steps: sort, drop rank-zero leading
-    steps and repeated projections, require an increasing family ending at
-    the identity."""
-    pairs = sorted(zip([float(b) for b in breakpoints], list(projections)),
-                   key=lambda pr: pr[0])
-    canon: list[tuple[float, np.ndarray]] = []
-    for lam, p in pairs:
-        p = check_projection(p, tol)
-        if not canon and rank_of_projection(p) == 0:
-            continue
-        if canon and float(np.linalg.norm(canon[-1][1] - p)) <= tol.sub:
-            continue
-        canon.append((lam, p))
-    if not canon:
-        raise InputError("family has no nonzero step")
-    dim = canon[0][1].shape[0]
-    if float(np.linalg.norm(canon[-1][1] - np.eye(dim))) > tol.proj:
-        raise InputError("family must end at the identity")
-    for (l1, p1), (l2, p2) in zip(canon, canon[1:]):
-        if not projection_leq(p1, p2, tol):
-            raise InputError("family is not increasing",
-                             witness={"breakpoints": [l1, l2]})
-    return OperatorSpectralFamily(tuple(c[0] for c in canon),
-                                  tuple(c[1] for c in canon), dim)
+    """Canonical form (``spectral._canonical_steps``) in the range order
+    from zero to the identity, projections equal within the sub tolerance;
+    witnesses name projections by rank."""
+    ps = [check_projection(p, tol) for p in projections]
+    dim = ps[0].shape[0] if ps else 0
+    steps = _canonical_steps(
+        zip(breakpoints, ps), lambda p, q: projection_leq(p, q, tol),
+        lambda p, q: float(np.linalg.norm(p - q)) <= tol.sub,
+        np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex),
+        rank_of_projection)
+    return OperatorSpectralFamily(tuple(lam for lam, _ in steps),
+                                  tuple(p for _, p in steps), dim)
 
 
 # -- spectral order ------------------------------------------------------------

@@ -272,3 +272,65 @@ def test_non_finite_table_values_exit_2(capsys, tmp_path, bad):
         assert code == 2 and out == ""
         # strict JSON: a NaN or Infinity literal fails the test
         assert json.loads(err, parse_constant=pytest.fail)["witness"] == "a'"
+
+
+@pytest.mark.parametrize("argv, data, key", [
+    (("spectral", "spectrum", "--family"),
+     {"lattice": "mo2", "breakpoints": [["x", "a"], [2.0, "1"]]},
+     "breakpoints[0]"),
+    (("obs", "check", "--table"),
+     {"lattice": "mo2", "values": {"a,1": 1.0, "a',1": "x", "b,1": 2.0,
+                                   "b',1": 2.0, "1": 2.0}},
+     "values[a',1]"),
+    (("vn", "spectral-family"), [[1.0, [0.0, "x"]], [0.0, 1.0]],
+     "matrix[0][1]"),
+    (("classical", "induce", "--space", c("space_sierpinski.json"), "--fn"),
+     {"values": {"1": 0.0, "2": None, "3": 1.0}}, "values[2]"),
+    (("classical", "check-continuity", "--family"),
+     {"space": c("space_sierpinski.json"),
+      "breakpoints": [[[1], ["1"]], [2.0, ["1", "2", "3"]]]},
+     "breakpoints[0]"),
+    (("presheaf", "check", "--input"),
+     {"kind": "spectral", "lattice": "mo2", "grid": [0.0, "x"]}, "grid[1]"),
+    (("context", "glue", "--diagram", c("diagram_qubit.json"), "--sections"),
+     {"values": {"Ax": {"{1}": "x"}}}, "values[Ax][{1}]"),
+])
+def test_non_numeric_reals_in_files_exit_2(capsys, tmp_path, argv, data, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "expected a real number"
+    assert payload["witness"]["key"] == key
+
+
+def test_non_finite_matrix_exit_2(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('[[NaN, 0], [0, 1]]')
+    code, out, err = run(capsys, "vn", "spectral-family", str(path))
+    assert code == 2 and out == ""
+    payload = json.loads(err, parse_constant=pytest.fail)
+    assert payload == {"error": "matrix entries must be finite",
+                       "witness": [0, 0]}
+
+
+@pytest.mark.parametrize("setting", [
+    "sub=x", "sub=nan", "sub=-1e-9", "pivot=inf", "jacobi_sweeps=2.5"])
+def test_bad_tolerance_values_exit_2(capsys, setting):
+    code, out, err = run(capsys, "vn", "spectral-family", c("matrix_a.json"),
+                         "--tol", setting)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"].startswith("a tolerance is a finite nonnegative")
+    key, _, val = setting.partition("=")
+    assert payload["witness"] == {"key": key, "value": val}
+
+
+def test_rec_is_no_longer_a_tolerance_key(capsys):
+    code, _, err = run(capsys, "vn", "spectral-family", c("matrix_a.json"),
+                       "--tol", "rec=1e-9")
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "unknown tolerance key"
+    assert "rec" not in payload["witness"]["known"]

@@ -221,3 +221,20 @@ def test_join_of_agrees_with_pairwise(name, seed):
     for x in xs[1:]:
         acc = lat.meet(acc, x)
     assert lat.meet_of(xs) == acc
+
+
+def test_ortholattice_from_relation_builds_tables_once(monkeypatch):
+    from obslat import jsonio
+    source = corpus.boolean_algebra(6)
+    calls = []
+    build = FiniteOrthoLattice._build_tables
+
+    def counted(self):
+        calls.append(self.n)
+        return build(self)
+
+    monkeypatch.setattr(FiniteOrthoLattice, "_build_tables", counted)
+    lat = jsonio.load_lattice(source.to_dict())
+    assert calls == [64]
+    assert lat.ortho == source.ortho
+    assert (lat.join_table == source.join_table).all()
