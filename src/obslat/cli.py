@@ -47,12 +47,11 @@ def _parse_tol(pairs) -> Tolerances:
             raise InputError("unknown tolerance key",
                              witness={"key": key, "known": sorted(allowed)})
         try:
-            x = int(val) if key == "jacobi_sweeps" else float(val)
+            x = float(val)
         except ValueError:
             x = math.nan
         if not 0 <= x < math.inf:
-            raise InputError("a tolerance is a finite nonnegative number "
-                             "(an integer for jacobi_sweeps)",
+            raise InputError("a tolerance is a finite nonnegative number",
                              witness={"key": key, "value": val})
         overrides[key] = x
     return TOL.scaled(**overrides)
@@ -568,6 +567,23 @@ def _merge_grid_flag(argv: list[str]) -> list[str]:
     return out
 
 
+def _finite_json(obj):
+    """obj with each non-finite float replaced by its JSON spelling as a
+    string ("NaN", "Infinity", "-Infinity"), so it dumps as strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
+def _print_error(exc: ObslatError) -> None:
+    print(json.dumps({"error": str(exc), "witness": _finite_json(exc.witness)},
+                     sort_keys=True), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
@@ -577,12 +593,10 @@ def main(argv=None) -> int:
         cfg = _config(args)
         return args.handler(args, cfg)
     except CheckFailure as exc:
-        print(json.dumps({"error": str(exc), "witness": exc.witness},
-                         sort_keys=True), file=sys.stderr)
+        _print_error(exc)
         return 1
     except (InputError, PreconditionError, ResourceError) as exc:
-        print(json.dumps({"error": str(exc), "witness": exc.witness},
-                         sort_keys=True), file=sys.stderr)
+        _print_error(exc)
         return 2
     except ObslatError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

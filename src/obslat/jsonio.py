@@ -69,6 +69,21 @@ def _real(v, key: str) -> float:
                          witness={"key": key, "value": v}) from None
 
 
+def _breakpoints(data: dict):
+    """Yield each item of data["breakpoints"] as (real lambda, value), one at
+    a time so later checks keep their order.  A list that is not a list of
+    pairs is an InputError naming the key of the offending part."""
+    shape = "breakpoints are a list of [lambda, value] pairs"
+    items = data["breakpoints"]
+    if not isinstance(items, list):
+        raise InputError(shape, witness={"key": "breakpoints", "value": items})
+    for k, item in enumerate(items):
+        key = f"breakpoints[{k}]"
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise InputError(shape, witness={"key": key, "value": item})
+        yield _real(item[0], key), item[1]
+
+
 def save_json(path, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
@@ -112,8 +127,7 @@ def load_family(ref, referrer: Path | None = None) -> SpectralFamily:
     if not isinstance(data, dict) or "breakpoints" not in data:
         raise InputError("a family file needs 'lattice' and 'breakpoints'")
     lat = load_lattice(data.get("lattice"), path)
-    pairs = [(_real(lam, f"breakpoints[{k}]"), lat.index(str(name)))
-             for k, (lam, name) in enumerate(data["breakpoints"])]
+    pairs = [(lam, lat.index(str(name))) for lam, name in _breakpoints(data)]
     top = lat.index(str(data["top"])) if "top" in data else None
     return spectral_family(lat, pairs, top=top)
 
@@ -281,9 +295,8 @@ def load_top_family(ref, referrer: Path | None = None):
     if not isinstance(data, dict) or "breakpoints" not in data:
         raise InputError("a family file needs 'space' and 'breakpoints'")
     space = load_space(data.get("space"), path)
-    pairs = [(_real(lam, f"breakpoints[{k}]"),
-              space.mask_of([str(p) for p in names]))
-             for k, (lam, names) in enumerate(data["breakpoints"])]
+    pairs = [(lam, space.mask_of([str(p) for p in names]))
+             for lam, names in _breakpoints(data)]
     base = space.mask_of([str(p) for p in data.get("base", [])])
     return top_spectral_family(
         space, pairs, base=base,

@@ -2,12 +2,9 @@
 spectral order, commutants, and the two coarse-graining maps onto a
 subalgebra.
 
-Everything is exact linear algebra on matrices of dimension <= 16.  The
-eigensolver is a cyclic complex Jacobi iteration written out here rather than
-delegated: the rotation that kills one off-diagonal entry is two lines of
-algebra, dimensions stay tiny, and keeping it local pins down the exact
-tolerance behavior the rest of the module relies on.  numpy supplies array
-arithmetic, SVD and the rank-revealing orthonormalization only.
+Everything is exact linear algebra on matrices of dimension <= 16.  numpy
+(LAPACK) supplies the eigensolver, the SVDs and the QR; every rank decision
+goes through one rule, ``_rank``.
 
 All comparisons name the tolerance they use; the defaults live in
 ``Tolerances``.
@@ -32,8 +29,6 @@ class Tolerances:
     sub: float = 1e-9          # subspace membership / principal angles
     cluster: float = 1e-8      # eigenvalue clustering gap
     pivot: float = 1e-10       # rank decisions in orthonormalization
-    jacobi_off: float = 1e-11  # target off-diagonal Frobenius norm
-    jacobi_sweeps: int = 100
 
     def scaled(self, **kw) -> "Tolerances":
         return replace(self, **kw)
@@ -78,84 +73,39 @@ def rank_of_projection(p) -> int:
     return int(round(float(np.trace(np.asarray(p)).real)))
 
 
-def _off_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m - np.diag(np.diag(m))))
-
-
 # -- eigensolver -------------------------------------------------------------
 
 def eigen_hermitian(a, tol: Tolerances = TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
-
-    Cyclic Jacobi.  For the pivot entry z = m[p, q] = r*u with r = |z|, the
-    unitary that zeroes it mixes coordinates p and q as
-
-        [c   s ]       [  cos          sin        ]
-        [-s*conj(u)  c*conj(u)]
-
-    with tan chosen from tau = (m[q,q] - m[p,p]) / (2r) by the stable root
-    t = sign(tau) / (|tau| + sqrt(1 + tau^2)).  Sweeps run until the
-    off-diagonal Frobenius norm is below jacobi_off.
-    """
-    a = check_hermitian(a, tol)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    m = a.copy()
-    for _ in range(tol.jacobi_sweeps):
-        if _off_norm(m) < tol.jacobi_off:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                z = m[p, q]
-                r = abs(z)
-                if r == 0.0:
-                    continue
-                u = z / r
-                tau = (m[q, q].real - m[p, p].real) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                g = np.eye(n, dtype=complex)
-                g[p, p] = c
-                g[p, q] = s
-                g[q, p] = -s * np.conj(u)
-                g[q, q] = c * np.conj(u)
-                m = g.conj().T @ m @ g
-                v = v @ g
-                m[p, q] = m[q, p] = 0.0  # zero exactly; the rotation was built for it
-    if _off_norm(m) >= tol.jacobi_off:
-        raise ResourceError(
-            f"eigensolver did not converge in {tol.jacobi_sweeps} sweeps",
-            witness={"off_diagonal": _off_norm(m)})
-    vals = np.diag(m).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    return np.linalg.eigh(check_hermitian(a, tol))
 
 
 # -- subspace arithmetic ------------------------------------------------------
 
+def _rank(s: np.ndarray, tol: Tolerances) -> int:
+    """Number of singular values (descending) above the pivot threshold,
+    scaled by the largest one once that exceeds 1."""
+    return int(np.sum(s > tol.pivot * max(1.0, float(s[0])))) if s.size else 0
+
+
 def orthonormal_range(columns: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """Orthonormal basis of the column span; rank decided at the pivot
-    threshold on singular values."""
+    """Orthonormal basis of the column span."""
     columns = np.asarray(columns, dtype=complex)
     if columns.size == 0:
         return np.zeros((columns.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    scale = max(1.0, float(s[0])) if s.size else 1.0
-    rank = int(np.sum(s > tol.pivot * scale))
-    return u[:, :rank]
+    return u[:, :_rank(s, tol)]
 
 
 def null_space(stacked: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """Orthonormal basis of the right null space."""
+    """Orthonormal basis of the right null space.  The SVD is thin unless
+    the system is wide, where the full V is what holds the null space."""
     stacked = np.asarray(stacked, dtype=complex)
     rows, cols = stacked.shape
     if rows == 0:
         return np.eye(cols, dtype=complex)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    scale = max(1.0, float(s[0])) if s.size else 1.0
-    rank = int(np.sum(s > tol.pivot * scale))
-    return vh.conj().T[:, rank:]
+    _, s, vh = np.linalg.svd(stacked, full_matrices=rows < cols)
+    return vh.conj().T[:, _rank(s, tol):]
 
 
 def projection_onto(columns: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
@@ -245,7 +195,10 @@ def family_from_steps(breakpoints, projections, tol: Tolerances = TOL
     from zero to the identity, projections equal within the sub tolerance;
     witnesses name projections by rank."""
     ps = [check_projection(p, tol) for p in projections]
-    dim = ps[0].shape[0] if ps else 0
+    dims = sorted({p.shape[0] for p in ps})
+    if len(dims) > 1:
+        raise InputError("dimension mismatch", witness=dims)
+    dim = dims[0] if dims else 0
     steps = _canonical_steps(
         zip(breakpoints, ps), lambda p, q: projection_leq(p, q, tol),
         lambda p, q: float(np.linalg.norm(p - q)) <= tol.sub,
@@ -317,16 +270,19 @@ def _vec(m: np.ndarray) -> np.ndarray:
 def commutant_basis(mats, dim: int, tol: Tolerances = TOL) -> list[np.ndarray]:
     """Basis of everything commuting with the given matrices and their
     adjoints: the null space of the stacked Sylvester equations, via
-    vec(G X - X G) = (G (x) I - I (x) G^T) vec(X)."""
+    vec(G X - X G) = (G (x) I - I (x) G^T) vec(X).  Once the stack passes
+    dim^2 rows it is replaced by its R factor, which has the same null space
+    and singular values, so memory stays O(dim^4) for any number of
+    generators."""
     eye = np.eye(dim, dtype=complex)
-    rows = []
+    stack = np.zeros((0, dim * dim), dtype=complex)
     for g in mats:
         g = as_matrix(g)
         for h in (g, g.conj().T):
-            rows.append(np.kron(h, eye) - np.kron(eye, h.T))
-    stacked = (np.vstack(rows) if rows
-               else np.zeros((0, dim * dim), dtype=complex))
-    vecs = null_space(stacked, tol)
+            stack = np.vstack([stack, np.kron(h, eye) - np.kron(eye, h.T)])
+            if stack.shape[0] > dim * dim:
+                stack = np.linalg.qr(stack, mode="r")
+    vecs = null_space(stack, tol)
     return [vecs[:, k].reshape(dim, dim) for k in range(vecs.shape[1])]
 
 

@@ -274,6 +274,45 @@ def test_non_finite_table_values_exit_2(capsys, tmp_path, bad):
         assert json.loads(err, parse_constant=pytest.fail)["witness"] == "a'"
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_witnesses_print_strict_json(capsys, tmp_path, literal):
+    path = tmp_path / "family.json"
+    path.write_text('{"lattice": "mo2", "breakpoints": [[%s, "a"], [2, "1"]]}'
+                    % literal)
+    code, out, err = run(capsys, "spectral", "spectrum", "--family", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err, parse_constant=pytest.fail) == {
+        "error": "breakpoints must be finite reals", "witness": literal}
+
+
+@pytest.mark.parametrize("argv, data, key, value", [
+    (("spectral", "spectrum", "--family"),
+     {"lattice": "mo2", "breakpoints": [[0.5, "a"], [1.0]]},
+     "breakpoints[1]", [1.0]),
+    (("spectral", "spectrum", "--family"),
+     {"lattice": "mo2", "breakpoints": {"0.5": "a"}},
+     "breakpoints", {"0.5": "a"}),
+    (("classical", "check-continuity", "--family"),
+     {"space": c("space_sierpinski.json"),
+      "breakpoints": [[0.5, ["1"]], [1.0]]},
+     "breakpoints[1]", [1.0]),
+    (("classical", "check-continuity", "--family"),
+     {"space": c("space_sierpinski.json"),
+      "breakpoints": [[0.5, ["1"]], [1.0, ["1", "2", "3"], "x"]]},
+     "breakpoints[1]", [1.0, ["1", "2", "3"], "x"]),
+], ids=["family-short", "family-not-a-list", "top-family-short",
+        "top-family-long"])
+def test_breakpoints_must_be_a_list_of_pairs(capsys, tmp_path, argv, data,
+                                             key, value):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "breakpoints are a list of [lambda, value] pairs",
+        "witness": {"key": key, "value": value}}
+
+
 @pytest.mark.parametrize("argv, data, key", [
     (("spectral", "spectrum", "--family"),
      {"lattice": "mo2", "breakpoints": [["x", "a"], [2.0, "1"]]},
@@ -316,7 +355,7 @@ def test_non_finite_matrix_exit_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "sub=x", "sub=nan", "sub=-1e-9", "pivot=inf", "jacobi_sweeps=2.5"])
+    "sub=x", "sub=nan", "sub=-1e-9", "pivot=inf"])
 def test_bad_tolerance_values_exit_2(capsys, setting):
     code, out, err = run(capsys, "vn", "spectral-family", c("matrix_a.json"),
                          "--tol", setting)
@@ -327,10 +366,12 @@ def test_bad_tolerance_values_exit_2(capsys, setting):
     assert payload["witness"] == {"key": key, "value": val}
 
 
-def test_rec_is_no_longer_a_tolerance_key(capsys):
+@pytest.mark.parametrize("key", ["rec", "jacobi_off", "jacobi_sweeps"])
+def test_removed_tolerance_keys_are_unknown(capsys, key):
     code, _, err = run(capsys, "vn", "spectral-family", c("matrix_a.json"),
-                       "--tol", "rec=1e-9")
+                       "--tol", f"{key}=3")
     assert code == 2
     payload = json.loads(err)
     assert payload["error"] == "unknown tolerance key"
-    assert "rec" not in payload["witness"]["known"]
+    assert payload["witness"]["key"] == key
+    assert key not in payload["witness"]["known"]

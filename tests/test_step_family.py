@@ -88,6 +88,8 @@ CASES = [
     ("not a projection", projections, [(1.0, 2 * EYE)],
      "matrix is not idempotent within proj tolerance 1e-10",
      {"defect": 2 * math.sqrt(2)}),
+    ("mixed dimensions", projections, [(0.0, E0), (1.0, np.eye(3))],
+     "dimension mismatch", [2, 3]),
 ]
 
 

@@ -1,13 +1,17 @@
-"""Matrix side: the eigensolver against numpy, the spectral order, and the
-two coarse-graining maps."""
+"""Matrix side: the eigensolver, the spectral order, commutants against the
+one-stack null space, the two coarse-graining maps, and the caps."""
 import math
 import random
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obslat import vn
+from obslat import jsonio, vn
 from obslat.errors import InputError, PreconditionError, ResourceError
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_eigensolver_against_numpy(rng):
@@ -156,6 +160,101 @@ def test_commutant_dimensions():
     a = vn.random_hermitian(rng, 3)
     b = vn.random_hermitian(rng, 3)
     assert len(vn.commutant_basis([a, b], 3)) == 1
+
+
+def one_stack_commutant(mats, dim, tol=vn.TOL):
+    """Reference: the commutant as the null space of all Sylvester blocks
+    stacked at once, from a full SVD (the construction before the stack was
+    folded into its R factor)."""
+    eye = np.eye(dim, dtype=complex)
+    rows = [np.kron(h, eye) - np.kron(eye, h.T)
+            for g in mats for h in (g, g.conj().T)]
+    if not rows:
+        return np.eye(dim * dim, dtype=complex)
+    _, s, vh = np.linalg.svd(np.vstack(rows), full_matrices=True)
+    rank = int(np.sum(s > tol.pivot * max(1.0, float(s[0]))))
+    return vh.conj().T[:, rank:]
+
+
+def corpus_generator_sets():
+    yield jsonio.load_generators(str(CORPUS / "gens_diag.json"))[0]
+    dia = jsonio.load_json(CORPUS / "diagram_qubit.json")
+    for gens in dia["contexts"].values():
+        yield [jsonio.load_matrix(g) for g in gens]
+    for name in ("matrix_a", "matrix_low", "matrix_high", "op_qubit",
+                 "proj_q"):
+        yield [jsonio.load_matrix(str(CORPUS / f"{name}.json"))]
+
+
+def random_generator_sets(rng):
+    """Generators of maximal and non-maximal abelian algebras, block
+    algebras, the full algebra and the trivial one, at dimensions 2..5."""
+    for dim in range(2, 6):
+        u, _ = np.linalg.qr(vn.random_hermitian(rng, dim) + 1j * np.eye(dim))
+        repeated = np.diag([0.0, 0.0] + [float(k) for k in range(1, dim - 1)])
+        block = np.zeros((dim, dim), dtype=complex)
+        block[:2, :2] = vn.random_hermitian(rng, 2)
+        yield dim, []
+        yield dim, [vn.random_hermitian(rng, dim)]
+        yield dim, [u @ repeated @ u.conj().T]
+        yield dim, [vn.random_projection(rng, dim, rank=1)]
+        yield dim, [u @ block @ u.conj().T, vn.random_projection(rng, dim)]
+        yield dim, [vn.random_hermitian(rng, dim), vn.random_hermitian(rng, dim)]
+
+
+def assert_same_commutant(mats, dim):
+    got = np.column_stack([m.reshape(-1) for m in vn.commutant_basis(mats, dim)])
+    want = one_stack_commutant(mats, dim)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) < 1e-8
+
+
+def test_commutant_matches_one_stack_null_space(rng):
+    """The folded stack keeps the commutant of the one-stack construction,
+    for the generators themselves, the generated algebra's basis and its
+    commutant (the two calls ``subalgebra`` makes)."""
+    sets = [(gens[0].shape[0], gens) for gens in corpus_generator_sets()]
+    sets += list(random_generator_sets(rng))
+    for dim, gens in sets:
+        alg = vn.subalgebra(gens, dim=dim)
+        for mats in (gens, alg.basis, alg.commutant):
+            assert_same_commutant(mats, dim)
+
+
+def test_null_space_of_tall_wide_and_empty_systems():
+    tall = np.vstack([np.diag([1.0, 2.0, 0.0])] * 4)
+    assert vn.null_space(tall).shape == (3, 1)
+    wide = np.array([[1.0, 0.0, 0.0]])
+    assert vn.null_space(wide).shape == (3, 2)
+    assert vn.null_space(np.zeros((0, 3))).shape == (3, 3)
+
+
+# Wall-time bounds at the caps.  On 2 cores one run took about 1 s at d=12
+# and 7 s at d=16, most of it the double commutant of trivial_algebra(16).
+CAP_SECONDS = {12: 10.0, 16: 30.0}
+
+
+@pytest.mark.parametrize("dim", [12, 16])
+def test_matrix_layer_at_the_caps(dim):
+    rng = random.Random(dim)
+    start = time.perf_counter()
+    triv = vn.trivial_algebra(dim)
+    alg = vn.subalgebra([vn.random_hermitian(rng, dim)], dim=dim)
+    assert triv.linear_dim == 1 and len(triv.commutant) == dim * dim
+    assert alg.linear_dim == dim and alg.is_abelian()
+    q = vn.random_projection(rng, dim, rank=dim // 2)
+    b = vn.random_hermitian(rng, dim)
+    vals = np.linalg.eigvalsh(b)
+    eye = np.eye(dim)
+    assert np.linalg.norm(vn.core_projection(triv, q)) < 1e-9
+    assert np.linalg.norm(vn.rho_restrict(triv, b) - vals[-1] * eye) < 1e-9
+    assert np.linalg.norm(vn.sigma_restrict(triv, b) - vals[0] * eye) < 1e-9
+    core = vn.core_projection(alg, q)
+    assert alg.contains(core) and vn.projection_leq(core, q)
+    up, down = vn.rho_restrict(alg, b), vn.sigma_restrict(alg, b)
+    assert alg.contains(up) and alg.contains(down)
+    assert vn.spectral_leq(down, b) and vn.spectral_leq(b, up)
+    assert time.perf_counter() - start < CAP_SECONDS[dim]
 
 
 def test_subalgebra_structure(rng):
