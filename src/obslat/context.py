@@ -4,7 +4,11 @@ over a diagram, and the gluing report with an operator-extendability verdict.
 
 A section assigns one real value to every nonzero projection of every
 context.  Values live on lattice elements; the bridge to matrices goes
-through the minimal projections of each context.
+through the minimal projections of each context.  Whether one selfadjoint
+operator induces a global section is decided exactly, in every dimension,
+by the minimal candidate family (see ``_extendability``): the verdict is
+"yes" with a verified operator or "no" with a projection that lies under
+the join of the lower-valued ones.
 """
 from __future__ import annotations
 
@@ -16,10 +20,10 @@ import numpy as np
 from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, bits
-from .vn import (TOL, Tolerances, VNSubalgebra, as_matrix, check_hermitian,
-                 family_from_steps, minimal_projections, projection_join,
-                 projection_leq, rank_of_projection, spectral_family_of,
-                 subalgebra, trivial_algebra)
+from .vn import (TOL, Tolerances, VNSubalgebra, algebra_intersection,
+                 as_matrix, check_hermitian, family_from_steps,
+                 minimal_projections, projection_join, projection_leq,
+                 spectral_family_of, subalgebra, trivial_algebra)
 
 MAX_MINIMAL = 6
 MAX_CONTEXTS = 24
@@ -103,11 +107,15 @@ class ContextDiagram:
         raise InputError("no such context", witness={"context": name})
 
     def pool_index_of(self, p) -> int | None:
-        p = as_matrix(p)
-        for i, q in enumerate(self.pool):
-            if float(np.linalg.norm(q - p)) <= self.tol.proj:
-                return i
-        return None
+        return _pool_index(self.pool, as_matrix(p), self.tol)
+
+
+def _pool_index(pool, p: np.ndarray, tol: Tolerances) -> int | None:
+    """Index of the first pool projection within ``tol.proj`` of p."""
+    for i, q in enumerate(pool):
+        if float(np.linalg.norm(q - p)) <= tol.proj:
+            return i
+    return None
 
 
 def diagram(named_generators: dict[str, list], dim: int | None = None,
@@ -128,7 +136,6 @@ def diagram(named_generators: dict[str, list], dim: int | None = None,
         ctxs.append(c)
     ambient = ctxs[0].algebra.dim
 
-    from .vn import algebra_intersection
     changed = True
     while changed:
         changed = False
@@ -153,11 +160,7 @@ def diagram(named_generators: dict[str, list], dim: int | None = None,
     for c in ctxs:
         for e in c.nonzero_elements():
             p = c.projection_of(e)
-            idx = None
-            for i, q in enumerate(pool):
-                if float(np.linalg.norm(q - p)) <= tol.proj:
-                    idx = i
-                    break
+            idx = _pool_index(pool, p, tol)
             if idx is None:
                 pool.append(p)
                 labels.append(f"{c.name}:{c.lattice.names[e]}")
@@ -265,7 +268,7 @@ class GlueReport:
     commuting_witness: dict | None = None
     increasing_ok: bool = True
     increasing_witness: dict | None = None
-    extendable: str = "undetermined"    # "yes" | "no" | "undetermined"
+    extendable: str = "no"              # "yes" | "no"
     certificate: dict = field(default_factory=dict)
     operator: object = None             # ndarray when extendable == "yes"
 
@@ -310,7 +313,7 @@ def glue_section(dia: ContextDiagram, section) -> GlueReport:
         if j is None:
             continue
         expect = max(values[i] for i in sub)
-        if abs(values[j] - expect) > 1e-9:
+        if values[j] != expect:
             commuting_ok = False
             commuting_witness = {
                 "members": [dia.pool_labels[i] for i in sub],
@@ -325,7 +328,7 @@ def glue_section(dia: ContextDiagram, section) -> GlueReport:
         if j is None:
             continue
         expect = max(values[i], values[k])
-        if abs(values[j] - expect) > 1e-9:
+        if values[j] != expect:
             increasing_ok = False
             increasing_witness = {
                 "members": [dia.pool_labels[i], dia.pool_labels[k]],
@@ -342,56 +345,38 @@ def glue_section(dia: ContextDiagram, section) -> GlueReport:
 
 def _extendability(dia: ContextDiagram, values: list[float]
                    ) -> tuple[str, dict, object]:
-    """Sound certificates first, then the minimal candidate.
+    """Decide exactly whether one selfadjoint operator induces the pool
+    values.
 
-    Any inducing operator satisfies value(P) <= value(I), has at most dim
-    many distinct values, and its spectral projection at a level below the
-    top is proper, so it must contain every pool range valued at or below
-    that level without filling the space.  The minimal candidate takes those
-    joins as the spectral steps; if it reproduces the section it is a
-    witness.  Failure is conclusive only in dimension two, where the
-    candidate is the unique possibility."""
+    Let M_lam be the join of the pool projections valued <= lam.  A spectral
+    family F that induces the section has F_lam >= P for each of them, so
+    F_lam >= M_lam and v_F(P) <= v_M(P) <= v(P): F induces the section only
+    if M does.  M does unless some projection valued above lam lies under
+    M_lam; the first one, scanning lam upwards and then the pool in index
+    order, is the certificate for "no".  Otherwise M, which reaches the
+    identity at the top value, is synthesized, and re-checking its section
+    guards the numerics."""
     tol = dia.tol
-    eye_idx = dia.pool_index_of(np.eye(dia.dim))
-    top = values[eye_idx]
-    for i, v in enumerate(values):
-        if v > top + 1e-9:
-            return "no", {"reason": "value-above-top",
-                          "projection": dia.pool_labels[i],
-                          "value": v, "top": top}, None
-    distinct = sorted(set(values))
-    if len(distinct) > dia.dim:
-        return "no", {"reason": "more-values-than-dimension",
-                      "values": distinct}, None
-    steps: list[tuple[float, np.ndarray]] = []
-    for v in distinct:
-        if v >= top:
-            continue
-        members = [dia.pool[i] for i in range(len(values))
-                   if values[i] <= v + 1e-9]
-        j = projection_join(members, tol)
-        if rank_of_projection(j) == dia.dim:
-            return "no", {"reason": "full-span-below-top", "level": v}, None
-        steps.append((v, j))
-    steps.append((top, np.eye(dia.dim, dtype=complex)))
-    try:
-        fam = family_from_steps([s[0] for s in steps],
-                                [s[1] for s in steps], tol)
-        candidate = fam.synthesize()
-        induced = section_from_operator(dia, candidate)
-        exact = all(abs(induced[c.name][e] - v) <= 1e-9
-                    for c in dia.contexts
-                    for e, v in _context_values(dia, values, c).items())
-    except (InputError, PreconditionError):
-        exact, candidate = False, None
-    if exact:
-        return "yes", {"reason": "verified-candidate"}, candidate
-    if dia.dim == 2:
-        return "no", {"reason": "unique-candidate-fails"}, None
-    return "undetermined", {"reason": "candidate-not-conclusive"}, None
-
-
-def _context_values(dia: ContextDiagram, values: list[float],
-                    c: Context) -> dict[int, float]:
-    return {e: values[dia.element_pool[(c.name, e)]]
-            for e in c.nonzero_elements()}
+    levels = sorted(set(values))
+    joins: list[np.ndarray] = []
+    for lam in levels[:-1]:
+        below = [i for i, v in enumerate(values) if v <= lam]
+        m = projection_join([dia.pool[i] for i in below], tol)
+        for i, v in enumerate(values):
+            if v > lam and projection_leq(dia.pool[i], m, tol):
+                return "no", {"reason": "projection-under-level-join",
+                              "projection": dia.pool_labels[i], "value": v,
+                              "level": lam,
+                              "join_of": [dia.pool_labels[k] for k in below]
+                              }, None
+        joins.append(m)
+    joins.append(np.eye(dia.dim, dtype=complex))
+    candidate = family_from_steps(levels, joins, tol).synthesize()
+    induced = section_from_operator(dia, candidate)
+    for (name, e), i in dia.element_pool.items():
+        if abs(induced[name][e] - values[i]) > tol.cluster:
+            raise ResourceError(
+                "the synthesized operator does not reproduce the section",
+                witness={"projection": dia.pool_labels[i],
+                         "value": values[i], "induced": induced[name][e]})
+    return "yes", {"reason": "verified-candidate"}, candidate

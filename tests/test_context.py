@@ -1,10 +1,13 @@
 """Context diagrams, sections, gluing laws, operator extendability."""
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obslat import context as cx
+from obslat import vn
 from obslat.acceptance import fixture_diagram, fixture_section
 from obslat.errors import InputError, PreconditionError, ResourceError
 
@@ -74,9 +77,26 @@ def test_fixture_section_breaks_the_joint_law_only():
         "members": ["Az:{1}", "Ax:{1}"], "join": "Az:{1,2}",
         "value": 2.0, "sup_of_values": 1.5}
     assert report.extendable == "no"
-    assert report.certificate == {"reason": "more-values-than-dimension",
-                                  "values": [1.0, 1.5, 2.0]}
+    assert report.certificate == {
+        "reason": "projection-under-level-join", "projection": "Az:{2}",
+        "value": 2.0, "level": 1.5, "join_of": ["Az:{1}", "Ax:{1}"]}
     json.dumps(report.summary())
+
+
+def test_join_laws_compare_values_exactly():
+    """A join valued a hair above its members' sup breaks the law; the
+    level join at that value already spans the qubit."""
+    dia = fixture_diagram()
+    section = fixture_section(dia)
+    section["Ax"][1] = 2.0 - 1e-12
+    assert cx.is_global_section(dia, section)[0]
+    report = cx.glue_section(dia, section)
+    assert not report.increasing_ok
+    assert report.increasing_witness == {
+        "members": ["Az:{1}", "Ax:{1}"], "join": "Az:{1,2}",
+        "value": 2.0, "sup_of_values": 2.0 - 1e-12}
+    assert report.extendable == "no"
+    assert report.certificate["level"] == 2.0 - 1e-12
 
 
 def test_operator_section_round_trip():
@@ -145,21 +165,39 @@ def test_extendability_certificates():
     # pool order: Az:{1}, Az:{2}, Az:{1,2}, Ax:{1}, Ax:{2}
     verdict, cert, _ = cx._extendability(dia, [1.0, 2.0, 1.0, 1.0, 1.0])
     assert verdict == "no"
-    assert cert == {"reason": "value-above-top", "projection": "Az:{2}",
-                    "value": 2.0, "top": 1.0}
+    assert cert == {"reason": "projection-under-level-join",
+                    "projection": "Az:{2}", "value": 2.0, "level": 1.0,
+                    "join_of": ["Az:{1}", "Az:{1,2}", "Ax:{1}", "Ax:{2}"]}
     # two different lines at the low level span the whole space
     verdict, cert, _ = cx._extendability(dia, [1.0, 2.0, 2.0, 2.0, 1.0])
     assert verdict == "no"
-    assert cert == {"reason": "full-span-below-top", "level": 1.0}
+    assert cert == {"reason": "projection-under-level-join",
+                    "projection": "Az:{2}", "value": 2.0, "level": 1.0,
+                    "join_of": ["Az:{1}", "Ax:{2}"]}
     verdict, cert, op = cx._extendability(dia, [1.0, 2.0, 2.0, 2.0, 2.0])
     assert verdict == "yes"
     assert np.allclose(op, np.diag([1.0, 2.0]))
 
 
-def test_dim3_fixture_is_undetermined():
-    """A 45 degree rotation inside the top-left plane keeps the candidate
-    constructible but inexact, and in dimension three a failing candidate is
-    not conclusive."""
+def test_synthesis_guard_raises_on_a_breach(monkeypatch):
+    dia = fixture_diagram()
+    honest = cx.section_from_operator
+
+    def off_by_one(d, a):
+        out = honest(d, a)
+        out["Az"][1] += 1.0
+        return out
+
+    monkeypatch.setattr(cx, "section_from_operator", off_by_one)
+    with pytest.raises(ResourceError) as err:
+        cx._extendability(dia, [1.0, 2.0, 2.0, 2.0, 2.0])
+    assert err.value.witness == {"projection": "Az:{1}", "value": 1.0,
+                                 "induced": 2.0}
+
+
+def test_dim3_fixture_is_not_extendable():
+    """A 45 degree rotation inside the top-left plane: the two low lines
+    span that plane at level 1.5, and it contains the line valued 2."""
     c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     u = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
     az = np.diag([0.0, 1.0, 2.0]).astype(complex)
@@ -182,8 +220,74 @@ def test_dim3_fixture_is_undetermined():
     report = cx.glue_section(dia, section)
     assert report.commuting_ok
     assert not report.increasing_ok
-    assert report.extendable == "undetermined"
-    assert report.certificate == {"reason": "candidate-not-conclusive"}
+    assert report.extendable == "no"
+    assert report.certificate == {
+        "reason": "projection-under-level-join", "projection": "Az:{2}",
+        "value": 2.0, "level": 1.5, "join_of": ["Az:{1}", "Ax:{1}"]}
+
+
+def random_section(dia, rng, grid):
+    """Random atom values extended by the join law; the extension makes each
+    per-context table valid by construction, so the only way a sample fails
+    to be global is a clash on a projection two contexts share."""
+    top = rng.choice(grid[1:])
+    low = [g for g in grid if g <= top]
+    by_pool: dict[int, float] = {}
+    section = {}
+    for c in dia.contexts:
+        atoms = c.lattice.atoms()
+        vals = {}
+        fresh = []
+        for e in atoms:
+            i = dia.element_pool[(c.name, e)]
+            if i in by_pool:
+                vals[e] = by_pool[i]
+            else:
+                vals[e] = rng.choice(low)
+                by_pool[i] = vals[e]
+                fresh.append(e)
+        # the identity is shared by every context, so each one must reach
+        # the value already pinned there (or the drawn top on first touch)
+        need = by_pool.get(dia.element_pool[(c.name, c.lattice.one)], top)
+        if fresh and max(vals[t] for t in atoms) < need:
+            e = rng.choice(fresh)
+            vals[e] = need
+            by_pool[dia.element_pool[(c.name, e)]] = need
+        for e in c.nonzero_elements():
+            if e not in vals:
+                vals[e] = max(vals[t] for t in atoms if c.lattice.le(t, e))
+                by_pool.setdefault(dia.element_pool[(c.name, e)], vals[e])
+        section[c.name] = vals
+    return section
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 4), seed=st.integers(0, 10 ** 6),
+       from_operator=st.booleans())
+def test_extendability_verdicts_carry_their_proofs(dim, seed, from_operator):
+    rng = random.Random(seed)
+    dia = cx.diagram({"A": [vn.random_hermitian(rng, dim)],
+                      "B": [vn.random_hermitian(rng, dim)]}, dim=dim)
+    if from_operator:
+        section = cx.section_from_operator(dia, vn.random_hermitian(rng, dim))
+    else:
+        section = random_section(dia, rng, [0.0, 0.5, 1.0, 1.5])
+    if not cx.is_global_section(dia, section)[0]:
+        return
+    values = cx.pool_values(dia, section)
+    verdict, cert, op = cx._extendability(dia, values)
+    assert verdict == "yes" or not from_operator
+    if verdict == "yes":
+        again = cx.pool_values(dia, cx.section_from_operator(dia, op))
+        assert np.allclose(again, values, rtol=0, atol=dia.tol.cluster)
+        return
+    assert cert["value"] > cert["level"]
+    assert cert["join_of"] == [lab for lab, v in zip(dia.pool_labels, values)
+                               if v <= cert["level"]]
+    p = dia.pool[dia.pool_labels.index(cert["projection"])]
+    m = vn.projection_join([dia.pool[dia.pool_labels.index(lab)]
+                            for lab in cert["join_of"]], dia.tol)
+    assert vn.projection_leq(p, m, dia.tol)
 
 
 def test_operator_dimension_mismatch():
