@@ -9,7 +9,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from .vn import TOL, Tolerances
 
 @dataclass
 class RunConfig:
-    inputs: list[str] = field(default_factory=list)
     fmt: str = "text"
     tol: Tolerances = TOL
     cap: int | None = None
@@ -59,7 +58,6 @@ def _parse_tol(pairs) -> Tolerances:
 
 def _config(args) -> RunConfig:
     return RunConfig(
-        inputs=[],
         fmt=getattr(args, "format", "text"),
         tol=_parse_tol(getattr(args, "tol", None)),
         cap=getattr(args, "cap", None),
@@ -362,12 +360,14 @@ def cmd_context_glue(args, cfg: RunConfig) -> int:
     payload = report.summary()
     payload["pool"] = [{"projection": lab, "value": val}
                        for lab, val in zip(report.pool_labels, report.values)]
-    lines = [f"contexts:{len(dia.contexts)}  pool:{len(report.pool_labels)}",
-             f"commuting-join law:{_b(report.commuting_ok)}",
-             f"joint-increasing law:{_b(report.increasing_ok)}"]
-    if report.increasing_witness:
-        lines.append("  witness:"
-                     + json.dumps(report.increasing_witness, sort_keys=True))
+    lines = [f"contexts:{len(dia.contexts)}  pool:{len(report.pool_labels)}"]
+    for law, ok, witness in (
+            ("commuting-join", report.commuting_ok, report.commuting_witness),
+            ("joint-increasing", report.increasing_ok,
+             report.increasing_witness)):
+        lines.append(f"{law} law:{_b(ok)}")
+        if witness:
+            lines.append("  witness:" + json.dumps(witness, sort_keys=True))
     lines.append(f"operator-extendable:{report.extendable}"
                  + f"  ({report.certificate.get('reason')})")
     _emit(cfg, payload, lines)

@@ -13,13 +13,16 @@ the join of the lower-valued ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, count
+from operator import and_
 
 import numpy as np
 
 from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, bits
+from .observables import check_completely_increasing, observable
 from .vn import (TOL, Tolerances, VNSubalgebra, algebra_intersection,
                  as_matrix, check_hermitian, family_from_steps,
                  minimal_projections, projection_join, projection_leq,
@@ -27,7 +30,7 @@ from .vn import (TOL, Tolerances, VNSubalgebra, algebra_intersection,
 
 MAX_MINIMAL = 6
 MAX_CONTEXTS = 24
-FULL_SCAN_POOL = 12
+GLUE_WORK_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,8 @@ def _pool_index(pool, p: np.ndarray, tol: Tolerances) -> int | None:
 def diagram(named_generators: dict[str, list], dim: int | None = None,
             tol: Tolerances = TOL) -> ContextDiagram:
     """Build contexts from generator lists, then close under pairwise
-    intersection; a scalars context is appended when no intersection already
-    produced it."""
+    intersection; a scalars context is appended when no context is
+    one-dimensional (every subalgebra holds the identity)."""
     if not named_generators:
         raise InputError("need at least one context")
     ctxs: list[Context] = []
@@ -150,9 +153,9 @@ def diagram(named_generators: dict[str, list], dim: int | None = None,
             if len(ctxs) > MAX_CONTEXTS:
                 raise ResourceError("intersection closure grew too large",
                                     witness={"cap": MAX_CONTEXTS})
-    triv = trivial_algebra(ambient, tol)
-    if not any(_same_algebra(triv, c.algebra, tol) for c in ctxs):
-        ctxs.append(context_from_algebra("scalars", triv, tol))
+    if not any(c.algebra.linear_dim == 1 for c in ctxs):
+        ctxs.append(context_from_algebra("scalars",
+                                         trivial_algebra(ambient, tol), tol))
 
     pool: list[np.ndarray] = []
     labels: list[str] = []
@@ -220,18 +223,11 @@ def is_global_section(dia: ContextDiagram, section
     get the same value."""
     _validate_section(dia, section)
     for c in dia.contexts:
-        vals = section[c.name]
-        lat = c.lattice
-        for x, y in combinations(c.nonzero_elements(), 2):
-            j = lat.join(x, y)
-            expect = max(vals[x], vals[y])
-            if vals[j] != expect:
-                return False, {
-                    "kind": "not-increasing-in-context",
-                    "context": c.name,
-                    "family": [lat.names[x], lat.names[y]],
-                    "join": lat.names[j],
-                    "value": vals[j], "sup_of_values": expect}
+        ok, w = check_completely_increasing(
+            observable(c.lattice, section[c.name], checked=False))
+        if not ok:
+            return False, {"kind": "not-increasing-in-context",
+                           "context": c.name, **w}
     by_pool: dict[int, tuple[str, int, float]] = {}
     for c in dia.contexts:
         for e in c.nonzero_elements():
@@ -281,66 +277,70 @@ class GlueReport:
                 "certificate": self.certificate}
 
 
-def _commutes(p, q, tol: Tolerances) -> bool:
-    return float(np.linalg.norm(p @ q - q @ p)) <= tol.sub
-
-
 def glue_section(dia: ContextDiagram, section) -> GlueReport:
     """Check the two join laws over the projection pool and decide whether a
     single selfadjoint operator induces the whole section.
 
-    The commuting check covers families whose members pairwise commute; the
-    increasing check covers arbitrary pairs.  Either is only decidable when
-    the join again lies in the pool, so both skip joins that escape it."""
+    The commuting law covers every pairwise commuting family, the increasing
+    law every pair; both skip joins that escape the pool.  The commuting scan
+    raises ``ResourceError`` past ``GLUE_WORK_CAP`` families."""
     values = pool_values(dia, section)
-    tol = dia.tol
-    n = len(dia.pool)
-
-    commuting_ok, commuting_witness = True, None
-    if n <= FULL_SCAN_POOL:
-        subsets: list[tuple[int, ...]] = []
-        for size in range(2, n + 1):
-            subsets.extend(combinations(range(n), size))
-    else:
-        subsets = list(combinations(range(n), 2))
-        subsets += list(combinations(range(n), 3))
-    for sub in subsets:
-        if not all(_commutes(dia.pool[i], dia.pool[j], tol)
-                   for i, j in combinations(sub, 2)):
-            continue
-        j = dia.pool_index_of(projection_join([dia.pool[i] for i in sub],
-                                              tol))
-        if j is None:
-            continue
-        expect = max(values[i] for i in sub)
-        if values[j] != expect:
-            commuting_ok = False
-            commuting_witness = {
-                "members": [dia.pool_labels[i] for i in sub],
-                "join": dia.pool_labels[j],
-                "value": values[j], "sup_of_values": expect}
-            break
-
-    increasing_ok, increasing_witness = True, None
-    for i, k in combinations(range(n), 2):
-        j = dia.pool_index_of(projection_join([dia.pool[i], dia.pool[k]],
-                                              tol))
-        if j is None:
-            continue
-        expect = max(values[i], values[k])
-        if values[j] != expect:
-            increasing_ok = False
-            increasing_witness = {
-                "members": [dia.pool_labels[i], dia.pool_labels[k]],
-                "join": dia.pool_labels[j],
-                "value": values[j], "sup_of_values": expect}
-            break
-
+    bit = {c.name: 1 << k for k, c in enumerate(dia.contexts)}
+    in_ctx = [0] * len(values)      # bit k: the entry lies in context k
+    for (name, _), i in dia.element_pool.items():
+        in_ctx[i] |= bit[name]
+    stack = np.array(dia.pool)
+    comm = [np.linalg.norm(stack @ p - p @ stack, axis=(1, 2)) <= dia.tol.sub
+            for p in stack]
+    commuting_witness = _first_failure(dia, values, in_ctx,
+                                       _commuting_families(comm, in_ctx))
+    increasing_witness = _first_failure(dia, values, in_ctx,
+                                        combinations(range(len(values)), 2))
     extendable, certificate, operator = _extendability(dia, values)
     return GlueReport(tuple(dia.pool_labels), tuple(values),
-                      commuting_ok, commuting_witness,
-                      increasing_ok, increasing_witness,
+                      commuting_witness is None, commuting_witness,
+                      increasing_witness is None, increasing_witness,
                       extendable, certificate, operator)
+
+
+def _commuting_families(comm, in_ctx):
+    """Pairwise commuting families in (size, index) order, grown from the
+    empty family, which every context holds (mask -1).  A family stops
+    growing once one context holds it and every later entry commuting with
+    it, since all its extensions then lie there."""
+    level, work = [((), -1, range(len(comm)))], count(1)
+    while level:
+        grown = []
+        for fam, shared, cands in level:
+            for pos, m in enumerate(cands):
+                if next(work) > GLUE_WORK_CAP:
+                    raise ResourceError("gluing scan over its work cap",
+                                        witness={"cap": GLUE_WORK_CAP})
+                yield fam + (m,)
+                later = [k for k in cands[pos + 1:] if comm[m][k]]
+                if later and not reduce(and_, (in_ctx[k] for k in later),
+                                        shared & in_ctx[m]):
+                    grown.append((fam + (m,), shared & in_ctx[m], later))
+        level = grown
+
+
+def _first_failure(dia, values, in_ctx, families) -> dict | None:
+    """Witness for the first family whose join is not valued at the sup of
+    its members' values.  A family inside one context (a singleton too) is
+    skipped: there the law is the context's, decided by the section check."""
+    for fam in families:
+        if reduce(and_, (in_ctx[i] for i in fam)):
+            continue
+        j = dia.pool_index_of(projection_join([dia.pool[i] for i in fam],
+                                              dia.tol))
+        if j is None:
+            continue
+        expect = max(values[i] for i in fam)
+        if values[j] != expect:
+            return {"members": [dia.pool_labels[i] for i in fam],
+                    "join": dia.pool_labels[j],
+                    "value": values[j], "sup_of_values": expect}
+    return None
 
 
 def _extendability(dia: ContextDiagram, values: list[float]

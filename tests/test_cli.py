@@ -2,9 +2,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from obslat import jsonio
+from obslat.lattice import bits
 from obslat.cli import _merge_grid_flag, main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -208,6 +210,45 @@ def test_context_commands(capsys, tmp_path):
                        "--sections", str(bad))
     assert code == 1
     assert json.loads(err)["witness"]["kind"] == "not-increasing-in-context"
+
+
+def test_context_glue_prints_the_commuting_witness(capsys, tmp_path):
+    """Three contexts on C^3; each keeps one basis line and turns the plane
+    of the other two by 45 degrees.  The lines kept by X and Y are valued 0
+    and commute without sharing a context; their join is a plane of Z
+    valued 1, so the commuting-join law fails."""
+    gens = {"X": [[0, 0, 0], [0, 1.5, -0.5], [0, -0.5, 1.5]],
+            "Y": [[1, 0, -1], [0, 1, 0], [-1, 0, 1]],
+            "Z": [[0.5, -0.5, 0], [-0.5, 0.5, 0], [0, 0, 2]]}
+    dia_path = tmp_path / "planes.json"
+    jsonio.save_json(dia_path, {"ambient_dim": 3,
+                                "contexts": {k: [g] for k, g in gens.items()}})
+    dia = jsonio.load_diagram(str(dia_path))
+
+    def line_value(name, q):
+        # the generator's eigenvalue on the line; X and Y lower 1 to 0
+        eig = round(float(np.trace(np.array(gens[name]) @ q).real))
+        return float(eig if name == "Z" else 2 * (eig == 2))
+
+    section = {}
+    for ctx in dia.contexts:
+        atoms = [line_value(ctx.name, q) if ctx.name in gens else 2.0
+                 for q in ctx.minimal]
+        section[ctx.name] = {e: max(atoms[i] for i in bits(e))
+                             for e in ctx.nonzero_elements()}
+    sec_path = tmp_path / "section.json"
+    jsonio.save_json(sec_path, jsonio.section_to_json(dia, section))
+
+    argv = ("context", "glue", "--diagram", str(dia_path),
+            "--sections", str(sec_path))
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and payload["commuting_ok"] is False
+    witness = payload["commuting_witness"]
+    assert witness["value"] == 1.0 and witness["sup_of_values"] == 0.0
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    at = lines.index("commuting-join law:false")
+    assert lines[at + 1] == "  witness:" + json.dumps(witness, sort_keys=True)
 
 
 def test_presheaf_commands(capsys):

@@ -1,6 +1,8 @@
 """Context diagrams, sections, gluing laws, operator extendability."""
 import json
 import random
+import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -294,3 +296,203 @@ def test_operator_dimension_mismatch():
     dia = fixture_diagram()
     with pytest.raises(InputError):
         cx.section_from_operator(dia, np.diag([0.0, 1.0, 2.0]))
+
+
+def test_scalars_come_from_a_one_dimensional_context(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("trivial_algebra should not be built")
+
+    monkeypatch.setattr(cx, "trivial_algebra", no_build)
+    dia = fixture_diagram()
+    assert [c.name for c in dia.contexts] == ["Az", "Ax", "Ax&Az"]
+
+
+# -- the gluing scan against the subset scan it replaced -------------------------
+
+def _commutes(p, q, tol):
+    return float(np.linalg.norm(p @ q - q @ p)) <= tol.sub
+
+
+def subset_scan_glue(dia, section):
+    """The former scan, kept as the oracle: every subset for pools of 12 or
+    fewer, pairs and triples above that."""
+    values = cx.pool_values(dia, section)
+    tol = dia.tol
+    n = len(dia.pool)
+
+    commuting_ok, commuting_witness = True, None
+    if n <= 12:
+        subsets = []
+        for size in range(2, n + 1):
+            subsets.extend(combinations(range(n), size))
+    else:
+        subsets = list(combinations(range(n), 2))
+        subsets += list(combinations(range(n), 3))
+    for sub in subsets:
+        if not all(_commutes(dia.pool[i], dia.pool[j], tol)
+                   for i, j in combinations(sub, 2)):
+            continue
+        j = dia.pool_index_of(vn.projection_join([dia.pool[i] for i in sub],
+                                                 tol))
+        if j is None:
+            continue
+        expect = max(values[i] for i in sub)
+        if values[j] != expect:
+            commuting_ok = False
+            commuting_witness = {
+                "members": [dia.pool_labels[i] for i in sub],
+                "join": dia.pool_labels[j],
+                "value": values[j], "sup_of_values": expect}
+            break
+
+    increasing_ok, increasing_witness = True, None
+    for i, k in combinations(range(n), 2):
+        j = dia.pool_index_of(vn.projection_join([dia.pool[i], dia.pool[k]],
+                                                 tol))
+        if j is None:
+            continue
+        expect = max(values[i], values[k])
+        if values[j] != expect:
+            increasing_ok = False
+            increasing_witness = {
+                "members": [dia.pool_labels[i], dia.pool_labels[k]],
+                "join": dia.pool_labels[j],
+                "value": values[j], "sup_of_values": expect}
+            break
+
+    extendable, certificate, _ = cx._extendability(dia, values)
+    return {"commuting_ok": commuting_ok,
+            "commuting_witness": commuting_witness,
+            "increasing_ok": increasing_ok,
+            "increasing_witness": increasing_witness,
+            "extendable": extendable, "certificate": certificate}
+
+
+def pair_loop_global_section(dia, section):
+    """The former in-context check, one join per pair, kept as the oracle."""
+    for c in dia.contexts:
+        vals = section[c.name]
+        lat = c.lattice
+        for x, y in combinations(c.nonzero_elements(), 2):
+            j = lat.join(x, y)
+            expect = max(vals[x], vals[y])
+            if vals[j] != expect:
+                return False, {
+                    "kind": "not-increasing-in-context",
+                    "context": c.name,
+                    "family": [lat.names[x], lat.names[y]],
+                    "join": lat.names[j],
+                    "value": vals[j], "sup_of_values": expect}
+    return cx.is_global_section(dia, section)
+
+
+def planes_diagram(dim, angles):
+    """Three contexts in dim >= 3; context k keeps basis line k and turns the
+    plane of the other two of the first three lines by angles[k].  Their
+    lines commute across contexts without sharing one, and the joins land in
+    the third context."""
+    gens = {}
+    for k, name in enumerate("XYZ"):
+        i, j = [m for m in range(3) if m != k]
+        u = np.eye(dim, dtype=complex)
+        c, s = np.cos(angles[k]), np.sin(angles[k])
+        u[[i, i, j, j], [i, j, i, j]] = [c, -s, s, c]
+        gens[name] = [(u * np.arange(dim)) @ u.conj().T]
+    return cx.diagram(gens, dim=dim)
+
+
+@st.composite
+def glue_cases(draw):
+    """A diagram (two random contexts, optionally a third diagonal one, or
+    three turned planes in dim 3) and a section on it.  Planes stay at dim 3:
+    in dim 4 their 15 diagonal projections all commute, and one complete
+    scan walks about 33,000 cross-context families in about 4 s."""
+    dim = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    shape = draw(st.sampled_from(["pair", "diagonal", "planes"]))
+    if shape == "planes" and dim == 3:
+        dia = planes_diagram(dim, [rng.uniform(0.2, 1.4) for _ in range(3)])
+    else:
+        gens = {"A": [vn.random_hermitian(rng, dim)],
+                "B": [vn.random_hermitian(rng, dim)]}
+        if shape == "diagonal":
+            diag = [float(rng.randrange(3)) for _ in range(dim)]
+            gens["D"] = [np.diag(diag).astype(complex)]
+        dia = cx.diagram(gens, dim=dim)
+    if draw(st.booleans()):
+        section = cx.section_from_operator(dia, vn.random_hermitian(rng, dim))
+    else:
+        section = random_section(dia, rng, [0.0, 0.5, 1.0, 1.5])
+    return dia, section
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=glue_cases())
+def test_glue_scan_matches_the_subset_scan(case):
+    dia, section = case
+    if not cx.is_global_section(dia, section)[0]:
+        return
+    got = cx.glue_section(dia, section).summary()
+    want = subset_scan_glue(dia, section)
+    if len(dia.pool) <= 12 or want["commuting_witness"] is not None:
+        assert got == want
+    else:
+        # the oracle stops at triples; any witness it lacks is larger
+        assert {k: v for k, v in got.items() if "commuting" not in k} == \
+            {k: v for k, v in want.items() if "commuting" not in k}
+        if got["commuting_witness"] is not None:
+            assert len(got["commuting_witness"]["members"]) > 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=glue_cases(), nudge=st.integers(0, 10 ** 6))
+def test_in_context_check_matches_the_pair_loop(case, nudge):
+    dia, section = case
+    rng = random.Random(nudge)
+    c = rng.choice(dia.contexts)
+    e = rng.choice(c.nonzero_elements())
+    section[c.name][e] += rng.choice([-1.0, -0.5, 0.0, 0.5])
+    assert cx.is_global_section(dia, section) == \
+        pair_loop_global_section(dia, section)
+
+
+def test_cross_context_commuting_family_breaks_the_law():
+    """X's plane {1,2} and Z's plane {1,2} are the diagonal projections onto
+    e1+e2 and e0+e1: they commute, share no context, and join to the
+    identity, valued above both."""
+    dia = planes_diagram(3, [np.pi / 4] * 3)
+    lines = {"X": [0.0, 0.0, 2.0], "Y": [0.0, 0.0, 2.0], "Z": [0.0, 1.0, 2.0]}
+    section = {c.name: {e: max(lines.get(c.name, [2.0])[i] for i in cx.bits(e))
+                        for e in c.nonzero_elements()}
+               for c in dia.contexts}
+    assert cx.is_global_section(dia, section)[0]
+    got = cx.glue_section(dia, section).summary()
+    assert got == subset_scan_glue(dia, section)
+    assert got["commuting_witness"] == {
+        "members": ["X:{1,2}", "Z:{1,2}"], "join": "X:{1,2,3}",
+        "value": 2.0, "sup_of_values": 1.0}
+
+
+def test_glue_work_cap_raises(monkeypatch):
+    """A cap of one family per pool entry covers the singletons only; the
+    first pair goes over it."""
+    dia = planes_diagram(3, [0.3, 0.7, 1.1])
+    section = cx.section_from_operator(dia, np.diag([0.0, 1.0, 2.0]))
+    assert cx.glue_section(dia, section).commuting_ok
+    monkeypatch.setattr(cx, "GLUE_WORK_CAP", len(dia.pool))
+    with pytest.raises(ResourceError) as err:
+        cx.glue_section(dia, section)
+    assert err.value.witness == {"cap": len(dia.pool)}
+
+
+def test_dim6_two_context_glue_is_complete_and_quick():
+    rng = random.Random(3)
+    dia = cx.diagram({"A": [vn.random_hermitian(rng, 6)],
+                      "B": [vn.random_hermitian(rng, 6)]}, dim=6)
+    assert len(dia.pool) == 125
+    section = cx.section_from_operator(dia, vn.random_hermitian(rng, 6))
+    t0 = time.perf_counter()
+    report = cx.glue_section(dia, section)
+    assert time.perf_counter() - t0 < 20.0
+    assert report.commuting_ok and report.increasing_ok
+    assert report.extendable == "yes"
