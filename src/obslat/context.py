@@ -25,12 +25,17 @@ from .lattice import FiniteOrthoLattice, bits
 from .observables import check_completely_increasing, observable
 from .vn import (TOL, Tolerances, VNSubalgebra, algebra_intersection,
                  as_matrix, check_hermitian, family_from_steps,
-                 minimal_projections, projection_join, projection_leq,
-                 spectral_family_of, subalgebra, trivial_algebra)
+                 minimal_projections, projection_join, projection_joins,
+                 projection_leq, spectral_family_of, subalgebra,
+                 trivial_algebra)
 
 MAX_MINIMAL = 6
 MAX_CONTEXTS = 24
 GLUE_WORK_CAP = 200_000
+# Most families per batched join and pool match.  A batch of families of
+# size k stacks _CHUNK * k * d^2 complex entries, so this bounds the scan's
+# memory.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,9 @@ class ContextDiagram:
     any member lattice."""
     dim: int
     contexts: tuple = ()
-    pool: tuple = ()                 # distinct projections, index order
+    pool: np.ndarray = field(      # (P, d, d): distinct projections, index order
+        default_factory=lambda: np.zeros((0, 0, 0), dtype=complex),
+        compare=False)
     pool_labels: tuple = ()
     element_pool: dict = field(default_factory=dict, compare=False)
     tol: Tolerances = field(default=TOL, compare=False)
@@ -110,15 +117,32 @@ class ContextDiagram:
         raise InputError("no such context", witness={"context": name})
 
     def pool_index_of(self, p) -> int | None:
-        return _pool_index(self.pool, as_matrix(p), self.tol)
+        """Index of the first pool projection within ``tol.proj`` of p."""
+        j = int(_first_match(self.pool, as_matrix(p)[None], self.tol)[0])
+        return None if j < 0 else j
 
 
-def _pool_index(pool, p: np.ndarray, tol: Tolerances) -> int | None:
-    """Index of the first pool projection within ``tol.proj`` of p."""
-    for i, q in enumerate(pool):
-        if float(np.linalg.norm(q - p)) <= tol.proj:
-            return i
-    return None
+def _first_match(pool: np.ndarray, ps: np.ndarray, tol: Tolerances
+                 ) -> np.ndarray:
+    """For each matrix of the stack ps, the index of the first pool entry
+    within ``tol.proj`` of it in Frobenius norm, or -1.  The Gram form of
+    the squared distance, |p|^2 + |q|^2 - 2 Re<p, q>, only narrows the
+    candidates: its margin is about 10^6 times its rounding error.  The
+    norm of the difference decides."""
+    out = np.full(len(ps), -1)
+    if not len(pool):
+        return out
+    a, b = ps.reshape(len(ps), -1), pool.reshape(len(pool), -1)
+    na = (a.real ** 2 + a.imag ** 2).sum(axis=1)[:, None]
+    nb = (b.real ** 2 + b.imag ** 2).sum(axis=1)
+    gram = na + nb - 2 * (a.conj() @ b.T).real
+    ii, jj = np.nonzero(gram <= tol.proj ** 2 + 1e-8 * (na + nb))
+    hit = np.linalg.norm(ps[ii] - pool[jj], axis=(1, 2)) <= tol.proj
+    ii, jj = ii[hit], jj[hit]
+    # candidates come row by row, pool order within a row: keep the first
+    rows, first = np.unique(ii, return_index=True)
+    out[rows] = jj[first]
+    return out
 
 
 def diagram(named_generators: dict[str, list], dim: int | None = None,
@@ -157,19 +181,26 @@ def diagram(named_generators: dict[str, list], dim: int | None = None,
         ctxs.append(context_from_algebra("scalars",
                                          trivial_algebra(ambient, tol), tol))
 
+    # Elements of one context differ by a nonzero sum of minimal
+    # projections, so none lies within tol.proj of another: matching a whole
+    # context against the pool built before it finds what matching element
+    # by element would.
     pool: list[np.ndarray] = []
     labels: list[str] = []
     element_pool: dict[tuple[str, int], int] = {}
     for c in ctxs:
-        for e in c.nonzero_elements():
-            p = c.projection_of(e)
-            idx = _pool_index(pool, p, tol)
-            if idx is None:
+        elems = c.nonzero_elements()
+        ps = np.array([c.projection_of(e) for e in elems])
+        found = _first_match(np.array(pool), ps, tol)
+        for e, p, idx in zip(elems, ps, found.tolist()):
+            if idx < 0:
                 pool.append(p)
                 labels.append(f"{c.name}:{c.lattice.names[e]}")
                 idx = len(pool) - 1
             element_pool[(c.name, e)] = idx
-    return ContextDiagram(ambient, tuple(ctxs), tuple(pool), tuple(labels),
+    stack = np.array(pool)
+    stack.flags.writeable = False
+    return ContextDiagram(ambient, tuple(ctxs), stack, tuple(labels),
                           element_pool, tol)
 
 
@@ -282,16 +313,19 @@ def glue_section(dia: ContextDiagram, section) -> GlueReport:
     single selfadjoint operator induces the whole section.
 
     The commuting law covers every pairwise commuting family, the increasing
-    law every pair; both skip joins that escape the pool.  The commuting scan
-    raises ``ResourceError`` past ``GLUE_WORK_CAP`` families."""
+    law every pair; both skip joins that escape the pool.  A join is looked
+    up as the first pool projection within ``tol.proj`` of it.  Joins are
+    computed in batches, up to ``_CHUNK`` families of one size at a time,
+    and the first failing family in scan order is the witness.  The commuting scan raises
+    ``ResourceError`` past ``GLUE_WORK_CAP`` families, unless a family
+    drawn before the cap already fails."""
     values = pool_values(dia, section)
     bit = {c.name: 1 << k for k, c in enumerate(dia.contexts)}
     in_ctx = [0] * len(values)      # bit k: the entry lies in context k
     for (name, _), i in dia.element_pool.items():
         in_ctx[i] |= bit[name]
-    stack = np.array(dia.pool)
-    comm = [np.linalg.norm(stack @ p - p @ stack, axis=(1, 2)) <= dia.tol.sub
-            for p in stack]
+    comm = [(np.linalg.norm(dia.pool @ p - p @ dia.pool, axis=(1, 2))
+             <= dia.tol.sub).tolist() for p in dia.pool]
     commuting_witness = _first_failure(dia, values, in_ctx,
                                        _commuting_families(comm, in_ctx))
     increasing_witness = _first_failure(dia, values, in_ctx,
@@ -324,22 +358,47 @@ def _commuting_families(comm, in_ctx):
         level = grown
 
 
+def _batches(families):
+    """The family stream cut into runs of equal-sized families, at most
+    ``_CHUNK`` long, in stream order.  When the stream raises
+    ``ResourceError``, the families drawn before it still come first."""
+    batch = []
+    try:
+        for fam in families:
+            if batch and (len(batch) == _CHUNK or len(fam) != len(batch[0])):
+                yield batch
+                batch = []
+            batch.append(fam)
+    except ResourceError:
+        if batch:
+            yield batch
+        raise
+    if batch:
+        yield batch
+
+
 def _first_failure(dia, values, in_ctx, families) -> dict | None:
     """Witness for the first family whose join is not valued at the sup of
     its members' values.  A family inside one context (a singleton too) is
-    skipped: there the law is the context's, decided by the section check."""
-    for fam in families:
-        if reduce(and_, (in_ctx[i] for i in fam)):
+    skipped: there the law is the context's, decided by the section check.
+    Each batch is joined with one SVD call and matched against the pool at
+    once; batches come in stream order, so the first failure of the first
+    failing batch is the first failure."""
+    vals, masks = np.array(values), np.array(in_ctx)
+    for batch in _batches(families):
+        fams = np.array(batch)
+        fams = fams[np.bitwise_and.reduce(masks[fams], axis=1) == 0]
+        if not len(fams):
             continue
-        j = dia.pool_index_of(projection_join([dia.pool[i] for i in fam],
-                                              dia.tol))
-        if j is None:
-            continue
-        expect = max(values[i] for i in fam)
-        if values[j] != expect:
+        j = _first_match(dia.pool, projection_joins(dia.pool[fams], dia.tol),
+                         dia.tol)
+        fail = (j >= 0) & (vals[j] != vals[fams].max(axis=1))
+        if fail.any():
+            k = fail.argmax()
+            fam, j = fams[k].tolist(), int(j[k])
             return {"members": [dia.pool_labels[i] for i in fam],
-                    "join": dia.pool_labels[j],
-                    "value": values[j], "sup_of_values": expect}
+                    "join": dia.pool_labels[j], "value": values[j],
+                    "sup_of_values": max(values[i] for i in fam)}
     return None
 
 

@@ -82,10 +82,11 @@ def eigen_hermitian(a, tol: Tolerances = TOL) -> tuple[np.ndarray, np.ndarray]:
 
 # -- subspace arithmetic ------------------------------------------------------
 
-def _rank(s: np.ndarray, tol: Tolerances) -> int:
-    """Number of singular values (descending) above the pivot threshold,
-    scaled by the largest one once that exceeds 1."""
-    return int(np.sum(s > tol.pivot * max(1.0, float(s[0])))) if s.size else 0
+def _rank(s: np.ndarray, tol: Tolerances):
+    """Number of singular values (descending along the trailing axis) above
+    the pivot threshold, scaled by the largest one once that exceeds 1; one
+    count per leading index."""
+    return np.add.reduce(s > tol.pivot * np.maximum(s[..., :1], 1.0), axis=-1)
 
 
 def orthonormal_range(columns: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
@@ -127,6 +128,19 @@ def projection_join(ps, tol: Tolerances = TOL) -> np.ndarray:
     if not ps:
         raise PreconditionError("join of no projections")
     return projection_onto(np.hstack(ps), tol)
+
+
+def projection_joins(ps, tol: Tolerances = TOL) -> np.ndarray:
+    """Joins of a stack of equal-sized families, ``ps`` of shape
+    (n, k, d, d): one batched SVD of the n column stacks (n, d, k*d), each
+    projector built from the leading columns of its U that ``_rank`` keeps,
+    as ``projection_join`` does for one family."""
+    ps = np.asarray(ps, dtype=complex)
+    n, k, d, _ = ps.shape
+    u, s, _ = np.linalg.svd(ps.transpose(0, 2, 1, 3).reshape(n, d, k * d),
+                            full_matrices=False)
+    u = u * (np.arange(u.shape[-1]) < _rank(s, tol)[:, None])[:, None, :]
+    return u @ u.conj().transpose(0, 2, 1)
 
 
 def projection_meet(ps, tol: Tolerances = TOL) -> np.ndarray:

@@ -2,14 +2,18 @@
 import json
 import random
 import time
+import tracemalloc
+from functools import reduce
 from itertools import combinations
+from operator import and_
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from obslat import context as cx
-from obslat import vn
+from obslat import jsonio, vn
 from obslat.acceptance import fixture_diagram, fixture_section
 from obslat.errors import InputError, PreconditionError, ResourceError
 
@@ -27,6 +31,8 @@ def test_diagram_closes_under_intersection():
     inter = dia.context_named("Ax&Az")
     assert len(inter.minimal) == 1
     assert np.allclose(inter.minimal[0], np.eye(2))
+    # the pool array is left out of equality and hashing
+    assert dia == fixture_diagram() and hash(dia) == hash(fixture_diagram())
 
 
 def test_intersection_name_ignores_argument_order():
@@ -309,6 +315,15 @@ def test_scalars_come_from_a_one_dimensional_context(monkeypatch):
 
 # -- the gluing scan against the subset scan it replaced -------------------------
 
+def linear_pool_index(pool, p, tol):
+    """The former pool lookup, kept as the oracle: the index of the first
+    pool projection within ``tol.proj`` of p, by a linear norm scan."""
+    for i, q in enumerate(pool):
+        if float(np.linalg.norm(q - p)) <= tol.proj:
+            return i
+    return None
+
+
 def _commutes(p, q, tol):
     return float(np.linalg.norm(p @ q - q @ p)) <= tol.sub
 
@@ -332,8 +347,8 @@ def subset_scan_glue(dia, section):
         if not all(_commutes(dia.pool[i], dia.pool[j], tol)
                    for i, j in combinations(sub, 2)):
             continue
-        j = dia.pool_index_of(vn.projection_join([dia.pool[i] for i in sub],
-                                                 tol))
+        j = linear_pool_index(dia.pool, vn.projection_join(
+            [dia.pool[i] for i in sub], tol), tol)
         if j is None:
             continue
         expect = max(values[i] for i in sub)
@@ -347,8 +362,8 @@ def subset_scan_glue(dia, section):
 
     increasing_ok, increasing_witness = True, None
     for i, k in combinations(range(n), 2):
-        j = dia.pool_index_of(vn.projection_join([dia.pool[i], dia.pool[k]],
-                                                 tol))
+        j = linear_pool_index(dia.pool, vn.projection_join(
+            [dia.pool[i], dia.pool[k]], tol), tol)
         if j is None:
             continue
         expect = max(values[i], values[k])
@@ -426,14 +441,7 @@ def glue_cases(draw):
     return dia, section
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=glue_cases())
-def test_glue_scan_matches_the_subset_scan(case):
-    dia, section = case
-    if not cx.is_global_section(dia, section)[0]:
-        return
-    got = cx.glue_section(dia, section).summary()
-    want = subset_scan_glue(dia, section)
+def assert_agrees_with_subset_scan(dia, got, want):
     if len(dia.pool) <= 12 or want["commuting_witness"] is not None:
         assert got == want
     else:
@@ -442,6 +450,16 @@ def test_glue_scan_matches_the_subset_scan(case):
             {k: v for k, v in want.items() if "commuting" not in k}
         if got["commuting_witness"] is not None:
             assert len(got["commuting_witness"]["members"]) > 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=glue_cases())
+def test_glue_scan_matches_the_subset_scan(case):
+    dia, section = case
+    if not cx.is_global_section(dia, section)[0]:
+        return
+    assert_agrees_with_subset_scan(dia, cx.glue_section(dia, section).summary(),
+                                   subset_scan_glue(dia, section))
 
 
 @settings(max_examples=80, deadline=None)
@@ -456,15 +474,22 @@ def test_in_context_check_matches_the_pair_loop(case, nudge):
         pair_loop_global_section(dia, section)
 
 
-def test_cross_context_commuting_family_breaks_the_law():
-    """X's plane {1,2} and Z's plane {1,2} are the diagonal projections onto
-    e1+e2 and e0+e1: they commute, share no context, and join to the
-    identity, valued above both."""
+def cross_context_witness_case():
+    """A dim-3 three-plane section whose commuting-law witness is a
+    cross-context pair."""
     dia = planes_diagram(3, [np.pi / 4] * 3)
     lines = {"X": [0.0, 0.0, 2.0], "Y": [0.0, 0.0, 2.0], "Z": [0.0, 1.0, 2.0]}
     section = {c.name: {e: max(lines.get(c.name, [2.0])[i] for i in cx.bits(e))
                         for e in c.nonzero_elements()}
                for c in dia.contexts}
+    return dia, section
+
+
+def test_cross_context_commuting_family_breaks_the_law():
+    """X's plane {1,2} and Z's plane {1,2} are the diagonal projections onto
+    e1+e2 and e0+e1: they commute, share no context, and join to the
+    identity, valued above both."""
+    dia, section = cross_context_witness_case()
     assert cx.is_global_section(dia, section)[0]
     got = cx.glue_section(dia, section).summary()
     assert got == subset_scan_glue(dia, section)
@@ -493,6 +518,160 @@ def test_dim6_two_context_glue_is_complete_and_quick():
     section = cx.section_from_operator(dia, vn.random_hermitian(rng, 6))
     t0 = time.perf_counter()
     report = cx.glue_section(dia, section)
-    assert time.perf_counter() - t0 < 20.0
+    assert time.perf_counter() - t0 < 5.0
     assert report.commuting_ok and report.increasing_ok
     assert report.extendable == "yes"
+
+
+# -- the batched scan against the per-family scan it replaced --------------------
+
+def scan_inputs(dia):
+    """Context bitmask per pool entry and the pairwise commutation rows, as
+    the scan before batching built them."""
+    bit = {c.name: 1 << k for k, c in enumerate(dia.contexts)}
+    in_ctx = [0] * len(dia.pool)
+    for (name, _), i in dia.element_pool.items():
+        in_ctx[i] |= bit[name]
+    stack = np.array(dia.pool)
+    comm = [np.linalg.norm(stack @ p - p @ stack, axis=(1, 2)) <= dia.tol.sub
+            for p in stack]
+    return in_ctx, comm
+
+
+def per_family_first_failure(dia, values, in_ctx, families):
+    """The former scan body, kept as the oracle: one join and one linear
+    pool lookup per family."""
+    for fam in families:
+        if reduce(and_, (in_ctx[i] for i in fam)):
+            continue
+        j = linear_pool_index(dia.pool, vn.projection_join(
+            [dia.pool[i] for i in fam], dia.tol), dia.tol)
+        if j is None:
+            continue
+        expect = max(values[i] for i in fam)
+        if values[j] != expect:
+            return {"members": [dia.pool_labels[i] for i in fam],
+                    "join": dia.pool_labels[j],
+                    "value": values[j], "sup_of_values": expect}
+    return None
+
+
+def per_family_glue(dia, section):
+    """``glue_section`` before batching, over the module's family streams."""
+    values = cx.pool_values(dia, section)
+    in_ctx, comm = scan_inputs(dia)
+    commuting = per_family_first_failure(
+        dia, values, in_ctx, cx._commuting_families(comm, in_ctx))
+    increasing = per_family_first_failure(
+        dia, values, in_ctx, combinations(range(len(values)), 2))
+    extendable, certificate, _ = cx._extendability(dia, values)
+    return {"commuting_ok": commuting is None,
+            "commuting_witness": commuting,
+            "increasing_ok": increasing is None,
+            "increasing_witness": increasing,
+            "extendable": extendable, "certificate": certificate}
+
+
+def glue_outcome(glue, dia, section):
+    """The report's summary, or the witness of the ``ResourceError``."""
+    try:
+        out = glue(dia, section)
+    except ResourceError as err:
+        return "over the cap", err.witness
+    return "report", out if isinstance(out, dict) else out.summary()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=glue_cases(), cap=st.one_of(st.none(), st.integers(1, 300)),
+       chunk=st.sampled_from([3, 64, cx._CHUNK]))
+def test_batched_scan_matches_the_per_family_scan(case, cap, chunk):
+    """Verdicts, witnesses and the error past the cap, also with chunks
+    small enough that a scan crosses many chunk boundaries."""
+    dia, section = case
+    if not cx.is_global_section(dia, section)[0]:
+        return
+    saved = cx.GLUE_WORK_CAP, cx._CHUNK
+    cx.GLUE_WORK_CAP = saved[0] if cap is None else cap
+    cx._CHUNK = chunk
+    try:
+        assert glue_outcome(cx.glue_section, dia, section) == \
+            glue_outcome(per_family_glue, dia, section)
+    finally:
+        cx.GLUE_WORK_CAP, cx._CHUNK = saved
+
+
+@pytest.mark.parametrize("name", ["section_clash", "section_operator"])
+def test_batched_scan_matches_the_per_family_scan_on_the_corpus(name):
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    dia, section = jsonio.load_section(str(corpus / f"{name}.json"))
+    assert glue_outcome(cx.glue_section, dia, section) == \
+        glue_outcome(per_family_glue, dia, section)
+
+
+def nudged(rng, p, factor, tol):
+    """p moved by factor * tol.proj in Frobenius norm, along a random
+    Hermitian direction."""
+    h = vn.random_hermitian(rng, p.shape[0])
+    return p + factor * tol.proj * h / np.linalg.norm(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 4), seed=st.integers(0, 10 ** 6),
+       factors=st.lists(st.sampled_from([0.5, 0.99, 1.01, 2.0]),
+                        min_size=1, max_size=4))
+def test_pool_lookup_matches_the_linear_scan(dim, seed, factors):
+    """Duplicated entries (the first wins), entries and queries nudged to
+    either side of tol.proj, and queries that miss the pool."""
+    rng = random.Random(seed)
+    tol = vn.TOL
+    base = [vn.random_projection(rng, dim) for _ in range(4)]
+    entries = base + [rng.choice(base) for _ in range(2)]
+    entries += [nudged(rng, rng.choice(base), f, tol) for f in factors]
+    rng.shuffle(entries)
+    pool = np.array(entries)
+    queries = entries + [nudged(rng, p, f, tol) for p in base for f in factors]
+    queries += [vn.random_projection(rng, dim) for _ in range(3)]
+    want = [linear_pool_index(pool, q, tol) for q in queries]
+    got = cx._first_match(pool, np.array(queries), tol)
+    assert [None if j < 0 else j for j in got.tolist()] == want
+    dia = cx.ContextDiagram(dim, (), pool, tuple(map(str, range(len(pool)))),
+                            {}, tol)
+    assert [dia.pool_index_of(q) for q in queries] == want
+
+
+def test_cap_right_after_a_failing_family_returns_its_witness(monkeypatch):
+    """The cap falls just after the failing family, while its batch is
+    still being drawn: the witness comes back instead of the error.  One
+    family earlier, the cap raises."""
+    dia, section = cross_context_witness_case()
+    witness = cx.glue_section(dia, section).commuting_witness
+    in_ctx, comm = scan_inputs(dia)
+    families = list(cx._commuting_families(comm, in_ctx))
+    at = 1 + families.index(tuple(dia.pool_labels.index(lab)
+                                  for lab in witness["members"]))
+    assert at < len(families)
+    monkeypatch.setattr(cx, "GLUE_WORK_CAP", at)
+    report = cx.glue_section(dia, section)
+    assert report.commuting_witness == witness
+    assert glue_outcome(per_family_glue, dia, section) == \
+        ("report", report.summary())
+    monkeypatch.setattr(cx, "GLUE_WORK_CAP", at - 1)
+    assert glue_outcome(cx.glue_section, dia, section) == \
+        glue_outcome(per_family_glue, dia, section) == \
+        ("over the cap", {"cap": at - 1})
+
+
+def test_dim4_three_plane_clique_glues_in_bounded_memory():
+    """15 pairwise commuting diagonal projections, no context covering them:
+    about 33,000 commuting families, joined a chunk at a time."""
+    dia = planes_diagram(4, [0.3, 0.8, 1.2])
+    section = cx.section_from_operator(dia, np.diag([0.0, 1.0, 2.0, 3.0]))
+    tracemalloc.start()
+    try:
+        got = cx.glue_section(dia, section).summary()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got["commuting_ok"]
+    assert_agrees_with_subset_scan(dia, got, subset_scan_glue(dia, section))
+    assert peak < 16 * 2 ** 20

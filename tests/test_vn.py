@@ -229,6 +229,34 @@ def test_null_space_of_tall_wide_and_empty_systems():
     assert vn.null_space(np.zeros((0, 3))).shape == (3, 3)
 
 
+def test_rank_rule_counts_along_the_trailing_axis():
+    """The threshold scales with the largest value once it exceeds 1: 4e-10
+    is below it in the first row (5e-10) and above it in the second."""
+    s = np.array([[5.0, 4e-10, 1e-12], [0.5, 4e-10, 5e-11], [1.0, 1.0, 0.0]])
+    assert vn._rank(s, vn.TOL).tolist() == [1, 2, 2]
+    assert [vn._rank(row, vn.TOL) for row in s] == [1, 2, 2]
+    assert vn._rank(np.zeros(0), vn.TOL) == 0
+    assert vn._rank(np.zeros((2, 0)), vn.TOL).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_batched_joins_match_one_join_per_family(dim):
+    """Random projections with repeats, zeros and complements mixed in, so
+    the families' joins have every rank from 0 to dim."""
+    rng = random.Random(dim)
+    for k in (1, 2, 4):
+        fams = []
+        for _ in range(12):
+            fam = [vn.random_projection(rng, dim, rank=rng.randrange(dim))
+                   for _ in range(k)]
+            if k > 1 and rng.random() < 0.5:
+                fam[-1] = rng.choice([fam[0], np.eye(dim) - fam[0]])
+            fams.append(fam)
+        got = vn.projection_joins(np.array(fams))
+        for fam, j in zip(fams, got):
+            assert np.linalg.norm(j - vn.projection_join(fam)) <= 1e-12
+
+
 # Wall-time bounds at the caps.  On 2 cores one run took about 1 s at d=12
 # and 7 s at d=16, most of it the double commutant of trivial_algebra(16).
 CAP_SECONDS = {12: 10.0, 16: 30.0}
