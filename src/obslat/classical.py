@@ -421,13 +421,17 @@ def all_topologies(n: int) -> list[list[int]]:
 
 
 def grid_coordinates(lo: float, hi: float, step: float) -> list[float]:
+    """At most 48 points from lo to hi, step apart; the count is capped
+    before any point is built."""
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise InputError("grid bounds and step must be finite",
+                         witness={"lo": lo, "hi": hi, "step": step})
     if step <= 0 or hi <= lo:
         raise InputError("need lo < hi and a positive step")
-    count = int(round((hi - lo) / step))
-    out = [round(lo + k * step, 10) for k in range(count + 1)]
-    if len(out) > 48:
+    count = round(min((hi - lo) / step, 48.0))
+    if count + 1 > 48:
         raise ResourceError("grid too fine; at most 48 points")
-    return out
+    return [round(lo + k * step, 10) for k in range(count + 1)]
 
 
 def _coord_label(x: float) -> str:

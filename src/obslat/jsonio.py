@@ -69,6 +69,16 @@ def _real(v, key: str) -> float:
                          witness={"key": key, "value": v}) from None
 
 
+def _dimension(v, key: str) -> int | None:
+    """A matrix dimension read from a file: absent, or a positive integer;
+    anything else is an InputError naming the key it came from."""
+    if v is not None and (isinstance(v, bool) or not isinstance(v, int)
+                          or v < 1):
+        raise InputError("expected a positive integer",
+                         witness={"key": key, "value": v})
+    return v
+
+
 def _breakpoints(data: dict):
     """Yield each item of data["breakpoints"] as (real lambda, value), one at
     a time so later checks keep their order.  A list that is not a list of
@@ -333,11 +343,11 @@ def load_diagram(ref, referrer: Path | None = None,
     data, path = _dereference(ref, referrer)
     if not isinstance(data, dict) or "contexts" not in data:
         raise InputError("a diagram file needs a 'contexts' mapping")
-    dim = data.get("ambient_dim")
+    dim = _dimension(data.get("ambient_dim"), "ambient_dim")
     named = {}
     for name, gens in data["contexts"].items():
         named[str(name)] = [load_matrix(g, path) for g in gens]
-    return diagram(named, dim=int(dim) if dim is not None else None, tol=tol)
+    return diagram(named, dim=dim, tol=tol)
 
 
 def load_generators(ref, referrer: Path | None = None
@@ -347,12 +357,12 @@ def load_generators(ref, referrer: Path | None = None
     data, path = _dereference(ref, referrer)
     dim = None
     if isinstance(data, dict):
-        dim = data.get("dim")
+        dim = _dimension(data.get("dim"), "dim")
         data = data.get("generators")
     if not isinstance(data, list):
         raise InputError("an algebra file needs a 'generators' list")
     gens = [load_matrix(g, path) for g in data]
-    return gens, int(dim) if dim is not None else None
+    return gens, dim
 
 
 def load_section(ref, referrer: Path | None = None,

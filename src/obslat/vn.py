@@ -20,6 +20,7 @@ from .errors import InputError, PreconditionError, ResourceError
 from .spectral import _canonical_steps, _step_value
 
 MAX_DIM = 16
+GENERIC_SEED = 20260101   # of the two random elements in subalgebra
 
 
 @dataclass(frozen=True)
@@ -335,25 +336,13 @@ class VNSubalgebra:
         return out
 
 
-def _closed_linear_span(seed: list[np.ndarray], dim: int,
-                        tol: Tolerances = TOL) -> list[np.ndarray]:
-    """Close matrices under products, tracking an orthonormal vec-basis of
-    the span until the dimension stabilizes."""
-    basis = orthonormal_range(np.column_stack([_vec(m) for m in seed]), tol)
-    while True:
-        mats = [basis[:, k].reshape(dim, dim) for k in range(basis.shape[1])]
-        cols = [basis] + [_vec(x @ y).reshape(-1, 1)
-                          for x in mats for y in mats]
-        new_basis = orthonormal_range(np.hstack(cols), tol)
-        if new_basis.shape[1] == basis.shape[1]:
-            return mats
-        basis = new_basis
-
-
 def subalgebra(gens, dim: int | None = None, tol: Tolerances = TOL
                ) -> VNSubalgebra:
     """The unital *-algebra generated by the given matrices, with its
-    commutant; the double commutant is verified to reproduce the span."""
+    commutant (the generators' own).  Being singly generated (Pearcy 1962),
+    the commutant is generated by two random elements, whose commutant has
+    the double commutant's dimension, or more if the pair is not generic.
+    The span of products grows to it; one that stalls or passes it raises."""
     gens = [as_matrix(g) for g in gens]
     if dim is None:
         if not gens:
@@ -363,17 +352,29 @@ def subalgebra(gens, dim: int | None = None, tol: Tolerances = TOL
         if g.shape[0] != dim:
             raise InputError("generator dimension mismatch",
                              witness=[int(g.shape[0]), dim])
-    seed = [np.eye(dim, dtype=complex)]
-    for g in gens:
-        seed += [g, g.conj().T]
-    basis = _closed_linear_span(seed, dim, tol)
-    comm = commutant_basis(basis, dim, tol)
-    bicomm = commutant_basis(comm, dim, tol)
-    if len(bicomm) != len(basis):
+    if dim > MAX_DIM:
+        raise ResourceError(f"dimension {dim} exceeds {MAX_DIM}")
+    if dim < 1:
+        raise InputError("dimension must be positive", witness=dim)
+    comm = commutant_basis(gens, dim, tol)
+    w = np.random.default_rng(GENERIC_SEED).standard_normal((2, 2, len(comm)))
+    pair = np.tensordot(w[0] + 1j * w[1], np.array(comm), axes=1)
+    target = len(commutant_basis(pair, dim, tol))
+    seed = [np.eye(dim, dtype=complex)] + [
+        h for g in gens for h in (g, g.conj().T)]
+    basis = orthonormal_range(np.column_stack([_vec(m) for m in seed]), tol)
+    mats = [basis[:, k].reshape(dim, dim) for k in range(basis.shape[1])]
+    while len(mats) < target:
+        basis = orthonormal_range(np.hstack([basis] + [
+            _vec(x @ y).reshape(-1, 1) for x in mats for y in mats]), tol)
+        if basis.shape[1] == len(mats):
+            break
+        mats = [basis[:, k].reshape(dim, dim) for k in range(basis.shape[1])]
+    if len(mats) != target:
         raise ResourceError(
             "double commutant does not close at the generated span",
-            witness={"span": len(basis), "bicommutant": len(bicomm)})
-    return VNSubalgebra(dim, tuple(gens), tuple(basis), tuple(comm))
+            witness={"span": len(mats), "bicommutant": target})
+    return VNSubalgebra(dim, tuple(gens), tuple(mats), tuple(comm))
 
 
 def trivial_algebra(dim: int, tol: Tolerances = TOL) -> VNSubalgebra:
@@ -428,22 +429,19 @@ def minimal_projections(m: VNSubalgebra, tol: Tolerances = TOL
 
 def core_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
     """Largest subspace of ran q invariant under the commutant, as a
-    projection.  Fixpoint: keep the vectors the commutant maps back into the
-    current subspace; the dimension drops or the iteration stops, so at most
-    dim rounds run.  The result must commute with the commutant (hence lie
-    in the algebra); a breach is an internal numeric failure."""
+    projection: the x in ran q with g x in ran q for all g in the commutant,
+    already invariant because the commutant is an algebra.  The result must
+    commute with the commutant (hence lie in the algebra); a breach is an
+    internal numeric failure."""
     q = check_projection(q, tol)
     basis = orthonormal_range(q, tol)
-    eye = np.eye(m.dim, dtype=complex)
-    while basis.shape[1] > 0:
-        p_cur = basis @ basis.conj().T
-        stacked = np.vstack([(eye - p_cur) @ (g @ basis) for g in m.commutant])
-        keep = null_space(stacked, tol)
-        if keep.shape[1] == basis.shape[1]:
-            break
-        basis = orthonormal_range(basis @ keep, tol)
-    core = (basis @ basis.conj().T if basis.shape[1]
-            else np.zeros((m.dim, m.dim), dtype=complex))
+    if basis.shape[1] > 0:
+        p_out = np.eye(m.dim, dtype=complex) - basis @ basis.conj().T
+        keep = null_space(np.vstack([p_out @ (g @ basis) for g in m.commutant]),
+                          tol)
+        if keep.shape[1] < basis.shape[1]:
+            basis = orthonormal_range(basis @ keep, tol)
+    core = basis @ basis.conj().T
     for g in m.commutant:
         defect = float(np.linalg.norm(g @ core - core @ g))
         if defect > tol.sub:

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, JSON payloads, file outputs."""
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,21 @@ def test_classical_demo_and_grid_flag(capsys):
     assert merged == ["demo", "--grid=-2:2:0.25", "--seed", "7"]
     untouched = _merge_grid_flag(["demo", "--grid", "0:3:0.5"])
     assert untouched == ["demo", "--grid", "0:3:0.5"]
+
+
+@pytest.mark.parametrize("grid, error", [
+    ("0:1:nan", "grid bounds and step must be finite"),
+    ("0:1e300:1e-300", "grid too fine; at most 48 points"),
+    ("0:1e9:1", "grid too fine; at most 48 points"),
+])
+def test_grids_out_of_range_exit_2_at_once(capsys, grid, error):
+    """The point count is capped before a single point is built."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classical", "demo", "--family", "id",
+                         f"--grid={grid}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err, parse_constant=pytest.fail)["error"] == error
 
 
 def test_context_commands(capsys, tmp_path):
@@ -416,3 +432,31 @@ def test_removed_tolerance_keys_are_unknown(capsys, key):
     assert payload["error"] == "unknown tolerance key"
     assert payload["witness"]["key"] == key
     assert key not in payload["witness"]["known"]
+
+
+@pytest.mark.parametrize("value", ["x", 0, -2, 2.5, True])
+@pytest.mark.parametrize("argv, key", [
+    (("vn", "core", "--proj", c("proj_q.json"), "--algebra"), "dim"),
+    (("context", "from-operator", "--op", c("op_qubit.json"), "--diagram"),
+     "ambient_dim"),
+], ids=["algebra", "diagram"])
+def test_dimensions_in_files_are_positive_integers(capsys, tmp_path, argv,
+                                                   key, value):
+    path = tmp_path / "input.json"
+    data = ({"dim": value, "generators": []} if key == "dim"
+            else {"ambient_dim": value, "contexts": {"A": []}})
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "expected a positive integer",
+                               "witness": {"key": key, "value": value}}
+
+
+def test_algebra_dimension_above_the_cap_exit_2(capsys, tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": 17, "generators": []}))
+    code, out, err = run(capsys, "vn", "core", "--algebra", str(path),
+                         "--proj", c("proj_q.json"))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "dimension 17 exceeds 16",
+                               "witness": None}
