@@ -420,17 +420,20 @@ def all_topologies(n: int) -> list[list[int]]:
     return out
 
 
+GRID_POINTS = 48
+
+
 def grid_coordinates(lo: float, hi: float, step: float) -> list[float]:
-    """At most 48 points from lo to hi, step apart; the count is capped
-    before any point is built."""
+    """At most GRID_POINTS points from lo to hi, step apart; the count is
+    capped before any point is built."""
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise InputError("grid bounds and step must be finite",
                          witness={"lo": lo, "hi": hi, "step": step})
     if step <= 0 or hi <= lo:
         raise InputError("need lo < hi and a positive step")
-    count = round(min((hi - lo) / step, 48.0))
-    if count + 1 > 48:
-        raise ResourceError("grid too fine; at most 48 points")
+    count = round(min((hi - lo) / step, GRID_POINTS))
+    if count + 1 > GRID_POINTS:
+        raise ResourceError(f"grid too fine; at most {GRID_POINTS} points")
     return [round(lo + k * step, 10) for k in range(count + 1)]
 
 
@@ -457,7 +460,13 @@ def demo_family(kind: str, lo: float = -2.0, hi: float = 2.0,
                          witness=sorted(DEMO_KINDS))
     notes: list[str] = []
     if kind == "step-line":
-        n = max(1, int(round(hi - lo)))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InputError("grid bounds must be finite",
+                             witness={"lo": lo, "hi": hi})
+        n = max(1, round(min(hi - lo, GRID_POINTS)))
+        if 2 * n + 1 > GRID_POINTS:
+            raise ResourceError(f"line too long; at most {GRID_POINTS} points",
+                                witness={"points": 2 * n + 1})
         space = digital_line(n)
         coords = {}
         for p in space.points:

@@ -57,10 +57,13 @@ def _parse_tol(pairs) -> Tolerances:
 
 
 def _config(args) -> RunConfig:
+    cap = getattr(args, "cap", None)
+    if cap is not None and cap <= 0:
+        raise InputError("--cap must be a positive integer", witness=cap)
     return RunConfig(
         fmt=getattr(args, "format", "text"),
         tol=_parse_tol(getattr(args, "tol", None)),
-        cap=getattr(args, "cap", None),
+        cap=cap,
         seed=getattr(args, "seed", 7),
         dot=getattr(args, "dot", None))
 
@@ -243,7 +246,8 @@ def _load_algebra(ref, tol: Tolerances):
 
 def _matrix_lines(m: np.ndarray) -> list[str]:
     out = []
-    for row in np.asarray(m):
+    # rounded first, then + 0.0 turns a -0.0 round-off residue into 0.0
+    for row in np.round(np.asarray(m), 6) + 0.0:
         out.append("  ".join(f"{e.real:+.6f}{e.imag:+.6f}i" for e in row))
     return out
 
@@ -395,7 +399,7 @@ def cmd_context_from_operator(args, cfg: RunConfig) -> int:
 def cmd_presheaf_check(args, cfg: RunConfig) -> int:
     ps, meta = jsonio.load_presheaf(args.input)
     laws_ok, laws_witness = presheaf_mod.check_presheaf(ps)
-    work_cap = cfg.cap or presheaf_mod.WORK_CAP
+    work_cap = presheaf_mod.WORK_CAP if cfg.cap is None else cfg.cap
     report = presheaf_mod.check_sheaf_condition(ps, work_cap=work_cap)
     payload = {"kind": meta["kind"], "presheaf_laws": laws_ok,
                "laws_witness": laws_witness, "sheaf": report["ok"],
@@ -416,7 +420,7 @@ def cmd_presheaf_check(args, cfg: RunConfig) -> int:
 def cmd_presheaf_sheafify(args, cfg: RunConfig) -> int:
     ps, meta = jsonio.load_presheaf(args.input)
     sheafified, base, masks = presheaf_mod.sheafify(
-        ps, cap=cfg.cap or 4096)
+        ps, cap=4096 if cfg.cap is None else cfg.cap)
     sizes = {base.names[a]: len(sheafified.values_at(a))
              for a in range(base.n)}
     laws_ok, _ = presheaf_mod.check_presheaf(sheafified)

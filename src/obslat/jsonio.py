@@ -19,7 +19,7 @@ from .classical import FiniteTopSpace
 from .context import ContextDiagram, diagram
 from .corpus import standard_lattices
 from .errors import InputError
-from .lattice import FiniteOrthoLattice
+from .lattice import FiniteOrthoLattice, mask_from
 from .observables import ObservableFunction, observable
 from .presheaf import (LatticePresheaf, function_presheaf, spectral_presheaf)
 from .spectral import SpectralFamily, spectral_family
@@ -180,8 +180,7 @@ def split_ideal_key(key: str) -> list[str]:
 
 
 def ideal_key(lattice: FiniteOrthoLattice, generator: int) -> str:
-    members = sorted(principal(lattice, generator).members())
-    return ",".join(lattice.names[m] for m in members)
+    return ",".join(principal(lattice, generator).names())
 
 
 def load_table(ref, referrer: Path | None = None) -> ObservableFunction:
@@ -197,13 +196,9 @@ def load_table(ref, referrer: Path | None = None) -> ObservableFunction:
         if gen == lat.zero:
             raise InputError("key meets down to bottom, no dual ideal there",
                              witness={"key": key})
-        if len(names) > 1:
-            listed = set(members)
-            actual = set(principal(lat, gen).members())
-            if listed != actual:
-                raise InputError(
-                    "key does not list the members of a dual ideal",
-                    witness={"key": key, "generator": lat.names[gen]})
+        if len(names) > 1 and mask_from(members) != lat.upset_mask(gen):
+            raise InputError("key does not list the members of a dual ideal",
+                             witness={"key": key, "generator": lat.names[gen]})
         v = _real(v, f"values[{key}]")
         if gen in vals and vals[gen] != v:
             raise InputError("conflicting values for one ideal",

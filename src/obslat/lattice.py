@@ -215,6 +215,10 @@ class FiniteOrthoLattice:
         """Bitmask of ``{b : a <= b}``."""
         return self._up[a]
 
+    def downset_mask(self, a: int) -> int:
+        """Bitmask of ``{b : b <= a}``."""
+        return self._down[a]
+
     def downset(self, a: int) -> list[int]:
         return bits(self._down[a])
 

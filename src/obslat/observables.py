@@ -33,7 +33,7 @@ import numpy as np
 from .errors import CheckFailure, InputError, PreconditionError
 from .lattice import FiniteOrthoLattice, bits
 from .spectral import SpectralFamily, spectral_family
-from .stone import DualIdeal
+from .stone import DualIdeal, canonical_order
 
 
 @dataclass(frozen=True)
@@ -135,18 +135,11 @@ def observable_table(family: SpectralFamily) -> ObservableFunction:
 
 def _ideal_of(f: ObservableFunction, a: int) -> list[int]:
     """Members of the dual ideal generated by a, within the table's domain."""
-    return [b for b in bits(f.lattice.upset_mask(a)) if f.values[b] is not None]
+    return bits(f.lattice.upset_mask(a) & f.lattice.downset_mask(f.top))
 
 
 def _ideal_names(f: ObservableFunction, a: int) -> list[str]:
     return [f.lattice.names[b] for b in _ideal_of(f, a)]
-
-
-def _canonical(f: ObservableFunction) -> dict[int, list[int]]:
-    """Each domain element with the members of its ideal, in the canonical
-    order of the ideals."""
-    ideals = [(a, _ideal_of(f, a)) for a in f.domain()]
-    return dict(sorted(ideals, key=lambda p: (len(p[1]), p[1])))
 
 
 def _first_join_failure(f: ObservableFunction, order: list[int]
@@ -172,7 +165,7 @@ def check_intersection_condition(f: ObservableFunction
     ideals generated by a and b meet in the one generated by a join b, so the
     pass is the join law on the generators, in the canonical ideal order.
     """
-    pair = _first_join_failure(f, list(_canonical(f)))
+    pair = _first_join_failure(f, canonical_order(f.lattice, f.top))
     if pair is None:
         return True, None
     a, b = pair
@@ -191,7 +184,7 @@ def check_upper_semicontinuous(f: ObservableFunction
     the ideal of b exactly when b < a, so the first part asks r increasing.
     The second part then holds by itself: a is the least member of its
     ideal's domain part, so its value is already the min."""
-    order = list(_canonical(f))
+    order = canonical_order(f.lattice, f.top)
     idx = np.array(order, dtype=np.int64)
     vals = np.array([f.values[a] for a in order], dtype=float)
     below = f.lattice.leq[np.ix_(idx, idx)].T & ~np.eye(len(order), dtype=bool)

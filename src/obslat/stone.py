@@ -2,10 +2,10 @@
 
 A dual ideal is a nonempty, upward-closed, meet-closed proper subset (it never
 contains the bottom element).  In a finite lattice every dual ideal has a
-minimum, so it is the principal up-set of its generator; enumeration therefore
-walks the nonzero elements instead of scanning subsets, and quasipoints (the
-maximal dual ideals) are exactly the up-sets of atoms.  Subsets are bitmasks
-over element indices.
+minimum, so it is the principal up-set of its generator, which is all a
+``DualIdeal`` stores; enumeration walks the nonzero elements instead of
+scanning subsets, and quasipoints (the maximal dual ideals) are exactly the
+up-sets of atoms.  Subsets are bitmasks over element indices.
 """
 from __future__ import annotations
 
@@ -18,9 +18,14 @@ from .lattice import FiniteOrthoLattice, bits, mask_from
 
 @dataclass(frozen=True)
 class DualIdeal:
-    """An upward-closed, meet-closed set of nonzero elements, as a bitmask."""
+    """An upward-closed, meet-closed set of nonzero elements, held as its
+    least member: the ideal is that generator's up-set."""
     lattice: FiniteOrthoLattice = field(compare=False)
-    mask: int = 0
+    least: int
+
+    @property
+    def mask(self) -> int:
+        return self.lattice.upset_mask(self.least)
 
     def members(self) -> list[int]:
         return bits(self.mask)
@@ -33,7 +38,7 @@ class DualIdeal:
 
     def generator(self) -> int:
         """The minimum member; the ideal is its principal up-set."""
-        return self.lattice.meet_of(self.members())
+        return self.least
 
     def size(self) -> int:
         return self.mask.bit_count()
@@ -74,7 +79,7 @@ def principal(lattice: FiniteOrthoLattice, a: int) -> DualIdeal:
     if a == lattice.zero:
         raise PreconditionError(
             "the up-set of bottom is the whole lattice, not a proper dual ideal")
-    return DualIdeal(lattice, lattice.upset_mask(a))
+    return DualIdeal(lattice, a)
 
 
 def ideal_from_names(lattice: FiniteOrthoLattice, names: Iterable[str]) -> DualIdeal:
@@ -82,7 +87,7 @@ def ideal_from_names(lattice: FiniteOrthoLattice, names: Iterable[str]) -> DualI
     bad = dual_ideal_violation(lattice, mask)
     if bad is not None:
         raise InputError("the given set is not a dual ideal", witness=bad)
-    return DualIdeal(lattice, mask)
+    return DualIdeal(lattice, lattice.meet_of(bits(mask)))
 
 
 def is_filter_base(lattice: FiniteOrthoLattice, subset: Iterable[int]
@@ -102,38 +107,43 @@ def is_filter_base(lattice: FiniteOrthoLattice, subset: Iterable[int]
 
 
 def cone(lattice: FiniteOrthoLattice, subset: Iterable[int]) -> DualIdeal:
-    """Smallest dual ideal containing a filter base: the up-set of its minimum.
+    """Smallest dual ideal containing a filter base: the up-set of its meet.
 
-    A finite downward-directed set has a least member, so the generated dual
+    A finite downward-directed set contains its meet, so the generated dual
     ideal is principal over it.
     """
     elems = sorted(set(int(a) for a in subset))
     ok, why = is_filter_base(lattice, elems)
     if not ok:
         raise PreconditionError("cone needs a filter base", witness=why)
-    bottom = [a for a in elems if all(lattice.le(a, b) for b in elems)]
-    return principal(lattice, bottom[0])
+    return principal(lattice, lattice.meet_of(elems))
 
 
-def _canonical_order(ideal: DualIdeal) -> tuple:
-    return (ideal.size(), tuple(ideal.members()))
+def canonical_order(lattice: FiniteOrthoLattice, top: int | None = None,
+                    among: Iterable[int] | None = None) -> list[int]:
+    """Generators of the dual ideals under ``top`` (default the lattice top),
+    or only those ``among`` the given ones, sorted by the size, then the
+    member tuple, of up(a) meet down(top) so reports are deterministic."""
+    under = lattice.downset_mask(lattice.one if top is None else top)
+
+    def key(a: int) -> tuple[int, list[int]]:
+        m = lattice.upset_mask(a) & under
+        return m.bit_count(), bits(m)
+
+    if among is None:
+        among = bits(under & ~(1 << lattice.zero))
+    return sorted(among, key=key)
 
 
 def enumerate_dual_ideals(lattice: FiniteOrthoLattice) -> list[DualIdeal]:
-    """All dual ideals: one principal up-set per nonzero element.
-
-    Ordered by (size, member tuple) so reports are deterministic.
-    """
-    out = [principal(lattice, a) for a in range(lattice.n) if a != lattice.zero]
-    out.sort(key=_canonical_order)
-    return out
+    """All dual ideals: one principal up-set per nonzero element."""
+    return [DualIdeal(lattice, a) for a in canonical_order(lattice)]
 
 
 def enumerate_quasipoints(lattice: FiniteOrthoLattice) -> list[DualIdeal]:
     """Maximal dual ideals: the up-sets of atoms, in canonical order."""
-    out = [principal(lattice, t) for t in lattice.atoms()]
-    out.sort(key=_canonical_order)
-    return out
+    return [DualIdeal(lattice, t)
+            for t in canonical_order(lattice, among=lattice.atoms())]
 
 
 def basis_set(lattice: FiniteOrthoLattice, a: int) -> list[DualIdeal]:
@@ -145,34 +155,27 @@ def basis_set(lattice: FiniteOrthoLattice, a: int) -> list[DualIdeal]:
 
 def quasipoints_over_center(lattice: FiniteOrthoLattice,
                             quasipoint: DualIdeal) -> DualIdeal:
-    """Trace of a quasipoint on the center sublattice, as a center dual ideal."""
+    """Trace of a quasipoint on the center sublattice: a center dual ideal
+    (it holds the top, not the bottom), so the up-set of its meet there."""
     central = lattice.center()
     sub, parent_idx = lattice.sublattice(central)
     pos = {m: k for k, m in enumerate(parent_idx)}
-    mask = mask_from(pos[z] for z in central if quasipoint.contains(z))
-    bad = dual_ideal_violation(sub, mask)
-    if bad is not None:
-        raise PreconditionError("center trace is not a dual ideal", witness=bad)
-    return DualIdeal(sub, mask)
+    return principal(sub, sub.meet_of(pos[z] for z in central
+                                      if quasipoint.contains(z)))
 
 
 def inclusion_dot(lattice: FiniteOrthoLattice) -> str:
-    """DOT digraph of dual ideals ordered by inclusion (cover edges only)."""
-    ideals = enumerate_dual_ideals(lattice)
-    label = {j.mask: "H(" + lattice.names[j.generator()] + ")" for j in ideals}
+    """DOT digraph of dual ideals ordered by inclusion (cover edges only).
+
+    up(a) is covered by up(b) exactly when a covers b and b is nonzero.
+    """
+    order = canonical_order(lattice)
+    rank = {a: k for k, a in enumerate(order)}
+    label = [f'"H({s})"' for s in lattice.names]
     lines = ["digraph dual_ideals {", "  rankdir=BT;"]
-    for idl in ideals:
-        lines.append(f'  "{label[idl.mask]}";')
-    for a in ideals:
-        for b in ideals:
-            if a.mask == b.mask or (a.mask & b.mask) != a.mask:
-                continue
-            # cover: nothing strictly between a and b
-            strict = [c for c in ideals
-                      if c.mask not in (a.mask, b.mask)
-                      and (a.mask & c.mask) == a.mask
-                      and (c.mask & b.mask) == c.mask]
-            if not strict:
-                lines.append(f'  "{label[a.mask]}" -> "{label[b.mask]}";')
+    lines += [f"  {label[a]};" for a in order]
+    edges = sorted((rank[a], rank[b]) for b, a in lattice.covers()
+                   if b != lattice.zero)
+    lines += [f"  {label[order[i]]} -> {label[order[k]]};" for i, k in edges]
     lines.append("}")
     return "\n".join(lines)

@@ -427,13 +427,20 @@ def minimal_projections(m: VNSubalgebra, tol: Tolerances = TOL
 
 # -- core, support, and the two restriction maps -------------------------------
 
+def _in_algebra_dim(m: VNSubalgebra, x: np.ndarray) -> np.ndarray:
+    if x.shape[0] != m.dim:
+        raise InputError("matrix dimension differs from the algebra's",
+                         witness=[int(x.shape[0]), m.dim])
+    return x
+
+
 def core_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
     """Largest subspace of ran q invariant under the commutant, as a
     projection: the x in ran q with g x in ran q for all g in the commutant,
     already invariant because the commutant is an algebra.  The result must
     commute with the commutant (hence lie in the algebra); a breach is an
     internal numeric failure."""
-    q = check_projection(q, tol)
+    q = _in_algebra_dim(m, check_projection(q, tol))
     basis = orthonormal_range(q, tol)
     if basis.shape[1] > 0:
         p_out = np.eye(m.dim, dtype=complex) - basis @ basis.conj().T
@@ -453,7 +460,7 @@ def core_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
 def support_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
     """Smallest projection of the algebra above q: complement of the core of
     the complement."""
-    q = check_projection(q, tol)
+    q = _in_algebra_dim(m, check_projection(q, tol))
     eye = np.eye(m.dim, dtype=complex)
     return eye - core_projection(m, eye - q, tol)
 
@@ -461,7 +468,7 @@ def support_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
 def rho_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     """Smallest spectral-order upper bound of a inside the subalgebra,
     synthesized from the cores of a's spectral projections."""
-    fam = spectral_family_of(check_hermitian(a, tol), tol)
+    fam = spectral_family_of(_in_algebra_dim(m, check_hermitian(a, tol)), tol)
     steps = [core_projection(m, e, tol) for e in fam.projections]
     return family_from_steps(fam.breakpoints, steps, tol).synthesize()
 
@@ -471,7 +478,7 @@ def sigma_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     supports of the spectral projections.  The defining infimum over later
     arguments is exact on step families, so each merged breakpoint takes the
     support of the value right there."""
-    fam = spectral_family_of(check_hermitian(a, tol), tol)
+    fam = spectral_family_of(_in_algebra_dim(m, check_hermitian(a, tol)), tol)
     steps = [support_projection(m, e, tol) for e in fam.projections]
     return family_from_steps(fam.breakpoints, steps, tol).synthesize()
 

@@ -196,6 +196,12 @@ def test_demo_step_line_is_discontinuous():
     demo = cl.demo_family("step-line")
     ok, witness, _ = cl.is_continuous_family(demo["family"])
     assert not ok and witness is not None
+    assert len(demo["family"].space.points) == 9
+    # the line has 2n + 1 points for n = hi - lo; the cap is checked first
+    assert len(cl.demo_family("step-line", 0.0, 23.0)["family"].space.points) \
+        == cl.GRID_POINTS - 1
+    with pytest.raises(ResourceError):
+        cl.demo_family("step-line", 0.0, 24.0)
 
 
 def test_demo_unbounded_has_open_tail():

@@ -8,7 +8,7 @@ import pytest
 
 from obslat import jsonio
 from obslat.lattice import bits
-from obslat.cli import _merge_grid_flag, main
+from obslat.cli import _matrix_lines, _merge_grid_flag, main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -460,3 +460,63 @@ def test_algebra_dimension_above_the_cap_exit_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "dimension 17 exceeds 16",
                                "witness": None}
+
+
+@pytest.mark.parametrize("argv", [
+    ("vn", "restrict", "--op", c("op_qubit.json"), "--map", "sigma"),
+    ("vn", "restrict", "--op", c("op_qubit.json"), "--map", "rho"),
+    ("vn", "core", "--proj", "QUBIT_PROJ"),
+], ids=["sigma", "rho", "core"])
+def test_matrix_of_another_dimension_than_the_algebra_exit_2(capsys, tmp_path,
+                                                            argv):
+    proj = tmp_path / "p.json"
+    proj.write_text("[[1, 0], [0, 0]]")
+    argv = [str(proj) if a == "QUBIT_PROJ" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--algebra", c("gens_diag.json"))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "matrix dimension differs from the algebra's",
+        "witness": [2, 3]}
+
+
+@pytest.mark.parametrize("grid, error", [
+    ("nan:1:0.5", "grid bounds must be finite"),
+    ("0:1e9:1", "line too long; at most 48 points"),
+    ("-1e308:1e308:1", "line too long; at most 48 points"),
+])
+def test_step_line_bounds_exit_2_at_once(capsys, grid, error):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classical", "demo", "--family", "step-line",
+                         f"--grid={grid}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err, parse_constant=pytest.fail)["error"] == error
+
+
+def test_round_off_entries_print_without_sign():
+    m = np.array([[-4e-16, 1 - 4e-16j], [1 + 4e-16j, 4e-16]])
+    assert _matrix_lines(m) == ["+0.000000+0.000000i  +1.000000+0.000000i",
+                                "+1.000000+0.000000i  +0.000000+0.000000i"]
+    assert _matrix_lines(-m) == ["+0.000000+0.000000i  -1.000000+0.000000i",
+                                 "-1.000000+0.000000i  +0.000000+0.000000i"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", ["check", "sheafify"])
+def test_non_positive_caps_exit_2(capsys, command, cap):
+    code, out, err = run(capsys, "presheaf", command,
+                         "-i", c("presheaf_mo2.json"), "--cap", cap)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "--cap must be a positive integer",
+                               "witness": int(cap)}
+
+
+@pytest.mark.parametrize("command, error", [
+    ("check", "gluing scan exceeded the work cap"),
+    ("sheafify", "sheafification exceeds the size cap"),
+])
+def test_a_cap_of_one_is_honoured(capsys, command, error):
+    code, out, err = run(capsys, "presheaf", command,
+                         "-i", c("presheaf_mo2.json"), "--cap", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": error, "witness": {"cap": 1}}

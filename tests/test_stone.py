@@ -1,5 +1,7 @@
 """Dual ideals and the quasipoint space, checked against an exhaustive
-subset scan."""
+subset scan, and the generator-based order and inclusion graph against the
+mask scans they replaced."""
+import dataclasses
 import itertools
 
 import pytest
@@ -182,3 +184,74 @@ def test_inclusion_dot_mentions_every_ideal(lattices):
     assert dot.startswith("digraph")
     for ideal in stone.enumerate_dual_ideals(mo2):
         assert f'"H({mo2.names[ideal.generator()]})"' in dot
+
+
+def test_dual_ideal_holds_its_generator(lattices):
+    assert [f.name for f in dataclasses.fields(stone.DualIdeal)
+            if f.compare] == ["least"]
+    mo2 = lattices["mo2"]
+    a = mo2.index("a")
+    ideal = stone.ideal_from_names(mo2, ["1", "a"])
+    assert ideal.least == a and ideal == stone.principal(mo2, a)
+    assert ideal.mask == mo2.upset_mask(a)
+
+
+# -- the mask scans that generators replaced, kept as oracles -----------------
+
+def oracle_lattices():
+    lats = dict(corpus.standard_lattices())
+    lats["b6"] = corpus.boolean_algebra(6)
+    lats["mo3xb3"] = corpus.product(corpus.mo(3), corpus.boolean_algebra(3))
+    return lats
+
+
+def up_masks(lat):
+    return [mask_from(b for b in range(lat.n) if lat.le(a, b))
+            for a in range(lat.n)]
+
+
+def mask_sorted(lat, gens, top):
+    """Generators sorted by (size, member tuple) of their ideal's member
+    mask inside the nonzero elements under top."""
+    under = mask_from(b for b in range(lat.n)
+                      if b != lat.zero and lat.le(b, top))
+    up = up_masks(lat)
+    keyed = sorted((m.bit_count(), tuple(bits(m)), a)
+                   for a in gens for m in [up[a] & under])
+    return [a for _, _, a in keyed]
+
+
+def mask_inclusion_dot(lat):
+    """Cover edges found by testing every pair of ideal masks against every
+    third ideal."""
+    up = up_masks(lat)
+    masks = [up[a] for a in mask_sorted(lat, range(lat.n), lat.one)
+             if a != lat.zero]
+    label = {m: "H(" + lat.names[lat.meet_of(bits(m))] + ")" for m in masks}
+    lines = ["digraph dual_ideals {", "  rankdir=BT;"]
+    for m in masks:
+        lines.append(f'  "{label[m]}";')
+    for a in masks:
+        for b in masks:
+            if a == b or (a & b) != a:
+                continue
+            strict = [c for c in masks
+                      if c not in (a, b) and (a & c) == a and (c & b) == c]
+            if not strict:
+                lines.append(f'  "{label[a]}" -> "{label[b]}";')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(oracle_lattices()))
+def test_generator_order_and_dot_match_mask_scans(name):
+    lat = oracle_lattices()[name]
+    nonzero = [a for a in range(lat.n) if a != lat.zero]
+    assert [j.generator() for j in stone.enumerate_dual_ideals(lat)] == \
+        mask_sorted(lat, nonzero, lat.one)
+    assert [q.generator() for q in stone.enumerate_quasipoints(lat)] == \
+        mask_sorted(lat, lat.atoms(), lat.one)
+    for top in nonzero:
+        under = [a for a in nonzero if lat.le(a, top)]
+        assert stone.canonical_order(lat, top) == mask_sorted(lat, under, top)
+    assert stone.inclusion_dot(lat) == mask_inclusion_dot(lat)

@@ -557,3 +557,13 @@ def test_tolerance_scaling():
     assert t.proj == vn.TOL.proj
     with pytest.raises(TypeError):
         vn.TOL.scaled(bogus=1.0)
+
+
+@pytest.mark.parametrize("fn", [vn.core_projection, vn.support_projection,
+                                vn.rho_restrict, vn.sigma_restrict],
+                         ids=lambda fn: fn.__name__)
+def test_matrix_must_have_the_algebras_dimension(fn):
+    alg = vn.subalgebra([np.diag([0.0, 1.0, 2.0])])
+    with pytest.raises(InputError) as err:
+        fn(alg, np.diag([1.0, 0.0]))
+    assert err.value.witness == [2, 3]
