@@ -13,8 +13,7 @@ from .stone import (DualIdeal, principal, cone, is_dual_ideal, is_filter_base,
                     quasipoints_over_center, inclusion_dot)
 from .spectral import (SpectralFamily, spectral_family, constant_family,
                        projection_family, restrict_family, sample_family)
-from .observables import (ObservableFunction, CompletelyIncreasingFunction,
-                         observable, observable_table,
+from .observables import (ObservableFunction, observable, observable_table,
                          observable_from_spectral,
                          check_intersection_condition,
                          check_upper_semicontinuous, reconstruct,

@@ -1,13 +1,16 @@
 """Single command line entry point with one subcommand group per module.
 
-Exit codes: 0 success, 1 failed check (the witness is printed as JSON),
-2 bad input (unknown files, malformed data, violated preconditions, caps).
+Exit codes: 0 success, 1 failed check (the witness is printed as JSON) or
+stdout closed before the output was written, 2 bad input (unknown files,
+malformed data, violated preconditions, caps, an option the subcommand does
+not take).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
@@ -74,6 +77,7 @@ def _emit(cfg: RunConfig, payload: dict, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
+    sys.stdout.flush()      # a closed stdout raises here, inside main
 
 
 def _b(flag: bool) -> str:
@@ -161,7 +165,7 @@ def cmd_spectral_restrict(args, cfg: RunConfig) -> int:
     fam = jsonio.load_family(args.family)
     lat = fam.lattice
     sub = spectral.restrict_family(fam, lat.index(args.to))
-    pairs = [[lam, lat.names[e]] for lam, e in sub.breakpoints]
+    pairs = sub.to_pairs()
     lines = [f"{_fmt_val(lam)}: {name}" for lam, name in pairs]
     if args.out:
         jsonio.save_json(args.out, jsonio.family_to_json(sub))
@@ -208,7 +212,7 @@ def cmd_obs_reconstruct(args, cfg: RunConfig) -> int:
     f = jsonio.load_table(args.table)
     fam = observables.reconstruct(f)     # raises CheckFailure on bad tables
     lat = fam.lattice
-    pairs = [[lam, lat.names[e]] for lam, e in fam.breakpoints]
+    pairs = fam.to_pairs()
     lines = [f"{_fmt_val(lam)}: {name}" for lam, name in pairs]
     if args.out:
         jsonio.save_json(args.out, jsonio.family_to_json(fam))
@@ -284,7 +288,7 @@ def cmd_classical_induce(args, cfg: RunConfig) -> int:
     space = jsonio.load_space(args.space)
     values = jsonio.load_point_values(args.fn)
     fam = classical.sigma_from_function(space, values)
-    pairs = [[lam, space.set_names(mask)] for lam, mask in fam.breakpoints]
+    pairs = fam.to_pairs()
     induced = {p: classical.induced_function(fam, p) for p in space.points}
     lines = [f"{_fmt_val(lam)}: {{{','.join(names)}}}"
              for lam, names in pairs]
@@ -451,10 +455,15 @@ def cmd_suite(args, cfg: RunConfig) -> int:
 
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", action="append", metavar="KEY=VAL")
-    p.add_argument("--cap", type=int)
-    p.add_argument("--dot", metavar="OUT")
+
+
+# The options a subcommand takes only when it reads them (``leaf``).
+OPTIONS = {
+    "seed": dict(type=int, default=7),
+    "tol": dict(action="append", metavar="KEY=VAL"),
+    "cap": dict(type=int),
+    "dot": dict(metavar="OUT"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,23 +473,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "on finite lattices")
     groups = top.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name, fn, **kw):
-        p = group.add_parser(name, **kw)
+    def leaf(group, name, fn, *options):
+        p = group.add_parser(name)
         _common(p)
+        for opt in options:
+            p.add_argument("--" + opt, **OPTIONS[opt])
         p.set_defaults(handler=fn)
         return p
 
     g = groups.add_parser("lattice").add_subparsers(dest="command",
                                                     required=True)
-    p = leaf(g, "check", cmd_lattice_check)
+    p = leaf(g, "check", cmd_lattice_check, "dot")
     p.add_argument("--input", "-i", required=True)
     leaf(g, "list", cmd_lattice_list)
 
     g = groups.add_parser("stone").add_subparsers(dest="command",
                                                   required=True)
-    p = leaf(g, "quasipoints", lambda a, c: cmd_stone(a, c, True))
+    p = leaf(g, "quasipoints", lambda a, c: cmd_stone(a, c, True), "dot")
     p.add_argument("--lattice", "--input", "-i", required=True)
-    p = leaf(g, "dual-ideals", lambda a, c: cmd_stone(a, c, False))
+    p = leaf(g, "dual-ideals", lambda a, c: cmd_stone(a, c, False), "dot")
     p.add_argument("--lattice", "--input", "-i", required=True)
 
     g = groups.add_parser("spectral").add_subparsers(dest="command",
@@ -506,17 +517,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     g = groups.add_parser("vn").add_subparsers(dest="command", required=True)
-    p = leaf(g, "spectral-family", cmd_vn_spectral_family)
+    p = leaf(g, "spectral-family", cmd_vn_spectral_family, "tol")
     p.add_argument("matrix")
-    p = leaf(g, "order", cmd_vn_order)
+    p = leaf(g, "order", cmd_vn_order, "tol")
     p.add_argument("a")
     p.add_argument("b")
-    p = leaf(g, "restrict", cmd_vn_restrict)
+    p = leaf(g, "restrict", cmd_vn_restrict, "tol")
     p.add_argument("--algebra", required=True)
     p.add_argument("--op", required=True)
     p.add_argument("--map", choices=("rho", "sigma"), required=True)
     p.add_argument("--out")
-    p = leaf(g, "core", cmd_vn_core)
+    p = leaf(g, "core", cmd_vn_core, "tol")
     p.add_argument("--algebra", required=True)
     p.add_argument("--proj", required=True)
 
@@ -536,22 +547,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = groups.add_parser("context").add_subparsers(dest="command",
                                                     required=True)
-    p = leaf(g, "glue", cmd_context_glue)
+    p = leaf(g, "glue", cmd_context_glue, "tol")
     p.add_argument("--diagram", required=True)
     p.add_argument("--sections", required=True)
-    p = leaf(g, "from-operator", cmd_context_from_operator)
+    p = leaf(g, "from-operator", cmd_context_from_operator, "tol")
     p.add_argument("--op", required=True)
     p.add_argument("--diagram", required=True)
     p.add_argument("--out")
 
     g = groups.add_parser("presheaf").add_subparsers(dest="command",
                                                      required=True)
-    p = leaf(g, "check", cmd_presheaf_check)
+    p = leaf(g, "check", cmd_presheaf_check, "cap")
     p.add_argument("--input", "-i", required=True)
-    p = leaf(g, "sheafify", cmd_presheaf_sheafify)
+    p = leaf(g, "sheafify", cmd_presheaf_sheafify, "cap")
     p.add_argument("--input", "-i", required=True)
 
-    p = leaf(groups, "suite", cmd_suite)
+    leaf(groups, "suite", cmd_suite, "seed")
     return top
 
 
@@ -605,6 +616,12 @@ def main(argv=None) -> int:
     except ObslatError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush at
+        # interpreter exit does not raise again (the recipe in the docs of
+        # Python's signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 from .classical import FiniteTopSpace
 from .context import ContextDiagram, diagram
 from .corpus import standard_lattices
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .lattice import FiniteOrthoLattice, mask_from
 from .observables import ObservableFunction, observable
 from .presheaf import (LatticePresheaf, function_presheaf, spectral_presheaf)
@@ -275,17 +275,13 @@ def load_space(ref, referrer: Path | None = None) -> FiniteTopSpace:
     raise InputError("a space file needs 'opens' or 'min_neighborhoods'")
 
 
-def space_to_json(space: FiniteTopSpace, max_opens: int = 1024) -> dict:
+def space_to_json(space: FiniteTopSpace) -> dict:
     """Prefer the opens list; fall back to minimal neighborhoods when the
-    open-set lattice is too large to enumerate."""
+    space has more than 1024 open sets."""
     out: dict = {"points": list(space.points)}
     try:
-        opens = space.opens(cap=max_opens)
-    except Exception:
-        opens = None
-    if opens is not None:
-        out["opens"] = [space.set_names(u) for u in opens]
-    else:
+        out["opens"] = [space.set_names(u) for u in space.opens(cap=1024)]
+    except ResourceError:
         out["min_neighborhoods"] = {
             p: space.set_names(space.nb_masks[i])
             for i, p in enumerate(space.points)}
@@ -308,9 +304,9 @@ def load_top_family(ref, referrer: Path | None = None):
         unbounded_above=bool(data.get("unbounded_above", False)))
 
 
-def top_family_to_json(family, space_ref: str | None = None) -> dict:
+def top_family_to_json(family) -> dict:
     space = family.space
-    out: dict = {"space": space_ref or space_to_json(space),
+    out: dict = {"space": space_to_json(space),
                  "breakpoints": [[lam, space.set_names(mask)]
                                  for lam, mask in family.breakpoints]}
     if family.base:

@@ -282,17 +282,15 @@ class FiniteOrthoLattice:
 
     # -- sublattices ---------------------------------------------------------
 
-    def sublattice(self, members: Iterable[int], with_ortho: bool | None = None
+    def sublattice(self, members: Iterable[int]
                    ) -> tuple["FiniteOrthoLattice", list[int]]:
         """Induced lattice on ``members``; returns (sub, parent index per sub index).
 
         ``members`` must contain bottom and top and be closed under binary meet
-        and join.  With ``with_ortho`` (default: whenever the parent has one)
-        closure under the orthocomplement is required as well.
+        and join.  When the parent has an orthocomplement, closure under it is
+        required as well, and the sublattice keeps it.
         """
         mem = sorted(set(int(m) for m in members))
-        if with_ortho is None:
-            with_ortho = self.ortho is not None
         if self.zero not in mem or self.one not in mem:
             raise PreconditionError("sublattice must contain bottom and top",
                                     witness=[self.names[self.zero], self.names[self.one]])
@@ -308,9 +306,7 @@ class FiniteOrthoLattice:
                         "subset not closed under join",
                         witness=[self.names[a], self.names[b]])
         ortho = None
-        if with_ortho:
-            if self.ortho is None:
-                raise PreconditionError("parent lattice has no orthocomplementation")
+        if self.ortho is not None:
             for a in mem:
                 if self.ortho[a] not in pos:
                     raise PreconditionError("subset not closed under ortho",

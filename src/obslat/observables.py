@@ -69,11 +69,6 @@ class ObservableFunction:
         return {self.lattice.names[a]: self.values[a] for a in self.domain()}
 
 
-# The element picture's name for the same table: real values on nonzero
-# elements meant to turn joins into maxima.
-CompletelyIncreasingFunction = ObservableFunction
-
-
 def observable(lattice: FiniteOrthoLattice, values: dict[int, float],
                top: int | None = None, checked: bool = True
                ) -> ObservableFunction:
@@ -243,11 +238,11 @@ def _rebuild(f: ObservableFunction) -> SpectralFamily:
 # -- completely increasing element functions --------------------------------
 
 def increasing_function(lattice: FiniteOrthoLattice, values: dict[int, float],
-                        top: int | None = None) -> CompletelyIncreasingFunction:
+                        top: int | None = None) -> ObservableFunction:
     return observable(lattice, values, top=top, checked=False)
 
 
-def check_completely_increasing(r: CompletelyIncreasingFunction
+def check_completely_increasing(r: ObservableFunction
                                 ) -> tuple[bool, dict | None]:
     """r(a join b) == max(r(a), r(b)) on all pairs; pairs decide all finite
     joins by the same chaining argument as the intersection condition."""
@@ -264,12 +259,12 @@ def check_completely_increasing(r: CompletelyIncreasingFunction
         "sup_of_values": max(r.values[a], r.values[b])}
 
 
-def r_from_f(f: ObservableFunction) -> CompletelyIncreasingFunction:
+def r_from_f(f: ObservableFunction) -> ObservableFunction:
     """The element picture: r(P) = f(up-set of P), the same table."""
     return f
 
 
-def f_from_r(r: CompletelyIncreasingFunction, ideal: DualIdeal) -> float:
+def f_from_r(r: ObservableFunction, ideal: DualIdeal) -> float:
     """min of r over the ideal's members (the ideal is nonempty)."""
     members = ideal.members()
     if not members:
@@ -277,7 +272,7 @@ def f_from_r(r: CompletelyIncreasingFunction, ideal: DualIdeal) -> float:
     return min(r.at(p) for p in members)
 
 
-def observable_from_increasing(r: CompletelyIncreasingFunction
+def observable_from_increasing(r: ObservableFunction
                                ) -> tuple[ObservableFunction, bool, dict | None]:
     """Full table of f_r plus the completely-increasing verdict.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InputError, PreconditionError
 from .lattice import FiniteOrthoLattice
@@ -139,28 +139,12 @@ def restrict_family(family: SpectralFamily, a: int) -> SpectralFamily:
         lat, [(lam, lat.meet(e, a)) for lam, e in family.breakpoints], new_top)
 
 
-def family_to_dict(family: SpectralFamily) -> dict:
-    return {"breakpoints": [[lam, family.lattice.names[e]]
-                            for lam, e in family.breakpoints]}
-
-
-def family_from_pairs_named(lattice: FiniteOrthoLattice,
-                            pairs: Sequence[Sequence], top: str | None = None
-                            ) -> SpectralFamily:
-    idx_pairs = [(float(lam), lattice.index(str(name))) for lam, name in pairs]
-    return spectral_family(
-        lattice, idx_pairs,
-        top=None if top is None else lattice.index(top))
-
-
-def sample_family(lattice: FiniteOrthoLattice, rng,
-                  max_steps: int = 4,
-                  grid: Sequence[float] | None = None) -> SpectralFamily:
-    """Random bounded family: a random chain up to top with grid breakpoints."""
-    if grid is None:
-        grid = [round(-2.0 + 0.25 * i, 2) for i in range(21)]
+def sample_family(lattice: FiniteOrthoLattice, rng) -> SpectralFamily:
+    """Random bounded family: a random chain of at most 4 elements up to top,
+    with breakpoints drawn from the grid -2, -1.75, ..., 2."""
+    grid = [round(-2.0 + 0.25 * i, 2) for i in range(21)]
     chain = [lattice.one]
-    while len(chain) < max_steps:
+    while len(chain) < 4:
         below = [e for e in range(lattice.n)
                  if e not in (lattice.zero, chain[-1])
                  and lattice.le(e, chain[-1])]
@@ -168,5 +152,5 @@ def sample_family(lattice: FiniteOrthoLattice, rng,
             break
         chain.append(below[rng.randrange(len(below))])
     chain.reverse()
-    lams = sorted(rng.sample(list(grid), len(chain)))
+    lams = sorted(rng.sample(grid, len(chain)))
     return spectral_family(lattice, list(zip(lams, chain)))

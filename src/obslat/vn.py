@@ -500,10 +500,10 @@ def atomic_value(a, x, tol: Tolerances = TOL) -> float:
 
 # -- samplers -----------------------------------------------------------------
 
-def random_hermitian(rng, dim: int, scale: float = 1.0) -> np.ndarray:
-    re = np.array([[rng.gauss(0.0, scale) for _ in range(dim)]
+def random_hermitian(rng, dim: int) -> np.ndarray:
+    re = np.array([[rng.gauss(0.0, 1.0) for _ in range(dim)]
                    for _ in range(dim)])
-    im = np.array([[rng.gauss(0.0, scale) for _ in range(dim)]
+    im = np.array([[rng.gauss(0.0, 1.0) for _ in range(dim)]
                    for _ in range(dim)])
     m = re + 1j * im
     return (m + m.conj().T) / 2

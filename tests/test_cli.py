@@ -1,5 +1,9 @@
 """Command line behavior: exit codes, JSON payloads, file outputs."""
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,7 +12,7 @@ import pytest
 
 from obslat import jsonio
 from obslat.lattice import bits
-from obslat.cli import _matrix_lines, _merge_grid_flag, main
+from obslat.cli import _matrix_lines, _merge_grid_flag, build_parser, main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -520,3 +524,70 @@ def test_a_cap_of_one_is_honoured(capsys, command, error):
                          "-i", c("presheaf_mo2.json"), "--cap", "1")
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": error, "witness": {"cap": 1}}
+
+
+def _leaves(parser, path=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+LEAVES = dict(_leaves(build_parser()))
+SHARED = {"--format", "--seed", "--tol", "--cap", "--dot"}
+OPTIONS = {("lattice", "check"): {"--dot"},
+           ("stone", "quasipoints"): {"--dot"},
+           ("stone", "dual-ideals"): {"--dot"},
+           ("vn", "spectral-family"): {"--tol"}, ("vn", "order"): {"--tol"},
+           ("vn", "restrict"): {"--tol"}, ("vn", "core"): {"--tol"},
+           ("context", "glue"): {"--tol"},
+           ("context", "from-operator"): {"--tol"},
+           ("presheaf", "check"): {"--cap"},
+           ("presheaf", "sheafify"): {"--cap"},
+           ("suite",): {"--seed"}}
+
+
+def test_the_option_table_names_leaves():
+    assert set(OPTIONS) <= set(LEAVES) and len(LEAVES) == 22
+
+
+@pytest.mark.parametrize("path", sorted(LEAVES), ids=" ".join)
+def test_each_subcommand_takes_only_the_options_it_reads(path):
+    flags = {f for a in LEAVES[path]._actions for f in a.option_strings}
+    assert {"-h", "--format"} <= flags
+    assert flags & SHARED == {"--format"} | OPTIONS.get(path, set())
+
+
+@pytest.mark.parametrize("argv", [
+    ("context", "glue", "--diagram", c("diagram_qubit.json"),
+     "--sections", c("section_operator.json"), "--cap", "5"),
+    ("stone", "dual-ideals", "--lattice", "b3", "--seed", "3"),
+    ("obs", "check", "--table", c("table_mo2.json"), "--tol", "sub=1"),
+])
+def test_an_option_the_subcommand_does_not_take_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(CORPUS.parent / "src")] + ([env["PYTHONPATH"]]
+                                        if env.get("PYTHONPATH") else []))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "obslat.cli", "stone", "dual-ideals",
+             "--lattice", "b4"], stdout=write_end, stderr=subprocess.PIPE,
+            env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 1

@@ -164,6 +164,12 @@ def test_space_round_trip_both_forms():
                                 "3": ["1", "2", "3"]}}
     from_nb = jsonio.load_space(nb)
     assert from_nb.nb_masks == sp.nb_masks
+
+    # 2048 open sets, over the 1024 the opens list may hold
+    big = classical.discrete_space([str(i) for i in range(11)])
+    blob = jsonio.space_to_json(big)
+    assert "opens" not in blob and len(blob["min_neighborhoods"]) == 11
+    assert jsonio.load_space(blob).nb_masks == big.nb_masks
     with pytest.raises(InputError):
         jsonio.load_space({"points": ["1"], "opens": [["ghost"]]})
     with pytest.raises(InputError):

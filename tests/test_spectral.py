@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obslat import corpus, spectral, stone
+from obslat import corpus
 from obslat.errors import InputError
 from obslat.spectral import (constant_family, projection_family,
                              restrict_family, sample_family, spectral_family)
@@ -93,14 +93,6 @@ def test_constant_and_projection_families(lattices):
     assert z.breakpoints == ((0.0, b2.one),)
     i = projection_family(b2, b2.one)
     assert i.breakpoints == ((1.0, b2.one),)
-
-
-def test_family_to_dict_roundtrip(lattices):
-    mo2 = lattices["mo2"]
-    fam = spectral_family(mo2, [(1.0, mo2.index("a")), (2.0, mo2.one)])
-    d = spectral.family_to_dict(fam)
-    back = spectral.family_from_pairs_named(mo2, d["breakpoints"])
-    assert back.breakpoints == fam.breakpoints
 
 
 @settings(max_examples=80, deadline=None)
