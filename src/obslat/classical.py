@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceError
-from .lattice import FiniteOrthoLattice, bits, mask_from
+from .lattice import ELEMENT_CAP, FiniteOrthoLattice, bits, mask_from
 from .spectral import _canonical_steps, _step_value, spectral_family
 
 OPENS_CAP = 4096
@@ -116,7 +116,8 @@ class FiniteTopSpace:
         return out
 
     def opens(self, cap: int = OPENS_CAP) -> list[int]:
-        """All open sets (enumerated once, ascending as integers)."""
+        """All open sets (enumerated once, ascending as integers); more than
+        cap of them is a ResourceError, whether enumerated now or before."""
         if self._opens is None:
             found = {0}
             frontier = [0]
@@ -131,6 +132,8 @@ class FiniteTopSpace:
                         found.add(v)
                         frontier.append(v)
             self._opens = sorted(found)
+        if len(self._opens) > cap:
+            raise ResourceError(f"more than {cap} open sets")
         return self._opens
 
     def nb_classes(self) -> list[int]:
@@ -364,14 +367,14 @@ def sublevel_regularization_gap(space: FiniteTopSpace,
 
 # -- bridges and corpora ---------------------------------------------------------
 
-def open_set_lattice(space: FiniteTopSpace, cap: int = 64
+def open_set_lattice(space: FiniteTopSpace
                      ) -> tuple[FiniteOrthoLattice, list[int]]:
     """The lattice of open sets (no orthocomplement), with the open mask per
     lattice element."""
     opens = space.opens()
-    if len(opens) > cap:
+    if len(opens) > ELEMENT_CAP:
         raise ResourceError(
-            f"{len(opens)} open sets exceed the lattice cap {cap}")
+            f"{len(opens)} open sets exceed the lattice cap {ELEMENT_CAP}")
     opens = sorted(opens, key=lambda u: (u.bit_count(), u))
     names = ["{" + ",".join(space.set_names(u)) + "}" for u in opens]
     size = len(opens)
@@ -379,10 +382,10 @@ def open_set_lattice(space: FiniteTopSpace, cap: int = 64
     for i, u in enumerate(opens):
         for j, v in enumerate(opens):
             leq[i, j] = u & v == u
-    return FiniteOrthoLattice(names, leq, ortho=None, cap=cap), opens
+    return FiniteOrthoLattice(names, leq, ortho=None), opens
 
 
-def lattice_family_of(family: TopSpectralFamily, cap: int = 64):
+def lattice_family_of(family: TopSpectralFamily):
     """The same family as a lattice-valued one over the open-set lattice."""
     if family.unbounded_above:
         raise PreconditionError("lattice form needs a bounded family")
@@ -390,7 +393,7 @@ def lattice_family_of(family: TopSpectralFamily, cap: int = 64):
         raise PreconditionError(
             "lattice form models empty-based families only",
             witness=family.space.set_names(family.base))
-    lat, opens = open_set_lattice(family.space, cap)
+    lat, opens = open_set_lattice(family.space)
     pos = {u: i for i, u in enumerate(opens)}
     return spectral_family(
         lat, [(lam, pos[u]) for lam, u in family.breakpoints]), lat, opens

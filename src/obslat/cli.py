@@ -424,7 +424,7 @@ def cmd_presheaf_check(args, cfg: RunConfig) -> int:
 def cmd_presheaf_sheafify(args, cfg: RunConfig) -> int:
     ps, meta = jsonio.load_presheaf(args.input)
     sheafified, base, masks = presheaf_mod.sheafify(
-        ps, cap=4096 if cfg.cap is None else cfg.cap)
+        ps, cap=presheaf_mod.SECTION_CAP if cfg.cap is None else cfg.cap)
     sizes = {base.names[a]: len(sheafified.values_at(a))
              for a in range(base.n)}
     laws_ok, _ = presheaf_mod.check_presheaf(sheafified)

@@ -69,6 +69,16 @@ def _real(v, key: str) -> float:
                          witness={"key": key, "value": v}) from None
 
 
+def _reals(data: dict, key: str) -> list[float]:
+    """data[key], absent read as empty, as a list of reals; a non-list is an
+    InputError naming the key, and each item is read by _real."""
+    items = data.get(key, [])
+    if not isinstance(items, list):
+        raise InputError("expected a list",
+                         witness={"key": key, "value": items})
+    return [_real(v, f"{key}[{k}]") for k, v in enumerate(items)]
+
+
 def _dimension(v, key: str) -> int | None:
     """A matrix dimension read from a file: absent, or a positive integer;
     anything else is an InputError naming the key it came from."""
@@ -401,13 +411,12 @@ def load_presheaf(ref, referrer: Path | None = None
     kind = str(data["kind"])
     if kind == "spectral":
         lat = load_lattice(data.get("lattice"), path)
-        grid = [_real(g, f"grid[{k}]")
-                for k, g in enumerate(data.get("grid", []))]
+        grid = _reals(data, "grid")
         ps = spectral_presheaf(lat, grid)
         return ps, {"kind": kind, "lattice": lat, "grid": grid}
     if kind == "functions":
         space = load_space(data.get("space"), path)
-        values = list(data.get("values", []))
+        values = _reals(data, "values")
         if not values:
             raise InputError("a function presheaf needs a 'values' list")
         ps, lat, opens = function_presheaf(space, values)

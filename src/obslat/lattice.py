@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError, ResourceError
 
-DEFAULT_ELEMENT_CAP = 64
+ELEMENT_CAP = 64
 
 
 class FiniteOrthoLattice:
@@ -33,8 +33,7 @@ class FiniteOrthoLattice:
     """
 
     def __init__(self, names: Sequence[str], leq: np.ndarray,
-                 ortho: Sequence[int] | None = None,
-                 cap: int = DEFAULT_ELEMENT_CAP):
+                 ortho: Sequence[int] | None = None):
         names = tuple(str(s) for s in names)
         n = len(names)
         if n == 0:
@@ -42,15 +41,14 @@ class FiniteOrthoLattice:
         if len(set(names)) != n:
             raise InputError("duplicate element names", witness=sorted(
                 s for s in set(names) if list(names).count(s) > 1))
-        if n > cap:
-            raise ResourceError(
-                f"{n} elements exceeds cap {cap}", witness={"n": n, "cap": cap})
+        if n > ELEMENT_CAP:
+            raise ResourceError(f"{n} elements exceeds cap {ELEMENT_CAP}",
+                                witness={"n": n, "cap": ELEMENT_CAP})
         leq = np.asarray(leq, dtype=bool)
         if leq.shape != (n, n):
             raise InputError(f"leq matrix must be {n}x{n}")
         self.names = names
         self.leq = _transitive_reflexive_closure(leq)
-        self.cap = cap
 
         bad = np.argwhere(self.leq & self.leq.T & ~np.eye(n, dtype=bool))
         if bad.size:
@@ -75,8 +73,8 @@ class FiniteOrthoLattice:
     @classmethod
     def from_relation(cls, names: Sequence[str],
                       pairs: Iterable[tuple[str, str]],
-                      ortho_pairs: dict[str, str] | None = None,
-                      cap: int = DEFAULT_ELEMENT_CAP) -> "FiniteOrthoLattice":
+                      ortho_pairs: dict[str, str] | None = None
+                      ) -> "FiniteOrthoLattice":
         """Build from named order pairs (any relation whose closure is the order).
 
         ``ortho_pairs`` may be partial; it is symmetrized, and bottom/top are
@@ -91,7 +89,7 @@ class FiniteOrthoLattice:
                 raise InputError(f"leq pair ({a!r}, {b!r}) names unknown element",
                                  witness=[a, b])
             rel[index[a], index[b]] = True
-        lat = cls(names, rel, ortho=None, cap=cap)
+        lat = cls(names, rel, ortho=None)
         if ortho_pairs is not None:
             omap: dict[int, int] = {lat.zero: lat.one, lat.one: lat.zero}
             for a, b in ortho_pairs.items():
@@ -313,8 +311,7 @@ class FiniteOrthoLattice:
                                             witness=self.names[a])
             ortho = [pos[self.ortho[a]] for a in mem]
         sub = FiniteOrthoLattice([self.names[m] for m in mem],
-                                 self.leq[np.ix_(mem, mem)], ortho=ortho,
-                                 cap=self.cap)
+                                 self.leq[np.ix_(mem, mem)], ortho=ortho)
         return sub, mem
 
     # -- export --------------------------------------------------------------

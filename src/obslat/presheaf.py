@@ -7,16 +7,18 @@ compatible families, so it is guarded by a work cap.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, product as iproduct
 
 from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
-from .lattice import FiniteOrthoLattice, bits, mask_from
-from .spectral import restrict_family, spectral_family
+from .lattice import FiniteOrthoLattice, bits
+from .spectral import spectral_family
 from .stone import DualIdeal
 
 WORK_CAP = 200_000
+SECTION_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def germ(ps: LatticePresheaf, quasipoint: DualIdeal, a: int, value):
     return ps.restrict(t, a, value)
 
 
-def sheafify(ps: LatticePresheaf, cap: int = 4096
+def sheafify(ps: LatticePresheaf, cap: int = SECTION_CAP
              ) -> tuple[LatticePresheaf, FiniteOrthoLattice, list[int]]:
     """The presheaf of sections of the germ bundle over the (discrete,
     finite) space of maximal dual ideals: on a set of quasipoints, a section
@@ -203,38 +205,45 @@ def sheafify(ps: LatticePresheaf, cap: int = 4096
     over the powerset lattice of the quasipoints, whose element index is the
     subset bitmask."""
     from .stone import enumerate_quasipoints
-    lat = ps.lattice
-    qs = enumerate_quasipoints(lat)
+    qs = enumerate_quasipoints(ps.lattice)
     base = boolean_algebra(len(qs))
-    total = 1
-    for q in qs:
-        total *= max(1, len(stalk(ps, q)[1]))
-        if total > cap:
-            raise ResourceError("sheafification exceeds the size cap",
-                                witness={"cap": cap})
-    sections: dict[int, list] = {}
-    for mask in range(base.n):
-        members = bits(mask)
-        stalks = [stalk(ps, qs[i])[1] for i in members]
-        sections[mask] = [tuple(zip(members, combo))
-                          for combo in iproduct(*stalks)]
-    restrictions: dict[tuple[int, int], dict] = {}
-    for big in range(base.n):
-        for small in range(base.n):
-            if small == big or (small & big) != small:
-                continue
-            keep = set(bits(small))
-            table = {}
-            for v in sections[big]:
-                table[v] = tuple((i, g) for i, g in v if i in keep)
-            restrictions[(small, big)] = table
-    atom_names = [lat.names[q.generator()] for q in qs]
+    atom_names = [ps.lattice.names[q.generator()] for q in qs]
 
     def describe(v):
         return [[atom_names[i], ps.section_repr(g)] for i, g in v]
 
-    sheaf = lattice_presheaf(base, sections, restrictions, describe)
+    sheaf = _bundle(base, range(base.n), [stalk(ps, q)[1] for q in qs],
+                    describe, cap, "sheafification exceeds the size cap")
     return sheaf, base, [q.mask for q in qs]
+
+
+def _tables(lattice: FiniteOrthoLattice, sections, rule) -> dict:
+    """The restriction table {v: rule(a, b, v)} over the sections at b, for
+    every pair a < b."""
+    return {(a, b): {v: rule(a, b, v) for v in sections[b]}
+            for b in range(lattice.n) for a in range(lattice.n)
+            if a != b and lattice.le(a, b)}
+
+
+def _bundle(lattice: FiniteOrthoLattice, masks, fibers, describe, cap: int,
+            message: str) -> LatticePresheaf:
+    """Sections of a finite bundle: over element a, one value from each
+    point's fiber for every point in masks[a], as (point, value) tuples;
+    restriction keeps the points in the smaller mask.  Raises before
+    building anything once the sections over all points would pass cap."""
+    if math.prod(max(1, len(fiber)) for fiber in fibers) > cap:
+        raise ResourceError(message, witness={"cap": cap})
+    sections = {}
+    for a in range(lattice.n):
+        pts = bits(masks[a])
+        sections[a] = [tuple(zip(pts, combo))
+                       for combo in iproduct(*(fibers[p] for p in pts))]
+
+    def keep(a, b, v):
+        return tuple((p, g) for p, g in v if masks[a] >> p & 1)
+
+    return lattice_presheaf(lattice, sections,
+                            _tables(lattice, sections, keep), describe)
 
 
 # -- concrete presheaves ---------------------------------------------------------
@@ -243,39 +252,29 @@ _ZERO_SENTINEL = ("*",)
 
 
 def spectral_presheaf(lattice: FiniteOrthoLattice, grid,
-                      cap: int = 4096) -> LatticePresheaf:
+                      cap: int = SECTION_CAP) -> LatticePresheaf:
     """Sections over a: bounded families with top a and breakpoints drawn
     from the grid; restriction is the pointwise meet.  The bottom element
     carries a one-point sentinel set (there are no families over it)."""
     grid = sorted(set(float(g) for g in grid))
     if not grid:
         raise InputError("need a nonempty breakpoint grid")
-    sections: dict[int, list] = {}
-    for a in range(lattice.n):
+    sections = {a: [_ZERO_SENTINEL] if a == lattice.zero
+                else _families_with_top(lattice, a, grid, cap)
+                for a in range(lattice.n)}
+
+    def restrict(a, b, fam):
         if a == lattice.zero:
-            sections[a] = [_ZERO_SENTINEL]
-            continue
-        fams = _families_with_top(lattice, a, grid, cap)
-        sections[a] = fams
-    restrictions: dict[tuple[int, int], dict] = {}
-    for b in range(lattice.n):
-        for a in range(lattice.n):
-            if a == b or not lattice.le(a, b):
-                continue
-            table = {}
-            for fam in sections[b]:
-                if a == lattice.zero:
-                    table[fam] = _ZERO_SENTINEL
-                else:
-                    table[fam] = _restrict_key(lattice, fam, a)
-            restrictions[(a, b)] = table
+            return _ZERO_SENTINEL
+        return _restrict_key(lattice, fam, a)
 
     def describe(fam):
         if fam == _ZERO_SENTINEL:
             return "*"
         return [[lam, lattice.names[e]] for lam, e in fam]
 
-    return lattice_presheaf(lattice, sections, restrictions, describe)
+    return lattice_presheaf(lattice, sections,
+                            _tables(lattice, sections, restrict), describe)
 
 
 def _families_with_top(lattice, top, grid, cap) -> list:
@@ -305,10 +304,10 @@ def _families_with_top(lattice, top, grid, cap) -> list:
 
 
 def _restrict_key(lattice, fam_key, a):
-    fam = spectral_family(lattice, list(fam_key),
-                          top=fam_key[-1][1])
-    sub = restrict_family(fam, a)
-    return tuple(sub.breakpoints)
+    """Meet every breakpoint of a section over b >= a with a."""
+    fam = spectral_family(
+        lattice, [(lam, lattice.meet(e, a)) for lam, e in fam_key], top=a)
+    return fam.breakpoints
 
 
 def function_presheaf(space, values) -> tuple[LatticePresheaf,
@@ -317,24 +316,10 @@ def function_presheaf(space, values) -> tuple[LatticePresheaf,
     list, restriction by forgetting points.  A genuine sheaf."""
     from .classical import open_set_lattice
     lat, opens = open_set_lattice(space)
-    values = list(values)
-    sections: dict[int, list] = {}
-    for i, u in enumerate(opens):
-        pts = bits(u)
-        sections[i] = [tuple(zip(pts, combo))
-                       for combo in iproduct(values, repeat=len(pts))]
-    restrictions: dict[tuple[int, int], dict] = {}
-    for bi in range(lat.n):
-        for ai in range(lat.n):
-            if ai == bi or not lat.le(ai, bi):
-                continue
-            keep = set(bits(opens[ai]))
-            restrictions[(ai, bi)] = {
-                v: tuple((p, g) for p, g in v if p in keep)
-                for v in sections[bi]}
 
     def describe(v):
         return [[space.points[p], g] for p, g in v]
 
-    ps = lattice_presheaf(lat, sections, restrictions, describe)
+    ps = _bundle(lat, opens, [list(values)] * len(space.points), describe,
+                 SECTION_CAP, "too many sections; shrink the values list")
     return ps, lat, opens

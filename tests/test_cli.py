@@ -526,6 +526,34 @@ def test_a_cap_of_one_is_honoured(capsys, command, error):
     assert json.loads(err) == {"error": error, "witness": {"cap": 1}}
 
 
+SIX_POINTS = {"points": list("abcdef"),
+              "min_neighborhoods": {p: [p] for p in "abcdef"}}
+
+
+@pytest.mark.parametrize("data, error, witness", [
+    ({"kind": "spectral", "lattice": "mo2", "grid": 3},
+     "expected a list", {"key": "grid", "value": 3}),
+    ({"kind": "functions", "space": c("space_sierpinski.json"), "values": 3},
+     "expected a list", {"key": "values", "value": 3}),
+    ({"kind": "functions", "space": c("space_sierpinski.json"),
+      "values": [[0, 1], 2]},
+     "expected a real number", {"key": "values[0]", "value": [0, 1]}),
+    ({"kind": "functions", "space": SIX_POINTS, "values": [0, 1, 2, 3, 4]},
+     "too many sections; shrink the values list", {"cap": 4096}),
+], ids=["grid-not-a-list", "values-not-a-list", "value-not-a-real",
+        "sections-over-the-cap"])
+def test_bad_presheaf_files_exit_2_at_once(capsys, tmp_path, data, error,
+                                           witness):
+    path = tmp_path / "presheaf.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "presheaf", "check", "-i", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err, parse_constant=pytest.fail) == {
+        "error": error, "witness": witness}
+
+
 def _leaves(parser, path=()):
     subs = [a for a in parser._actions
             if isinstance(a, argparse._SubParsersAction)]

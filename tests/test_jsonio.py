@@ -176,6 +176,14 @@ def test_space_round_trip_both_forms():
         jsonio.load_space({"points": ["1"]})
 
 
+def test_space_to_json_does_not_depend_on_call_history():
+    names = [str(i) for i in range(11)]
+    fresh = classical.discrete_space(names)
+    used = classical.discrete_space(names)
+    assert len(used.opens()) == 2048
+    assert jsonio.space_to_json(used) == jsonio.space_to_json(fresh)
+
+
 def test_top_family_round_trip():
     sp = classical.sierpinski3()
     fam = classical.top_spectral_family(sp, [(0.5, 0b001), (1.5, 0b111)])

@@ -1,9 +1,13 @@
 """Presheaves on lattices: laws, gluing, stalks, sheafification."""
+from itertools import product as iproduct
+
 import pytest
 
 from obslat import classical, presheaf, stone
-from obslat.corpus import standard_lattices
+from obslat.corpus import boolean_algebra, standard_lattices
 from obslat.errors import InputError, PreconditionError, ResourceError
+from obslat.lattice import bits
+from obslat.spectral import restrict_family, spectral_family
 
 
 def _chain2_presheaf(break_what=None):
@@ -107,7 +111,7 @@ def test_spectral_presheaf_restriction_is_pointwise_meet():
     a = mo2.names.index("a")
     for fam in ps.values_at(top):
         got = ps.restrict(a, top, fam)
-        want = presheaf._restrict_key(mo2, fam, a)
+        want = restrict_family(spectral_family(mo2, fam), a).breakpoints
         assert got == want
         # restriction to the bottom collapses to the sentinel
         assert ps.restrict(mo2.zero, top, fam) == presheaf._ZERO_SENTINEL
@@ -191,3 +195,97 @@ def test_resource_caps():
         presheaf.spectral_presheaf(mo2, [0.1 * k for k in range(10)], cap=10)
     with pytest.raises(InputError):
         presheaf.spectral_presheaf(mo2, [])
+    six = classical.discrete_space("abcdef")
+    with pytest.raises(ResourceError):
+        presheaf.function_presheaf(six, [0.0, 1.0, 2.0, 3.0, 4.0])
+
+
+# -- the builders as they stood before the shared bundle, kept as oracles --
+
+def _oracle_function_presheaf(space, values):
+    from obslat.classical import open_set_lattice
+    lat, opens = open_set_lattice(space)
+    values = list(values)
+    sections: dict[int, list] = {}
+    for i, u in enumerate(opens):
+        pts = bits(u)
+        sections[i] = [tuple(zip(pts, combo))
+                       for combo in iproduct(values, repeat=len(pts))]
+    restrictions: dict[tuple[int, int], dict] = {}
+    for bi in range(lat.n):
+        for ai in range(lat.n):
+            if ai == bi or not lat.le(ai, bi):
+                continue
+            keep = set(bits(opens[ai]))
+            restrictions[(ai, bi)] = {
+                v: tuple((p, g) for p, g in v if p in keep)
+                for v in sections[bi]}
+
+    def describe(v):
+        return [[space.points[p], g] for p, g in v]
+
+    ps = presheaf.lattice_presheaf(lat, sections, restrictions, describe)
+    return ps, lat, opens
+
+
+def _oracle_sheafify(ps, cap=4096):
+    from obslat.stone import enumerate_quasipoints
+    lat = ps.lattice
+    qs = enumerate_quasipoints(lat)
+    base = boolean_algebra(len(qs))
+    total = 1
+    for q in qs:
+        total *= max(1, len(presheaf.stalk(ps, q)[1]))
+        if total > cap:
+            raise ResourceError("sheafification exceeds the size cap",
+                                witness={"cap": cap})
+    sections: dict[int, list] = {}
+    for mask in range(base.n):
+        members = bits(mask)
+        stalks = [presheaf.stalk(ps, qs[i])[1] for i in members]
+        sections[mask] = [tuple(zip(members, combo))
+                          for combo in iproduct(*stalks)]
+    restrictions: dict[tuple[int, int], dict] = {}
+    for big in range(base.n):
+        for small in range(base.n):
+            if small == big or (small & big) != small:
+                continue
+            keep = set(bits(small))
+            table = {}
+            for v in sections[big]:
+                table[v] = tuple((i, g) for i, g in v if i in keep)
+            restrictions[(small, big)] = table
+    atom_names = [lat.names[q.generator()] for q in qs]
+
+    def describe(v):
+        return [[atom_names[i], ps.section_repr(g)] for i, g in v]
+
+    sheaf = presheaf.lattice_presheaf(base, sections, restrictions, describe)
+    return sheaf, base, [q.mask for q in qs]
+
+
+def _assert_same_presheaf(got, want):
+    assert got.sections == want.sections
+    assert got.restrictions == want.restrictions
+    assert [got.section_repr(v) for s in got.sections for v in s] == \
+        [want.section_repr(v) for s in want.sections for v in s]
+
+
+@pytest.mark.parametrize("space", [
+    classical.sierpinski3(), classical.discrete_space("ab"),
+    classical.discrete_space("abc"), classical.digital_line(2),
+], ids=["sierpinski3", "discrete2", "discrete3", "digital_line2"])
+def test_function_presheaf_matches_the_oracle(space):
+    got, lat, opens = presheaf.function_presheaf(space, [0.0, 1.0])
+    want, want_lat, want_opens = _oracle_function_presheaf(space, [0.0, 1.0])
+    assert opens == want_opens and lat.names == want_lat.names
+    _assert_same_presheaf(got, want)
+
+
+@pytest.mark.parametrize("name", ["mo2", "b2", "mo3"])
+def test_sheafify_matches_the_oracle(name):
+    ps = presheaf.spectral_presheaf(standard_lattices()[name], [0.0, 1.0])
+    got, base, masks = presheaf.sheafify(ps)
+    want, want_base, want_masks = _oracle_sheafify(ps)
+    assert masks == want_masks and base.names == want_base.names
+    _assert_same_presheaf(got, want)
