@@ -74,13 +74,16 @@ def lattice_presheaf(lattice: FiniteOrthoLattice, sections: dict[int, list],
 
 def check_presheaf(ps: LatticePresheaf) -> tuple[bool, dict | None]:
     """Totality of every downward map, identity on equal endpoints, and
-    composition along all chains a <= b <= c."""
+    composition along all chains a <= b <= c.  Once every map is total, a
+    chain with two equal members composes trivially, so only the strict
+    chains a < b < c are compared, read straight from the tables."""
     lat = ps.lattice
+    tabs = ps.restrictions
     for b in range(lat.n):
         for a in range(lat.n):
             if a == b or not lat.le(a, b):
                 continue
-            table = ps.restrictions.get((a, b))
+            table = tabs.get((a, b))
             if table is None:
                 return False, {"kind": "missing-map",
                                "from": lat.names[b], "to": lat.names[a]}
@@ -95,14 +98,15 @@ def check_presheaf(ps: LatticePresheaf) -> tuple[bool, dict | None]:
                                    "value": repr(v)}
     for c in range(lat.n):
         for b in range(lat.n):
-            if not lat.le(b, c):
+            if b == c or not lat.le(b, c):
                 continue
+            bc = tabs[(b, c)]
             for a in range(lat.n):
-                if not lat.le(a, b):
+                if a == b or not lat.le(a, b):
                     continue
+                ac, ab = tabs[(a, c)], tabs[(a, b)]
                 for v in ps.values_at(c):
-                    direct = ps.restrict(a, c, v)
-                    stepped = ps.restrict(a, b, ps.restrict(b, c, v))
+                    direct, stepped = ac[v], ab[bc[v]]
                     if direct != stepped:
                         return False, {
                             "kind": "composition",
@@ -119,7 +123,15 @@ def check_sheaf_condition(ps: LatticePresheaf, work_cap: int = WORK_CAP
     a, in (size, index) order) and every compatible family over it; a family
     is compatible when its members agree after restriction to each nonzero
     pairwise meet.  Reports the first existence failure and the first
-    uniqueness failure separately; ok means neither occurred."""
+    uniqueness failure separately; ok means neither occurred.
+
+    At the first compatible family of a cover, the sections over a are
+    grouped once by their restrictions to the cover members (the cover's
+    gluing index), and each family looks its gluings up there.  That index
+    reads every member's restriction of every section over a, so on a
+    partial presheaf built directly through the API the missing-entry
+    InputError can name an entry that a section-by-section comparison
+    would never have reached."""
     lat = ps.lattice
     work = 0
     first_existence = None
@@ -142,12 +154,13 @@ def check_sheaf_condition(ps: LatticePresheaf, work_cap: int = WORK_CAP
                     raise ResourceError(
                         "gluing scan exceeded the work cap",
                         witness={"cap": work_cap})
+                gluings = None
                 for family in iproduct(*sets):
                     if not _compatible(ps, cover, family):
                         continue
-                    glue = [v for v in ps.values_at(a)
-                            if all(ps.restrict(b, a, v) == fv
-                                   for b, fv in zip(cover, family))]
+                    if gluings is None:
+                        gluings = _gluings(ps, a, cover)
+                    glue = gluings.get(family, [])
                     if not glue and first_existence is None:
                         first_existence = _witness(ps, a, cover, family, glue)
                     if len(glue) > 1 and first_uniqueness is None:
@@ -158,6 +171,16 @@ def check_sheaf_condition(ps: LatticePresheaf, work_cap: int = WORK_CAP
                                 "uniqueness": first_uniqueness}
     return {"ok": first_existence is None and first_uniqueness is None,
             "existence": first_existence, "uniqueness": first_uniqueness}
+
+
+def _gluings(ps: LatticePresheaf, a: int, cover) -> dict:
+    """Sections over a grouped, in section order, by their restrictions to
+    the cover members."""
+    out: dict[tuple, list] = {}
+    for v in ps.values_at(a):
+        out.setdefault(tuple(ps.restrict(b, a, v) for b in cover),
+                       []).append(v)
+    return out
 
 
 def _compatible(ps: LatticePresheaf, cover, family) -> bool:
@@ -278,28 +301,27 @@ def spectral_presheaf(lattice: FiniteOrthoLattice, grid,
 
 
 def _families_with_top(lattice, top, grid, cap) -> list:
-    """All canonical (value, element) breakpoint tuples with the given top."""
-    chains = []
+    """All canonical (value, element) breakpoint tuples with the given top.
+    Chains below the top are visited in preorder, each one's families
+    emitted on the visit; no chain grows past len(grid) members, since a
+    longer one has no families."""
+    out = []
 
     def descend(chain):
-        chains.append(tuple(chain))
+        for vals in combinations(grid, len(chain)):
+            # chain descends from the top; values ascend with the elements
+            out.append(tuple(zip(vals, reversed(chain))))
+            if len(out) > cap:
+                raise ResourceError("too many sections; shrink the grid",
+                                    witness={"cap": cap})
+        if len(chain) == len(grid):
+            return
         last = chain[-1]
         for e in range(lattice.n):
             if e != lattice.zero and e != last and lattice.le(e, last):
                 descend(chain + [e])
 
     descend([top])
-    out = []
-    for chain in chains:
-        if len(chain) > len(grid):
-            continue
-        for vals in combinations(grid, len(chain)):
-            # chain descends from the top; values ascend with the elements
-            fam = tuple(zip(vals, reversed(chain)))
-            out.append(fam)
-            if len(out) > cap:
-                raise ResourceError("too many sections; shrink the grid",
-                                    witness={"cap": cap})
     return out
 
 

@@ -1,9 +1,10 @@
 """Presheaves on lattices: laws, gluing, stalks, sheafification."""
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from obslat import classical, presheaf, stone
+from obslat import classical, corpus, presheaf, stone
 from obslat.corpus import boolean_algebra, standard_lattices
 from obslat.errors import InputError, PreconditionError, ResourceError
 from obslat.lattice import bits
@@ -289,3 +290,248 @@ def test_sheafify_matches_the_oracle(name):
     want, want_base, want_masks = _oracle_sheafify(ps)
     assert masks == want_masks and base.names == want_base.names
     _assert_same_presheaf(got, want)
+
+
+def test_partial_presheaf_scan_raises_input_error():
+    with pytest.raises(InputError):
+        presheaf.check_sheaf_condition(_chain2_presheaf("partial"))
+
+
+def test_scan_work_counts(monkeypatch):
+    """Machine-independent guard on the scan's cost: restrict calls on the
+    mo3 spectral presheaf (8,306 before the gluing index)."""
+    ps = presheaf.spectral_presheaf(standard_lattices()["mo3"],
+                                    [0.0, 0.5, 1.0])
+    calls = [0]
+    restrict = presheaf.LatticePresheaf.restrict
+
+    def counted(self, a, b, value):
+        calls[0] += 1
+        return restrict(self, a, b, value)
+
+    monkeypatch.setattr(presheaf.LatticePresheaf, "restrict", counted)
+    presheaf.check_sheaf_condition(ps)
+    assert calls[0] <= 2000
+    calls[0] = 0
+    assert presheaf.check_presheaf(ps) == (True, None)
+    assert calls[0] == 0
+
+
+def test_spectral_presheaf_on_a_long_chain_stops_at_the_grid():
+    lat = corpus.chain(64)
+    ps = presheaf.spectral_presheaf(lat, [0.0])
+    assert ps.values_at(lat.n - 1) == (((0.0, lat.n - 1),),)
+
+
+# -- the laws and the gluing scan as they stood before the gluing index, kept
+# as oracles --
+
+def _oracle_families_with_top(lattice, top, grid, cap):
+    chains = []
+
+    def descend(chain):
+        chains.append(tuple(chain))
+        last = chain[-1]
+        for e in range(lattice.n):
+            if e != lattice.zero and e != last and lattice.le(e, last):
+                descend(chain + [e])
+
+    descend([top])
+    out = []
+    for chain in chains:
+        if len(chain) > len(grid):
+            continue
+        for vals in combinations(grid, len(chain)):
+            # chain descends from the top; values ascend with the elements
+            fam = tuple(zip(vals, reversed(chain)))
+            out.append(fam)
+            if len(out) > cap:
+                raise ResourceError("too many sections; shrink the grid",
+                                    witness={"cap": cap})
+    return out
+
+
+def _oracle_check_presheaf(ps):
+    lat = ps.lattice
+    for b in range(lat.n):
+        for a in range(lat.n):
+            if a == b or not lat.le(a, b):
+                continue
+            table = ps.restrictions.get((a, b))
+            if table is None:
+                return False, {"kind": "missing-map",
+                               "from": lat.names[b], "to": lat.names[a]}
+            for v in ps.values_at(b):
+                if v not in table:
+                    return False, {"kind": "partial-map",
+                                   "from": lat.names[b], "to": lat.names[a],
+                                   "value": repr(v)}
+                if table[v] not in ps.values_at(a):
+                    return False, {"kind": "map-leaves-sections",
+                                   "from": lat.names[b], "to": lat.names[a],
+                                   "value": repr(v)}
+    for c in range(lat.n):
+        for b in range(lat.n):
+            if not lat.le(b, c):
+                continue
+            for a in range(lat.n):
+                if not lat.le(a, b):
+                    continue
+                for v in ps.values_at(c):
+                    direct = ps.restrict(a, c, v)
+                    stepped = ps.restrict(a, b, ps.restrict(b, c, v))
+                    if direct != stepped:
+                        return False, {
+                            "kind": "composition",
+                            "chain": [lat.names[a], lat.names[b],
+                                      lat.names[c]],
+                            "value": repr(v),
+                            "direct": repr(direct), "stepped": repr(stepped)}
+    return True, None
+
+
+def _oracle_check_sheaf_condition(ps, work_cap=presheaf.WORK_CAP):
+    lat = ps.lattice
+    work = 0
+    first_existence = None
+    first_uniqueness = None
+    nonzero = [a for a in range(lat.n) if a != lat.zero]
+    for a in range(lat.n):
+        if a == lat.zero:
+            continue
+        below = [b for b in nonzero if lat.le(b, a)]
+        for size in range(2, len(below) + 1):
+            for cover in combinations(below, size):
+                if lat.join_of(cover) != a:
+                    continue
+                sets = [ps.values_at(b) for b in cover]
+                count = 1
+                for s in sets:
+                    count *= len(s)
+                work += count
+                if work > work_cap:
+                    raise ResourceError(
+                        "gluing scan exceeded the work cap",
+                        witness={"cap": work_cap})
+                for family in iproduct(*sets):
+                    if not _oracle_compatible(ps, cover, family):
+                        continue
+                    glue = [v for v in ps.values_at(a)
+                            if all(ps.restrict(b, a, v) == fv
+                                   for b, fv in zip(cover, family))]
+                    if not glue and first_existence is None:
+                        first_existence = _oracle_witness(ps, a, cover,
+                                                          family, glue)
+                    if len(glue) > 1 and first_uniqueness is None:
+                        first_uniqueness = _oracle_witness(ps, a, cover,
+                                                           family, glue)
+                    if first_existence and first_uniqueness:
+                        return {"ok": False, "existence": first_existence,
+                                "uniqueness": first_uniqueness}
+    return {"ok": first_existence is None and first_uniqueness is None,
+            "existence": first_existence, "uniqueness": first_uniqueness}
+
+
+def _oracle_compatible(ps, cover, family):
+    lat = ps.lattice
+    for (b1, v1), (b2, v2) in combinations(zip(cover, family), 2):
+        m = lat.meet(b1, b2)
+        if m == lat.zero:
+            continue
+        if ps.restrict(m, b1, v1) != ps.restrict(m, b2, v2):
+            return False
+    return True
+
+
+def _oracle_witness(ps, a, cover, family, glue):
+    lat = ps.lattice
+    return {"element": lat.names[a],
+            "cover": [lat.names[b] for b in cover],
+            "family": [ps.section_repr(v) for v in family],
+            "gluings": [ps.section_repr(v) for v in glue]}
+
+
+def _outcome(check, *args, **kw):
+    """A check's result, or the type, message and witness of its error."""
+    try:
+        return check(*args, **kw)
+    except (InputError, ResourceError) as err:
+        return type(err).__name__, str(err), err.witness
+
+
+def _assert_checks_match_the_oracles(ps, work_cap=presheaf.WORK_CAP):
+    assert presheaf.check_presheaf(ps) == _oracle_check_presheaf(ps)
+    assert _outcome(presheaf.check_sheaf_condition, ps, work_cap) == \
+        _outcome(_oracle_check_sheaf_condition, ps, work_cap)
+
+
+# b4 and b2xchain3 with two values, and b3, b4 and b2xchain3 with three,
+# reach WORK_CAP in the oracle scan after about a second each.
+_SCANNED = [(name, grid)
+            for grid, over in [((0.0, 1.0), {"b4", "b2xchain3"}),
+                               ((0.0, 0.5, 1.0), {"b3", "b4", "b2xchain3"})]
+            for name in standard_lattices() if name not in over]
+
+
+@pytest.mark.parametrize("name,grid", _SCANNED,
+                         ids=[f"{n}-{len(g)}" for n, g in _SCANNED])
+def test_spectral_checks_match_the_oracles(name, grid):
+    ps = presheaf.spectral_presheaf(standard_lattices()[name], grid)
+    _assert_checks_match_the_oracles(ps)
+
+
+@pytest.mark.parametrize("name", list(standard_lattices()))
+def test_scan_cap_matches_the_oracle(name):
+    ps = presheaf.spectral_presheaf(standard_lattices()[name], [0.0, 1.0])
+    _assert_checks_match_the_oracles(ps, work_cap=400)
+
+
+@pytest.mark.parametrize("space", [
+    classical.sierpinski3(), classical.discrete_space("ab"),
+    classical.discrete_space("abc"), classical.digital_line(2),
+], ids=["sierpinski3", "discrete2", "discrete3", "digital_line2"])
+def test_function_checks_match_the_oracles(space):
+    ps, _, _ = presheaf.function_presheaf(space, [0.0, 1.0])
+    _assert_checks_match_the_oracles(ps)
+
+
+def test_sheafify_checks_match_the_oracles():
+    ps = presheaf.spectral_presheaf(standard_lattices()["b2"], [0.0, 1.0])
+    _assert_checks_match_the_oracles(presheaf.sheafify(ps)[0])
+
+
+@pytest.mark.parametrize("what", [
+    None, "missing", "partial", "escape", "composition"])
+def test_broken_chain_checks_match_the_oracles(what):
+    _assert_checks_match_the_oracles(_chain2_presheaf(what))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["chain3", "b2", "mo2"]), data=st.data())
+def test_random_presheaf_checks_match_the_oracles(name, data):
+    """Random section sets and random total maps, in half the draws free to
+    leave the sections below: these mostly break the laws and the gluing, so
+    every witness kind turns up."""
+    lat = standard_lattices()[name]
+    sizes = [data.draw(st.integers(1, 3)) for _ in range(lat.n)]
+    escape = data.draw(st.integers(0, 1))
+    sections = {a: list(range(sizes[a])) for a in range(lat.n)}
+    restrictions = {
+        (a, b): {v: data.draw(st.integers(0, sizes[a] - 1 + escape))
+                 for v in sections[b]}
+        for b in range(lat.n) for a in range(lat.n)
+        if a != b and lat.le(a, b)}
+    ps = presheaf.lattice_presheaf(lat, sections, restrictions)
+    _assert_checks_match_the_oracles(ps)
+
+
+@pytest.mark.parametrize("grid", [
+    [0.0], [0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]])
+def test_spectral_sections_match_the_oracle(grid):
+    for lat in standard_lattices().values():
+        for top in range(lat.n):
+            if top != lat.zero:
+                assert _outcome(presheaf._families_with_top, lat, top, grid,
+                                presheaf.SECTION_CAP) == \
+                    _outcome(_oracle_families_with_top, lat, top, grid,
+                             presheaf.SECTION_CAP)
