@@ -1,11 +1,12 @@
 """Spectral families valued in the open sets of a finite topological space.
 
 Point sets are bitmasks.  A finite topology is determined by the minimal open
-neighborhood of each point (every finite collection of opens closed under
-union and intersection arises this way), so the space stores one neighborhood
-mask per point; interior, closure and openness are mask scans.  The full list
-of opens is enumerated only on demand, with a cap, since a near-discrete
-space has exponentially many.
+neighborhood of each point, so the space stores one neighborhood mask per
+point; interior, closure and openness are mask scans.  A list of opens is
+read through the neighborhoods it induces: each listed set is the union of
+its points' neighborhoods, so the list is a topology exactly when it holds
+every such union.  The full list of opens is enumerated only on demand, with
+a cap, since a near-discrete space has exponentially many.
 
 A family carries an explicit base value: the open set it sits at below the
 first breakpoint.  The base is normally empty; a nonempty base models maps
@@ -19,7 +20,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import reduce
+from itertools import islice, product
 
 import numpy as np
 
@@ -48,38 +50,40 @@ class FiniteTopSpace:
             if 0 not in opens or self.full not in opens:
                 raise InputError(
                     "opens must contain the empty set and the whole space")
-            oset = set(opens)
-            for u, v in combinations(opens, 2):
-                if u | v not in oset:
-                    return self._fail_closure("union", u, v)
-                if u & v not in oset:
-                    return self._fail_closure("intersection", u, v)
-            self.nb_masks = []
-            for x in range(n):
-                m = self.full
-                for u in opens:
-                    if u >> x & 1:
-                        m &= u
-                self.nb_masks.append(m)
-            self._opens = opens
-        else:
-            self.nb_masks = [int(m) for m in nb_masks]
-            for x, m in enumerate(self.nb_masks):
-                if not m >> x & 1:
+            if opens[0] != 0 or opens[-1] != self.full:
+                raise InputError(
+                    "opens name points outside the space",
+                    witness=[u for u in opens if not 0 <= u <= self.full])
+            nb_masks = [reduce(operator.and_, (u for u in opens if u >> x & 1))
+                        for x in range(n)]
+        self.nb_masks = [int(m) for m in nb_masks]
+        if len(self.nb_masks) != n:
+            raise InputError(f"give one minimal neighborhood for each of "
+                             f"the {n} points", witness=len(self.nb_masks))
+        for x, m in enumerate(self.nb_masks):
+            if m & ~self.full:
+                raise InputError(
+                    f"neighborhood of {self.points[x]} names points outside "
+                    f"the space", witness=m)
+            if not m >> x & 1:
+                raise InputError(
+                    f"minimal neighborhood of {self.points[x]} must "
+                    f"contain it")
+        # consistency: the neighborhood assignment must itself be open
+        for x, m in enumerate(self.nb_masks):
+            if self.interior(m) != m:
+                raise InputError(
+                    f"neighborhood of {self.points[x]} is not a union of "
+                    f"neighborhoods", witness=self.set_names(m))
+        if opens is not None:
+            listed = set(opens)
+            for u in self._unions():
+                if u not in listed:
                     raise InputError(
-                        f"minimal neighborhood of {self.points[x]} must "
-                        f"contain it")
-            # consistency: the neighborhood assignment must itself be open
-            for x, m in enumerate(self.nb_masks):
-                if self.interior(m) != m:
-                    raise InputError(
-                        f"neighborhood of {self.points[x]} is not a union of "
-                        f"neighborhoods", witness=self.set_names(m))
-            self._opens = None
-
-    def _fail_closure(self, kind, u, v):
-        raise InputError(f"opens are not closed under {kind}",
-                         witness=[self.set_names(u), self.set_names(v)])
+                        "opens are not closed under union and intersection: "
+                        "a union of minimal neighborhoods is missing",
+                        witness=self.set_names(u))
+        self._opens = opens
 
     # -- mask utilities ------------------------------------------------------
 
@@ -115,22 +119,27 @@ class FiniteTopSpace:
                 out |= 1 << x
         return out
 
+    def _unions(self):
+        """Every union of minimal neighborhoods, once, the empty set first."""
+        yield 0
+        found = {0}
+        frontier = [0]
+        while frontier:
+            u = frontier.pop()
+            for nb in self.nb_masks:
+                v = u | nb
+                if v not in found:
+                    found.add(v)
+                    yield v
+                    frontier.append(v)
+
     def opens(self, cap: int = OPENS_CAP) -> list[int]:
         """All open sets (enumerated once, ascending as integers); more than
         cap of them is a ResourceError, whether enumerated now or before."""
         if self._opens is None:
-            found = {0}
-            frontier = [0]
-            while frontier:
-                u = frontier.pop()
-                for nb in self.nb_masks:
-                    v = u | nb
-                    if v not in found:
-                        if len(found) >= cap:
-                            raise ResourceError(
-                                f"more than {cap} open sets")
-                        found.add(v)
-                        frontier.append(v)
+            found = list(islice(self._unions(), cap + 1))
+            if len(found) > cap:
+                raise ResourceError(f"more than {cap} open sets")
             self._opens = sorted(found)
         if len(self._opens) > cap:
             raise ResourceError(f"more than {cap} open sets")
@@ -404,23 +413,14 @@ def all_topologies(n: int) -> list[list[int]]:
     if not 1 <= n <= 4:
         raise ResourceError("exhaustive enumeration is for 1..4 points")
     full = (1 << n) - 1
-    middles = [m for m in range(1, full)]
     out = []
-    for picks in range(1 << len(middles)):
-        fam = [0, full] + [m for k, m in enumerate(middles)
-                           if picks >> k & 1]
-        sfam = set(fam)
-        ok = True
-        for u in fam:
-            for v in fam:
-                if u | v not in sfam or u & v not in sfam:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(sorted(sfam))
-    return out
+    for nb in product(*([m for m in range(1, full + 1) if m >> x & 1]
+                        for x in range(n))):
+        try:
+            out.append(FiniteTopSpace(range(n), nb_masks=nb).opens())
+        except InputError:
+            continue
+    return sorted(out, key=mask_from)
 
 
 GRID_POINTS = 48

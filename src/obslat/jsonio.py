@@ -69,14 +69,30 @@ def _real(v, key: str) -> float:
                          witness={"key": key, "value": v}) from None
 
 
+def _list(v, key: str, length: int | None = None) -> list:
+    """A list read from a file, of the given length if one is given;
+    anything else is an InputError naming the key it came from."""
+    if not isinstance(v, list) or length is not None and len(v) != length:
+        raise InputError("expected a list" if length is None else
+                         f"expected a list of {length} items",
+                         witness={"key": key, "value": v})
+    return v
+
+
+def _mapping(v, key: str) -> dict:
+    """A mapping read from a file; anything else is an InputError naming
+    the key it came from."""
+    if not isinstance(v, dict):
+        raise InputError("expected a mapping",
+                         witness={"key": key, "value": v})
+    return v
+
+
 def _reals(data: dict, key: str) -> list[float]:
     """data[key], absent read as empty, as a list of reals; a non-list is an
     InputError naming the key, and each item is read by _real."""
-    items = data.get(key, [])
-    if not isinstance(items, list):
-        raise InputError("expected a list",
-                         witness={"key": key, "value": items})
-    return [_real(v, f"{key}[{k}]") for k, v in enumerate(items)]
+    return [_real(v, f"{key}[{k}]")
+            for k, v in enumerate(_list(data.get(key, []), key))]
 
 
 def _dimension(v, key: str) -> int | None:
@@ -130,9 +146,11 @@ def load_lattice(ref, referrer: Path | None = None) -> FiniteOrthoLattice:
         return data
     if not isinstance(data, dict) or "elements" not in data:
         raise InputError("a lattice file needs an 'elements' list")
-    names = [str(x) for x in data["elements"]]
-    pairs = [(str(a), str(b)) for a, b in data.get("leq", [])]
-    ortho = {str(k): str(v) for k, v in data.get("ortho", {}).items()} or None
+    names = [str(x) for x in _list(data["elements"], "elements")]
+    pairs = [tuple(str(x) for x in _list(item, f"leq[{k}]", 2))
+             for k, item in enumerate(_list(data.get("leq", []), "leq"))]
+    ortho = {str(k): str(v) for k, v in
+             _mapping(data.get("ortho", {}), "ortho").items()} or None
     return FiniteOrthoLattice.from_relation(names, pairs, ortho_pairs=ortho)
 
 
@@ -199,7 +217,7 @@ def load_table(ref, referrer: Path | None = None) -> ObservableFunction:
         raise InputError("a table file needs 'lattice' and 'values'")
     lat = load_lattice(data.get("lattice"), path)
     vals: dict[int, float] = {}
-    for key, v in data["values"].items():
+    for key, v in _mapping(data["values"], "values").items():
         names = split_ideal_key(str(key))
         members = [lat.index(nm) for nm in names]
         gen = lat.meet_of(members)
@@ -245,7 +263,9 @@ def load_matrix(ref, referrer: Path | None = None) -> np.ndarray:
         data = data.get("matrix")
     if not isinstance(data, list) or not data:
         raise InputError("a matrix file is a nonempty list of rows")
-    rows = [[_entry(e, f"matrix[{i}][{j}]") for j, e in enumerate(row)]
+    width = len(_list(data[0], "matrix[0]"))
+    rows = [[_entry(e, f"matrix[{i}][{j}]")
+             for j, e in enumerate(_list(row, f"matrix[{i}]", width))]
             for i, row in enumerate(data)]
     return as_matrix(rows)
 
@@ -261,12 +281,12 @@ def load_space(ref, referrer: Path | None = None) -> FiniteTopSpace:
     data, _ = _dereference(ref, referrer)
     if not isinstance(data, dict) or "points" not in data:
         raise InputError("a space file needs a 'points' list")
-    points = [str(p) for p in data["points"]]
+    points = [str(p) for p in _list(data["points"], "points")]
     index = {p: i for i, p in enumerate(points)}
 
-    def mask(names) -> int:
+    def mask(names, key: str) -> int:
         out = 0
-        for nm in names:
+        for nm in _list(names, key):
             nm = str(nm)
             if nm not in index:
                 raise InputError("unknown point", witness=nm)
@@ -274,13 +294,16 @@ def load_space(ref, referrer: Path | None = None) -> FiniteTopSpace:
         return out
 
     if "opens" in data:
-        return FiniteTopSpace(points, opens=[mask(u) for u in data["opens"]])
+        return FiniteTopSpace(points, opens=[
+            mask(u, f"opens[{k}]")
+            for k, u in enumerate(_list(data["opens"], "opens"))])
     if "min_neighborhoods" in data:
         nb = [0] * len(points)
-        for nm, u in data["min_neighborhoods"].items():
+        key = "min_neighborhoods"
+        for nm, u in _mapping(data[key], key).items():
             if str(nm) not in index:
                 raise InputError("unknown point", witness=str(nm))
-            nb[index[str(nm)]] = mask(u)
+            nb[index[str(nm)]] = mask(u, f"{key}[{nm}]")
         return FiniteTopSpace(points, nb_masks=nb)
     raise InputError("a space file needs 'opens' or 'min_neighborhoods'")
 
@@ -306,9 +329,9 @@ def load_top_family(ref, referrer: Path | None = None):
     if not isinstance(data, dict) or "breakpoints" not in data:
         raise InputError("a family file needs 'space' and 'breakpoints'")
     space = load_space(data.get("space"), path)
-    pairs = [(lam, space.mask_of([str(p) for p in names]))
-             for lam, names in _breakpoints(data)]
-    base = space.mask_of([str(p) for p in data.get("base", [])])
+    pairs = [(lam, space.mask_of(_list(names, f"breakpoints[{k}][1]")))
+             for k, (lam, names) in enumerate(_breakpoints(data))]
+    base = space.mask_of(_list(data.get("base", []), "base"))
     return top_spectral_family(
         space, pairs, base=base,
         unbounded_above=bool(data.get("unbounded_above", False)))
@@ -346,8 +369,9 @@ def load_diagram(ref, referrer: Path | None = None,
         raise InputError("a diagram file needs a 'contexts' mapping")
     dim = _dimension(data.get("ambient_dim"), "ambient_dim")
     named = {}
-    for name, gens in data["contexts"].items():
-        named[str(name)] = [load_matrix(g, path) for g in gens]
+    for name, gens in _mapping(data["contexts"], "contexts").items():
+        named[str(name)] = [load_matrix(g, path)
+                            for g in _list(gens, f"contexts[{name}]")]
     return diagram(named, dim=dim, tol=tol)
 
 
@@ -378,10 +402,10 @@ def load_section(ref, referrer: Path | None = None,
             raise InputError("a section file needs 'diagram' and 'values'")
         dia = load_diagram(data.get("diagram"), path, tol=tol)
     section: dict[str, dict[int, float]] = {}
-    for cname, table in data["values"].items():
+    for cname, table in _mapping(data["values"], "values").items():
         ctx = dia.context_named(str(cname))
         vals: dict[int, float] = {}
-        for elem_name, v in table.items():
+        for elem_name, v in _mapping(table, f"values[{cname}]").items():
             vals[ctx.lattice.index(str(elem_name))] = _real(
                 v, f"values[{cname}][{elem_name}]")
         section[str(cname)] = vals

@@ -73,7 +73,9 @@ def observable(lattice: FiniteOrthoLattice, values: dict[int, float],
                top: int | None = None, checked: bool = True
                ) -> ObservableFunction:
     """Build a table from per-generator values; verify both axioms unless
-    ``checked`` is False (the escape hatch for deliberately broken tables)."""
+    ``checked`` is False (the escape hatch for deliberately broken tables).
+    Upper semicontinuity follows from the intersection condition (see
+    ``reconstruct``), so only the latter is run."""
     if top is None:
         top = lattice.one
     cells: list[float | None] = [None] * lattice.n
@@ -99,9 +101,6 @@ def observable(lattice: FiniteOrthoLattice, values: dict[int, float],
         ok, witness = check_intersection_condition(f)
         if not ok:
             raise CheckFailure("intersection condition fails", witness=witness)
-        ok, witness = check_upper_semicontinuous(f)
-        if not ok:
-            raise CheckFailure("upper semicontinuity fails", witness=witness)
     return f
 
 
@@ -211,17 +210,16 @@ def usc_epsilon_witness(f: ObservableFunction, ideal: DualIdeal,
 def reconstruct(f: ObservableFunction) -> SpectralFamily:
     """The unique bounded spectral family whose table is f.
 
-    Refuses tables that fail either axiom.  The breakpoints are exactly the
-    image values; at value v the element is the generator of the intersection
-    of all ideals with value <= v, which is the join of their generators.
+    Refuses tables that fail the intersection condition.  That check alone
+    decides both axioms: for b <= a the join law reads
+    r(a) = max(r(a), r(b)) >= r(b), so r is increasing and the table is upper
+    semicontinuous.  The breakpoints are exactly the image values; at value v
+    the element is the generator of the intersection of all ideals with
+    value <= v, which is the join of their generators.
     """
     ok, witness = check_intersection_condition(f)
     if not ok:
         raise CheckFailure("reconstruction refused: intersection condition "
-                           "fails", witness=witness)
-    ok, witness = check_upper_semicontinuous(f)
-    if not ok:
-        raise CheckFailure("reconstruction refused: upper semicontinuity "
                            "fails", witness=witness)
     return _rebuild(f)
 

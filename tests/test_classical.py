@@ -1,5 +1,8 @@
 """Finite topologies: induced functions, canonical families, continuity."""
 import itertools
+import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -23,6 +26,122 @@ def test_opens_must_close_under_union_intersection():
     with pytest.raises(InputError):
         cl.FiniteTopSpace(["a", "b", "c"],
                           opens=[0b000, 0b001, 0b010, 0b111])
+
+
+# The parent construction, verbatim up to returning instead of raising: the
+# pairwise closure scan of the opens= constructor, then the neighborhoods.
+def pairwise_opens_check(n, opens):
+    """None for a rejected family, else (nb_masks, sorted opens)."""
+    full = (1 << n) - 1
+    opens = sorted(set(int(u) for u in opens))
+    if 0 not in opens or full not in opens:
+        return None
+    oset = set(opens)
+    for u, v in combinations(opens, 2):
+        if u | v not in oset:
+            return None
+        if u & v not in oset:
+            return None
+    nb_masks = []
+    for x in range(n):
+        m = full
+        for u in opens:
+            if u >> x & 1:
+                m &= u
+        nb_masks.append(m)
+    return nb_masks, opens
+
+
+# The parent enumeration, verbatim: every family of middle sets, kept when
+# closed under pairwise union and intersection.
+def pairwise_all_topologies(n: int) -> list[list[int]]:
+    full = (1 << n) - 1
+    middles = [m for m in range(1, full)]
+    out = []
+    for picks in range(1 << len(middles)):
+        fam = [0, full] + [m for k, m in enumerate(middles)
+                           if picks >> k & 1]
+        sfam = set(fam)
+        ok = True
+        for u in fam:
+            for v in fam:
+                if u | v not in sfam or u & v not in sfam:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(sorted(sfam))
+    return out
+
+
+def oracle_families():
+    """Every family of subsets on 1..3 points; 9000 seeded families on 4..6
+    points, closed under union and intersection at random and then perhaps
+    perturbed by one set; every 4-point topology, whole and with each of its
+    opens removed."""
+    for n in (1, 2, 3):
+        for picks in range(1 << (1 << n)):
+            yield n, bits(picks)
+    r = random.Random(14)
+    for _ in range(9000):
+        n = r.randint(4, 6)
+        full = (1 << n) - 1
+        fam = {0, full} | {r.randrange(full + 1)
+                           for _ in range(r.randrange(5))}
+        for op in ("__or__", "__and__"):
+            if r.random() < 0.7:
+                while True:
+                    more = {getattr(u, op)(v) for u in fam for v in fam}
+                    if more <= fam:
+                        break
+                    fam |= more
+        if r.random() < 0.3:
+            fam ^= {r.randrange(full + 1)}
+        yield n, sorted(fam)
+    for opens in pairwise_all_topologies(4):
+        yield 4, opens
+        for u in opens:
+            yield 4, [v for v in opens if v != u]
+
+
+def test_validity_matches_the_pairwise_scan():
+    valid = total = 0
+    for n, opens in oracle_families():
+        want = pairwise_opens_check(n, opens)
+        try:
+            space = cl.FiniteTopSpace(range(n), opens=opens)
+            got = space.nb_masks, space.opens()
+        except InputError:
+            got = None
+        assert got == want, (n, opens)
+        if want is not None:
+            nb = cl.FiniteTopSpace(range(n), nb_masks=want[0])
+            assert nb.opens() == want[1]
+            valid += 1
+        total += 1
+    assert total == 11969 and valid > 1000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_all_topologies_match_the_pairwise_enumeration(n):
+    assert cl.all_topologies(n) == pairwise_all_topologies(n)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"nb_masks": [1]}, {"nb_masks": [1, 2, 4]}, {"nb_masks": [5, 2]},
+    {"nb_masks": [1, -2]}, {"opens": [0, 1, 3, 7]}, {"opens": [-1, 0, 1, 3]},
+], ids=repr)
+def test_neighborhoods_and_opens_must_fit_the_space(kwargs):
+    with pytest.raises(InputError):
+        cl.FiniteTopSpace(["a", "b"], **kwargs)
+
+
+def test_a_large_discrete_space_builds_from_its_opens_at_once():
+    start = time.perf_counter()
+    space = cl.FiniteTopSpace(range(14), opens=range(1 << 14))
+    assert time.perf_counter() - start < 5.0
+    assert space.nb_masks == [1 << x for x in range(14)]
 
 
 def test_min_neighborhood_roundtrip():

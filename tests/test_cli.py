@@ -405,6 +405,55 @@ def test_non_numeric_reals_in_files_exit_2(capsys, tmp_path, argv, data, key):
     assert payload["witness"]["key"] == key
 
 
+LATTICE = ("lattice", "check", "-i")
+SPACE = ("classical", "induce", "--fn", c("fn_id.json"), "--space")
+SECTION = ("context", "glue", "--diagram", c("diagram_qubit.json"),
+           "--sections")
+
+
+@pytest.mark.parametrize("argv, data, key", [
+    (LATTICE, {"elements": ["0", "1"], "leq": [["0", "1", "1"]]}, "leq[0]"),
+    (LATTICE, {"elements": ["0", "1"], "leq": ["01"]}, "leq[0]"),
+    (LATTICE, {"elements": ["0", "1"], "ortho": [["0", "1"]]}, "ortho"),
+    (LATTICE, {"elements": "01", "leq": [["0", "1"]]}, "elements"),
+    (SPACE, {"points": ["1", "2"], "opens": 3}, "opens"),
+    (SPACE, {"points": ["1", "2"], "opens": [[], "12", ["1"]]}, "opens[1]"),
+    (SPACE, {"points": "12", "opens": [[], ["1", "2"]]}, "points"),
+    (SPACE, {"points": ["1", "2"], "min_neighborhoods": [["1"], ["2"]]},
+     "min_neighborhoods"),
+    (("context", "glue", "--sections", c("section_clash.json"),
+      "--diagram"), {"ambient_dim": 2, "contexts": [[[1, 0], [0, 0]]]},
+     "contexts"),
+    (("context", "glue", "--sections", c("section_clash.json"),
+      "--diagram"), {"contexts": {"Ax": "matrix_a.json"}}, "contexts[Ax]"),
+    (("obs", "check", "--table"), {"lattice": "mo2", "values": [1.0]},
+     "values"),
+    (SECTION, {"values": [["Ax", 1.0]]}, "values"),
+    (SECTION, {"values": {"Ax": [1.0, 2.0]}}, "values[Ax]"),
+    (("vn", "spectral-family"), [[1.0, 0.0], [0.0]], "matrix[1]"),
+    (("classical", "check-continuity", "--family"),
+     {"space": c("space_sierpinski.json"),
+      "breakpoints": [[0.5, "12"], [1.0, ["1", "2", "3"]]]},
+     "breakpoints[0][1]"),
+    (("classical", "check-continuity", "--family"),
+     {"space": c("space_sierpinski.json"), "base": "1",
+      "breakpoints": [[1.0, ["1", "2", "3"]]]}, "base"),
+], ids=["leq-triple", "leq-string", "ortho-list", "elements-string",
+        "opens-number", "open-string", "points-string", "neighborhoods-list",
+        "contexts-list", "generators-string", "table-values-list",
+        "section-values-list", "section-table-list", "matrix-ragged",
+        "family-value-string", "family-base-string"])
+def test_malformed_containers_in_files_exit_2(capsys, tmp_path, argv, data,
+                                              key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    payload = json.loads(err, parse_constant=pytest.fail)
+    assert payload["error"].startswith("expected a ")
+    assert payload["witness"]["key"] == key
+
+
 def test_non_finite_matrix_exit_2(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text('[[NaN, 0], [0, 1]]')

@@ -196,6 +196,24 @@ def test_checks_match_reference_scans_sampled(name, seed):
     assert_matches_reference(perturbed_table(lat, random.Random(seed)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(list(corpus.standard_lattices())),
+       seed=st.integers(0, 10 ** 6))
+def test_the_join_law_implies_upper_semicontinuity(name, seed):
+    """reconstruct and observable run only the intersection check: for
+    b <= a the join law gives r(a) >= r(b), so a table that passes it is
+    upper semicontinuous as well."""
+    lat = corpus.standard_lattices()[name]
+    r = random.Random(seed)
+    top = r.choice([a for a in range(lat.n) if a != lat.zero])
+    vals = {a: float(r.randrange(3)) for a in range(lat.n)
+            if a != lat.zero and lat.le(a, top)}
+    for f in (ob.observable(lat, vals, top=top, checked=False),
+              perturbed_table(lat, r)):
+        if ob.check_intersection_condition(f)[0]:
+            assert ob.check_upper_semicontinuous(f) == (True, None)
+
+
 def mo2_example(lattices):
     mo2 = lattices["mo2"]
     return mo2, spectral_family(
