@@ -1,5 +1,8 @@
 """Single command line entry point with one subcommand group per module.
 
+Each ``cmd_*`` handler takes the parsed arguments and returns its report,
+(exit code, JSON payload, text lines); ``main`` prints it.
+
 Exit codes: 0 success, 1 failed check (the witness is printed as JSON) or
 stdout closed before the output was written, 2 bad input (unknown files,
 malformed data, violated preconditions, caps, an option the subcommand does
@@ -12,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +28,7 @@ from .errors import (CheckFailure, InputError, ObslatError, PreconditionError,
                      ResourceError)
 from .vn import TOL, Tolerances
 
-
-@dataclass
-class RunConfig:
-    fmt: str = "text"
-    tol: Tolerances = TOL
-    cap: int | None = None
-    seed: int = 7
-    dot: str | None = None
+Report = tuple[int, dict, list[str]]
 
 
 def _parse_tol(pairs) -> Tolerances:
@@ -59,20 +55,16 @@ def _parse_tol(pairs) -> Tolerances:
     return TOL.scaled(**overrides)
 
 
-def _config(args) -> RunConfig:
-    cap = getattr(args, "cap", None)
-    if cap is not None and cap <= 0:
-        raise InputError("--cap must be a positive integer", witness=cap)
-    return RunConfig(
-        fmt=getattr(args, "format", "text"),
-        tol=_parse_tol(getattr(args, "tol", None)),
-        cap=cap,
-        seed=getattr(args, "seed", 7),
-        dot=getattr(args, "dot", None))
+def _cap(args, default: int) -> int:
+    if args.cap is None:
+        return default
+    if args.cap <= 0:
+        raise InputError("--cap must be a positive integer", witness=args.cap)
+    return args.cap
 
 
-def _emit(cfg: RunConfig, payload: dict, lines: list[str]) -> None:
-    if cfg.fmt == "json":
+def _emit(args, payload: dict, lines: list[str]) -> None:
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:
@@ -88,15 +80,35 @@ def _fmt_val(v: float) -> str:
     return f"{v:g}"
 
 
-def _write_dot(cfg: RunConfig, text: str, lines: list[str]) -> None:
-    if cfg.dot:
-        Path(cfg.dot).write_text(text, encoding="utf-8")
-        lines.append(f"dot written to {cfg.dot}")
+def _verdict(label: str, ok: bool, witness) -> str:
+    """`label:true`, or `label:false witness:{...}`."""
+    return f"{label}:{_b(ok)}" + (
+        "" if ok else f" witness:{json.dumps(witness, sort_keys=True)}")
+
+
+def _write_dot(args, text: str, lines: list[str]) -> None:
+    if args.dot:
+        Path(args.dot).write_text(text, encoding="utf-8")
+        lines.append(f"dot written to {args.dot}")
+
+
+def _write_out(args, data, lines: list[str]) -> None:
+    if args.out:
+        jsonio.save_json(args.out, data)
+        lines.append(f"written to {args.out}")
+
+
+def _family_report(args, fam) -> Report:
+    """A family's breakpoints, also written to --out if given."""
+    pairs = fam.to_pairs()
+    lines = [f"{_fmt_val(lam)}: {name}" for lam, name in pairs]
+    _write_out(args, jsonio.family_to_json(fam), lines)
+    return 0, {"breakpoints": pairs, "top": fam.lattice.names[fam.top]}, lines
 
 
 # -- lattice ------------------------------------------------------------------------
 
-def cmd_lattice_check(args, cfg: RunConfig) -> int:
+def cmd_lattice_check(args) -> Report:
     lat = jsonio.load_lattice(args.input)
     dist, dist_w = lat.is_distributive()
     if lat.ortho is not None:
@@ -117,130 +129,101 @@ def cmd_lattice_check(args, cfg: RunConfig) -> int:
              + (f" witness:{','.join(omod_w)}" if omod_w else ""),
              f"boolean:{_b(boolean)}",
              f"atomistic:{_b(atomistic)}"]
-    _write_dot(cfg, lat.hasse_dot(), lines)
-    payload["dot"] = cfg.dot
-    _emit(cfg, payload, lines)
-    return 0
+    _write_dot(args, lat.hasse_dot(), lines)
+    payload["dot"] = args.dot
+    return 0, payload, lines
 
 
-def cmd_lattice_list(args, cfg: RunConfig) -> int:
+def cmd_lattice_list(args) -> Report:
     names = sorted(jsonio.standard_lattices())
-    _emit(cfg, {"lattices": names}, names)
-    return 0
+    return 0, {"lattices": names}, names
 
 
 # -- stone --------------------------------------------------------------------------
 
-def _ideal_rows(lat, ideals):
-    rows = []
-    for j in ideals:
-        rows.append({"generator": lat.names[j.generator()],
-                     "members": j.names()})
-    return rows
-
-
-def cmd_stone(args, cfg: RunConfig, maximal_only: bool) -> int:
+def cmd_stone(args, maximal_only: bool) -> Report:
     lat = jsonio.load_lattice(args.lattice)
     ideals = (stone.enumerate_quasipoints(lat) if maximal_only
               else stone.enumerate_dual_ideals(lat))
-    rows = _ideal_rows(lat, ideals)
+    rows = [{"generator": lat.names[j.generator()], "members": j.names()}
+            for j in ideals]
     lines = [f"H({r['generator']}): " + ",".join(r["members"]) for r in rows]
-    _write_dot(cfg, stone.inclusion_dot(lat), lines)
-    _emit(cfg, {"count": len(rows), "ideals": rows, "dot": cfg.dot}, lines)
-    return 0
+    _write_dot(args, stone.inclusion_dot(lat), lines)
+    return 0, {"count": len(rows), "ideals": rows, "dot": args.dot}, lines
 
 
 # -- spectral -----------------------------------------------------------------------
 
-def cmd_spectral_eval(args, cfg: RunConfig) -> int:
+def cmd_spectral_eval(args) -> Report:
+    if not math.isfinite(args.at):
+        raise InputError("--at must be a finite real", witness=args.at)
     fam = jsonio.load_family(args.family)
-    e = fam.value_at(args.at)
-    name = fam.lattice.names[e]
-    _emit(cfg, {"at": args.at, "element": name},
-          [f"E({_fmt_val(args.at)}) = {name}"])
-    return 0
+    name = fam.lattice.names[fam.value_at(args.at)]
+    return 0, {"at": args.at, "element": name}, [
+        f"E({_fmt_val(args.at)}) = {name}"]
 
 
-def cmd_spectral_restrict(args, cfg: RunConfig) -> int:
+def cmd_spectral_restrict(args) -> Report:
     fam = jsonio.load_family(args.family)
-    lat = fam.lattice
-    sub = spectral.restrict_family(fam, lat.index(args.to))
-    pairs = sub.to_pairs()
-    lines = [f"{_fmt_val(lam)}: {name}" for lam, name in pairs]
-    if args.out:
-        jsonio.save_json(args.out, jsonio.family_to_json(sub))
-        lines.append(f"written to {args.out}")
-    _emit(cfg, {"breakpoints": pairs, "top": lat.names[sub.top]}, lines)
-    return 0
+    return _family_report(
+        args, spectral.restrict_family(fam, fam.lattice.index(args.to)))
 
 
-def cmd_spectral_spectrum(args, cfg: RunConfig) -> int:
+def cmd_spectral_spectrum(args) -> Report:
     fam = jsonio.load_family(args.family)
     sp = list(fam.spectrum())
-    _emit(cfg, {"spectrum": sp}, [",".join(_fmt_val(v) for v in sp)])
-    return 0
+    return 0, {"spectrum": sp}, [",".join(_fmt_val(v) for v in sp)]
 
 
 # -- obs ----------------------------------------------------------------------------
 
-def cmd_obs_eval(args, cfg: RunConfig) -> int:
+def cmd_obs_eval(args) -> Report:
     fam = jsonio.load_family(args.family)
     lat = fam.lattice
     names = jsonio.split_ideal_key(args.ideal)
     ideal = stone.cone(lat, [lat.index(nm) for nm in names])
     value = observables.observable_from_spectral(fam, ideal)
-    _emit(cfg, {"ideal": ideal.names(), "value": value},
-          [f"f(H({lat.names[ideal.generator()]})) = {_fmt_val(value)}"])
-    return 0
+    return 0, {"ideal": ideal.names(), "value": value}, [
+        f"f(H({lat.names[ideal.generator()]})) = {_fmt_val(value)}"]
 
 
-def cmd_obs_check(args, cfg: RunConfig) -> int:
+def cmd_obs_check(args) -> Report:
     f = jsonio.load_table(args.table)
     ok1, w1 = observables.check_intersection_condition(f)
     ok2, w2 = observables.check_upper_semicontinuous(f)
     payload = {"intersection_condition": ok1, "intersection_witness": w1,
                "upper_semicontinuous": ok2, "usc_witness": w2}
-    lines = [f"intersection-condition:{_b(ok1)}"
-             + ("" if ok1 else f" witness:{json.dumps(w1, sort_keys=True)}"),
-             f"upper-semicontinuous:{_b(ok2)}"
-             + ("" if ok2 else f" witness:{json.dumps(w2, sort_keys=True)}")]
-    _emit(cfg, payload, lines)
-    return 0 if ok1 and ok2 else 1
+    lines = [_verdict("intersection-condition", ok1, w1),
+             _verdict("upper-semicontinuous", ok2, w2)]
+    return (0 if ok1 and ok2 else 1), payload, lines
 
 
-def cmd_obs_reconstruct(args, cfg: RunConfig) -> int:
+def cmd_obs_reconstruct(args) -> Report:
     f = jsonio.load_table(args.table)
-    fam = observables.reconstruct(f)     # raises CheckFailure on bad tables
-    lat = fam.lattice
-    pairs = fam.to_pairs()
-    lines = [f"{_fmt_val(lam)}: {name}" for lam, name in pairs]
-    if args.out:
-        jsonio.save_json(args.out, jsonio.family_to_json(fam))
-        lines.append(f"written to {args.out}")
-    _emit(cfg, {"breakpoints": pairs, "top": lat.names[fam.top]}, lines)
-    return 0
+    # reconstruct raises CheckFailure on bad tables
+    return _family_report(args, observables.reconstruct(f))
 
 
 # -- vn -----------------------------------------------------------------------------
 
-def cmd_vn_spectral_family(args, cfg: RunConfig) -> int:
-    a = vn.check_hermitian(jsonio.load_matrix(args.matrix), cfg.tol)
-    fam = vn.spectral_family_of(a, cfg.tol)
+def cmd_vn_spectral_family(args) -> Report:
+    tol = _parse_tol(args.tol)
+    a = vn.check_hermitian(jsonio.load_matrix(args.matrix), tol)
+    fam = vn.spectral_family_of(a, tol)
     rows = [{"breakpoint": mu, "rank": vn.rank_of_projection(p)}
             for mu, p in zip(fam.breakpoints, fam.projections)]
     lines = [f"{_fmt_val(r['breakpoint'])}: rank {r['rank']}" for r in rows]
-    _emit(cfg, {"dim": fam.dim, "steps": rows}, lines)
-    return 0
+    return 0, {"dim": fam.dim, "steps": rows}, lines
 
 
-def cmd_vn_order(args, cfg: RunConfig) -> int:
-    a = vn.check_hermitian(jsonio.load_matrix(args.a), cfg.tol)
-    b = vn.check_hermitian(jsonio.load_matrix(args.b), cfg.tol)
-    ab = vn.spectral_leq(a, b, cfg.tol)
-    ba = vn.spectral_leq(b, a, cfg.tol)
-    _emit(cfg, {"a_leq_b": ab, "b_leq_a": ba},
-          [f"A <= B: {_b(ab)}", f"B <= A: {_b(ba)}"])
-    return 0
+def cmd_vn_order(args) -> Report:
+    tol = _parse_tol(args.tol)
+    a = vn.check_hermitian(jsonio.load_matrix(args.a), tol)
+    b = vn.check_hermitian(jsonio.load_matrix(args.b), tol)
+    ab = vn.spectral_leq(a, b, tol)
+    ba = vn.spectral_leq(b, a, tol)
+    return 0, {"a_leq_b": ab, "b_leq_a": ba}, [f"A <= B: {_b(ab)}",
+                                              f"B <= A: {_b(ba)}"]
 
 
 def _load_algebra(ref, tol: Tolerances):
@@ -256,35 +239,34 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
     return out
 
 
-def cmd_vn_restrict(args, cfg: RunConfig) -> int:
-    alg = _load_algebra(args.algebra, cfg.tol)
-    a = vn.check_hermitian(jsonio.load_matrix(args.op), cfg.tol)
+def cmd_vn_restrict(args) -> Report:
+    tol = _parse_tol(args.tol)
+    alg = _load_algebra(args.algebra, tol)
+    a = vn.check_hermitian(jsonio.load_matrix(args.op), tol)
     fn = vn.rho_restrict if args.map == "rho" else vn.sigma_restrict
-    out = fn(alg, a, cfg.tol)
+    out = fn(alg, a, tol)
+    data = jsonio.matrix_to_json(out)
     lines = _matrix_lines(out)
-    if args.out:
-        jsonio.save_json(args.out, jsonio.matrix_to_json(out))
-        lines.append(f"written to {args.out}")
-    _emit(cfg, {"map": args.map, "matrix": jsonio.matrix_to_json(out)}, lines)
-    return 0
+    _write_out(args, data, lines)
+    return 0, {"map": args.map, "matrix": data}, lines
 
 
-def cmd_vn_core(args, cfg: RunConfig) -> int:
-    alg = _load_algebra(args.algebra, cfg.tol)
-    q = vn.check_projection(jsonio.load_matrix(args.proj), cfg.tol)
-    core = vn.core_projection(alg, q, cfg.tol)
-    support = vn.support_projection(alg, q, cfg.tol)
+def cmd_vn_core(args) -> Report:
+    tol = _parse_tol(args.tol)
+    alg = _load_algebra(args.algebra, tol)
+    q = vn.check_projection(jsonio.load_matrix(args.proj), tol)
+    core = vn.core_projection(alg, q, tol)
+    support = vn.support_projection(alg, q, tol)
     lines = ([f"core rank {vn.rank_of_projection(core)}"]
              + _matrix_lines(core)
              + [f"support rank {vn.rank_of_projection(support)}"])
-    _emit(cfg, {"core": jsonio.matrix_to_json(core),
-                "support": jsonio.matrix_to_json(support)}, lines)
-    return 0
+    return 0, {"core": jsonio.matrix_to_json(core),
+               "support": jsonio.matrix_to_json(support)}, lines
 
 
 # -- classical ----------------------------------------------------------------------
 
-def cmd_classical_induce(args, cfg: RunConfig) -> int:
+def cmd_classical_induce(args) -> Report:
     space = jsonio.load_space(args.space)
     values = jsonio.load_point_values(args.fn)
     fam = classical.sigma_from_function(space, values)
@@ -293,30 +275,22 @@ def cmd_classical_induce(args, cfg: RunConfig) -> int:
     lines = [f"{_fmt_val(lam)}: {{{','.join(names)}}}"
              for lam, names in pairs]
     lines += [f"f({p}) = {_fmt_val(v)}" for p, v in induced.items()]
-    _emit(cfg, {"breakpoints": pairs, "induced": induced}, lines)
-    return 0
+    return 0, {"breakpoints": pairs, "induced": induced}, lines
 
 
-def cmd_classical_check(args, cfg: RunConfig) -> int:
+def cmd_classical_check(args) -> Report:
     if args.family:
         fam = jsonio.load_top_family(args.family)
         ok, witness, report = classical.is_continuous_family(fam)
         payload = {"continuous": ok, "witness": witness, "report": report}
-        lines = [f"continuous:{_b(ok)}"
-                 + ("" if ok else
-                    f" witness:{json.dumps(witness, sort_keys=True)}")]
-        _emit(cfg, payload, lines)
-        return 0 if ok else 1
-    if not (args.space and args.fn):
+    elif args.space and args.fn:
+        space = jsonio.load_space(args.space)
+        values = jsonio.load_point_values(args.fn)
+        ok, witness = classical.is_continuous_function(space, values)
+        payload = {"continuous": ok, "witness": witness}
+    else:
         raise InputError("need --family or both --space and --fn")
-    space = jsonio.load_space(args.space)
-    values = jsonio.load_point_values(args.fn)
-    ok, witness = classical.is_continuous_function(space, values)
-    lines = [f"continuous:{_b(ok)}"
-             + ("" if ok else
-                f" witness:{json.dumps(witness, sort_keys=True)}")]
-    _emit(cfg, {"continuous": ok, "witness": witness}, lines)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, [_verdict("continuous", ok, witness)]
 
 
 def _parse_grid(text: str) -> tuple[float, float, float]:
@@ -330,7 +304,7 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
-def cmd_classical_demo(args, cfg: RunConfig) -> int:
+def cmd_classical_demo(args) -> Report:
     lo, hi, step = _parse_grid(args.grid)
     demo = classical.demo_family(args.family, lo, hi, step)
     fam = demo["family"]
@@ -350,17 +324,17 @@ def cmd_classical_demo(args, cfg: RunConfig) -> int:
                  else f"  (target {_fmt_val(r['target'])})")
               for r in rows]
     lines.append(f"mismatches:{mismatches}")
-    _emit(cfg, {"kind": demo["kind"], "continuous": ok,
-                "continuity_witness": witness, "notes": demo["notes"],
-                "table": rows, "mismatches": mismatches}, lines)
-    return 0
+    return 0, {"kind": demo["kind"], "continuous": ok,
+               "continuity_witness": witness, "notes": demo["notes"],
+               "table": rows, "mismatches": mismatches}, lines
 
 
 # -- context ------------------------------------------------------------------------
 
-def cmd_context_glue(args, cfg: RunConfig) -> int:
-    dia = jsonio.load_diagram(args.diagram, tol=cfg.tol)
-    _, section = jsonio.load_section(args.sections, tol=cfg.tol, dia=dia)
+def cmd_context_glue(args) -> Report:
+    tol = _parse_tol(args.tol)
+    dia = jsonio.load_diagram(args.diagram, tol=tol)
+    _, section = jsonio.load_section(args.sections, tol=tol, dia=dia)
     ok, witness = is_global_section(dia, section)
     if not ok:
         raise CheckFailure("not a global section", witness=witness)
@@ -378,12 +352,11 @@ def cmd_context_glue(args, cfg: RunConfig) -> int:
             lines.append("  witness:" + json.dumps(witness, sort_keys=True))
     lines.append(f"operator-extendable:{report.extendable}"
                  + f"  ({report.certificate.get('reason')})")
-    _emit(cfg, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def cmd_context_from_operator(args, cfg: RunConfig) -> int:
-    dia = jsonio.load_diagram(args.diagram, tol=cfg.tol)
+def cmd_context_from_operator(args) -> Report:
+    dia = jsonio.load_diagram(args.diagram, tol=_parse_tol(args.tol))
     a = jsonio.load_matrix(args.op)
     section = section_from_operator(dia, a)
     data = jsonio.section_to_json(dia, section, diagram_ref=args.diagram)
@@ -391,40 +364,34 @@ def cmd_context_from_operator(args, cfg: RunConfig) -> int:
     for cname in sorted(data["values"]):
         for elem, v in sorted(data["values"][cname].items()):
             lines.append(f"{cname}[{elem}] = {_fmt_val(v)}")
-    if args.out:
-        jsonio.save_json(args.out, data)
-        lines.append(f"written to {args.out}")
-    _emit(cfg, {"section": data}, lines)
-    return 0
+    _write_out(args, data, lines)
+    return 0, {"section": data}, lines
 
 
 # -- presheaf -----------------------------------------------------------------------
 
-def cmd_presheaf_check(args, cfg: RunConfig) -> int:
+def cmd_presheaf_check(args) -> Report:
+    work_cap = _cap(args, presheaf_mod.WORK_CAP)
     ps, meta = jsonio.load_presheaf(args.input)
     laws_ok, laws_witness = presheaf_mod.check_presheaf(ps)
-    work_cap = presheaf_mod.WORK_CAP if cfg.cap is None else cfg.cap
     report = presheaf_mod.check_sheaf_condition(ps, work_cap=work_cap)
     payload = {"kind": meta["kind"], "presheaf_laws": laws_ok,
                "laws_witness": laws_witness, "sheaf": report["ok"],
                "existence_failure": report["existence"],
                "uniqueness_failure": report["uniqueness"]}
-    lines = [f"presheaf laws:{_b(laws_ok)}"
-             + ("" if laws_ok else
-                f" witness:{json.dumps(laws_witness, sort_keys=True)}"),
+    lines = [_verdict("presheaf laws", laws_ok, laws_witness),
              f"sheaf condition:{_b(report['ok'])}"]
     for key in ("existence", "uniqueness"):
         if report[key]:
             lines.append(f"  {key} failure:"
                          + json.dumps(report[key], sort_keys=True))
-    _emit(cfg, payload, lines)
-    return 0 if laws_ok and report["ok"] else 1
+    return (0 if laws_ok and report["ok"] else 1), payload, lines
 
 
-def cmd_presheaf_sheafify(args, cfg: RunConfig) -> int:
+def cmd_presheaf_sheafify(args) -> Report:
+    cap = _cap(args, presheaf_mod.SECTION_CAP)
     ps, meta = jsonio.load_presheaf(args.input)
-    sheafified, base, masks = presheaf_mod.sheafify(
-        ps, cap=presheaf_mod.SECTION_CAP if cfg.cap is None else cfg.cap)
+    sheafified, base, masks = presheaf_mod.sheafify(ps, cap=cap)
     sizes = {base.names[a]: len(sheafified.values_at(a))
              for a in range(base.n)}
     laws_ok, _ = presheaf_mod.check_presheaf(sheafified)
@@ -434,21 +401,19 @@ def cmd_presheaf_sheafify(args, cfg: RunConfig) -> int:
              f"presheaf laws:{_b(laws_ok)}"]
     lines += [f"|S({name})| = {count}"
               for name, count in sorted(sizes.items())]
-    _emit(cfg, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
 # -- suite --------------------------------------------------------------------------
 
-def cmd_suite(args, cfg: RunConfig) -> int:
-    results = acceptance.run_all(cfg.seed)
-    payload = {"seed": cfg.seed,
+def cmd_suite(args) -> Report:
+    results = acceptance.run_all(args.seed)
+    payload = {"seed": args.seed,
                "results": [{"number": r.number, "label": r.label,
                             "passed": r.passed, "detail": r.detail}
                            for r in results]}
     lines = acceptance.format_report(results).split("\n")
-    _emit(cfg, payload, lines)
-    return 0 if all(r.passed for r in results) else 1
+    return (0 if all(r.passed for r in results) else 1), payload, lines
 
 
 # -- wiring -------------------------------------------------------------------------
@@ -489,9 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = groups.add_parser("stone").add_subparsers(dest="command",
                                                   required=True)
-    p = leaf(g, "quasipoints", lambda a, c: cmd_stone(a, c, True), "dot")
+    p = leaf(g, "quasipoints", lambda a: cmd_stone(a, True), "dot")
     p.add_argument("--lattice", "--input", "-i", required=True)
-    p = leaf(g, "dual-ideals", lambda a, c: cmd_stone(a, c, False), "dot")
+    p = leaf(g, "dual-ideals", lambda a: cmd_stone(a, False), "dot")
     p.add_argument("--lattice", "--input", "-i", required=True)
 
     g = groups.add_parser("spectral").add_subparsers(dest="command",
@@ -605,8 +570,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_grid_flag(list(argv)))
     try:
-        cfg = _config(args)
-        return args.handler(args, cfg)
+        code, payload, lines = args.handler(args)
+        _emit(args, payload, lines)
+        return code
     except CheckFailure as exc:
         _print_error(exc)
         return 1

@@ -368,6 +368,8 @@ def mask_from(indices: Iterable[int]) -> int:
 
 
 def bits(mask: int) -> list[int]:
+    if mask < 0:        # mask & -mask would find a lowest bit forever
+        raise InputError("a mask is a nonnegative int", witness=mask)
     out = []
     while mask:
         low = mask & -mask          # one step per set bit, lowest first

@@ -14,7 +14,7 @@ from itertools import combinations, product as iproduct
 from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, bits
-from .spectral import spectral_family
+from .spectral import SpectralFamily, restrict_family
 from .stone import DualIdeal
 
 WORK_CAP = 200_000
@@ -289,7 +289,7 @@ def spectral_presheaf(lattice: FiniteOrthoLattice, grid,
     def restrict(a, b, fam):
         if a == lattice.zero:
             return _ZERO_SENTINEL
-        return _restrict_key(lattice, fam, a)
+        return restrict_family(SpectralFamily(lattice, fam, b), a).breakpoints
 
     def describe(fam):
         if fam == _ZERO_SENTINEL:
@@ -323,13 +323,6 @@ def _families_with_top(lattice, top, grid, cap) -> list:
 
     descend([top])
     return out
-
-
-def _restrict_key(lattice, fam_key, a):
-    """Meet every breakpoint of a section over b >= a with a."""
-    fam = spectral_family(
-        lattice, [(lam, lattice.meet(e, a)) for lam, e in fam_key], top=a)
-    return fam.breakpoints
 
 
 def function_presheaf(space, values) -> tuple[LatticePresheaf,

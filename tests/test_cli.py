@@ -346,6 +346,17 @@ def test_non_finite_witnesses_print_strict_json(capsys, tmp_path, literal):
         "error": "breakpoints must be finite reals", "witness": literal}
 
 
+@pytest.mark.parametrize("at, witness", [
+    ("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity")])
+def test_a_non_finite_at_exits_2(capsys, at, witness):
+    code, out, err = run(capsys, "spectral", "eval", "--family",
+                         c("family_mo2.json"), f"--at={at}",
+                         "--format", "json")
+    assert code == 2 and out == ""
+    assert json.loads(err, parse_constant=pytest.fail) == {
+        "error": "--at must be a finite real", "witness": witness}
+
+
 @pytest.mark.parametrize("argv, data, key, value", [
     (("spectral", "spectrum", "--family"),
      {"lattice": "mo2", "breakpoints": [[0.5, "a"], [1.0]]},

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obslat import corpus
+from obslat.classical import sierpinski3
 from obslat.errors import InputError, ResourceError
 from obslat.lattice import FiniteOrthoLattice, bits, mask_from
 
@@ -189,6 +190,13 @@ def test_mask_helpers():
     assert mask_from([0, 2, 5]) == 0b100101
     assert bits(0b100101) == [0, 2, 5]
     assert bits(0) == []
+
+
+def test_bits_rejects_a_negative_mask():
+    with pytest.raises(InputError, match="nonnegative"):
+        bits(-1)
+    with pytest.raises(InputError, match="nonnegative"):
+        sierpinski3().is_open(-2)
 
 
 @settings(max_examples=60, deadline=None)
