@@ -8,7 +8,7 @@ from .errors import (ObslatError, InputError, PreconditionError,
 from .lattice import FiniteOrthoLattice, bits, mask_from
 from .corpus import (boolean_algebra, chain, mo, o6, product,
                      standard_lattices)
-from .stone import (DualIdeal, principal, cone, is_dual_ideal, is_filter_base,
+from .stone import (DualIdeal, principal, cone, is_filter_base,
                     enumerate_dual_ideals, enumerate_quasipoints, basis_set,
                     quasipoints_over_center, inclusion_dot)
 from .spectral import (SpectralFamily, spectral_family, constant_family,
@@ -17,8 +17,8 @@ from .observables import (ObservableFunction, observable, observable_table,
                          observable_from_spectral,
                          check_intersection_condition,
                          check_upper_semicontinuous, reconstruct,
-                         increasing_function, check_completely_increasing,
-                         r_from_f, f_from_r, observable_from_increasing,
+                         check_completely_increasing,
+                         observable_from_increasing,
                          observability_criterion, restrict_observable)
 from .vn import (Tolerances, TOL, OperatorSpectralFamily, VNSubalgebra,
                  eigen_hermitian, spectral_family_of, family_from_steps,

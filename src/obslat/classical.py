@@ -300,28 +300,6 @@ def induced_function(family: TopSpectralFamily, point: str) -> float:
         witness=point)
 
 
-def spectrum_and_resolvent(family: TopSpectralFamily
-                           ) -> tuple[list[float], list[tuple]]:
-    """Breakpoints of the canonical form, plus the complementary open
-    intervals (None marks an infinite end)."""
-    sp = [lam for lam, _ in family.breakpoints]
-    res = []
-    prev = None
-    for lam in sp:
-        res.append((prev, lam))
-        prev = lam
-    res.append((prev, None))
-    return sp, res
-
-
-def image_of_induced(family: TopSpectralFamily) -> list[float]:
-    dom = family.admissible_domain()
-    out = set()
-    for x in bits(dom):
-        out.add(induced_function(family, family.space.points[x]))
-    return sorted(out)
-
-
 def is_continuous_family(family: TopSpectralFamily
                          ) -> tuple[bool, dict | None, dict]:
     """The closure of every earlier value must lie inside every later value.
@@ -351,27 +329,6 @@ def is_continuous_family(family: TopSpectralFamily
         "admissible_domain_open": space.is_open(family.admissible_domain()),
     }
     return True, None, report
-
-
-def sublevel_regularization_gap(space: FiniteTopSpace,
-                                values: dict[str, float]) -> list[float]:
-    """Breakpoints where the interior of the strict-sublevel intersection
-    over later cuts differs from the interior of the closed sublevel set
-    (empty for every total function on a finite space; kept as a checkable
-    identity)."""
-    vals = _total_values(space, values)
-    distinct = sorted(set(vals))
-    eps = min((b - a for a, b in zip(distinct, distinct[1:])), default=1.0) / 2
-    bad = []
-    for v in distinct:
-        cuts = [m for m in distinct if m > v] + [v + eps]
-        inter = space.full
-        for mu in cuts:
-            inter &= mask_from(i for i, fv in enumerate(vals) if fv < mu)
-        if space.interior(inter) != space.interior(
-                mask_from(i for i, fv in enumerate(vals) if fv <= v)):
-            bad.append(v)
-    return bad
 
 
 # -- bridges and corpora ---------------------------------------------------------

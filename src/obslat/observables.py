@@ -7,16 +7,17 @@ the function is decreasing under inclusion and every value is the minimum of
 the values at the principal up-sets of the ideal's members).
 
 Every dual ideal of a finite lattice is the principal up-set of its
-generator, so a table holds one real per nonzero element under its top, and
-both axioms are decided on that element table, for a top below the lattice
-top as for the whole lattice.  Under the top, up(a) meets up(b) in
-up(a join b), so the intersection condition is the join law
-r(a join b) = max(r(a), r(b)); up(a) lies strictly inside up(b) exactly when
-b < a, so decreasing under inclusion is r increasing.  Witnesses name the
-first failing pair in the canonical ideal order (size, then member tuple).
-The rebuilt spectral family takes at each value v the join of the elements
-valued at most v.  Completely increasing element functions are the same
-tables read on elements.
+generator, so there is one table: one real per nonzero element under its
+top.  Read on dual ideals it is the observable function f; read on elements
+it is the function r(P) = f(up-set of P), completely increasing exactly when
+f obeys the intersection condition.  Under the top, up(a) meets up(b) in
+up(a join b), so both are one join law r(a join b) = max(r(a), r(b)); up(a)
+lies strictly inside up(b) exactly when b < a, so decreasing under inclusion
+is r increasing.  The join law is scanned in canonical ideal order (size,
+then member tuple) for tables, and witnesses name ideals; it is scanned in
+element order for completely increasing functions and context sections,
+and witnesses name elements.  The rebuilt spectral family takes at each
+value v the join of the elements valued at most v.
 
 Values are finite 64-bit floats compared exactly; reconstruction partitions
 the table by value equality, so tables should stick to exactly representable
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -56,17 +57,12 @@ class ObservableFunction:
                 witness=self.lattice.names[a])
         return v
 
-    at = at_element     # the element picture's name for the same lookup
-
     def at_ideal(self, ideal: DualIdeal) -> float:
         """f of a dual ideal: the value at its generator (= min over members)."""
         return self.at_element(ideal.generator())
 
     def image(self) -> list[float]:
         return sorted(set(self.values[a] for a in self.domain()))
-
-    def table_by_name(self) -> dict[str, float]:
-        return {self.lattice.names[a]: self.values[a] for a in self.domain()}
 
 
 def observable(lattice: FiniteOrthoLattice, values: dict[int, float],
@@ -136,18 +132,23 @@ def _ideal_names(f: ObservableFunction, a: int) -> list[str]:
     return [f.lattice.names[b] for b in _ideal_of(f, a)]
 
 
-def _first_join_failure(f: ObservableFunction, order: list[int]
-                        ) -> tuple[int, int] | None:
-    """First pair (a, b) of ``order`` squared, row by row, with
-    f(a join b) != max(f(a), f(b)); None when the join law holds."""
+def _join_law(f: ObservableFunction, order: list[int], key: str,
+              name: Callable[[int], object]) -> tuple[bool, dict | None]:
+    """f(a join b) == max(f(a), f(b)) over ``order`` squared, row by row.
+    The witness names the first failing pair, and their join under ``key``,
+    by ``name``."""
     idx = np.array(order, dtype=np.int64)
     vals = np.array([0.0 if v is None else v for v in f.values])
     joins = f.lattice.join_table[np.ix_(idx, idx)]
     bad = np.flatnonzero(vals[joins] != np.maximum.outer(vals[idx], vals[idx]))
     if not bad.size:
-        return None
+        return True, None
     i, k = divmod(int(bad[0]), len(order))
-    return order[i], order[k]
+    a, b = order[i], order[k]
+    j = f.lattice.join(a, b)
+    return False, {"family": [name(a), name(b)], key: name(j),
+                   "value": f.values[j],
+                   "sup_of_values": max(f.values[a], f.values[b])}
 
 
 def check_intersection_condition(f: ObservableFunction
@@ -159,15 +160,16 @@ def check_intersection_condition(f: ObservableFunction
     ideals generated by a and b meet in the one generated by a join b, so the
     pass is the join law on the generators, in the canonical ideal order.
     """
-    pair = _first_join_failure(f, canonical_order(f.lattice, f.top))
-    if pair is None:
-        return True, None
-    a, b = pair
-    j = f.lattice.join(a, b)
-    return False, {
-        "family": [_ideal_names(f, a), _ideal_names(f, b)],
-        "intersection": _ideal_names(f, j),
-        "value": f.values[j], "sup_of_values": max(f.values[a], f.values[b])}
+    return _join_law(f, canonical_order(f.lattice, f.top), "intersection",
+                     lambda a: _ideal_names(f, a))
+
+
+def check_completely_increasing(r: ObservableFunction
+                                ) -> tuple[bool, dict | None]:
+    """r(a join b) == max(r(a), r(b)) on all pairs, in element order; pairs
+    decide all finite joins by the same chaining argument as the
+    intersection condition."""
+    return _join_law(r, r.domain(), "join", lambda a: r.lattice.names[a])
 
 
 def check_upper_semicontinuous(f: ObservableFunction
@@ -191,20 +193,6 @@ def check_upper_semicontinuous(f: ObservableFunction
             "smaller": _ideal_names(f, a), "larger": _ideal_names(f, b),
             "values": [f.values[a], f.values[b]]}
     return True, None
-
-
-def usc_epsilon_witness(f: ObservableFunction, ideal: DualIdeal,
-                        epsilon: float) -> int | None:
-    """A member P of the ideal with f within epsilon of f(ideal) on every
-    dual ideal containing P, i.e. on the domain's nonzero elements under P
-    (none when P is off the domain); None when no member works."""
-    lat = f.lattice
-    base = f.at_ideal(ideal)
-    for p in ideal.members():
-        under = lat.downset(p) if f.values[p] is not None else []
-        if all(f.values[c] <= base + epsilon for c in under if c != lat.zero):
-            return p
-    return None
 
 
 def reconstruct(f: ObservableFunction) -> SpectralFamily:
@@ -233,49 +221,13 @@ def _rebuild(f: ObservableFunction) -> SpectralFamily:
     return spectral_family(lat, pairs, top=f.top)
 
 
-# -- completely increasing element functions --------------------------------
-
-def increasing_function(lattice: FiniteOrthoLattice, values: dict[int, float],
-                        top: int | None = None) -> ObservableFunction:
-    return observable(lattice, values, top=top, checked=False)
-
-
-def check_completely_increasing(r: ObservableFunction
-                                ) -> tuple[bool, dict | None]:
-    """r(a join b) == max(r(a), r(b)) on all pairs; pairs decide all finite
-    joins by the same chaining argument as the intersection condition."""
-    pair = _first_join_failure(r, r.domain())
-    if pair is None:
-        return True, None
-    a, b = pair
-    lat = r.lattice
-    j = lat.join(a, b)
-    return False, {
-        "family": [lat.names[a], lat.names[b]],
-        "join": lat.names[j],
-        "value": r.values[j],
-        "sup_of_values": max(r.values[a], r.values[b])}
-
-
-def r_from_f(f: ObservableFunction) -> ObservableFunction:
-    """The element picture: r(P) = f(up-set of P), the same table."""
-    return f
-
-
-def f_from_r(r: ObservableFunction, ideal: DualIdeal) -> float:
-    """min of r over the ideal's members (the ideal is nonempty)."""
-    members = ideal.members()
-    if not members:
-        raise PreconditionError("dual ideals are nonempty")
-    return min(r.at(p) for p in members)
-
-
 def observable_from_increasing(r: ObservableFunction
                                ) -> tuple[ObservableFunction, bool, dict | None]:
-    """Full table of f_r plus the completely-increasing verdict.
+    """The table valued at each a by the min of r over a's dual ideal, plus
+    r's completely-increasing verdict.
 
-    The table is computed either way; the flag tells whether r satisfies the
-    join condition (when it does, f_r is an observable function).
+    The table is computed either way.  When r passes, r is increasing, so
+    the min over a's ideal is r(a) and the table is r itself.
     """
     ok, witness = check_completely_increasing(r)
     vals = {a: min(r.values[b] for b in _ideal_of(r, a)) for a in r.domain()}
@@ -311,7 +263,7 @@ def observability_criterion(lattice: FiniteOrthoLattice,
                 f"element {lattice.names[a]} lies over no atom",
                 witness=lattice.names[a])
         vals[a] = max(quasipoint_values[t] for t in under)
-    r = increasing_function(lattice, vals)
+    r = observable(lattice, vals, checked=False)
     ok, witness = check_completely_increasing(r)
     if not ok:
         return False, witness, None

@@ -70,10 +70,6 @@ def dual_ideal_violation(lattice: FiniteOrthoLattice, mask: int) -> dict | None:
     return None
 
 
-def is_dual_ideal(lattice: FiniteOrthoLattice, mask: int) -> bool:
-    return dual_ideal_violation(lattice, mask) is None
-
-
 def principal(lattice: FiniteOrthoLattice, a: int) -> DualIdeal:
     """The up-set of a nonzero element."""
     if a == lattice.zero:
