@@ -12,7 +12,7 @@ All comparisons name the tolerance they use; the defaults live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -282,23 +282,28 @@ def _vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1)
 
 
-def commutant_basis(mats, dim: int, tol: Tolerances = TOL) -> list[np.ndarray]:
+def commutant_basis(mats, dim: int, tol: Tolerances = TOL) -> np.ndarray:
     """Basis of everything commuting with the given matrices and their
-    adjoints: the null space of the stacked Sylvester equations, via
-    vec(G X - X G) = (G (x) I - I (x) G^T) vec(X).  Once the stack passes
-    dim^2 rows it is replaced by its R factor, which has the same null space
-    and singular values, so memory stays O(dim^4) for any number of
-    generators."""
+    adjoints, as a (k, dim, dim) stack: the null space of the stacked
+    Sylvester equations, via vec(G X - X G) = (G (x) I - I (x) G^T) vec(X).
+    Each generator's two blocks are broadcast at once (einsum), and whenever
+    the stack passes dim^2 rows it is replaced by its R factor, which has the
+    same null space and singular values, so memory stays O(dim^4) for any
+    number of generators."""
     eye = np.eye(dim, dtype=complex)
     stack = np.zeros((0, dim * dim), dtype=complex)
     for g in mats:
         g = as_matrix(g)
-        for h in (g, g.conj().T):
-            stack = np.vstack([stack, np.kron(h, eye) - np.kron(eye, h.T)])
-            if stack.shape[0] > dim * dim:
-                stack = np.linalg.qr(stack, mode="r")
-    vecs = null_space(stack, tol)
-    return [vecs[:, k].reshape(dim, dim) for k in range(vecs.shape[1])]
+        if g.shape[0] != dim:
+            raise InputError("generator dimension mismatch",
+                             witness=[int(g.shape[0]), dim])
+        hs = np.stack([g, g.conj().T])
+        blocks = (np.einsum("hij,kl->hikjl", hs, eye)
+                  - np.einsum("ij,hlk->hikjl", eye, hs))
+        stack = np.vstack([stack, blocks.reshape(2 * dim * dim, dim * dim)])
+        if stack.shape[0] > dim * dim:
+            stack = np.linalg.qr(stack, mode="r")
+    return null_space(stack, tol).T.reshape(-1, dim, dim)
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,9 @@ class VNSubalgebra:
     dim: int = 0
     generators: tuple = ()
     basis: tuple = ()            # matrices whose vecs are orthonormal
-    commutant: tuple = ()        # same, for the commutant
+    commutant: np.ndarray = field(   # (k, d, d), read-only; vecs orthonormal
+        default_factory=lambda: np.zeros((0, 0, 0), dtype=complex),
+        compare=False)
 
     @property
     def linear_dim(self) -> int:
@@ -339,42 +346,41 @@ class VNSubalgebra:
 def subalgebra(gens, dim: int | None = None, tol: Tolerances = TOL
                ) -> VNSubalgebra:
     """The unital *-algebra generated by the given matrices, with its
-    commutant (the generators' own).  Being singly generated (Pearcy 1962),
-    the commutant is generated by two random elements, whose commutant has
-    the double commutant's dimension, or more if the pair is not generic.
-    The span of products grows to it; one that stalls or passes it raises."""
+    commutant (the generators' own), stored once as a read-only (k, d, d)
+    stack.  Being singly generated (Pearcy 1962), the commutant is generated
+    by two random elements, whose commutant has the double commutant's
+    dimension, or more if the pair is not generic.  The span grows to it by
+    products: each round forms every product of the current basis in one
+    batched matmul.  A span that stalls or passes it raises."""
     gens = [as_matrix(g) for g in gens]
     if dim is None:
         if not gens:
             raise InputError("need generators or an explicit dimension")
         dim = gens[0].shape[0]
-    for g in gens:
-        if g.shape[0] != dim:
-            raise InputError("generator dimension mismatch",
-                             witness=[int(g.shape[0]), dim])
     if dim > MAX_DIM:
         raise ResourceError(f"dimension {dim} exceeds {MAX_DIM}")
     if dim < 1:
         raise InputError("dimension must be positive", witness=dim)
     comm = commutant_basis(gens, dim, tol)
+    comm.flags.writeable = False
     w = np.random.default_rng(GENERIC_SEED).standard_normal((2, 2, len(comm)))
-    pair = np.tensordot(w[0] + 1j * w[1], np.array(comm), axes=1)
+    pair = np.tensordot(w[0] + 1j * w[1], comm, axes=1)
     target = len(commutant_basis(pair, dim, tol))
     seed = [np.eye(dim, dtype=complex)] + [
         h for g in gens for h in (g, g.conj().T)]
     basis = orthonormal_range(np.column_stack([_vec(m) for m in seed]), tol)
-    mats = [basis[:, k].reshape(dim, dim) for k in range(basis.shape[1])]
+    mats = basis.T.reshape(-1, dim, dim)
     while len(mats) < target:
-        basis = orthonormal_range(np.hstack([basis] + [
-            _vec(x @ y).reshape(-1, 1) for x in mats for y in mats]), tol)
+        products = (mats[:, None] @ mats[None, :]).reshape(-1, dim * dim)
+        basis = orthonormal_range(np.hstack([basis, products.T]), tol)
         if basis.shape[1] == len(mats):
             break
-        mats = [basis[:, k].reshape(dim, dim) for k in range(basis.shape[1])]
+        mats = basis.T.reshape(-1, dim, dim)
     if len(mats) != target:
         raise ResourceError(
             "double commutant does not close at the generated span",
             witness={"span": len(mats), "bicommutant": target})
-    return VNSubalgebra(dim, tuple(gens), tuple(mats), tuple(comm))
+    return VNSubalgebra(dim, tuple(gens), tuple(mats), comm)
 
 
 def trivial_algebra(dim: int, tol: Tolerances = TOL) -> VNSubalgebra:
@@ -437,24 +443,13 @@ def _in_algebra_dim(m: VNSubalgebra, x: np.ndarray) -> np.ndarray:
 def core_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
     """Largest subspace of ran q invariant under the commutant, as a
     projection: the x in ran q with g x in ran q for all g in the commutant,
-    already invariant because the commutant is an algebra.  The result must
-    commute with the commutant (hence lie in the algebra); a breach is an
-    internal numeric failure."""
-    q = _in_algebra_dim(m, check_projection(q, tol))
-    basis = orthonormal_range(q, tol)
-    if basis.shape[1] > 0:
-        p_out = np.eye(m.dim, dtype=complex) - basis @ basis.conj().T
-        keep = null_space(np.vstack([p_out @ (g @ basis) for g in m.commutant]),
-                          tol)
-        if keep.shape[1] < basis.shape[1]:
-            basis = orthonormal_range(basis @ keep, tol)
-    core = basis @ basis.conj().T
-    for g in m.commutant:
-        defect = float(np.linalg.norm(g @ core - core @ g))
-        if defect > tol.sub:
-            raise ResourceError("core failed to commute with the commutant",
-                                witness={"defect": defect})
-    return core
+    already invariant because the commutant is an algebra.  The whole
+    commutant stack acts at once: one batched product gives the (k d, r)
+    system whose null space is kept, and one batched norm checks that the
+    result commutes with every element (hence lies in the algebra); a breach
+    is an internal numeric failure, witnessed by the first element's
+    defect."""
+    return _core(m, _in_algebra_dim(m, check_projection(q, tol)), tol)
 
 
 def support_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
@@ -462,7 +457,26 @@ def support_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
     the complement."""
     q = _in_algebra_dim(m, check_projection(q, tol))
     eye = np.eye(m.dim, dtype=complex)
-    return eye - core_projection(m, eye - q, tol)
+    return eye - _core(m, eye - q, tol)
+
+
+def _core(m: VNSubalgebra, q: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``core_projection`` of a projection already checked against m."""
+    basis = orthonormal_range(q, tol)
+    comm = m.commutant
+    if basis.shape[1] > 0:
+        moved = comm @ basis
+        moved -= basis @ (basis.conj().T @ moved)
+        keep = null_space(moved.reshape(-1, basis.shape[1]), tol)
+        if keep.shape[1] < basis.shape[1]:
+            basis = orthonormal_range(basis @ keep, tol)
+    core = basis @ basis.conj().T
+    defects = np.linalg.norm(comm @ core - core @ comm, axis=(1, 2))
+    breach = np.flatnonzero(defects > tol.sub)
+    if len(breach):
+        raise ResourceError("core failed to commute with the commutant",
+                            witness={"defect": float(defects[breach[0]])})
+    return core
 
 
 def rho_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
@@ -487,11 +501,17 @@ def atomic_value(a, x, tol: Tolerances = TOL) -> float:
     """The first breakpoint whose spectral projection contains the given
     vector (normalized here)."""
     x = np.asarray(x, dtype=complex).reshape(-1)
+    if not np.isfinite(x).all():
+        raise InputError("vector entries must be finite",
+                         witness=int(np.flatnonzero(~np.isfinite(x))[0]))
     nrm = float(np.linalg.norm(x))
     if nrm <= tol.pivot:
         raise InputError("need a nonzero vector")
     x = x / nrm
     fam = spectral_family_of(a, tol)
+    if x.shape[0] != fam.dim:
+        raise InputError("vector dimension differs from the operator's",
+                         witness=[int(x.shape[0]), fam.dim])
     for mu, e in zip(fam.breakpoints, fam.projections):
         if float(np.linalg.norm(e @ x - x)) <= tol.sub:
             return mu

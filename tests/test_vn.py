@@ -162,6 +162,17 @@ def test_commutant_dimensions():
     assert len(vn.commutant_basis([a, b], 3)) == 1
 
 
+@pytest.mark.parametrize("build", [
+    lambda: vn.commutant_basis([np.eye(3)], 2),
+    lambda: vn.subalgebra([np.eye(2), np.eye(3)])],
+    ids=["commutant_basis", "subalgebra"])
+def test_generator_dimension_is_checked(build):
+    with pytest.raises(InputError) as err:
+        build()
+    assert err.value.args[0] == "generator dimension mismatch"
+    assert err.value.witness == [3, 2]
+
+
 def one_stack_commutant(mats, dim, tol=vn.TOL):
     """Reference: the commutant as the null space of all Sylvester blocks
     stacked at once, from a full SVD (the construction before the stack was
@@ -312,6 +323,45 @@ def ref_restrict(m, a, hull):
              else eye - ref_core_projection(m, eye - e)
              for e in fam.projections]
     return vn.family_from_steps(fam.breakpoints, steps).synthesize()
+
+
+def test_batched_commute_check_keeps_the_loop_witness():
+    """A commutant that is not *-closed (spanned by I and E12) does not keep
+    the core of diag(1, 0) in the algebra: the batched check raises with the
+    loop oracle's witness, the defect of the first breaching element."""
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    m = vn.VNSubalgebra(2, (), (np.eye(2, dtype=complex),),
+                        (np.eye(2, dtype=complex), e12))
+    q = np.diag([1.0, 0.0])
+    with pytest.raises(ResourceError) as got:
+        vn.core_projection(m, q)
+    with pytest.raises(ResourceError) as want:
+        ref_core_projection(m, q)
+    assert got.value.args == want.value.args
+    assert got.value.witness == want.value.witness == {"defect": 1.0}
+
+
+def test_commutant_stack_is_read_only():
+    alg = vn.subalgebra([np.diag([0.0, 1.0, 2.0])])
+    assert alg.commutant.shape == (3, 3, 3)
+    assert not alg.commutant.flags.writeable
+    with pytest.raises(ValueError):
+        alg.commutant[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("fn", [vn.core_projection, vn.support_projection],
+                         ids=lambda fn: fn.__name__)
+def test_core_and_support_check_the_projection_once(fn, monkeypatch):
+    seen = []
+    check = vn.check_projection
+
+    def counted(p, tol=vn.TOL):
+        seen.append(p)
+        return check(p, tol)
+
+    monkeypatch.setattr(vn, "check_projection", counted)
+    fn(vn.subalgebra([np.diag([0.0, 1.0, 2.0])]), np.diag([1.0, 1.0, 0.0]))
+    assert len(seen) == 1
 
 
 def projector(mats):
@@ -542,6 +592,19 @@ def test_atomic_value(rng):
     assert vn.atomic_value(a, x) == pytest.approx(0.75)
     with pytest.raises(InputError):
         vn.atomic_value(a, np.zeros(2))
+
+
+def test_atomic_value_rejects_bad_vectors():
+    a = np.diag([0.0, 1.0, 2.0])
+    with pytest.raises(InputError) as err:
+        vn.atomic_value(a, [math.nan, 1.0, 1.0])
+    assert err.value.witness == 0
+    with pytest.raises(InputError) as err:
+        vn.atomic_value(a, [1.0, math.inf, 1.0])
+    assert err.value.witness == 1
+    with pytest.raises(InputError) as err:
+        vn.atomic_value(a, [1.0, 0.0])
+    assert err.value.witness == [2, 3]
 
 
 def test_random_projection_rank(rng):
