@@ -62,6 +62,9 @@ class FiniteOrthoLattice:
         self._down = [mask_from(np.flatnonzero(self.leq[:, i])) for i in range(n)]
         self._up = [mask_from(np.flatnonzero(self.leq[i, :])) for i in range(n)]
         self.meet_table, self.join_table = self._build_tables()
+        # stone.canonical_order's memo, top -> sorted generators; it reads
+        # only leq, which never changes after this point
+        self._orders: dict[int, tuple[int, ...]] = {}
 
         self.ortho: tuple[int, ...] | None = None
         if ortho is not None:

@@ -74,12 +74,20 @@ def observable(lattice: FiniteOrthoLattice, values: dict[int, float],
     ``reconstruct``), so only the latter is run."""
     if top is None:
         top = lattice.one
+    if not 0 <= top < lattice.n:
+        raise InputError("the table top is not an element of the lattice",
+                         witness=[top, lattice.n])
+    if top == lattice.zero:
+        raise PreconditionError(
+            f"no dual ideal lies under the top {lattice.names[top]}, the "
+            f"bottom", witness=lattice.names[top])
+    under = lattice.downset_mask(top) & ~(1 << lattice.zero)
     cells: list[float | None] = [None] * lattice.n
     for a, v in values.items():
         a = int(a)
         if not 0 <= a < lattice.n:
             raise InputError("value keyed by unknown element", witness=a)
-        if a == lattice.zero or not lattice.le(a, top):
+        if not under >> a & 1:
             raise InputError(
                 f"values may only sit at nonzero elements under the top "
                 f"{lattice.names[top]}", witness=lattice.names[a])
@@ -88,8 +96,7 @@ def observable(lattice: FiniteOrthoLattice, values: dict[int, float],
             raise InputError(
                 f"the value at {lattice.names[a]} is not a finite real",
                 witness=lattice.names[a])
-    missing = [lattice.names[a] for a in range(lattice.n)
-               if a != lattice.zero and lattice.le(a, top) and cells[a] is None]
+    missing = [lattice.names[a] for a in bits(under) if cells[a] is None]
     if missing:
         raise InputError("table is not total", witness=missing)
     f = ObservableFunction(lattice, tuple(cells), top)
@@ -113,12 +120,11 @@ def observable_from_spectral(family: SpectralFamily, ideal: DualIdeal) -> float:
 def observable_table(family: SpectralFamily) -> ObservableFunction:
     """The full table of a bounded family, one value per principal up-set."""
     lat = family.lattice
-    vals: dict[int, float] = {}
-    for a in range(lat.n):
-        if a == lat.zero or not lat.le(a, family.top):
-            continue
-        vals[a] = next(lam for lam, e in family.breakpoints if lat.le(a, e))
-    return observable(lat, vals, top=family.top, checked=False)
+    dom = bits(lat.downset_mask(family.top) & ~(1 << lat.zero))
+    # the first breakpoint above each a; the last one, the top, is above all
+    first = lat.leq[np.ix_(dom, family.elements())].argmax(axis=1)
+    lams = np.array(family.spectrum())[first].tolist()
+    return observable(lat, dict(zip(dom, lams)), top=family.top, checked=False)
 
 
 # -- the axioms, decided on elements ------------------------------------------

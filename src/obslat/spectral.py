@@ -97,6 +97,9 @@ def spectral_family(lattice: FiniteOrthoLattice,
     bottom; every element must lie in range and below ``top``."""
     if top is None:
         top = lattice.one
+    if not 0 <= top < lattice.n:
+        raise InputError("the family top is not an element of the lattice",
+                         witness=[top, lattice.n])
 
     def check(e: int) -> int:
         if not 0 <= e < lattice.n:

@@ -5,7 +5,10 @@ contains the bottom element).  In a finite lattice every dual ideal has a
 minimum, so it is the principal up-set of its generator, which is all a
 ``DualIdeal`` stores; enumeration walks the nonzero elements instead of
 scanning subsets, and quasipoints (the maximal dual ideals) are exactly the
-up-sets of atoms.  Subsets are bitmasks over element indices.
+up-sets of atoms.  Subsets are bitmasks over element indices.  The canonical
+order of the ideals under a top is sorted once per lattice and top and
+memoized on the lattice, so enumeration, the axiom checks and the inclusion
+graph share one sort.
 """
 from __future__ import annotations
 
@@ -119,16 +122,32 @@ def canonical_order(lattice: FiniteOrthoLattice, top: int | None = None,
                     among: Iterable[int] | None = None) -> list[int]:
     """Generators of the dual ideals under ``top`` (default the lattice top),
     or only those ``among`` the given ones, sorted by the size, then the
-    member tuple, of up(a) meet down(top) so reports are deterministic."""
-    under = lattice.downset_mask(lattice.one if top is None else top)
+    member tuple, of up(a) meet down(top) so reports are deterministic.
 
-    def key(a: int) -> tuple[int, list[int]]:
-        m = lattice.upset_mask(a) & under
-        return m.bit_count(), bits(m)
+    The order depends on the lattice and the top alone, so it is sorted once
+    per top and memoized on the lattice; each call returns a fresh list."""
+    top = lattice.one if top is None else top
+    order = lattice._orders.get(top)
+    if order is None:
+        under = lattice.downset_mask(top)
 
+        def key(a: int) -> tuple[int, list[int]]:
+            m = lattice.upset_mask(a) & under
+            return m.bit_count(), bits(m)
+
+        order = tuple(sorted(bits(under & ~(1 << lattice.zero)), key=key))
+        lattice._orders[top] = order
     if among is None:
-        among = bits(under & ~(1 << lattice.zero))
-    return sorted(among, key=key)
+        return list(order)
+    rank = {a: k for k, a in enumerate(order)}
+    among = list(among)
+    stray = [a for a in among if a not in rank]
+    if stray:
+        name = lattice.names[stray[0]] if 0 <= stray[0] < lattice.n else stray[0]
+        raise PreconditionError(
+            f"{name} generates no dual ideal under the top "
+            f"{lattice.names[top]}", witness=name)
+    return sorted(among, key=rank.__getitem__)
 
 
 def enumerate_dual_ideals(lattice: FiniteOrthoLattice) -> list[DualIdeal]:

@@ -335,6 +335,15 @@ def test_non_finite_table_values_exit_2(capsys, tmp_path, bad):
         assert json.loads(err, parse_constant=pytest.fail)["witness"] == "a'"
 
 
+def test_table_with_bottom_top_exit_2(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"lattice": "mo2", "top": "0", "values": {}}))
+    for cmd in ("check", "reconstruct"):
+        code, out, err = run(capsys, "obs", cmd, "--table", str(table))
+        assert code == 2 and out == ""
+        assert json.loads(err)["witness"] == "0"
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_witnesses_print_strict_json(capsys, tmp_path, literal):
     path = tmp_path / "family.json"

@@ -16,6 +16,7 @@ from obslat.errors import CheckFailure, InputError, PreconditionError
 from obslat.lattice import FiniteOrthoLattice, bits, mask_from
 from obslat.spectral import restrict_family, sample_family, spectral_family
 from obslat.stone import dual_ideal_violation, principal
+from test_stone import oracle_lattices
 
 
 def all_bounded_families(lat, values):
@@ -141,6 +142,16 @@ def ref_reconstruct(f):
         assert dual_ideal_violation(lat, inter) is None
         pairs.append((v, RefIdeal(lat, inter).generator()))
     return spectral_family(lat, pairs, top=f.top)
+
+
+def ref_observable_table(family):
+    """The value at each a under the top is the first breakpoint whose
+    element lies above a."""
+    lat = family.lattice
+    return tuple(
+        next(lam for lam, e in family.breakpoints if lat.le(a, e))
+        if a != lat.zero and lat.le(a, family.top) else None
+        for a in range(lat.n))
 
 
 def perturbed_table(lat, r):
@@ -346,6 +357,14 @@ def test_construction_errors(lattices):
     with pytest.raises(InputError):
         # b does not sit under the top a
         ob.observable(mo2, {a: 1.0, mo2.index("b"): 2.0}, top=a)
+    for top in (99, -1):
+        with pytest.raises(InputError) as err:
+            ob.observable(mo2, {a: 1.0}, top=top)
+        assert err.value.witness == [top, mo2.n]
+    # no dual ideal lies under bottom, so there is no table there
+    with pytest.raises(PreconditionError) as err:
+        ob.observable(mo2, {}, top=mo2.zero)
+    assert err.value.witness == "0"
     whole = {b: 1.0 for b in range(mo2.n) if b != mo2.zero}
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InputError) as err:
@@ -490,3 +509,14 @@ def test_restriction_of_table_matches_family_restriction(name, seed):
     for a in g.domain():
         assert g.at_element(a) == min(
             lam for lam, e in fam.breakpoints if lat.le(a, lat.meet(e, c)))
+
+
+@pytest.mark.parametrize("name", sorted(oracle_lattices()))
+def test_observable_table_matches_the_breakpoint_scan(name):
+    lat = oracle_lattices()[name]
+    r = random.Random(5)
+    nonzero = [a for a in range(lat.n) if a != lat.zero]
+    for _ in range(25):
+        fam = sample_family(lat, r)
+        for g in (fam, restrict_family(fam, r.choice(nonzero))):
+            assert ob.observable_table(g).values == ref_observable_table(g)

@@ -31,6 +31,10 @@ def test_family_needs_its_top(lattices):
     fam = spectral_family(mo2, [(1.0, a)], top=a)
     assert fam.top == a
     assert list(fam.spectrum()) == [1.0]
+    for top in (99, -1):
+        with pytest.raises(InputError) as err:
+            spectral_family(mo2, [(1.0, mo2.one)], top=top)
+        assert err.value.witness == [top, mo2.n]
 
 
 def test_leading_bottom_steps_are_dropped(lattices):

@@ -253,5 +253,35 @@ def test_generator_order_and_dot_match_mask_scans(name):
         mask_sorted(lat, lat.atoms(), lat.one)
     for top in nonzero:
         under = [a for a in nonzero if lat.le(a, top)]
-        assert stone.canonical_order(lat, top) == mask_sorted(lat, under, top)
+        expected = mask_sorted(lat, under, top)
+        # the memoized order is handed out as a fresh list each call
+        first = stone.canonical_order(lat, top)
+        assert first == stone.canonical_order(lat, top) == expected
+        first.append(lat.zero)
+        assert stone.canonical_order(lat, top) == expected
     assert stone.inclusion_dot(lat) == mask_inclusion_dot(lat)
+
+
+def test_equal_lattices_and_sublattices_keep_their_own_orders():
+    lat = corpus.product(corpus.mo(3), corpus.boolean_algebra(3))
+    twin = corpus.product(corpus.mo(3), corpus.boolean_algebra(3))
+    sub, _ = lat.sublattice(lat.center())
+    for one in (lat, twin, sub):
+        nonzero = [a for a in range(one.n) if a != one.zero]
+        for top in nonzero:
+            under = [a for a in nonzero if one.le(a, top)]
+            assert stone.canonical_order(one, top) == \
+                mask_sorted(one, under, top)
+    assert lat is not twin and lat == twin and hash(lat) == hash(twin)
+
+
+def test_canonical_order_sorts_only_generators_under_the_top(lattices):
+    b2 = lattices["b2"]
+    with pytest.raises(PreconditionError) as err:
+        stone.canonical_order(b2, among=[b2.zero])
+    assert err.value.witness == b2.names[b2.zero]
+    x, y = b2.atoms()
+    with pytest.raises(PreconditionError) as err:
+        stone.canonical_order(b2, top=x, among=[x, y])
+    assert err.value.witness == b2.names[y]
+    assert stone.canonical_order(b2, top=x, among=[x]) == [x]
