@@ -343,11 +343,9 @@ def open_set_lattice(space: FiniteTopSpace
             f"{len(opens)} open sets exceed the lattice cap {ELEMENT_CAP}")
     opens = sorted(opens, key=lambda u: (u.bit_count(), u))
     names = ["{" + ",".join(space.set_names(u)) + "}" for u in opens]
-    size = len(opens)
-    leq = np.zeros((size, size), dtype=bool)
-    for i, u in enumerate(opens):
-        for j, v in enumerate(opens):
-            leq[i, j] = u & v == u
+    # object ints: a space with few opens may have more than 64 points
+    u = np.array(opens, dtype=object)[:, None]
+    leq = (u & u.T) == u
     return FiniteOrthoLattice(names, leq, ortho=None), opens
 
 

@@ -2,13 +2,16 @@
 
 Elements are identified by index into a name tuple.  The order relation is a
 dense boolean matrix ``leq`` with ``leq[i, j] == True`` iff ``i <= j``.  Each
-element also keeps its down-set and its up-set as int bitmasks (bit k set for
-element k).  The lower bounds of a pair are ``down[i] & down[j]``, and the
-pair has a meet exactly when that mask is itself the down-set of an element,
-which a dict from down-set mask to element looks up; joins are found the same
-way from up-sets.  Meet and join are precomputed n-by-n tables; structural
-checks (distributivity, orthomodularity) scan exhaustively and report the
-first counterexample in lexicographic index order.
+element also keeps its down-set and its up-set as bitmasks (bit k set for
+element k), built as ``uint64`` rows (the element cap is 64) and kept as
+Python ints.  The lower bounds of a pair are ``down[i] & down[j]``, and the
+pair has a meet exactly when that mask is itself the down-set of an element:
+all n-by-n pair masks are looked up at once among the sorted down-set masks,
+and joins are found the same way from up-sets.  Meet and join are
+precomputed n-by-n tables; each structural check (the ortho laws,
+distributivity, orthomodularity, the center) is one array comparison over
+every pair or triple, and reports the first counterexample in lexicographic
+index order.
 
 Subsets of elements are passed around as bitmasks (int) throughout the
 package; helpers live at the bottom of this module.
@@ -59,8 +62,8 @@ class FiniteOrthoLattice:
 
         self.zero = self._unique_extremum(bottom=True)
         self.one = self._unique_extremum(bottom=False)
-        self._down = [mask_from(np.flatnonzero(self.leq[:, i])) for i in range(n)]
-        self._up = [mask_from(np.flatnonzero(self.leq[i, :])) for i in range(n)]
+        self._down: list[int] = _row_masks(self.leq.T).tolist()
+        self._up: list[int] = _row_masks(self.leq).tolist()
         self.meet_table, self.join_table = self._build_tables()
         # stone.canonical_order's memo, top -> sorted generators; it reads
         # only leq, which never changes after this point
@@ -116,57 +119,51 @@ class FiniteOrthoLattice:
 
     def _unique_extremum(self, bottom: bool) -> int:
         mat = self.leq if bottom else self.leq.T
-        hits = [i for i in range(len(self.names)) if mat[i].all()]
+        hits = np.flatnonzero(mat.all(axis=1))
         kind = "bottom" if bottom else "top"
         if len(hits) != 1:
             raise InputError(f"lattice must have a unique {kind} element",
                              witness=[self.names[i] for i in hits])
-        return hits[0]
+        return int(hits[0])
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self.names)
-        below = {m: k for k, m in enumerate(self._down)}
-        above = {m: k for k, m in enumerate(self._up)}
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                # the lower bounds are the down-set of the meet, if it exists
-                glb = below.get(self._down[i] & self._down[j])
-                if glb is None:
-                    raise InputError(
-                        f"no greatest lower bound for ({self.names[i]}, {self.names[j]})",
-                        witness=[self.names[i], self.names[j]])
-                meet[i][j] = meet[j][i] = glb
-                lub = above.get(self._up[i] & self._up[j])
-                if lub is None:
-                    raise InputError(
-                        f"no least upper bound for ({self.names[i]}, {self.names[j]})",
-                        witness=[self.names[i], self.names[j]])
-                join[i][j] = join[j][i] = lub
-        return np.array(meet, dtype=np.int64), np.array(join, dtype=np.int64)
+        # the lower bounds of a pair are the down-set of its meet, if it has
+        # one; down-sets are distinct, so a sorted lookup finds that element
+        meet, has_meet = _lookup(np.array(self._down, dtype=np.uint64))
+        join, has_join = _lookup(np.array(self._up, dtype=np.uint64))
+        bad = np.argwhere(~(has_meet & has_join))
+        if bad.size:
+            # the tables are symmetric, so the first pair has i <= j
+            i, j = (self.names[k] for k in bad[0])
+            kind = ("greatest lower" if not has_meet[tuple(bad[0])]
+                    else "least upper")
+            raise InputError(f"no {kind} bound for ({i}, {j})", witness=[i, j])
+        return meet, join
 
     def _validate_ortho(self):
         o = self.ortho
         n = len(self.names)
         if len(o) != n or sorted(o) != list(range(n)):
             raise InputError("ortho must be a permutation of the elements")
-        for a in range(n):
-            if o[o[a]] != a:
-                raise InputError(f"ortho not involutive at {self.names[a]}",
-                                 witness=self.names[a])
-            if self.meet_table[a, o[a]] != self.zero:
-                raise InputError(f"{self.names[a]} meet its ortho is not bottom",
-                                 witness=self.names[a])
-            if self.join_table[a, o[a]] != self.one:
-                raise InputError(f"{self.names[a]} join its ortho is not top",
-                                 witness=self.names[a])
-        for a in range(n):
-            for b in range(n):
-                if self.leq[a, b] and not self.leq[o[b], o[a]]:
-                    raise InputError(
-                        "ortho is not order-reversing",
-                        witness=[self.names[a], self.names[b]])
+        o = np.array(o)
+        idx = np.arange(n)
+        fails = np.stack([o[o] != idx,
+                          self.meet_table[idx, o] != self.zero,
+                          self.join_table[idx, o] != self.one])
+        bad = np.flatnonzero(fails.any(axis=0))
+        if bad.size:
+            a = int(bad[0])
+            name = self.names[a]
+            raise InputError(
+                (f"ortho not involutive at {name}",
+                 f"{name} meet its ortho is not bottom",
+                 f"{name} join its ortho is not top")[fails[:, a].argmax()],
+                witness=name)
+        # leq[o[b], o[a]] is the transpose of leq[o, o]
+        bad = np.argwhere(self.leq & ~self.leq[np.ix_(o, o)].T)
+        if bad.size:
+            raise InputError("ortho is not order-reversing",
+                             witness=[self.names[k] for k in bad[0]])
 
     # -- basic queries -----------------------------------------------------
 
@@ -179,6 +176,12 @@ class FiniteOrthoLattice:
             return self.names.index(name)
         except ValueError:
             raise InputError(f"unknown element {name!r}", witness=name) from None
+
+    def _check_element(self, a: int, role: str) -> None:
+        """Refuse an index outside the lattice, naming its role."""
+        if not 0 <= a < self.n:
+            raise InputError(f"the {role} is not an element of the lattice",
+                             witness=[a, self.n])
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.leq[a, b])
@@ -232,25 +235,24 @@ class FiniteOrthoLattice:
     # -- structural checks -------------------------------------------------
 
     def is_distributive(self) -> tuple[bool, tuple[str, str, str] | None]:
-        """Exhaustive triple scan; first counterexample in lex index order."""
+        """a meet (b join c) = (a meet b) join (a meet c) on every triple;
+        first counterexample in lex index order."""
         mt, jt = self.meet_table, self.join_table
-        n = self.n
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if mt[a, jt[b, c]] != jt[mt[a, b], mt[a, c]]:
-                        return False, (self.names[a], self.names[b], self.names[c])
+        bad = np.argwhere(mt[:, jt] != jt[mt[:, :, None], mt[:, None, :]])
+        if bad.size:
+            return False, tuple(self.names[k] for k in bad[0])
         return True, None
 
     def is_orthomodular(self) -> tuple[bool, tuple[str, str] | None]:
         """a <= b implies b = a join (b meet ortho(a)); needs ortho."""
         if self.ortho is None:
             raise PreconditionError("orthomodularity needs an orthocomplementation")
-        mt, jt, o = self.meet_table, self.join_table, self.ortho
-        for a in range(self.n):
-            for b in range(self.n):
-                if self.leq[a, b] and jt[a, mt[b, o[a]]] != b:
-                    return False, (self.names[a], self.names[b])
+        mt, jt, o = self.meet_table, self.join_table, np.array(self.ortho)
+        idx = np.arange(self.n)
+        # entry [a, b] is a join (b meet ortho(a))
+        bad = np.argwhere(self.leq & (jt[idx[:, None], mt[:, o].T] != idx))
+        if bad.size:
+            return False, tuple(self.names[k] for k in bad[0])
         return True, None
 
     def is_boolean(self) -> bool:
@@ -274,12 +276,11 @@ class FiniteOrthoLattice:
         if not ok:
             raise PreconditionError(
                 "center is only computed for orthomodular lattices", witness=wit)
-        mt, jt, o = self.meet_table, self.join_table, self.ortho
-        out = []
-        for z in range(self.n):
-            if all(jt[mt[z, a], mt[z, o[a]]] == z for a in range(self.n)):
-                out.append(z)
-        return out
+        mt, jt, o = self.meet_table, self.join_table, np.array(self.ortho)
+        # entry [z, a] is (z meet a) join (z meet ortho(a))
+        both = jt[mt, mt[:, o]]
+        return np.flatnonzero(
+            (both == np.arange(self.n)[:, None]).all(axis=1)).tolist()
 
     # -- sublattices ---------------------------------------------------------
 
@@ -353,12 +354,31 @@ class FiniteOrthoLattice:
 
 
 def _transitive_reflexive_closure(rel: np.ndarray) -> np.ndarray:
+    # squaring a reflexive relation doubles the path length it covers; the
+    # float32 product counts paths (at most ELEMENT_CAP), so > 0 is exact
     out = rel | np.eye(rel.shape[0], dtype=bool)
     while True:
-        nxt = out | (out @ out)
+        f = out.astype(np.float32)
+        nxt = (f @ f) > 0
         if (nxt == out).all():
             return nxt
         out = nxt
+
+
+def _row_masks(mat: np.ndarray) -> np.ndarray:
+    """Row k of a boolean matrix as a uint64 bitmask (bit j for column j)."""
+    bit = np.left_shift(np.uint64(1), np.arange(mat.shape[1], dtype=np.uint64))
+    return np.bitwise_or.reduce(np.where(mat, bit, np.uint64(0)), axis=1)
+
+
+def _lookup(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every pair (i, j), the element whose mask is ``masks[i] &
+    masks[j]``, and whether one exists (masks are distinct)."""
+    order = np.argsort(masks)
+    ranked = masks[order]
+    pair = masks[:, None] & masks[None, :]
+    at = np.minimum(np.searchsorted(ranked, pair), len(masks) - 1)
+    return order[at].astype(np.int64), ranked[at] == pair
 
 
 # -- bitmask helpers ---------------------------------------------------------

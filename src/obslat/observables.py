@@ -74,9 +74,7 @@ def observable(lattice: FiniteOrthoLattice, values: dict[int, float],
     ``reconstruct``), so only the latter is run."""
     if top is None:
         top = lattice.one
-    if not 0 <= top < lattice.n:
-        raise InputError("the table top is not an element of the lattice",
-                         witness=[top, lattice.n])
+    lattice._check_element(top, "table top")
     if top == lattice.zero:
         raise PreconditionError(
             f"no dual ideal lies under the top {lattice.names[top]}, the "

@@ -97,9 +97,7 @@ def spectral_family(lattice: FiniteOrthoLattice,
     bottom; every element must lie in range and below ``top``."""
     if top is None:
         top = lattice.one
-    if not 0 <= top < lattice.n:
-        raise InputError("the family top is not an element of the lattice",
-                         witness=[top, lattice.n])
+    lattice._check_element(top, "family top")
 
     def check(e: int) -> int:
         if not 0 <= e < lattice.n:
@@ -133,6 +131,7 @@ def projection_family(lattice: FiniteOrthoLattice, p: int) -> SpectralFamily:
 def restrict_family(family: SpectralFamily, a: int) -> SpectralFamily:
     """Meet every value with a; the result lives under the new top a."""
     lat = family.lattice
+    lat._check_element(a, "restriction target")
     new_top = lat.meet(family.top, a)
     if new_top == lat.zero:
         raise PreconditionError(

@@ -75,6 +75,7 @@ def dual_ideal_violation(lattice: FiniteOrthoLattice, mask: int) -> dict | None:
 
 def principal(lattice: FiniteOrthoLattice, a: int) -> DualIdeal:
     """The up-set of a nonzero element."""
+    lattice._check_element(a, "ideal generator")
     if a == lattice.zero:
         raise PreconditionError(
             "the up-set of bottom is the whole lattice, not a proper dual ideal")
@@ -127,6 +128,7 @@ def canonical_order(lattice: FiniteOrthoLattice, top: int | None = None,
     The order depends on the lattice and the top alone, so it is sorted once
     per top and memoized on the lattice; each call returns a fresh list."""
     top = lattice.one if top is None else top
+    lattice._check_element(top, "ideal top")
     order = lattice._orders.get(top)
     if order is None:
         under = lattice.downset_mask(top)
@@ -163,6 +165,7 @@ def enumerate_quasipoints(lattice: FiniteOrthoLattice) -> list[DualIdeal]:
 
 def basis_set(lattice: FiniteOrthoLattice, a: int) -> list[DualIdeal]:
     """Quasipoints containing the element a (a basic open of the spectrum)."""
+    lattice._check_element(a, "basis element")
     if a == lattice.zero:
         return []
     return [q for q in enumerate_quasipoints(lattice) if q.contains(a)]

@@ -1,14 +1,18 @@
 """Order structure: tables against brute force, law checks with witnesses,
-construction errors."""
+construction errors, and the whole-array construction and checks against
+the element-by-element loops they replaced."""
 import itertools
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obslat import corpus
+from obslat import classical, corpus, jsonio
 from obslat.classical import sierpinski3
-from obslat.errors import InputError, ResourceError
-from obslat.lattice import FiniteOrthoLattice, bits, mask_from
+from obslat.errors import InputError, ObslatError, ResourceError
+from obslat.lattice import (FiniteOrthoLattice, _transitive_reflexive_closure,
+                            bits, mask_from)
 
 ORTHO_NAMES = ["b1", "b2", "b3", "b4", "chain2", "mo1", "mo2", "mo3", "o6",
                "mo2xb1"]
@@ -246,3 +250,333 @@ def test_ortholattice_from_relation_builds_tables_once(monkeypatch):
     assert calls == [64]
     assert lat.ortho == source.ortho
     assert (lat.join_table == source.join_table).all()
+
+
+# -- the element-by-element loops, kept as oracles ----------------------------
+
+def ref_closure(rel):
+    out = rel | np.eye(rel.shape[0], dtype=bool)
+    while True:
+        nxt = out | (out @ out)
+        if (nxt == out).all():
+            return nxt
+        out = nxt
+
+
+def ref_unique_extremum(names, leq, bottom):
+    mat = leq if bottom else leq.T
+    hits = [i for i in range(len(names)) if mat[i].all()]
+    kind = "bottom" if bottom else "top"
+    if len(hits) != 1:
+        raise InputError(f"lattice must have a unique {kind} element",
+                         witness=[names[i] for i in hits])
+    return hits[0]
+
+
+def ref_build_tables(names, down, up):
+    n = len(names)
+    below = {m: k for k, m in enumerate(down)}
+    above = {m: k for k, m in enumerate(up)}
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            glb = below.get(down[i] & down[j])
+            if glb is None:
+                raise InputError(
+                    f"no greatest lower bound for ({names[i]}, {names[j]})",
+                    witness=[names[i], names[j]])
+            meet[i][j] = meet[j][i] = glb
+            lub = above.get(up[i] & up[j])
+            if lub is None:
+                raise InputError(
+                    f"no least upper bound for ({names[i]}, {names[j]})",
+                    witness=[names[i], names[j]])
+            join[i][j] = join[j][i] = lub
+    return np.array(meet, dtype=np.int64), np.array(join, dtype=np.int64)
+
+
+def ref_validate_ortho(names, leq, meet, join, zero, one, o):
+    n = len(names)
+    if len(o) != n or sorted(o) != list(range(n)):
+        raise InputError("ortho must be a permutation of the elements")
+    for a in range(n):
+        if o[o[a]] != a:
+            raise InputError(f"ortho not involutive at {names[a]}",
+                             witness=names[a])
+        if meet[a, o[a]] != zero:
+            raise InputError(f"{names[a]} meet its ortho is not bottom",
+                             witness=names[a])
+        if join[a, o[a]] != one:
+            raise InputError(f"{names[a]} join its ortho is not top",
+                             witness=names[a])
+    for a in range(n):
+        for b in range(n):
+            if leq[a, b] and not leq[o[b], o[a]]:
+                raise InputError("ortho is not order-reversing",
+                                 witness=[names[a], names[b]])
+
+
+def ref_is_distributive(lat):
+    mt, jt, n = lat.meet_table, lat.join_table, lat.n
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mt[a, jt[b, c]] != jt[mt[a, b], mt[a, c]]:
+                    return False, (lat.names[a], lat.names[b], lat.names[c])
+    return True, None
+
+
+def ref_is_orthomodular(lat):
+    mt, jt, o = lat.meet_table, lat.join_table, lat.ortho
+    for a in range(lat.n):
+        for b in range(lat.n):
+            if lat.leq[a, b] and jt[a, mt[b, o[a]]] != b:
+                return False, (lat.names[a], lat.names[b])
+    return True, None
+
+
+def ref_center(lat):
+    mt, jt, o = lat.meet_table, lat.join_table, lat.ortho
+    return [z for z in range(lat.n)
+            if all(jt[mt[z, a], mt[z, o[a]]] == z for a in range(lat.n))]
+
+
+def ref_lattice(names, rel, ortho=None):
+    """The constructor as it ran element by element: its fields, or raises."""
+    names = tuple(names)
+    n = len(names)
+    leq = ref_closure(np.asarray(rel, dtype=bool))
+    bad = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))
+    if bad.size:
+        i, j = bad[0]
+        raise InputError(
+            f"not a partial order: {names[i]} <= {names[j]} <= {names[i]}",
+            witness=[names[i], names[j]])
+    zero = ref_unique_extremum(names, leq, True)
+    one = ref_unique_extremum(names, leq, False)
+    down = [mask_from(np.flatnonzero(leq[:, i])) for i in range(n)]
+    up = [mask_from(np.flatnonzero(leq[i, :])) for i in range(n)]
+    meet, join = ref_build_tables(names, down, up)
+    if ortho is not None:
+        ortho = tuple(int(k) for k in ortho)
+        ref_validate_ortho(names, leq, meet, join, zero, one, ortho)
+    return (leq.tolist(), zero, one, down, up, meet.tolist(), join.tolist(),
+            ortho)
+
+
+def fields(lat):
+    return (lat.leq.tolist(), lat.zero, lat.one, lat._down, lat._up,
+            lat.meet_table.tolist(), lat.join_table.tolist(), lat.ortho)
+
+
+def outcome(build, *args):
+    """What a call returns, or the type, message and witness it raises."""
+    try:
+        return "ok", build(*args)
+    except ObslatError as err:
+        return type(err).__name__, str(err), err.witness
+
+
+def check_against_refs(names, rel, ortho=None):
+    """Build both ways; compare fields or error, then every check."""
+    got = outcome(FiniteOrthoLattice, names, rel, ortho)
+    lat = got[1] if got[0] == "ok" else None
+    if lat is not None:
+        got = "ok", fields(lat)
+    assert got == outcome(ref_lattice, names, rel, ortho)
+    if lat is None:
+        return got
+    assert lat.is_distributive() == ref_is_distributive(lat)
+    if ortho is not None:
+        ok = lat.is_orthomodular()
+        assert ok == ref_is_orthomodular(lat)
+        if ok[0]:
+            assert lat.center() == ref_center(lat)
+    return got
+
+
+def cover_relation(lat):
+    rel = np.zeros((lat.n, lat.n), dtype=bool)
+    for a, b in lat.covers():
+        rel[a, b] = True
+    return rel
+
+
+def big_lattices():
+    return {"b6": corpus.boolean_algebra(6),
+            "mo3xb3": corpus.product(corpus.mo(3), corpus.boolean_algebra(3)),
+            "chain4xb4": corpus.product(corpus.chain(4),
+                                        corpus.boolean_algebra(4))}
+
+
+ALL_LATTICES = {**corpus.standard_lattices(), **big_lattices()}
+
+
+@pytest.mark.parametrize("name", list(ALL_LATTICES))
+def test_construction_and_checks_match_the_loops(name):
+    lat = ALL_LATTICES[name]
+    rel = cover_relation(lat)
+    assert (_transitive_reflexive_closure(rel) == ref_closure(rel)).all()
+    assert check_against_refs(lat.names, rel, lat.ortho)[0] == "ok"
+    assert check_against_refs(lat.names, lat.leq, lat.ortho)[0] == "ok"
+
+
+def test_center_sublattice_matches_the_loops():
+    lat = big_lattices()["mo3xb3"]
+    sub, mem = lat.sublattice(lat.center())
+    assert sub.n == 16
+    assert fields(sub) == ref_lattice(sub.names, lat.leq[np.ix_(mem, mem)],
+                                      sub.ortho)
+    assert sub.is_distributive() == ref_is_distributive(sub) == (True, None)
+    assert sub.is_orthomodular() == ref_is_orthomodular(sub)
+    assert sub.center() == ref_center(sub) == list(range(sub.n))
+
+
+# the non-lattice 0 < a, b < x, y < 1 of test_from_relation_rejects_non_lattice
+BOWTIE = (["0", "a", "b", "x", "y", "1"],
+          [("0", "a"), ("0", "b"), ("a", "x"), ("b", "x"),
+           ("a", "y"), ("b", "y"), ("x", "1"), ("y", "1")])
+
+
+def relation(names, pairs):
+    index = {s: i for i, s in enumerate(names)}
+    rel = np.zeros((len(names), len(names)), dtype=bool)
+    for a, b in pairs:
+        rel[index[a], index[b]] = True
+    return rel
+
+
+SQUARE = (["0", "a", "b", "1"],
+          [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+# 0 < a, b < x < 1: a and b are disjoint but join below the top
+KITE = (["0", "a", "b", "x", "1"],
+        [("0", "a"), ("0", "b"), ("a", "x"), ("b", "x"), ("x", "1")])
+# the hexagon 0 < a < b < 1, 0 < b' < a' < 1
+HEXAGON = (["0", "a", "b", "a'", "b'", "1"],
+           [("0", "a"), ("a", "b"), ("b", "1"),
+            ("0", "b'"), ("b'", "a'"), ("a'", "1")])
+
+# case -> (names, relation, ortho, the message it must raise)
+ERROR_CASES = {
+    "cycle": (["0", "a", "1"],
+              relation(["0", "a", "1"], [("0", "a"), ("a", "1"), ("1", "a")]),
+              None, "not a partial order: a <= 1 <= a"),
+    "two-bottoms": (["a", "b", "1"],
+                    relation(["a", "b", "1"], [("a", "1"), ("b", "1")]),
+                    None, "lattice must have a unique bottom element"),
+    "two-tops": (["0", "a", "b"],
+                 relation(["0", "a", "b"], [("0", "a"), ("0", "b")]),
+                 None, "lattice must have a unique top element"),
+    "no-meet": (BOWTIE[0], relation(*BOWTIE).T, None,
+                "no greatest lower bound for (a, b)"),
+    "no-join": (BOWTIE[0], relation(*BOWTIE), None,
+                "no least upper bound for (a, b)"),
+    # a and b lack both bounds: the meet is reported first
+    "no-meet-no-join": (
+        ["0", "a", "b", "p", "q", "x", "y", "1"],
+        relation(["0", "a", "b", "p", "q", "x", "y", "1"],
+                 [("0", "p"), ("0", "q"), ("p", "a"), ("p", "b"), ("q", "a"),
+                  ("q", "b"), ("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"),
+                  ("x", "1"), ("y", "1")]),
+        None, "no greatest lower bound for (a, b)"),
+    "not-permutation": (SQUARE[0], relation(*SQUARE), (3, 1, 1, 0),
+                        "ortho must be a permutation of the elements"),
+    "not-involutive": (SQUARE[0], relation(*SQUARE), (1, 2, 3, 0),
+                       "ortho not involutive at 0"),
+    "meet-not-bottom": (SQUARE[0], relation(*SQUARE), (3, 1, 2, 0),
+                        "a meet its ortho is not bottom"),
+    "join-not-top": (KITE[0], relation(*KITE), (4, 2, 1, 3, 0),
+                     "a join its ortho is not top"),
+    "not-order-reversing": (HEXAGON[0], relation(*HEXAGON),
+                            (5, 4, 3, 2, 1, 0), "ortho is not order-reversing"),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_CASES))
+def test_every_construction_error_matches_the_loops(case):
+    names, rel, ortho, message = ERROR_CASES[case]
+    assert check_against_refs(names, rel, ortho)[:2] == ("InputError", message)
+
+
+def test_from_relation_ortho_errors_match_the_loops():
+    # the same ortho failures through named pairs: kite pairs a with b, the
+    # hexagon a with b' and b with a'
+    for (names, pairs), ortho_pairs, message in [
+            (KITE, {"a": "b", "x": "x"}, "a join its ortho is not top"),
+            (HEXAGON, {"a": "b'", "b": "a'"}, "ortho is not order-reversing"),
+            (SQUARE, {"a": "a", "b": "b"}, "a meet its ortho is not bottom")]:
+        with pytest.raises(InputError) as err:
+            FiniteOrthoLattice.from_relation(names, pairs, ortho_pairs)
+        lat = FiniteOrthoLattice.from_relation(names, pairs)
+        omap = {lat.zero: lat.one, lat.one: lat.zero}
+        for a, b in ortho_pairs.items():
+            omap[lat.index(a)], omap[lat.index(b)] = lat.index(b), lat.index(a)
+        want = outcome(ref_lattice, lat.names, lat.leq,
+                       [omap[k] for k in range(lat.n)])
+        assert want == ("InputError", str(err.value), err.value.witness)
+        assert str(err.value) == message
+
+
+@st.composite
+def relations(draw):
+    """A relation on 2..9 elements, mostly upward so many draws are orders,
+    mostly bounded, sometimes order-dual, with an optional permutation or
+    involution as ortho."""
+    n = draw(st.integers(2, 9))
+    rel = np.zeros((n, n), dtype=bool)
+    idx = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(idx, idx), max_size=2 * n)):
+        rel[min(i, j), max(i, j)] = True
+    if draw(st.integers(0, 3)) != 3:
+        rel[0, :] = rel[:, n - 1] = True
+    if draw(st.integers(0, 5)) == 5:
+        i, j = draw(idx), draw(idx)
+        rel[max(i, j), min(i, j)] = True
+    if draw(st.booleans()):
+        rel = rel.T
+    kind = draw(st.sampled_from(["none", "permutation", "reversal"]))
+    ortho = {"none": None, "reversal": tuple(range(n - 1, -1, -1)),
+             "permutation": tuple(draw(st.permutations(range(n))))}[kind]
+    return [f"e{k}" for k in range(n)], rel, ortho
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=relations())
+def test_random_relations_match_the_loops(case):
+    names, rel, ortho = case
+    assert (_transitive_reflexive_closure(rel) == ref_closure(rel)).all()
+    check_against_refs(names, rel, ortho)
+
+
+def ref_open_set_leq(opens):
+    size = len(opens)
+    leq = np.zeros((size, size), dtype=bool)
+    for i, u in enumerate(opens):
+        for j, v in enumerate(opens):
+            leq[i, j] = u & v == u
+    return leq
+
+
+def test_open_set_lattice_matches_the_loop():
+    spaces = [classical.FiniteTopSpace(range(3), opens=opens)
+              for opens in classical.all_topologies(3)]
+    spaces.append(classical.digital_line(3))
+    for space in spaces:
+        lat, opens = classical.open_set_lattice(space)
+        assert lat.leq.dtype == bool
+        assert (lat.leq == ref_open_set_leq(opens)).all()
+    assert lat.n == 34
+
+
+@pytest.mark.parametrize("name", list(big_lattices()))
+def test_lattice_layer_at_the_cap(name):
+    lat = big_lattices()[name]
+    start = time.perf_counter()
+    assert jsonio.load_lattice(lat.to_dict()) == lat
+    distributive, _ = lat.is_distributive()
+    assert distributive == (name != "mo3xb3")
+    if lat.ortho is not None:
+        assert lat.is_orthomodular() == (True, None)
+        assert len(lat.center()) == {"b6": 64, "mo3xb3": 16}[name]
+    assert time.perf_counter() - start < 1.0

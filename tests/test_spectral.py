@@ -128,3 +128,14 @@ def test_restriction_commutes_with_double_restriction(name, seed):
     once = restrict_family(restrict_family(fam, c), lat.meet(c, d))
     direct = restrict_family(fam, lat.meet(c, d))
     assert once.breakpoints == direct.breakpoints
+
+
+@pytest.mark.parametrize("index", [99, 6, -1])
+def test_restrict_family_refuses_a_target_outside_the_lattice(lattices, index):
+    mo2 = lattices["mo2"]
+    fam = spectral_family(mo2, [(0.0, mo2.index("a")), (1.0, mo2.one)])
+    with pytest.raises(InputError) as err:
+        restrict_family(fam, index)
+    assert str(err.value) == ("the restriction target is not an element of "
+                              "the lattice")
+    assert err.value.witness == [index, 6]

@@ -285,3 +285,30 @@ def test_canonical_order_sorts_only_generators_under_the_top(lattices):
         stone.canonical_order(b2, top=x, among=[x, y])
     assert err.value.witness == b2.names[y]
     assert stone.canonical_order(b2, top=x, among=[x]) == [x]
+
+
+@pytest.mark.parametrize("index", [99, 6, -1])
+def test_canonical_order_refuses_a_top_outside_the_lattice(lattices, index):
+    with pytest.raises(InputError) as err:
+        stone.canonical_order(lattices["mo2"], index)
+    assert str(err.value) == "the ideal top is not an element of the lattice"
+    assert err.value.witness == [index, 6]
+
+
+@pytest.mark.parametrize("index", [99, 6, -1])
+def test_principal_refuses_a_generator_outside_the_lattice(lattices, index):
+    # -1 used to wrap around to the top's up-set
+    with pytest.raises(InputError) as err:
+        stone.principal(lattices["mo2"], index)
+    assert str(err.value) == ("the ideal generator is not an element of "
+                              "the lattice")
+    assert err.value.witness == [index, 6]
+
+
+@pytest.mark.parametrize("index", [99, 6, -1])
+def test_basis_set_refuses_an_element_outside_the_lattice(lattices, index):
+    # 99 used to give an empty basic open
+    with pytest.raises(InputError) as err:
+        stone.basis_set(lattices["mo2"], index)
+    assert str(err.value) == "the basis element is not an element of the lattice"
+    assert err.value.witness == [index, 6]
