@@ -9,8 +9,8 @@ pair has a meet exactly when that mask is itself the down-set of an element:
 all n-by-n pair masks are looked up at once among the sorted down-set masks,
 and joins are found the same way from up-sets.  Meet and join are
 precomputed n-by-n tables; each structural check (the ortho laws,
-distributivity, orthomodularity, the center) is one array comparison over
-every pair or triple, and reports the first counterexample in lexicographic
+distributivity, orthomodularity, the center, the closure of a sublattice)
+is one array comparison over every pair or triple, and reports the first counterexample in lexicographic
 index order.
 
 Subsets of elements are passed around as bitmasks (int) throughout the
@@ -290,30 +290,33 @@ class FiniteOrthoLattice:
 
         ``members`` must contain bottom and top and be closed under binary meet
         and join.  When the parent has an orthocomplement, closure under it is
-        required as well, and the sublattice keeps it.
+        required as well, and the sublattice keeps it.  Closure is one
+        membership test over all member pairs; the first failing pair in
+        row-major order is the witness, meet before join.
         """
         mem = sorted(set(int(m) for m in members))
         if self.zero not in mem or self.one not in mem:
             raise PreconditionError("sublattice must contain bottom and top",
                                     witness=[self.names[self.zero], self.names[self.one]])
-        pos = {m: k for k, m in enumerate(mem)}
-        for a in mem:
-            for b in mem:
-                if int(self.meet_table[a, b]) not in pos:
-                    raise PreconditionError(
-                        "subset not closed under meet",
-                        witness=[self.names[a], self.names[b]])
-                if int(self.join_table[a, b]) not in pos:
-                    raise PreconditionError(
-                        "subset not closed under join",
-                        witness=[self.names[a], self.names[b]])
+        pairs = np.ix_(mem, mem)
+        # fails[k, i, j]: the meet (k = 0) or join (k = 1) of members i, j
+        fails = ~np.isin(np.stack([self.meet_table[pairs],
+                                   self.join_table[pairs]]), mem)
+        bad = np.argwhere(fails.any(axis=0))
+        if bad.size:
+            i, j = bad[0]
+            kind = "meet" if fails[0, i, j] else "join"
+            raise PreconditionError(
+                f"subset not closed under {kind}",
+                witness=[self.names[mem[i]], self.names[mem[j]]])
         ortho = None
         if self.ortho is not None:
-            for a in mem:
-                if self.ortho[a] not in pos:
-                    raise PreconditionError("subset not closed under ortho",
-                                            witness=self.names[a])
-            ortho = [pos[self.ortho[a]] for a in mem]
+            images = np.array(self.ortho)[mem]
+            bad = np.flatnonzero(~np.isin(images, mem))
+            if bad.size:
+                raise PreconditionError("subset not closed under ortho",
+                                        witness=self.names[mem[bad[0]]])
+            ortho = np.searchsorted(mem, images).tolist()
         sub = FiniteOrthoLattice([self.names[m] for m in mem],
                                  self.leq[np.ix_(mem, mem)], ortho=ortho)
         return sub, mem

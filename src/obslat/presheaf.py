@@ -1,20 +1,28 @@
 """Presheaves of finite sets on a finite lattice, the gluing condition,
 stalks over the maximal dual ideals, and the associated sheaf of sections.
 
-Sections are opaque hashable values; restriction maps are explicit dicts for
-every comparable pair.  The gluing scan is exhaustive over join-covers and
+Sections are opaque hashable values, kept in order per element.  Every
+restriction map is an ``int32`` array over positions: entry i of the table
+of a < b is the position in S(a) of the restriction of the i-th section
+over b.  The builders apply their restriction rule on the cover pairs only
+and compose every other table along one cover,
+``tab[a, c] = tab[a, b][tab[b, c]]``; a presheaf is a functor, so its values
+on the covers fix it.  The laws and the gluing scan compare positions, and
+sections are rendered as values only in witnesses.  The gluing scan is exhaustive over join-covers and
 compatible families, so it is guarded by a work cap.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product as iproduct
+
+import numpy as np
 
 from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, bits
-from .spectral import SpectralFamily, restrict_family
 from .stone import DualIdeal
 
 WORK_CAP = 200_000
@@ -23,12 +31,17 @@ SECTION_CAP = 4096
 
 @dataclass(frozen=True)
 class LatticePresheaf:
-    """Finite value set per element plus a restriction map per comparable
-    pair (small index to large: restrict(a, b) maps S(b) into S(a))."""
+    """Finite value set per element plus a restriction table per strict
+    comparable pair (small index to large: ``restrictions[a, b]`` maps
+    positions in S(b) to positions in S(a)).  A table built from value
+    dicts through ``lattice_presheaf`` may hold -1 for a missing entry and,
+    for an image outside S(a), a position past the end of S(a) that stands
+    for one of ``strays[a]``."""
     lattice: FiniteOrthoLattice = field(compare=False)
     sections: tuple = ()          # tuple of tuples, indexed by element
     restrictions: dict = field(default_factory=dict, compare=False)
     describe: object = field(compare=False, default=None)
+    strays: tuple = field(default=(), compare=False)
 
     def values_at(self, a: int) -> tuple:
         return self.sections[a]
@@ -48,17 +61,33 @@ class LatticePresheaf:
         if a == b:
             return value
         table = self.restrictions.get((a, b))
-        if table is None or value not in table:
+        i = self._positions[b].get(value)
+        if table is None or i is None or table[i] < 0:
             raise InputError(
                 "missing restriction entry",
                 witness={"from": self.lattice.names[b],
                          "to": self.lattice.names[a], "value": repr(value)})
-        return table[value]
+        return self._value(a, int(table[i]))
+
+    @cached_property
+    def _positions(self) -> list[dict]:
+        return _positions(self.sections)
+
+    def _value(self, a: int, i: int):
+        """The section at position i over a, or the stray image past the
+        end of S(a)."""
+        s = self.sections[a]
+        return s[i] if i < len(s) else self.strays[a][i - len(s)]
 
 
 def lattice_presheaf(lattice: FiniteOrthoLattice, sections: dict[int, list],
              restrictions: dict[tuple[int, int], dict],
              describe=None) -> LatticePresheaf:
+    """A presheaf from value dicts: ``restrictions[a, b]`` maps sections over
+    b to their restrictions.  Tables are read for the pairs a < b only and
+    converted to positions once; a missing table stays absent, a missing
+    entry becomes -1, and each distinct image outside S(a) gets its own
+    position past the end of S(a)."""
     secs = []
     for a in range(lattice.n):
         if a not in sections:
@@ -69,51 +98,76 @@ def lattice_presheaf(lattice: FiniteOrthoLattice, sections: dict[int, list],
             raise InputError("duplicate section values",
                              witness=lattice.names[a])
         secs.append(tuple(vals))
-    return LatticePresheaf(lattice, tuple(secs), dict(restrictions), describe)
+    index = _positions(secs)
+    strays: list[dict] = [{} for _ in secs]
+    tabs = {}
+    for b, below in enumerate(_below(lattice)):
+        for a in below:
+            table = restrictions.get((a, b))
+            if table is None:
+                continue
+            tab = np.full(len(secs[b]), -1, dtype=np.int32)
+            for i, v in enumerate(secs[b]):
+                if v in table:
+                    img = table[v]
+                    pos = index[a].get(img)
+                    if pos is None:
+                        pos = strays[a].setdefault(
+                            img, len(secs[a]) + len(strays[a]))
+                    tab[i] = pos
+            tabs[a, b] = tab
+    return LatticePresheaf(lattice, tuple(secs), tabs, describe,
+                           tuple(tuple(s) for s in strays))
+
+
+def _positions(sections) -> list[dict]:
+    """Per element, each section's position."""
+    return [{v: i for i, v in enumerate(s)} for s in sections]
+
+
+def _below(lattice: FiniteOrthoLattice) -> list[list[int]]:
+    """Per element, the elements strictly below it, ascending."""
+    return [[a for a in lattice.downset(b) if a != b]
+            for b in range(lattice.n)]
 
 
 def check_presheaf(ps: LatticePresheaf) -> tuple[bool, dict | None]:
-    """Totality of every downward map, identity on equal endpoints, and
+    """Totality of every downward map and membership of its images, then
     composition along all chains a <= b <= c.  Once every map is total, a
     chain with two equal members composes trivially, so only the strict
-    chains a < b < c are compared, read straight from the tables."""
+    chains a < b < c are compared, each as one comparison of position
+    arrays, ``tab[a, c]`` against ``tab[a, b][tab[b, c]]``."""
     lat = ps.lattice
     tabs = ps.restrictions
+    below = _below(lat)
     for b in range(lat.n):
-        for a in range(lat.n):
-            if a == b or not lat.le(a, b):
-                continue
-            table = tabs.get((a, b))
-            if table is None:
+        for a in below[b]:
+            tab = tabs.get((a, b))
+            if tab is None:
                 return False, {"kind": "missing-map",
                                "from": lat.names[b], "to": lat.names[a]}
-            for v in ps.values_at(b):
-                if v not in table:
-                    return False, {"kind": "partial-map",
-                                   "from": lat.names[b], "to": lat.names[a],
-                                   "value": repr(v)}
-                if table[v] not in ps.values_at(a):
-                    return False, {"kind": "map-leaves-sections",
-                                   "from": lat.names[b], "to": lat.names[a],
-                                   "value": repr(v)}
+            bad = (tab < 0) | (tab >= len(ps.sections[a]))
+            if bad.any():
+                i = int(bad.argmax())
+                return False, {"kind": ("partial-map" if tab[i] < 0
+                                        else "map-leaves-sections"),
+                               "from": lat.names[b], "to": lat.names[a],
+                               "value": repr(ps.sections[b][i])}
     for c in range(lat.n):
-        for b in range(lat.n):
-            if b == c or not lat.le(b, c):
-                continue
-            bc = tabs[(b, c)]
-            for a in range(lat.n):
-                if a == b or not lat.le(a, b):
-                    continue
-                ac, ab = tabs[(a, c)], tabs[(a, b)]
-                for v in ps.values_at(c):
-                    direct, stepped = ac[v], ab[bc[v]]
-                    if direct != stepped:
-                        return False, {
-                            "kind": "composition",
-                            "chain": [lat.names[a], lat.names[b],
-                                      lat.names[c]],
-                            "value": repr(v),
-                            "direct": repr(direct), "stepped": repr(stepped)}
+        for b in below[c]:
+            bc = tabs[b, c]
+            for a in below[b]:
+                direct, stepped = tabs[a, c], tabs[a, b][bc]
+                bad = direct != stepped
+                if bad.any():
+                    i = int(bad.argmax())
+                    s = ps.sections[a]
+                    return False, {
+                        "kind": "composition",
+                        "chain": [lat.names[a], lat.names[b], lat.names[c]],
+                        "value": repr(ps.sections[c][i]),
+                        "direct": repr(s[direct[i]]),
+                        "stepped": repr(s[stepped[i]])}
     return True, None
 
 
@@ -125,6 +179,7 @@ def check_sheaf_condition(ps: LatticePresheaf, work_cap: int = WORK_CAP
     pairwise meet.  Reports the first existence failure and the first
     uniqueness failure separately; ok means neither occurred.
 
+    Families are tuples of positions and are compared through the tables.
     At the first compatible family of a cover, the sections over a are
     grouped once by their restrictions to the cover members (the cover's
     gluing index), and each family looks its gluings up there.  That index
@@ -133,6 +188,18 @@ def check_sheaf_condition(ps: LatticePresheaf, work_cap: int = WORK_CAP
     InputError can name an entry that a section-by-section comparison
     would never have reached."""
     lat = ps.lattice
+    rows: dict[tuple[int, int], list[int]] = {}
+
+    def row(a, b):
+        """The table of a <= b as a list; an absent table reads as missing
+        entries."""
+        if (a, b) not in rows:
+            tab = ps.restrictions.get((a, b))
+            rows[a, b] = (list(range(len(ps.sections[b]))) if a == b
+                          else tab.tolist() if tab is not None
+                          else [-1] * len(ps.sections[b]))
+        return rows[a, b]
+
     work = 0
     first_existence = None
     first_uniqueness = None
@@ -145,21 +212,22 @@ def check_sheaf_condition(ps: LatticePresheaf, work_cap: int = WORK_CAP
             for cover in combinations(below, size):
                 if lat.join_of(cover) != a:
                     continue
-                sets = [ps.values_at(b) for b in cover]
-                count = 1
-                for s in sets:
-                    count *= len(s)
-                work += count
+                sizes = [len(ps.sections[b]) for b in cover]
+                work += math.prod(sizes)
                 if work > work_cap:
                     raise ResourceError(
                         "gluing scan exceeded the work cap",
                         witness={"cap": work_cap})
+                meets = [(j, l, m, row(m, cover[j]), row(m, cover[l]))
+                         for j, l in combinations(range(size), 2)
+                         if (m := lat.meet(cover[j], cover[l])) != lat.zero]
                 gluings = None
-                for family in iproduct(*sets):
-                    if not _compatible(ps, cover, family):
+                for family in iproduct(*map(range, sizes)):
+                    if not _compatible(ps, cover, meets, family):
                         continue
                     if gluings is None:
-                        gluings = _gluings(ps, a, cover)
+                        gluings = _gluings(ps, a, cover,
+                                           [row(b, a) for b in cover])
                     glue = gluings.get(family, [])
                     if not glue and first_existence is None:
                         first_existence = _witness(ps, a, cover, family, glue)
@@ -173,33 +241,46 @@ def check_sheaf_condition(ps: LatticePresheaf, work_cap: int = WORK_CAP
             "existence": first_existence, "uniqueness": first_uniqueness}
 
 
-def _gluings(ps: LatticePresheaf, a: int, cover) -> dict:
-    """Sections over a grouped, in section order, by their restrictions to
-    the cover members."""
+def _gluings(ps: LatticePresheaf, a: int, cover, rows) -> dict:
+    """Positions over a grouped, in section order, by the positions of their
+    restrictions to the cover members (``rows`` holds each member's table)."""
+    if any(-1 in row for row in rows):
+        _raise_missing(ps, [(b, a, g) for g in range(len(ps.sections[a]))
+                            for b in cover])
     out: dict[tuple, list] = {}
-    for v in ps.values_at(a):
-        out.setdefault(tuple(ps.restrict(b, a, v) for b in cover),
-                       []).append(v)
+    for g, key in enumerate(zip(*rows)):
+        out.setdefault(key, []).append(g)
     return out
 
 
-def _compatible(ps: LatticePresheaf, cover, family) -> bool:
-    lat = ps.lattice
-    for (b1, v1), (b2, v2) in combinations(zip(cover, family), 2):
-        m = lat.meet(b1, b2)
-        if m == lat.zero:
-            continue
-        if ps.restrict(m, b1, v1) != ps.restrict(m, b2, v2):
+def _compatible(ps: LatticePresheaf, cover, meets, family) -> bool:
+    """Whether the members agree on every nonzero pairwise meet; ``meets``
+    lists (j, l, meet, table of member j, table of member l)."""
+    for j, l, m, row_j, row_l in meets:
+        x, y = row_j[family[j]], row_l[family[l]]
+        if x != y or x == -1:
+            if -1 in (x, y):
+                _raise_missing(ps, [(m, cover[j], family[j]),
+                                    (m, cover[l], family[l])])
             return False
     return True
+
+
+def _raise_missing(ps: LatticePresheaf, entries) -> None:
+    """Restrict the sections at the (target, source, position) entries in
+    order, through ``restrict``, which raises the missing-entry error of
+    the first absent one."""
+    for a, b, i in entries:
+        ps.restrict(a, b, ps.sections[b][i])
 
 
 def _witness(ps, a, cover, family, glue) -> dict:
     lat = ps.lattice
     return {"element": lat.names[a],
             "cover": [lat.names[b] for b in cover],
-            "family": [ps.section_repr(v) for v in family],
-            "gluings": [ps.section_repr(v) for v in glue]}
+            "family": [ps.section_repr(ps.sections[b][i])
+                       for b, i in zip(cover, family)],
+            "gluings": [ps.section_repr(ps.sections[a][g]) for g in glue]}
 
 
 def stalk(ps: LatticePresheaf, quasipoint: DualIdeal) -> tuple[int, tuple]:
@@ -241,11 +322,25 @@ def sheafify(ps: LatticePresheaf, cap: int = SECTION_CAP
 
 
 def _tables(lattice: FiniteOrthoLattice, sections, rule) -> dict:
-    """The restriction table {v: rule(a, b, v)} over the sections at b, for
-    every pair a < b."""
-    return {(a, b): {v: rule(a, b, v) for v in sections[b]}
-            for b in range(lattice.n) for a in range(lattice.n)
-            if a != b and lattice.le(a, b)}
+    """The position table of every pair a < c.  On a cover pair, rule(a, c,
+    v) gives the restriction of each section v over c, looked up in S(a).
+    Every other pair is one gather along the first cover b of c with a <= b,
+    ``tab[a, c] = tab[a, b][tab[b, c]]``; elements are visited by down-set
+    size, so the tables below c are ready when c is reached."""
+    index = _positions(sections)
+    tabs = {}
+    lower: list[list[int]] = [[] for _ in range(lattice.n)]
+    for a, c in lattice.covers():
+        lower[c].append(a)
+        tabs[a, c] = np.array([index[a][rule(a, c, v)] for v in sections[c]],
+                              dtype=np.int32)
+    down = [lattice.downset_mask(c) for c in range(lattice.n)]
+    for c in sorted(range(lattice.n), key=lambda c: down[c].bit_count()):
+        for b in lower[c]:
+            for a in lattice.downset(b):
+                if a != b and (a, c) not in tabs:
+                    tabs[a, c] = tabs[a, b][tabs[b, c]]
+    return tabs
 
 
 def _bundle(lattice: FiniteOrthoLattice, masks, fibers, describe, cap: int,
@@ -256,17 +351,17 @@ def _bundle(lattice: FiniteOrthoLattice, masks, fibers, describe, cap: int,
     building anything once the sections over all points would pass cap."""
     if math.prod(max(1, len(fiber)) for fiber in fibers) > cap:
         raise ResourceError(message, witness={"cap": cap})
-    sections = {}
+    sections = []
     for a in range(lattice.n):
         pts = bits(masks[a])
-        sections[a] = [tuple(zip(pts, combo))
-                       for combo in iproduct(*(fibers[p] for p in pts))]
+        sections.append(tuple(tuple(zip(pts, combo)) for combo in
+                              iproduct(*(fibers[p] for p in pts))))
 
     def keep(a, b, v):
         return tuple((p, g) for p, g in v if masks[a] >> p & 1)
 
-    return lattice_presheaf(lattice, sections,
-                            _tables(lattice, sections, keep), describe)
+    return LatticePresheaf(lattice, tuple(sections),
+                           _tables(lattice, sections, keep), describe)
 
 
 # -- concrete presheaves ---------------------------------------------------------
@@ -279,25 +374,37 @@ def spectral_presheaf(lattice: FiniteOrthoLattice, grid,
     """Sections over a: bounded families with top a and breakpoints drawn
     from the grid; restriction is the pointwise meet.  The bottom element
     carries a one-point sentinel set (there are no families over it)."""
-    grid = sorted(set(float(g) for g in grid))
+    grid = [float(g) for g in grid]
+    for g in grid:
+        if not math.isfinite(g):
+            raise InputError("breakpoints must be finite reals", witness=g)
+    grid = sorted(set(grid))
     if not grid:
         raise InputError("need a nonempty breakpoint grid")
-    sections = {a: [_ZERO_SENTINEL] if a == lattice.zero
-                else _families_with_top(lattice, a, grid, cap)
-                for a in range(lattice.n)}
+    sections = [(_ZERO_SENTINEL,) if a == lattice.zero
+                else tuple(_families_with_top(lattice, a, grid, cap))
+                for a in range(lattice.n)]
+    meet = lattice.meet_table.tolist()
 
-    def restrict(a, b, fam):
+    def restrict(a, c, fam):
+        # the pointwise meet of a canonical family, with a step equal to
+        # its predecessor (or to bottom at the front) dropped, is canonical
         if a == lattice.zero:
             return _ZERO_SENTINEL
-        return restrict_family(SpectralFamily(lattice, fam, b), a).breakpoints
+        out, last = [], lattice.zero
+        for lam, e in fam:
+            if meet[e][a] != last:
+                last = meet[e][a]
+                out.append((lam, last))
+        return tuple(out)
 
     def describe(fam):
         if fam == _ZERO_SENTINEL:
             return "*"
         return [[lam, lattice.names[e]] for lam, e in fam]
 
-    return lattice_presheaf(lattice, sections,
-                            _tables(lattice, sections, restrict), describe)
+    return LatticePresheaf(lattice, tuple(sections),
+                           _tables(lattice, sections, restrict), describe)
 
 
 def _families_with_top(lattice, top, grid, cap) -> list:

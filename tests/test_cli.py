@@ -609,8 +609,10 @@ SIX_POINTS = {"points": list("abcdef"),
      "expected a real number", {"key": "values[0]", "value": [0, 1]}),
     ({"kind": "functions", "space": SIX_POINTS, "values": [0, 1, 2, 3, 4]},
      "too many sections; shrink the values list", {"cap": 4096}),
+    ({"kind": "spectral", "lattice": "chain2", "grid": [0.0, float("inf")]},
+     "breakpoints must be finite reals", "Infinity"),
 ], ids=["grid-not-a-list", "values-not-a-list", "value-not-a-real",
-        "sections-over-the-cap"])
+        "sections-over-the-cap", "non-finite-grid"])
 def test_bad_presheaf_files_exit_2_at_once(capsys, tmp_path, data, error,
                                            witness):
     path = tmp_path / "presheaf.json"

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from obslat import classical, corpus, jsonio
 from obslat.classical import sierpinski3
-from obslat.errors import InputError, ObslatError, ResourceError
+from obslat.errors import (InputError, ObslatError, PreconditionError,
+                           ResourceError)
 from obslat.lattice import (FiniteOrthoLattice, _transitive_reflexive_closure,
                             bits, mask_from)
 
@@ -431,6 +432,84 @@ def test_center_sublattice_matches_the_loops():
     assert sub.is_distributive() == ref_is_distributive(sub) == (True, None)
     assert sub.is_orthomodular() == ref_is_orthomodular(sub)
     assert sub.center() == ref_center(sub) == list(range(sub.n))
+
+
+def ref_sublattice(lat, members):
+    """FiniteOrthoLattice.sublattice as the pair-by-pair loop it replaced."""
+    mem = sorted(set(int(m) for m in members))
+    if lat.zero not in mem or lat.one not in mem:
+        raise PreconditionError("sublattice must contain bottom and top",
+                                witness=[lat.names[lat.zero],
+                                         lat.names[lat.one]])
+    pos = {m: k for k, m in enumerate(mem)}
+    for a in mem:
+        for b in mem:
+            if int(lat.meet_table[a, b]) not in pos:
+                raise PreconditionError(
+                    "subset not closed under meet",
+                    witness=[lat.names[a], lat.names[b]])
+            if int(lat.join_table[a, b]) not in pos:
+                raise PreconditionError(
+                    "subset not closed under join",
+                    witness=[lat.names[a], lat.names[b]])
+    ortho = None
+    if lat.ortho is not None:
+        for a in mem:
+            if lat.ortho[a] not in pos:
+                raise PreconditionError("subset not closed under ortho",
+                                        witness=lat.names[a])
+        ortho = [pos[lat.ortho[a]] for a in mem]
+    sub = FiniteOrthoLattice([lat.names[m] for m in mem],
+                             lat.leq[np.ix_(mem, mem)], ortho=ortho)
+    return sub, mem
+
+
+def check_sublattice(lat, members):
+    got = outcome(lat.sublattice, members)
+    assert got == outcome(ref_sublattice, lat, members)
+    return got
+
+
+@pytest.mark.parametrize("name", list(ALL_LATTICES))
+def test_sublattices_match_the_loop(name):
+    """Center sublattices, the whole lattice, and the down-set and up-set
+    of each element with bottom and top added."""
+    lat = ALL_LATTICES[name]
+    if lat.ortho is not None and lat.is_orthomodular()[0]:
+        assert check_sublattice(lat, lat.center())[0] == "ok"
+    assert check_sublattice(lat, range(lat.n))[0] == "ok"
+    ends = {lat.zero, lat.one}
+    for a in range(lat.n):
+        check_sublattice(lat, set(lat.downset(a)) | ends)
+        check_sublattice(lat, set(bits(lat.upset_mask(a))) | ends)
+
+
+def test_sublattice_errors_match_the_loop(lattices):
+    """One input for each error, each with its witness."""
+    mo2, b3 = lattices["mo2"], lattices["b3"]
+    a, c = mo2.index("a"), mo2.index("a'")
+    cases = [(mo2, [a, mo2.one], "sublattice must contain bottom and top"),
+             (mo2, [mo2.zero, a, mo2.one], "subset not closed under ortho"),
+             (mo2, [mo2.zero, a, c, mo2.one], None),
+             (b3, [b3.zero, 1, 2, b3.one], "subset not closed under join"),
+             (b3, [b3.zero, 3, 5, b3.one], "subset not closed under meet")]
+    for lat, members, message in cases:
+        got = check_sublattice(lat, members)
+        if message is None:
+            assert got[0] == "ok"
+        else:
+            assert got[:2] == ("PreconditionError", message)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(ALL_LATTICES)), data=st.data())
+def test_random_member_sets_match_the_loop(name, data):
+    lat = ALL_LATTICES[name]
+    members = set(data.draw(st.lists(st.integers(0, lat.n - 1),
+                                     max_size=min(lat.n, 8))))
+    if data.draw(st.integers(0, 3)):
+        members |= {lat.zero, lat.one}
+    check_sublattice(lat, members)
 
 
 # the non-lattice 0 < a, b < x, y < 1 of test_from_relation_rejects_non_lattice

@@ -1,6 +1,9 @@
 """Presheaves on lattices: laws, gluing, stalks, sheafification."""
+import math
+import time
 from itertools import combinations, product as iproduct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +11,7 @@ from obslat import classical, corpus, presheaf, stone
 from obslat.corpus import boolean_algebra, standard_lattices
 from obslat.errors import InputError, PreconditionError, ResourceError
 from obslat.lattice import bits
-from obslat.spectral import restrict_family, spectral_family
+from obslat.spectral import SpectralFamily, restrict_family, spectral_family
 
 
 def _chain2_presheaf(break_what=None):
@@ -201,6 +204,30 @@ def test_resource_caps():
         presheaf.function_presheaf(six, [0.0, 1.0, 2.0, 3.0, 4.0])
 
 
+# -- reading the position tables back as value dicts, for the oracles --
+
+def _decode(ps):
+    """Every table of the presheaf as {section over b: image over a}, for
+    the entries that exist; a stray image decodes to its value."""
+    return {(a, b): {v: ps._value(a, int(i))
+                     for v, i in zip(ps.sections[b], table) if i >= 0}
+            for (a, b), table in ps.restrictions.items()}
+
+
+def _oracle_restrict(ps, tables, a, b, value):
+    """The value-keyed restriction of a section over b to a <= b, read from
+    the decoded tables, with the errors restrict has always raised."""
+    if a == b:
+        return value
+    table = tables.get((a, b))
+    if table is None or value not in table:
+        raise InputError(
+            "missing restriction entry",
+            witness={"from": ps.lattice.names[b], "to": ps.lattice.names[a],
+                     "value": repr(value)})
+    return table[value]
+
+
 # -- the builders as they stood before the shared bundle, kept as oracles --
 
 def _oracle_function_presheaf(space, values):
@@ -267,7 +294,11 @@ def _oracle_sheafify(ps, cap=4096):
 
 def _assert_same_presheaf(got, want):
     assert got.sections == want.sections
-    assert got.restrictions == want.restrictions
+    assert got.restrictions.keys() == want.restrictions.keys()
+    for pair, table in got.restrictions.items():
+        assert table.dtype == np.int32
+        assert np.array_equal(table, want.restrictions[pair]), pair
+    assert _decode(got) == _decode(want)
     assert [got.section_repr(v) for s in got.sections for v in s] == \
         [want.section_repr(v) for s in want.sections for v in s]
 
@@ -299,7 +330,8 @@ def test_partial_presheaf_scan_raises_input_error():
 
 def test_scan_work_counts(monkeypatch):
     """Machine-independent guard on the scan's cost: restrict calls on the
-    mo3 spectral presheaf (8,306 before the gluing index)."""
+    mo3 spectral presheaf (8,306 before the gluing index, 1,701 before the
+    position tables, none since)."""
     ps = presheaf.spectral_presheaf(standard_lattices()["mo3"],
                                     [0.0, 0.5, 1.0])
     calls = [0]
@@ -311,7 +343,7 @@ def test_scan_work_counts(monkeypatch):
 
     monkeypatch.setattr(presheaf.LatticePresheaf, "restrict", counted)
     presheaf.check_sheaf_condition(ps)
-    assert calls[0] <= 2000
+    assert calls[0] == 0
     calls[0] = 0
     assert presheaf.check_presheaf(ps) == (True, None)
     assert calls[0] == 0
@@ -353,11 +385,12 @@ def _oracle_families_with_top(lattice, top, grid, cap):
 
 def _oracle_check_presheaf(ps):
     lat = ps.lattice
+    tables = _decode(ps)
     for b in range(lat.n):
         for a in range(lat.n):
             if a == b or not lat.le(a, b):
                 continue
-            table = ps.restrictions.get((a, b))
+            table = tables.get((a, b))
             if table is None:
                 return False, {"kind": "missing-map",
                                "from": lat.names[b], "to": lat.names[a]}
@@ -378,8 +411,9 @@ def _oracle_check_presheaf(ps):
                 if not lat.le(a, b):
                     continue
                 for v in ps.values_at(c):
-                    direct = ps.restrict(a, c, v)
-                    stepped = ps.restrict(a, b, ps.restrict(b, c, v))
+                    direct = _oracle_restrict(ps, tables, a, c, v)
+                    stepped = _oracle_restrict(
+                        ps, tables, a, b, _oracle_restrict(ps, tables, b, c, v))
                     if direct != stepped:
                         return False, {
                             "kind": "composition",
@@ -392,6 +426,7 @@ def _oracle_check_presheaf(ps):
 
 def _oracle_check_sheaf_condition(ps, work_cap=presheaf.WORK_CAP):
     lat = ps.lattice
+    tables = _decode(ps)
     work = 0
     first_existence = None
     first_uniqueness = None
@@ -414,10 +449,10 @@ def _oracle_check_sheaf_condition(ps, work_cap=presheaf.WORK_CAP):
                         "gluing scan exceeded the work cap",
                         witness={"cap": work_cap})
                 for family in iproduct(*sets):
-                    if not _oracle_compatible(ps, cover, family):
+                    if not _oracle_compatible(ps, tables, cover, family):
                         continue
                     glue = [v for v in ps.values_at(a)
-                            if all(ps.restrict(b, a, v) == fv
+                            if all(_oracle_restrict(ps, tables, b, a, v) == fv
                                    for b, fv in zip(cover, family))]
                     if not glue and first_existence is None:
                         first_existence = _oracle_witness(ps, a, cover,
@@ -432,13 +467,14 @@ def _oracle_check_sheaf_condition(ps, work_cap=presheaf.WORK_CAP):
             "existence": first_existence, "uniqueness": first_uniqueness}
 
 
-def _oracle_compatible(ps, cover, family):
+def _oracle_compatible(ps, tables, cover, family):
     lat = ps.lattice
     for (b1, v1), (b2, v2) in combinations(zip(cover, family), 2):
         m = lat.meet(b1, b2)
         if m == lat.zero:
             continue
-        if ps.restrict(m, b1, v1) != ps.restrict(m, b2, v2):
+        if _oracle_restrict(ps, tables, m, b1, v1) != \
+                _oracle_restrict(ps, tables, m, b2, v2):
             return False
     return True
 
@@ -535,3 +571,130 @@ def test_spectral_sections_match_the_oracle(grid):
                                 presheaf.SECTION_CAP) == \
                     _outcome(_oracle_families_with_top, lat, top, grid,
                              presheaf.SECTION_CAP)
+
+
+# -- the spectral builder as it stood before the position tables: one
+# restrict_family call per entry of every comparable pair, kept as an oracle --
+
+def _oracle_tables(lattice, sections, rule):
+    return {(a, b): {v: rule(a, b, v) for v in sections[b]}
+            for b in range(lattice.n) for a in range(lattice.n)
+            if a != b and lattice.le(a, b)}
+
+
+def _oracle_spectral_presheaf(lattice, grid, cap=presheaf.SECTION_CAP):
+    grid = sorted(set(float(g) for g in grid))
+    if not grid:
+        raise InputError("need a nonempty breakpoint grid")
+    sections = {a: [presheaf._ZERO_SENTINEL] if a == lattice.zero
+                else _oracle_families_with_top(lattice, a, grid, cap)
+                for a in range(lattice.n)}
+
+    def restrict(a, b, fam):
+        if a == lattice.zero:
+            return presheaf._ZERO_SENTINEL
+        return restrict_family(SpectralFamily(lattice, fam, b), a).breakpoints
+
+    def describe(fam):
+        if fam == presheaf._ZERO_SENTINEL:
+            return "*"
+        return [[lam, lattice.names[e]] for lam, e in fam]
+
+    return presheaf.lattice_presheaf(
+        lattice, sections, _oracle_tables(lattice, sections, restrict),
+        describe)
+
+
+@pytest.mark.parametrize("grid", [
+    [0.0], [0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]])
+def test_spectral_presheaf_matches_the_oracle(grid):
+    """Tables composed along covers from the direct meet rule equal the
+    per-pair restrict_family tables entry for entry."""
+    for lat in standard_lattices().values():
+        got = presheaf.spectral_presheaf(lat, grid)
+        want = _oracle_spectral_presheaf(lat, grid)
+        _assert_same_presheaf(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["chain3", "b2", "mo2"]), data=st.data())
+def test_value_dicts_round_trip_through_the_tables(name, data):
+    """lattice_presheaf keeps every present entry, stray images included,
+    and only those; an absent table stays absent."""
+    lat = standard_lattices()[name]
+    sizes = [data.draw(st.integers(0, 3)) for _ in range(lat.n)]
+    sections = {a: [f"s{a}.{i}" for i in range(sizes[a])]
+                for a in range(lat.n)}
+    images = st.one_of(st.integers(0, 2).map(lambda k: f"stray{k}"),
+                       st.integers(0, 3))
+    restrictions = {}
+    for b in range(lat.n):
+        for a in range(lat.n):
+            if a == b or not lat.le(a, b) or data.draw(st.integers(0, 4)) == 0:
+                continue
+            table = {}
+            for v in sections[b]:
+                img = data.draw(images)
+                if isinstance(img, int):
+                    if img == 3:
+                        continue                  # a missing entry
+                    if img >= sizes[a]:
+                        img = f"stray{img}"
+                    else:
+                        img = sections[a][img]
+                table[v] = img
+            restrictions[(a, b)] = table
+    ps = presheaf.lattice_presheaf(lat, sections, restrictions)
+    assert _decode(ps) == restrictions
+    for table in ps.restrictions.values():
+        assert table.dtype == np.int32
+    for a in range(lat.n):
+        assert len(set(ps.strays[a])) == len(ps.strays[a])
+        assert not set(ps.strays[a]) & set(sections[a])
+
+
+def test_spectral_presheaf_refuses_non_finite_grids():
+    """The grid is checked up front; the first non-finite value in input
+    order is the witness, also where no family would ever be restricted."""
+    nan, inf = float("nan"), float("inf")
+    cases = [("chain2", [nan, inf], nan), ("chain2", [1.0, inf, nan], inf),
+             ("mo2", [nan, 1.0], nan), ("mo2", [inf], inf),
+             ("mo2", [0.0, -inf], -inf)]
+    for name, grid, bad in cases:
+        with pytest.raises(InputError) as err:
+            presheaf.spectral_presheaf(standard_lattices()[name], grid)
+        assert str(err.value) == "breakpoints must be finite reals"
+        witness = err.value.witness
+        assert (math.isnan(witness) and math.isnan(bad)) or witness == bad
+
+
+def test_presheaf_layer_at_the_caps(monkeypatch):
+    """The cap-size presheaves are usable: the spectral rule runs on the
+    cover pairs only and the laws compare integer arrays.  The counts guard
+    the design on any machine; the wall bounds catch a return to per-entry
+    Python work (41 s and 5 s before the position tables)."""
+    rule_pairs = []
+    tables = presheaf._tables
+
+    def counted(lattice, sections, rule):
+        def traced(a, c, v):
+            rule_pairs.append((a, c))
+            return rule(a, c, v)
+        return tables(lattice, sections, traced)
+
+    monkeypatch.setattr(presheaf, "_tables", counted)
+    lat = corpus.chain(64)
+    start = time.perf_counter()
+    ps = presheaf.spectral_presheaf(lat, [0, 0.5, 1])
+    assert presheaf.check_presheaf(ps) == (True, None)
+    assert time.perf_counter() - start < 10.0
+    assert sum(len(t) for t in ps.restrictions.values()) == 2_162_160
+    assert set(rule_pairs) == set(lat.covers()) and len(lat.covers()) == 63
+    assert len(rule_pairs) == sum(len(ps.sections[c]) for _, c in lat.covers())
+
+    start = time.perf_counter()
+    fp, _, _ = presheaf.function_presheaf(classical.discrete_space("abcdef"),
+                                          [0.0, 1.0, 2.0, 3.0])
+    assert presheaf.check_presheaf(fp) == (True, None)
+    assert time.perf_counter() - start < 2.0
+    assert sum(len(t) for t in fp.restrictions.values()) == 515_816
