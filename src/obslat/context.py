@@ -4,17 +4,19 @@ over a diagram, and the gluing report with an operator-extendability verdict.
 
 A section assigns one real value to every nonzero projection of every
 context.  Values live on lattice elements; the bridge to matrices goes
-through the minimal projections of each context.  Whether one selfadjoint
-operator induces a global section is decided exactly, in every dimension,
-by the minimal candidate family (see ``_extendability``): the verdict is
-"yes" with a verified operator or "no" with a projection that lies under
-the join of the lower-valued ones.
+through the minimal projections of each context, and the diagram's pool
+maps every (context, element) to its projection, so an operator's section,
+the cross-context check and the gluing scan work with one value per pool
+projection.  Whether one selfadjoint operator induces a global section is
+decided exactly, in every dimension, by the minimal candidate family (see
+``_extendability``): the verdict is "yes" with a verified operator or "no"
+with a projection that lies under the join of the lower-valued ones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, count
+from itertools import combinations, islice
 from operator import and_
 
 import numpy as np
@@ -32,7 +34,7 @@ from .vn import (TOL, Tolerances, VNSubalgebra, algebra_intersection,
 MAX_MINIMAL = 6
 MAX_CONTEXTS = 24
 GLUE_WORK_CAP = 200_000
-# Most families per batched join and pool match.  A batch of families of
+# Most families per batched join and pool match.  A chunk of families of
 # size k stacks _CHUNK * k * d^2 complex entries, so this bounds the scan's
 # memory.
 _CHUNK = 256
@@ -56,7 +58,7 @@ class Context:
         return out
 
     def element_of(self, p, tol: Tolerances = TOL) -> int:
-        p = as_matrix(p)
+        p = _in_dim(p, self.algebra.dim)
         mask = 0
         for i, q in enumerate(self.minimal):
             if projection_leq(q, p, tol):
@@ -118,8 +120,17 @@ class ContextDiagram:
 
     def pool_index_of(self, p) -> int | None:
         """Index of the first pool projection within ``tol.proj`` of p."""
-        j = int(_first_match(self.pool, as_matrix(p)[None], self.tol)[0])
+        j = int(_first_match(self.pool, _in_dim(p, self.dim)[None],
+                             self.tol)[0])
         return None if j < 0 else j
+
+
+def _in_dim(p, dim: int) -> np.ndarray:
+    p = as_matrix(p)
+    if p.shape[0] != dim:
+        raise InputError("projection dimension differs from the context's",
+                         witness=[int(p.shape[0]), dim])
+    return p
 
 
 def _first_match(pool: np.ndarray, ps: np.ndarray, tol: Tolerances
@@ -207,24 +218,25 @@ def diagram(named_generators: dict[str, list], dim: int | None = None,
 # -- sections ---------------------------------------------------------------------
 
 def section_from_operator(dia: ContextDiagram, a) -> dict[str, dict[int, float]]:
-    """Restrict a selfadjoint operator to every context: the value at a
-    projection is the first spectral breakpoint whose eigenspace contains
-    its range."""
+    """Restrict a selfadjoint operator to every context.  The value at a
+    projection, the first spectral breakpoint whose eigenspace contains its
+    range, depends on the projection alone: each pool projection is decided
+    once, walking the steps from the top (the identity) down with one
+    batched product and norm per step, and its value is copied to every
+    (context, element) over it in ``dia.element_pool`` order."""
     a = check_hermitian(a, dia.tol)
     if a.shape[0] != dia.dim:
         raise InputError("operator dimension mismatch",
                          witness=[int(a.shape[0]), dia.dim])
     fam = spectral_family_of(a, dia.tol)
-    out: dict[str, dict[int, float]] = {}
-    for c in dia.contexts:
-        vals: dict[int, float] = {}
-        for e in c.nonzero_elements():
-            p = c.projection_of(e)
-            for mu, proj in zip(fam.breakpoints, fam.projections):
-                if projection_leq(p, proj, dia.tol):
-                    vals[e] = float(mu)
-                    break
-        out[c.name] = vals
+    vals = np.empty(len(dia.pool))
+    for mu, e in zip(fam.breakpoints[::-1], fam.projections[::-1]):
+        vals[np.linalg.norm(e @ dia.pool - dia.pool, axis=(1, 2))
+             <= dia.tol.sub] = mu
+    vals = vals.tolist()
+    out: dict[str, dict[int, float]] = {c.name: {} for c in dia.contexts}
+    for (name, e), i in dia.element_pool.items():
+        out[name][e] = vals[i]
     return out
 
 
@@ -259,19 +271,14 @@ def is_global_section(dia: ContextDiagram, section
         if not ok:
             return False, {"kind": "not-increasing-in-context",
                            "context": c.name, **w}
-    by_pool: dict[int, tuple[str, int, float]] = {}
-    for c in dia.contexts:
-        for e in c.nonzero_elements():
-            i = dia.element_pool[(c.name, e)]
-            v = section[c.name][e]
-            if i in by_pool and by_pool[i][2] != v:
-                prev = by_pool[i]
-                return False, {
-                    "kind": "inconsistent-across-contexts",
-                    "projection": dia.pool_labels[i],
-                    "contexts": [prev[0], c.name],
-                    "values": [prev[2], v]}
-            by_pool.setdefault(i, (c.name, e, v))
+    first: dict[int, tuple[str, float]] = {}
+    for (name, e), i in dia.element_pool.items():
+        v = section[name][e]
+        prev = first.setdefault(i, (name, v))
+        if prev[1] != v:
+            return False, {"kind": "inconsistent-across-contexts",
+                           "projection": dia.pool_labels[i],
+                           "contexts": [prev[0], name], "values": [prev[1], v]}
     return True, None
 
 
@@ -280,11 +287,10 @@ def pool_values(dia: ContextDiagram, section) -> list[float]:
     ok, w = is_global_section(dia, section)
     if not ok:
         raise PreconditionError("section is not a global section", witness=w)
-    out: list[float | None] = [None] * len(dia.pool)
-    for c in dia.contexts:
-        for e in c.nonzero_elements():
-            out[dia.element_pool[(c.name, e)]] = section[c.name][e]
-    return [float(v) for v in out]
+    out = [0.0] * len(dia.pool)
+    for (name, e), i in dia.element_pool.items():
+        out[i] = float(section[name][e])
+    return out
 
 
 @dataclass(frozen=True)
@@ -314,9 +320,10 @@ def glue_section(dia: ContextDiagram, section) -> GlueReport:
 
     The commuting law covers every pairwise commuting family, the increasing
     law every pair; both skip joins that escape the pool.  A join is looked
-    up as the first pool projection within ``tol.proj`` of it.  Joins are
-    computed in batches, up to ``_CHUNK`` families of one size at a time,
-    and the first failing family in scan order is the witness.  The commuting scan raises
+    up as the first pool projection within ``tol.proj`` of it.  Both scans
+    hand ``_first_failure`` one family list per size (the pairs as one lazy
+    iterable), joined ``_CHUNK`` families at a time, and the first failing
+    family in scan order is the witness.  The commuting scan raises
     ``ResourceError`` past ``GLUE_WORK_CAP`` families, unless a family
     drawn before the cap already fails."""
     values = pool_values(dia, section)
@@ -329,7 +336,7 @@ def glue_section(dia: ContextDiagram, section) -> GlueReport:
     commuting_witness = _first_failure(dia, values, in_ctx,
                                        _commuting_families(comm, in_ctx))
     increasing_witness = _first_failure(dia, values, in_ctx,
-                                        combinations(range(len(values)), 2))
+                                        [combinations(range(len(values)), 2)])
     extendable, certificate, operator = _extendability(dia, values)
     return GlueReport(tuple(dia.pool_labels), tuple(values),
                       commuting_witness is None, commuting_witness,
@@ -338,67 +345,57 @@ def glue_section(dia: ContextDiagram, section) -> GlueReport:
 
 
 def _commuting_families(comm, in_ctx):
-    """Pairwise commuting families in (size, index) order, grown from the
-    empty family, which every context holds (mask -1).  A family stops
-    growing once one context holds it and every later entry commuting with
-    it, since all its extensions then lie there."""
-    level, work = [((), -1, range(len(comm)))], count(1)
+    """Pairwise commuting families, one list per family size, in (size,
+    index) order, grown from the empty family, which every context holds
+    (mask -1).  A family stops growing once one context holds it and every
+    later entry commuting with it, since all its extensions then lie there.
+    Past ``GLUE_WORK_CAP`` families the list drawn so far still comes out,
+    then ``ResourceError`` is raised."""
+    level, drawn = [((), -1, range(len(comm)))], 0
     while level:
-        grown = []
+        fams, grown = [], []
         for fam, shared, cands in level:
             for pos, m in enumerate(cands):
-                if next(work) > GLUE_WORK_CAP:
+                if drawn + len(fams) >= GLUE_WORK_CAP:
+                    yield fams
                     raise ResourceError("gluing scan over its work cap",
                                         witness={"cap": GLUE_WORK_CAP})
-                yield fam + (m,)
+                fams.append(fam + (m,))
                 later = [k for k in cands[pos + 1:] if comm[m][k]]
                 if later and not reduce(and_, (in_ctx[k] for k in later),
                                         shared & in_ctx[m]):
-                    grown.append((fam + (m,), shared & in_ctx[m], later))
+                    grown.append((fams[-1], shared & in_ctx[m], later))
+        yield fams
+        drawn += len(fams)
         level = grown
 
 
-def _batches(families):
-    """The family stream cut into runs of equal-sized families, at most
-    ``_CHUNK`` long, in stream order.  When the stream raises
-    ``ResourceError``, the families drawn before it still come first."""
-    batch = []
-    try:
-        for fam in families:
-            if batch and (len(batch) == _CHUNK or len(fam) != len(batch[0])):
-                yield batch
-                batch = []
-            batch.append(fam)
-    except ResourceError:
-        if batch:
-            yield batch
-        raise
-    if batch:
-        yield batch
-
-
-def _first_failure(dia, values, in_ctx, families) -> dict | None:
+def _first_failure(dia, values, in_ctx, levels) -> dict | None:
     """Witness for the first family whose join is not valued at the sup of
-    its members' values.  A family inside one context (a singleton too) is
-    skipped: there the law is the context's, decided by the section check.
-    Each batch is joined with one SVD call and matched against the pool at
-    once; batches come in stream order, so the first failure of the first
-    failing batch is the first failure."""
+    its members' values; ``levels`` gives the families in scan order, one
+    iterable of equal-sized families per size.  A family inside one context
+    (a singleton too) is skipped: there the law is the context's, decided by
+    the section check.  Each level is read ``_CHUNK`` families at a time,
+    each chunk joined with one SVD call and matched against the pool at
+    once, so the first failure of the first failing chunk is the first
+    failure."""
     vals, masks = np.array(values), np.array(in_ctx)
-    for batch in _batches(families):
-        fams = np.array(batch)
-        fams = fams[np.bitwise_and.reduce(masks[fams], axis=1) == 0]
-        if not len(fams):
-            continue
-        j = _first_match(dia.pool, projection_joins(dia.pool[fams], dia.tol),
-                         dia.tol)
-        fail = (j >= 0) & (vals[j] != vals[fams].max(axis=1))
-        if fail.any():
-            k = fail.argmax()
-            fam, j = fams[k].tolist(), int(j[k])
-            return {"members": [dia.pool_labels[i] for i in fam],
-                    "join": dia.pool_labels[j], "value": values[j],
-                    "sup_of_values": max(values[i] for i in fam)}
+    for level in levels:
+        level = iter(level)
+        while chunk := list(islice(level, _CHUNK)):
+            fams = np.array(chunk)
+            fams = fams[np.bitwise_and.reduce(masks[fams], axis=1) == 0]
+            if not len(fams):
+                continue
+            j = _first_match(dia.pool,
+                             projection_joins(dia.pool[fams], dia.tol), dia.tol)
+            fail = (j >= 0) & (vals[j] != vals[fams].max(axis=1))
+            if fail.any():
+                k = fail.argmax()
+                fam, j = fams[k].tolist(), int(j[k])
+                return {"members": [dia.pool_labels[i] for i in fam],
+                        "join": dia.pool_labels[j], "value": values[j],
+                        "sup_of_values": max(values[i] for i in fam)}
     return None
 
 

@@ -227,10 +227,11 @@ class FiniteOrthoLattice:
         return bits(self._down[a])
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (a, b) with b covering a."""
-        # b covers a when the interval [a, b] holds nothing else
-        return [(a, b) for a in range(self.n) for b in range(self.n)
-                if a != b and self._up[a] & self._down[b] == (1 << a) | (1 << b)]
+        """Pairs (a, b) with b covering a, in row-major order: a < b with
+        nothing strictly between.  The product of the strict order counts
+        the elements between; each count is at most 64, exact in float32."""
+        lt = (self.leq & ~np.eye(self.n, dtype=bool)).astype(np.float32)
+        return list(map(tuple, np.argwhere((lt > 0) & (lt @ lt == 0)).tolist()))
 
     # -- structural checks -------------------------------------------------
 
@@ -295,6 +296,8 @@ class FiniteOrthoLattice:
         row-major order is the witness, meet before join.
         """
         mem = sorted(set(int(m) for m in members))
+        for m in mem:
+            self._check_element(m, "sublattice member")
         if self.zero not in mem or self.one not in mem:
             raise PreconditionError("sublattice must contain bottom and top",
                                     witness=[self.names[self.zero], self.names[self.one]])

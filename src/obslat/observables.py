@@ -251,22 +251,17 @@ def observability_criterion(lattice: FiniteOrthoLattice,
     completely increasing.  On success the reconstructed spectral family is
     returned as the witness of observability.
     """
+    for t in quasipoint_values:
+        lattice._check_element(t, "quasipoint key")
     atoms = lattice.atoms()
     if set(quasipoint_values) != set(atoms):
         raise InputError(
             "need exactly one value per quasipoint, keyed by its atom",
             witness=sorted(lattice.names[t] for t in
                            set(atoms) ^ set(quasipoint_values)))
-    vals: dict[int, float] = {}
-    for a in range(lattice.n):
-        if a == lattice.zero:
-            continue
-        under = [t for t in atoms if lattice.le(t, a)]
-        if not under:
-            raise InputError(
-                f"element {lattice.names[a]} lies over no atom",
-                witness=lattice.names[a])
-        vals[a] = max(quasipoint_values[t] for t in under)
+    # every nonzero element of a finite lattice lies over an atom
+    vals = {a: max(quasipoint_values[t] for t in atoms if lattice.le(t, a))
+            for a in range(lattice.n) if a != lattice.zero}
     r = observable(lattice, vals, checked=False)
     ok, witness = check_completely_increasing(r)
     if not ok:

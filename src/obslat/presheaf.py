@@ -293,6 +293,7 @@ def stalk(ps: LatticePresheaf, quasipoint: DualIdeal) -> tuple[int, tuple]:
 
 
 def germ(ps: LatticePresheaf, quasipoint: DualIdeal, a: int, value):
+    ps.lattice._check_element(a, "germ element")
     t = quasipoint.generator()
     if not quasipoint.contains(a):
         raise PreconditionError(

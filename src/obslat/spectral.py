@@ -124,6 +124,7 @@ def constant_family(lattice: FiniteOrthoLattice, value: float,
 def projection_family(lattice: FiniteOrthoLattice, p: int) -> SpectralFamily:
     """The two-step family of an orthocomplemented element: its complement at
     0, top at 1.  Degenerate p in {0, top} collapses to one step."""
+    lattice._check_element(p, "projection")
     return spectral_family(
         lattice, [(0.0, lattice.orthocomplement(p)), (1.0, lattice.one)])
 

@@ -94,6 +94,8 @@ def is_filter_base(lattice: FiniteOrthoLattice, subset: Iterable[int]
                    ) -> tuple[bool, dict | None]:
     """Nonempty, bottom-free, and downward directed inside itself."""
     elems = sorted(set(int(a) for a in subset))
+    for a in elems:
+        lattice._check_element(a, "filter base member")
     if not elems:
         return False, {"kind": "empty"}
     if lattice.zero in elems:

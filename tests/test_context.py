@@ -1,4 +1,5 @@
 """Context diagrams, sections, gluing laws, operator extendability."""
+import itertools
 import json
 import random
 import time
@@ -561,7 +562,8 @@ def per_family_glue(dia, section):
     values = cx.pool_values(dia, section)
     in_ctx, comm = scan_inputs(dia)
     commuting = per_family_first_failure(
-        dia, values, in_ctx, cx._commuting_families(comm, in_ctx))
+        dia, values, in_ctx,
+        itertools.chain.from_iterable(cx._commuting_families(comm, in_ctx)))
     increasing = per_family_first_failure(
         dia, values, in_ctx, combinations(range(len(values)), 2))
     extendable, certificate, _ = cx._extendability(dia, values)
@@ -646,7 +648,8 @@ def test_cap_right_after_a_failing_family_returns_its_witness(monkeypatch):
     dia, section = cross_context_witness_case()
     witness = cx.glue_section(dia, section).commuting_witness
     in_ctx, comm = scan_inputs(dia)
-    families = list(cx._commuting_families(comm, in_ctx))
+    families = list(itertools.chain.from_iterable(
+        cx._commuting_families(comm, in_ctx)))
     at = 1 + families.index(tuple(dia.pool_labels.index(lab)
                                   for lab in witness["members"]))
     assert at < len(families)
@@ -675,3 +678,100 @@ def test_dim4_three_plane_clique_glues_in_bounded_memory():
     assert got["commuting_ok"]
     assert_agrees_with_subset_scan(dia, got, subset_scan_glue(dia, section))
     assert peak < 16 * 2 ** 20
+
+
+# -- the pool-wide section against the per-context loop it replaced --------------
+
+def ref_section_from_operator(dia, a):
+    """``section_from_operator`` as the loop it replaced: every element of
+    every context checked against the breakpoints from the bottom up."""
+    a = vn.check_hermitian(a, dia.tol)
+    if a.shape[0] != dia.dim:
+        raise InputError("operator dimension mismatch",
+                         witness=[int(a.shape[0]), dia.dim])
+    fam = vn.spectral_family_of(a, dia.tol)
+    out = {}
+    for c in dia.contexts:
+        vals = {}
+        for e in c.nonzero_elements():
+            p = c.projection_of(e)
+            for mu, proj in zip(fam.breakpoints, fam.projections):
+                if vn.projection_leq(p, proj, dia.tol):
+                    vals[e] = float(mu)
+                    break
+        out[c.name] = vals
+    return out
+
+
+def assert_section_matches_the_loop(dia, a):
+    got, want = cx.section_from_operator(dia, a), ref_section_from_operator(dia, a)
+    assert got == want
+    assert list(got) == list(want)
+    assert [list(v) for v in got.values()] == [list(v) for v in want.values()]
+
+
+def sample_operators(dia, rng):
+    """A random operator, one with a degenerate spectrum in a random basis,
+    and one built from a context's minimal projections, whose eigenspaces
+    hold that context's projections exactly."""
+    u = np.linalg.eigh(vn.random_hermitian(rng, dia.dim))[1]
+    levels = [float(rng.randrange(3)) for _ in range(dia.dim)]
+    c = rng.choice(dia.contexts)
+    return [vn.random_hermitian(rng, dia.dim), (u * levels) @ u.conj().T,
+            sum(float(rng.randrange(3)) * q for q in c.minimal)]
+
+
+@pytest.mark.parametrize("name", ["section_clash", "section_operator"])
+def test_section_matches_the_loop_on_the_corpus(name):
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    dia, _ = jsonio.load_section(str(corpus / f"{name}.json"))
+    ops = [jsonio.load_matrix(str(corpus / "op_qubit.json")), np.eye(2),
+           np.diag([0.3, 1.2])] + sample_operators(dia, random.Random(name))
+    for a in ops:
+        assert_section_matches_the_loop(dia, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=glue_cases(), seed=st.integers(0, 10 ** 6))
+def test_section_matches_the_loop(case, seed):
+    dia, _ = case
+    for a in sample_operators(dia, random.Random(seed)):
+        assert_section_matches_the_loop(dia, a)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_section_matches_the_loop_on_four_dimensional_planes(seed):
+    rng = random.Random(seed)
+    dia = planes_diagram(4, [rng.uniform(0.2, 1.4) for _ in range(3)])
+    for a in [np.diag([0.0, 1.0, 2.0, 3.0]), np.diag([0.0, 0.0, 1.0, 1.0])] + \
+            sample_operators(dia, rng):
+        assert_section_matches_the_loop(dia, a)
+
+
+def test_contexts_sharing_a_pool_projection_give_it_one_value():
+    """In the dim-4 planes diagram every context holds the identity, and
+    the diagonal lines and planes lie in several contexts."""
+    dia = planes_diagram(4, [0.3, 0.8, 1.2])
+    section = cx.section_from_operator(dia, np.diag([0.0, 1.0, 2.0, 3.0]))
+    values: dict[int, set] = {}
+    holders: dict[int, set] = {}
+    for (name, e), i in dia.element_pool.items():
+        values.setdefault(i, set()).add(section[name][e])
+        holders.setdefault(i, set()).add(name)
+    assert all(len(v) == 1 for v in values.values())
+    assert max(len(h) for h in holders.values()) == len(dia.contexts)
+    assert cx.is_global_section(dia, section) == (True, None)
+    assert cx.pool_values(dia, section) == [values[i].pop()
+                                            for i in range(len(dia.pool))]
+
+
+def test_projections_of_the_wrong_dimension_are_refused():
+    """element_of and pool_index_of used to fail inside numpy."""
+    dia = fixture_diagram()
+    az = dia.context_named("Az")
+    for lookup in (az.element_of, dia.pool_index_of):
+        with pytest.raises(InputError) as err:
+            lookup(np.eye(3))
+        assert str(err.value) == \
+            "projection dimension differs from the context's"
+        assert err.value.witness == [3, 2]

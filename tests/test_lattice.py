@@ -389,6 +389,7 @@ def check_against_refs(names, rel, ortho=None):
     if lat is None:
         return got
     assert lat.is_distributive() == ref_is_distributive(lat)
+    assert lat.covers() == ref_covers(lat)
     if ortho is not None:
         ok = lat.is_orthomodular()
         assert ok == ref_is_orthomodular(lat)
@@ -421,6 +422,25 @@ def test_construction_and_checks_match_the_loops(name):
     assert (_transitive_reflexive_closure(rel) == ref_closure(rel)).all()
     assert check_against_refs(lat.names, rel, lat.ortho)[0] == "ok"
     assert check_against_refs(lat.names, lat.leq, lat.ortho)[0] == "ok"
+
+
+def ref_covers(lat):
+    """FiniteOrthoLattice.covers as the bitmask loop it replaced: b covers a
+    when the interval [a, b] holds nothing else."""
+    return [(a, b) for a in range(lat.n) for b in range(lat.n)
+            if a != b and lat._up[a] & lat._down[b] == (1 << a) | (1 << b)]
+
+
+def test_covers_match_the_loop():
+    """Every standard and 64-element lattice, chain(64) and the open-set
+    lattices of all topologies on three points."""
+    lats = list(ALL_LATTICES.values()) + [corpus.chain(64)]
+    lats += [classical.open_set_lattice(
+                 classical.FiniteTopSpace(range(3), opens=opens))[0]
+             for opens in classical.all_topologies(3)]
+    for lat in lats:
+        assert lat.covers() == ref_covers(lat)
+        assert all(type(k) is int for pair in lat.covers() for k in pair)
 
 
 def test_center_sublattice_matches_the_loops():
@@ -499,6 +519,18 @@ def test_sublattice_errors_match_the_loop(lattices):
             assert got[0] == "ok"
         else:
             assert got[:2] == ("PreconditionError", message)
+
+
+@pytest.mark.parametrize("index", [99, 6, -1])
+def test_sublattice_refuses_a_member_outside_the_lattice(lattices, index):
+    # 99 ended in an IndexError; -1 was read as the top and reported as
+    # duplicate element names
+    mo2 = lattices["mo2"]
+    with pytest.raises(InputError) as err:
+        mo2.sublattice([mo2.zero, mo2.one, index])
+    assert str(err.value) == ("the sublattice member is not an element of "
+                              "the lattice")
+    assert err.value.witness == [index, 6]
 
 
 @settings(max_examples=300, deadline=None)

@@ -520,3 +520,43 @@ def test_observable_table_matches_the_breakpoint_scan(name):
         fam = sample_family(lat, r)
         for g in (fam, restrict_family(fam, r.choice(nonzero))):
             assert ob.observable_table(g).values == ref_observable_table(g)
+
+
+@pytest.mark.parametrize("index", [99, 6, -1])
+def test_restrict_observable_refuses_a_member_outside_the_lattice(lattices,
+                                                                  index):
+    # 99 ended in an IndexError; -1 was read as the top and reported as
+    # duplicate element names
+    mo2, fam = mo2_example(lattices)
+    f = ob.observable_table(fam)
+    block = [mo2.zero, mo2.index("a"), mo2.index("a'"), mo2.one, index]
+    with pytest.raises(InputError) as err:
+        ob.restrict_observable(f, block)
+    assert str(err.value) == ("the sublattice member is not an element of "
+                              "the lattice")
+    assert err.value.witness == [index, 6]
+
+
+@pytest.mark.parametrize("index", [99, 6, -1])
+def test_quasipoint_table_refuses_a_key_outside_the_lattice(lattices, index):
+    # 99 crashed with an IndexError while the witness was being built
+    mo2 = lattices["mo2"]
+    table = {a: 1.0 for a in mo2.atoms()}
+    table[index] = 2.0
+    with pytest.raises(InputError) as err:
+        ob.observability_criterion(mo2, table)
+    assert str(err.value) == "the quasipoint key is not an element of the lattice"
+    assert err.value.witness == [index, 6]
+
+
+@pytest.mark.parametrize("name", sorted(corpus.standard_lattices()))
+def test_quasipoint_table_values_every_nonzero_element(name):
+    """Every nonzero element of a finite lattice lies over an atom, so the
+    candidate function is defined everywhere; equal quasipoint values give
+    the constant observable."""
+    lat = corpus.standard_lattices()[name]
+    ok, witness, fam = ob.observability_criterion(
+        lat, {a: 1.5 for a in lat.atoms()})
+    assert ok and witness is None
+    f = ob.observable_table(fam)
+    assert all(f.at_element(a) == 1.5 for a in range(lat.n) if a != lat.zero)

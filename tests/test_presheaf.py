@@ -698,3 +698,15 @@ def test_presheaf_layer_at_the_caps(monkeypatch):
     assert presheaf.check_presheaf(fp) == (True, None)
     assert time.perf_counter() - start < 2.0
     assert sum(len(t) for t in fp.restrictions.values()) == 515_816
+
+
+@pytest.mark.parametrize("index", [99, 6, -1])
+def test_germ_refuses_an_element_outside_the_lattice(index):
+    # 99 ended in an IndexError, -1 in "negative shift count"
+    mo2 = standard_lattices()["mo2"]
+    ps = presheaf.spectral_presheaf(mo2, [0.0, 1.0])
+    q = stone.enumerate_quasipoints(mo2)[0]
+    with pytest.raises(InputError) as err:
+        presheaf.germ(ps, q, index, ps.values_at(mo2.one)[0])
+    assert str(err.value) == "the germ element is not an element of the lattice"
+    assert err.value.witness == [index, 6]

@@ -139,3 +139,13 @@ def test_restrict_family_refuses_a_target_outside_the_lattice(lattices, index):
     assert str(err.value) == ("the restriction target is not an element of "
                               "the lattice")
     assert err.value.witness == [index, 6]
+
+
+@pytest.mark.parametrize("index", [99, 6, -1])
+def test_projection_family_refuses_an_element_outside_the_lattice(lattices,
+                                                                   index):
+    # -1 used to be read as the top, and 99 ended in an IndexError
+    with pytest.raises(InputError) as err:
+        projection_family(lattices["mo2"], index)
+    assert str(err.value) == "the projection is not an element of the lattice"
+    assert err.value.witness == [index, 6]

@@ -312,3 +312,24 @@ def test_basis_set_refuses_an_element_outside_the_lattice(lattices, index):
         stone.basis_set(lattices["mo2"], index)
     assert str(err.value) == "the basis element is not an element of the lattice"
     assert err.value.witness == [index, 6]
+
+
+@pytest.mark.parametrize("index", [99, 6, -1])
+def test_is_filter_base_refuses_a_member_outside_the_lattice(lattices, index):
+    # -1 used to be read as the top, and 99 ended in an IndexError
+    mo2 = lattices["mo2"]
+    with pytest.raises(InputError) as err:
+        stone.is_filter_base(mo2, [mo2.index("a"), index])
+    assert str(err.value) == ("the filter base member is not an element of "
+                              "the lattice")
+    assert err.value.witness == [index, 6]
+
+
+@pytest.mark.parametrize("index", [99, 6, -1])
+def test_cone_refuses_a_member_outside_the_lattice(lattices, index):
+    # cone(mo2, [-1]) used to return the up-set of the top
+    with pytest.raises(InputError) as err:
+        stone.cone(lattices["mo2"], [index])
+    assert str(err.value) == ("the filter base member is not an element of "
+                              "the lattice")
+    assert err.value.witness == [index, 6]
