@@ -7,17 +7,18 @@ context.  Values live on lattice elements; the bridge to matrices goes
 through the minimal projections of each context, and the diagram's pool
 maps every (context, element) to its projection, so an operator's section,
 the cross-context check and the gluing scan work with one value per pool
-projection.  Whether one selfadjoint operator induces a global section is
-decided exactly, in every dimension, by the minimal candidate family (see
-``_extendability``): the verdict is "yes" with a verified operator or "no"
-with a projection that lies under the join of the lower-valued ones.
+projection.  The join-law scans skip families with two members in one
+context, and stop growing a family at a join in the pool.  Whether one
+selfadjoint operator induces a global section is decided exactly, in every
+dimension, by the minimal candidate family (see ``_extendability``): the
+verdict is "yes" with a verified operator or "no" with a projection that
+lies under the join of the lower-valued ones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property
 from itertools import combinations, islice
-from operator import and_
 
 import numpy as np
 
@@ -123,6 +124,19 @@ class ContextDiagram:
         j = int(_first_match(self.pool, _in_dim(p, self.dim)[None],
                              self.tol)[0])
         return None if j < 0 else j
+
+    @cached_property
+    def _relations(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gluing scans' relations on pool entries, filled on first use:
+        ``cross[i, k]`` when no context holds both, ``comm[i, k]`` when
+        they commute within ``tol.sub`` (the scans read rows i < k)."""
+        ctx = {c.name: k for k, c in enumerate(self.contexts)}
+        inc = np.zeros((len(self.contexts), len(self.pool)), dtype=np.float32)
+        for (name, _), i in self.element_pool.items():
+            inc[ctx[name], i] = 1.0
+        comm = [np.linalg.norm(self.pool @ p - p @ self.pool, axis=(1, 2))
+                <= self.tol.sub for p in self.pool]
+        return inc.T @ inc == 0, np.array(comm)
 
 
 def _in_dim(p, dim: int) -> np.ndarray:
@@ -318,25 +332,17 @@ def glue_section(dia: ContextDiagram, section) -> GlueReport:
     """Check the two join laws over the projection pool and decide whether a
     single selfadjoint operator induces the whole section.
 
-    The commuting law covers every pairwise commuting family, the increasing
-    law every pair; both skip joins that escape the pool.  A join is looked
-    up as the first pool projection within ``tol.proj`` of it.  Both scans
-    hand ``_first_failure`` one family list per size (the pairs as one lazy
-    iterable), joined ``_CHUNK`` families at a time, and the first failing
-    family in scan order is the witness.  The commuting scan raises
-    ``ResourceError`` past ``GLUE_WORK_CAP`` families, unless a family
-    drawn before the cap already fails."""
+    The increasing law covers every pair, the commuting law every pairwise
+    commuting family (grown as ``_first_failure`` says), both with no two
+    members in one context, where the section check decides the law, and
+    both skip joins that escape the pool.  A join is looked up as the first
+    pool projection within ``tol.proj`` of it.  The commuting scan raises
+    ``ResourceError`` past ``GLUE_WORK_CAP`` families, singletons included,
+    unless a family drawn before the cap already fails."""
     values = pool_values(dia, section)
-    bit = {c.name: 1 << k for k, c in enumerate(dia.contexts)}
-    in_ctx = [0] * len(values)      # bit k: the entry lies in context k
-    for (name, _), i in dia.element_pool.items():
-        in_ctx[i] |= bit[name]
-    comm = [(np.linalg.norm(dia.pool @ p - p @ dia.pool, axis=(1, 2))
-             <= dia.tol.sub).tolist() for p in dia.pool]
-    commuting_witness = _first_failure(dia, values, in_ctx,
-                                       _commuting_families(comm, in_ctx))
-    increasing_witness = _first_failure(dia, values, in_ctx,
-                                        [combinations(range(len(values)), 2)])
+    cross, comm = dia._relations
+    commuting_witness = _first_failure(dia, values, cross & comm, True)
+    increasing_witness = _first_failure(dia, values, cross, False)
     extendable, certificate, operator = _extendability(dia, values)
     return GlueReport(tuple(dia.pool_labels), tuple(values),
                       commuting_witness is None, commuting_witness,
@@ -344,59 +350,46 @@ def glue_section(dia: ContextDiagram, section) -> GlueReport:
                       extendable, certificate, operator)
 
 
-def _commuting_families(comm, in_ctx):
-    """Pairwise commuting families, one list per family size, in (size,
-    index) order, grown from the empty family, which every context holds
-    (mask -1).  A family stops growing once one context holds it and every
-    later entry commuting with it, since all its extensions then lie there.
-    Past ``GLUE_WORK_CAP`` families the list drawn so far still comes out,
-    then ``ResourceError`` is raised."""
-    level, drawn = [((), -1, range(len(comm)))], 0
-    while level:
-        fams, grown = [], []
-        for fam, shared, cands in level:
-            for pos, m in enumerate(cands):
-                if drawn + len(fams) >= GLUE_WORK_CAP:
-                    yield fams
+def _first_failure(dia, values, adj, grow) -> dict | None:
+    """Witness for the first family, in (size, index) order, of entries
+    pairwise related by ``adj`` (read at i < k) whose join is not valued at
+    the sup of its members' values.  Without ``grow`` the families are the
+    pairs.  With it a family grows, by later entries related to all its
+    members, only while its join escapes the pool: a join q in the pool
+    lies in the algebra of its family and commutes with the other entries,
+    so a failure above forces one of the family or of q with the others,
+    both earlier.  Each level streams from the last and is read ``_CHUNK``
+    families at a time, joined with one SVD call and matched at once."""
+    vals = np.array(values)
+    level = (((i,), np.flatnonzero(adj[i, i + 1:]) + i + 1)
+             for i in range(len(vals)))
+    drawn = len(vals)
+    while True:
+        stream = ((fam + (k,), later[pos + 1:]) for fam, later in level
+                  for pos, k in enumerate(later.tolist()))
+        level = []
+        while chunk := list(islice(stream, _CHUNK)):
+            fams = np.array([fam for fam, _ in chunk])
+            j = _first_match(dia.pool, projection_joins(dia.pool[fams], dia.tol),
+                             dia.tol)
+            fail = (j >= 0) & (vals[j] != vals[fams].max(axis=1))
+            if grow and drawn + len(chunk) > GLUE_WORK_CAP:
+                fail[max(GLUE_WORK_CAP - drawn, 0):] = False
+                if not fail.any():
                     raise ResourceError("gluing scan over its work cap",
                                         witness={"cap": GLUE_WORK_CAP})
-                fams.append(fam + (m,))
-                later = [k for k in cands[pos + 1:] if comm[m][k]]
-                if later and not reduce(and_, (in_ctx[k] for k in later),
-                                        shared & in_ctx[m]):
-                    grown.append((fams[-1], shared & in_ctx[m], later))
-        yield fams
-        drawn += len(fams)
-        level = grown
-
-
-def _first_failure(dia, values, in_ctx, levels) -> dict | None:
-    """Witness for the first family whose join is not valued at the sup of
-    its members' values; ``levels`` gives the families in scan order, one
-    iterable of equal-sized families per size.  A family inside one context
-    (a singleton too) is skipped: there the law is the context's, decided by
-    the section check.  Each level is read ``_CHUNK`` families at a time,
-    each chunk joined with one SVD call and matched against the pool at
-    once, so the first failure of the first failing chunk is the first
-    failure."""
-    vals, masks = np.array(values), np.array(in_ctx)
-    for level in levels:
-        level = iter(level)
-        while chunk := list(islice(level, _CHUNK)):
-            fams = np.array(chunk)
-            fams = fams[np.bitwise_and.reduce(masks[fams], axis=1) == 0]
-            if not len(fams):
-                continue
-            j = _first_match(dia.pool,
-                             projection_joins(dia.pool[fams], dia.tol), dia.tol)
-            fail = (j >= 0) & (vals[j] != vals[fams].max(axis=1))
             if fail.any():
                 k = fail.argmax()
                 fam, j = fams[k].tolist(), int(j[k])
                 return {"members": [dia.pool_labels[i] for i in fam],
                         "join": dia.pool_labels[j], "value": values[j],
                         "sup_of_values": max(values[i] for i in fam)}
-    return None
+            drawn += len(chunk)
+            if grow:
+                level += [(fam, rest[adj[fam[-1], rest]])
+                          for (fam, rest), m in zip(chunk, j.tolist()) if m < 0]
+        if not level:
+            return None
 
 
 def _extendability(dia: ContextDiagram, values: list[float]
@@ -413,18 +406,21 @@ def _extendability(dia: ContextDiagram, values: list[float]
     identity at the top value, is synthesized, and re-checking its section
     guards the numerics."""
     tol = dia.tol
+    vals = np.array(values)
     levels = sorted(set(values))
     joins: list[np.ndarray] = []
     for lam in levels[:-1]:
-        below = [i for i, v in enumerate(values) if v <= lam]
-        m = projection_join([dia.pool[i] for i in below], tol)
-        for i, v in enumerate(values):
-            if v > lam and projection_leq(dia.pool[i], m, tol):
-                return "no", {"reason": "projection-under-level-join",
-                              "projection": dia.pool_labels[i], "value": v,
-                              "level": lam,
-                              "join_of": [dia.pool_labels[k] for k in below]
-                              }, None
+        below = np.flatnonzero(vals <= lam).tolist()
+        m = projection_join(dia.pool[below], tol)
+        under = (vals > lam) & (np.linalg.norm(m @ dia.pool - dia.pool,
+                                               axis=(1, 2)) <= tol.sub)
+        if under.any():
+            i = int(under.argmax())
+            return "no", {"reason": "projection-under-level-join",
+                          "projection": dia.pool_labels[i], "value": values[i],
+                          "level": lam,
+                          "join_of": [dia.pool_labels[k] for k in below]
+                          }, None
         joins.append(m)
     joins.append(np.eye(dia.dim, dtype=complex))
     candidate = family_from_steps(levels, joins, tol).synthesize()

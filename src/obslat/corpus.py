@@ -28,10 +28,8 @@ def boolean_algebra(n: int) -> FiniteOrthoLattice:
         raise InputError("boolean_algebra supports 0..6 generators")
     size = 1 << n
     names = [subset_name(m) for m in range(size)]
-    leq = np.zeros((size, size), dtype=bool)
-    for a in range(size):
-        for b in range(size):
-            leq[a, b] = (a & b) == a
+    m = np.arange(size)
+    leq = (m[:, None] & m[None, :]) == m[:, None]
     full = size - 1
     ortho = [full ^ a for a in range(size)]
     return FiniteOrthoLattice(names, leq, ortho=ortho)
@@ -47,10 +45,7 @@ def chain(k: int) -> FiniteOrthoLattice:
         names = ["0", "m", "1"]
     else:
         names = ["0"] + [f"m{i}" for i in range(1, k - 1)] + ["1"]
-    leq = np.zeros((k, k), dtype=bool)
-    for a in range(k):
-        for b in range(a, k):
-            leq[a, b] = True
+    leq = np.triu(np.ones((k, k), dtype=bool))
     ortho = [1, 0] if k == 2 else None
     return FiniteOrthoLattice(names, leq, ortho=ortho)
 
@@ -87,15 +82,10 @@ def o6() -> FiniteOrthoLattice:
 def product(left: FiniteOrthoLattice, right: FiniteOrthoLattice
             ) -> FiniteOrthoLattice:
     """Direct product ordered componentwise; ortho iff both factors have one."""
-    names = []
     pairs = list(iproduct(range(left.n), range(right.n)))
-    for a, b in pairs:
-        names.append(f"({left.names[a]},{right.names[b]})")
-    size = len(pairs)
-    leq = np.zeros((size, size), dtype=bool)
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            leq[i, j] = left.leq[a, c] and right.leq[b, d]
+    names = [f"({left.names[a]},{right.names[b]})" for a, b in pairs]
+    # pair (a, b) sits at a * right.n + b, the Kronecker product's order
+    leq = np.kron(left.leq, right.leq)
     ortho = None
     if left.ortho is not None and right.ortho is not None:
         pos = {ab: i for i, ab in enumerate(pairs)}

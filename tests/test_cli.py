@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, JSON payloads, file outputs."""
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -690,3 +691,12 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
         os.close(write_end)
     assert "Traceback" not in done.stderr
     assert done.returncode == 1
+
+
+def test_console_script_entry_point_resolves_to_main():
+    """The ``obslat`` command that ``pip install`` makes calls ``cli.main``."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = CORPUS.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, attr = scripts["obslat"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main

@@ -421,8 +421,9 @@ def planes_diagram(dim, angles):
 def glue_cases(draw):
     """A diagram (two random contexts, optionally a third diagonal one, or
     three turned planes in dim 3) and a section on it.  Planes stay at dim 3:
-    in dim 4 their 15 diagonal projections all commute, and one complete
-    scan walks about 33,000 cross-context families in about 4 s."""
+    in dim 4 their 15 diagonal projections all commute, and though the
+    pruned scan glues such a section quickly, the subset oracle walks every
+    pair and triple and the complete scan about 33,000 families."""
     dim = draw(st.integers(2, 4))
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
     shape = draw(st.sampled_from(["pair", "diagonal", "planes"]))
@@ -499,6 +500,39 @@ def test_cross_context_commuting_family_breaks_the_law():
         "value": 2.0, "sup_of_values": 1.0}
 
 
+def test_first_failure_can_be_a_triple_whose_pairs_escape_the_pool():
+    """Context k keeps basis line k (valued 0 in A, B and C) and turns the
+    other three lines at random (valued 1).  The lines of A, B and C
+    commute, their pairwise joins are in no context, and all three join to
+    D's complement of line 3, valued 1; no pair fails before that."""
+    rng = np.random.default_rng(5)
+    gens = {}
+    for k, name in enumerate("ABCD"):
+        rest = [m for m in range(4) if m != k]
+        q = np.linalg.qr(rng.normal(size=(3, 3))
+                         + 1j * rng.normal(size=(3, 3)))[0]
+        a = np.zeros((4, 4), dtype=complex)
+        a[np.ix_(rest, rest)] = (q * [1.0, 2.0, 3.0]) @ q.conj().T
+        gens[name] = [a]
+    dia = cx.diagram(gens, dim=4)
+    lines = {name: np.diag(np.eye(4)[k]) for k, name in enumerate("ABC")}
+    section = {}
+    for c in dia.contexts:
+        w = [0.0 if c.name in lines
+             and np.linalg.norm(m - lines[c.name]) <= dia.tol.proj else 1.0
+             for m in c.minimal]
+        section[c.name] = {e: max(w[i] for i in cx.bits(e))
+                           for e in c.nonzero_elements()}
+    assert cx.is_global_section(dia, section)[0]
+    got = cx.glue_section(dia, section).summary()
+    assert got == complete_glue(dia, section) == subset_scan_glue(dia, section)
+    witness = got["commuting_witness"]
+    stack = [dia.pool[dia.pool_labels.index(lab)]
+             for lab in witness["members"] + [witness["join"]]]
+    assert np.allclose(stack, [*lines.values(), np.diag([1, 1, 1, 0])])
+    assert (witness["value"], witness["sup_of_values"]) == (1.0, 0.0)
+
+
 def test_glue_work_cap_raises(monkeypatch):
     """A cap of one family per pool entry covers the singletons only; the
     first pair goes over it."""
@@ -524,11 +558,62 @@ def test_dim6_two_context_glue_is_complete_and_quick():
     assert report.extendable == "yes"
 
 
-# -- the batched scan against the per-family scan it replaced --------------------
+# -- the pruned scan against the complete scan it replaced -----------------------
+
+def ref_commuting_families(comm, in_ctx):
+    """The complete scan's family stream, kept as the oracle: pairwise
+    commuting families, one list per family size, in (size, index) order,
+    grown from the empty family, which every context holds (mask -1).  A
+    family stops growing once one context holds it and every later entry
+    commuting with it, since all its extensions then lie there.  Past
+    ``GLUE_WORK_CAP`` families the list drawn so far still comes out, then
+    ``ResourceError`` is raised."""
+    level, drawn = [((), -1, range(len(comm)))], 0
+    while level:
+        fams, grown = [], []
+        for fam, shared, cands in level:
+            for pos, m in enumerate(cands):
+                if drawn + len(fams) >= cx.GLUE_WORK_CAP:
+                    yield fams
+                    raise ResourceError("gluing scan over its work cap",
+                                        witness={"cap": cx.GLUE_WORK_CAP})
+                fams.append(fam + (m,))
+                later = [k for k in cands[pos + 1:] if comm[m][k]]
+                if later and not reduce(and_, (in_ctx[k] for k in later),
+                                        shared & in_ctx[m]):
+                    grown.append((fams[-1], shared & in_ctx[m], later))
+        yield fams
+        drawn += len(fams)
+        level = grown
+
+
+def ref_first_failure(dia, values, in_ctx, levels):
+    """The complete scan's body, kept as the oracle: every family of
+    ``levels`` outside one context, ``_CHUNK`` at a time, each chunk joined
+    with one SVD call and matched against the pool at once."""
+    vals, masks = np.array(values), np.array(in_ctx)
+    for level in levels:
+        level = iter(level)
+        while chunk := list(itertools.islice(level, cx._CHUNK)):
+            fams = np.array(chunk)
+            fams = fams[np.bitwise_and.reduce(masks[fams], axis=1) == 0]
+            if not len(fams):
+                continue
+            j = cx._first_match(dia.pool, vn.projection_joins(
+                dia.pool[fams], dia.tol), dia.tol)
+            fail = (j >= 0) & (vals[j] != vals[fams].max(axis=1))
+            if fail.any():
+                k = fail.argmax()
+                fam, j = fams[k].tolist(), int(j[k])
+                return {"members": [dia.pool_labels[i] for i in fam],
+                        "join": dia.pool_labels[j], "value": values[j],
+                        "sup_of_values": max(values[i] for i in fam)}
+    return None
+
 
 def scan_inputs(dia):
     """Context bitmask per pool entry and the pairwise commutation rows, as
-    the scan before batching built them."""
+    the complete scan built them."""
     bit = {c.name: 1 << k for k, c in enumerate(dia.contexts)}
     in_ctx = [0] * len(dia.pool)
     for (name, _), i in dia.element_pool.items():
@@ -539,9 +624,25 @@ def scan_inputs(dia):
     return in_ctx, comm
 
 
+def complete_glue(dia, section):
+    """``glue_section`` over the complete scan."""
+    values = cx.pool_values(dia, section)
+    in_ctx, comm = scan_inputs(dia)
+    commuting = ref_first_failure(dia, values, in_ctx,
+                                  ref_commuting_families(comm, in_ctx))
+    increasing = ref_first_failure(dia, values, in_ctx,
+                                   [combinations(range(len(values)), 2)])
+    extendable, certificate, _ = cx._extendability(dia, values)
+    return {"commuting_ok": commuting is None,
+            "commuting_witness": commuting,
+            "increasing_ok": increasing is None,
+            "increasing_witness": increasing,
+            "extendable": extendable, "certificate": certificate}
+
+
 def per_family_first_failure(dia, values, in_ctx, families):
-    """The former scan body, kept as the oracle: one join and one linear
-    pool lookup per family."""
+    """The scan body before batching, kept as the oracle: one join and one
+    linear pool lookup per family."""
     for fam in families:
         if reduce(and_, (in_ctx[i] for i in fam)):
             continue
@@ -558,12 +659,12 @@ def per_family_first_failure(dia, values, in_ctx, families):
 
 
 def per_family_glue(dia, section):
-    """``glue_section`` before batching, over the module's family streams."""
+    """``glue_section`` before batching, over the complete family stream."""
     values = cx.pool_values(dia, section)
     in_ctx, comm = scan_inputs(dia)
     commuting = per_family_first_failure(
         dia, values, in_ctx,
-        itertools.chain.from_iterable(cx._commuting_families(comm, in_ctx)))
+        itertools.chain.from_iterable(ref_commuting_families(comm, in_ctx)))
     increasing = per_family_first_failure(
         dia, values, in_ctx, combinations(range(len(values)), 2))
     extendable, certificate, _ = cx._extendability(dia, values)
@@ -584,22 +685,32 @@ def glue_outcome(glue, dia, section):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=glue_cases(), cap=st.one_of(st.none(), st.integers(1, 300)),
+@given(case=glue_cases(), cap=st.integers(1, 300),
        chunk=st.sampled_from([3, 64, cx._CHUNK]))
 def test_batched_scan_matches_the_per_family_scan(case, cap, chunk):
-    """Verdicts, witnesses and the error past the cap, also with chunks
-    small enough that a scan crosses many chunk boundaries."""
+    """Uncapped, the pruned scan gives the complete scan's verdicts and
+    witnesses, also with chunks small enough that a scan crosses many chunk
+    boundaries.  Under a cap it draws fewer families than the complete
+    scan: it never raises where the complete scan reports, and each report
+    it gives is the uncapped one."""
     dia, section = case
     if not cx.is_global_section(dia, section)[0]:
         return
     saved = cx.GLUE_WORK_CAP, cx._CHUNK
-    cx.GLUE_WORK_CAP = saved[0] if cap is None else cap
     cx._CHUNK = chunk
     try:
+        want = glue_outcome(per_family_glue, dia, section)
         assert glue_outcome(cx.glue_section, dia, section) == \
-            glue_outcome(per_family_glue, dia, section)
+            glue_outcome(complete_glue, dia, section) == want
+        cx.GLUE_WORK_CAP = cap
+        got = glue_outcome(cx.glue_section, dia, section)
+        complete = glue_outcome(complete_glue, dia, section)
     finally:
         cx.GLUE_WORK_CAP, cx._CHUNK = saved
+    if got[0] == "report":
+        assert got == want
+    else:
+        assert complete == got == ("over the cap", {"cap": cap})
 
 
 @pytest.mark.parametrize("name", ["section_clash", "section_operator"])
@@ -642,33 +753,51 @@ def test_pool_lookup_matches_the_linear_scan(dim, seed, factors):
 
 
 def test_cap_right_after_a_failing_family_returns_its_witness(monkeypatch):
-    """The cap falls just after the failing family, while its batch is
-    still being drawn: the witness comes back instead of the error.  One
-    family earlier, the cap raises."""
+    """The smallest cap at which the witness comes back falls after the
+    singletons and no later than on the complete stream, and the stream
+    goes on past it (an operator section, whose laws hold, draws the same
+    families and raises there); one family earlier, the cap raises."""
     dia, section = cross_context_witness_case()
     witness = cx.glue_section(dia, section).commuting_witness
     in_ctx, comm = scan_inputs(dia)
     families = list(itertools.chain.from_iterable(
-        cx._commuting_families(comm, in_ctx)))
-    at = 1 + families.index(tuple(dia.pool_labels.index(lab)
-                                  for lab in witness["members"]))
-    assert at < len(families)
-    monkeypatch.setattr(cx, "GLUE_WORK_CAP", at)
-    report = cx.glue_section(dia, section)
-    assert report.commuting_witness == witness
-    assert glue_outcome(per_family_glue, dia, section) == \
-        ("report", report.summary())
-    monkeypatch.setattr(cx, "GLUE_WORK_CAP", at - 1)
-    assert glue_outcome(cx.glue_section, dia, section) == \
-        glue_outcome(per_family_glue, dia, section) == \
-        ("over the cap", {"cap": at - 1})
+        ref_commuting_families(comm, in_ctx)))
+    complete_at = 1 + families.index(tuple(dia.pool_labels.index(lab)
+                                           for lab in witness["members"]))
+
+    def outcome(cap, sec=section):
+        monkeypatch.setattr(cx, "GLUE_WORK_CAP", cap)
+        return glue_outcome(cx.glue_section, dia, sec)
+
+    at = next(cap for cap in range(1, complete_at + 1)
+              if outcome(cap)[0] == "report")
+    assert len(dia.pool) < at <= complete_at
+    assert outcome(at)[1]["commuting_witness"] == witness
+    assert outcome(at - 1) == ("over the cap", {"cap": at - 1})
+    passing = cx.section_from_operator(dia, np.diag([0.0, 1.0, 2.0]))
+    assert outcome(at, passing) == ("over the cap", {"cap": at})
+
+
+def clique_sections():
+    """The dim-4 three-plane diagram, its 15 diagonal projections pairwise
+    commuting with no context covering them, with the section of
+    diag(0, 1, 2, 3), and the same section with Z:{1} lowered by 1.0: still
+    global, not extendable, its commuting law holding and its increasing
+    law failing."""
+    dia = planes_diagram(4, [0.3, 0.8, 1.2])
+    section = cx.section_from_operator(dia, np.diag([0.0, 1.0, 2.0, 3.0]))
+    lowered = {name: dict(vals) for name, vals in section.items()}
+    z1 = dia.pool_labels.index("Z:{1}")
+    for (name, e), i in dia.element_pool.items():
+        if i == z1:
+            lowered[name][e] -= 1.0
+    return dia, section, lowered
 
 
 def test_dim4_three_plane_clique_glues_in_bounded_memory():
-    """15 pairwise commuting diagonal projections, no context covering them:
-    about 33,000 commuting families, joined a chunk at a time."""
-    dia = planes_diagram(4, [0.3, 0.8, 1.2])
-    section = cx.section_from_operator(dia, np.diag([0.0, 1.0, 2.0, 3.0]))
+    """The complete scan walks about 33,000 commuting families here; the
+    pruned one stops each family at its first join in the pool."""
+    dia, section, _ = clique_sections()
     tracemalloc.start()
     try:
         got = cx.glue_section(dia, section).summary()
@@ -678,6 +807,47 @@ def test_dim4_three_plane_clique_glues_in_bounded_memory():
     assert got["commuting_ok"]
     assert_agrees_with_subset_scan(dia, got, subset_scan_glue(dia, section))
     assert peak < 16 * 2 ** 20
+
+
+def test_dim4_three_plane_clique_glues_quickly():
+    dia, section, lowered = clique_sections()
+    assert cx.is_global_section(dia, lowered)[0]
+    for sec in (section, lowered):
+        t0 = time.perf_counter()
+        got = cx.glue_section(dia, sec).summary()
+        assert time.perf_counter() - t0 < 0.1
+        assert got == complete_glue(dia, sec)
+    assert got["extendable"] == "no" and got["commuting_ok"]
+    assert not got["increasing_ok"]
+
+
+def test_scan_walks_the_related_families_in_scan_order(monkeypatch):
+    """With every join escaping the pool, the scan with ``grow`` draws
+    exactly the families of two or more entries pairwise related by
+    ``adj``, in (size, index) order; without it, the related pairs."""
+    n = 9
+    rng = random.Random(7)
+    adj = np.zeros((n, n), dtype=bool)
+    for i, k in combinations(range(n), 2):
+        adj[i, k] = adj[k, i] = rng.random() < 0.6
+    pool = np.array([np.diag(row).astype(complex) for row in np.eye(n)])
+    dia = cx.ContextDiagram(n, (), pool, tuple(map(str, range(n))), {}, vn.TOL)
+    drawn = []
+
+    def joins_escaping_the_pool(ps, tol):
+        drawn.extend(tuple(int(np.diagonal(p).real.argmax()) for p in fam)
+                     for fam in ps)
+        return np.zeros_like(ps[:, 0])
+
+    monkeypatch.setattr(cx, "projection_joins", joins_escaping_the_pool)
+    monkeypatch.setattr(cx, "_CHUNK", 4)
+    for grow, sizes in ((False, [2]), (True, range(2, n + 1))):
+        drawn.clear()
+        assert cx._first_failure(dia, [0.0] * n, adj, grow) is None
+        assert drawn == [fam for size in sizes
+                         for fam in combinations(range(n), size)
+                         if all(adj[i, k] for i, k in combinations(fam, 2))]
+    assert len(drawn[-1]) > 3
 
 
 # -- the pool-wide section against the per-context loop it replaced --------------

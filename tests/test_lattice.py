@@ -680,6 +680,54 @@ def test_open_set_lattice_matches_the_loop():
     assert lat.n == 34
 
 
+def ref_boolean_leq(size):
+    leq = np.zeros((size, size), dtype=bool)
+    for a in range(size):
+        for b in range(size):
+            leq[a, b] = (a & b) == a
+    return leq
+
+
+def ref_chain_leq(k):
+    leq = np.zeros((k, k), dtype=bool)
+    for a in range(k):
+        for b in range(a, k):
+            leq[a, b] = True
+    return leq
+
+
+def ref_product_leq(left, right):
+    pairs = list(itertools.product(range(left.n), range(right.n)))
+    leq = np.zeros((len(pairs), len(pairs)), dtype=bool)
+    for i, (a, b) in enumerate(pairs):
+        for j, (c, d) in enumerate(pairs):
+            leq[i, j] = left.leq[a, c] and right.leq[b, d]
+    return leq
+
+
+def test_corpus_orders_match_the_loops():
+    for n in range(7):
+        lat = corpus.boolean_algebra(n)
+        assert (lat.leq == ref_boolean_leq(1 << n)).all()
+        assert list(lat.ortho) == [(1 << n) - 1 - a for a in range(1 << n)]
+    for k in range(2, 8):
+        assert (corpus.chain(k).leq == ref_chain_leq(k)).all()
+    lefts = [corpus.boolean_algebra(1), corpus.boolean_algebra(2),
+             corpus.chain(3), corpus.chain(4), corpus.mo(2), corpus.mo(3)]
+    rights = [corpus.boolean_algebra(1), corpus.o6(), corpus.boolean_algebra(3)]
+    for left, right in itertools.product(lefts, rights):
+        lat = corpus.product(left, right)
+        assert list(lat.names) == [f"({x},{y})" for x in left.names
+                             for y in right.names]
+        assert (lat.leq == ref_product_leq(left, right)).all()
+        if left.ortho is not None:
+            assert list(lat.ortho) == [o * right.n + p for o in left.ortho
+                                 for p in right.ortho]
+    lat = corpus.product(corpus.chain(4), corpus.boolean_algebra(4))
+    assert (lat.leq == ref_product_leq(corpus.chain(4),
+                                       corpus.boolean_algebra(4))).all()
+
+
 @pytest.mark.parametrize("name", list(big_lattices()))
 def test_lattice_layer_at_the_cap(name):
     lat = big_lattices()[name]
