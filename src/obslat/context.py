@@ -5,7 +5,9 @@ over a diagram, and the gluing report with an operator-extendability verdict.
 A section assigns one real value to every nonzero projection of every
 context.  Values live on lattice elements; the bridge to matrices goes
 through the minimal projections of each context, and the diagram's pool
-maps every (context, element) to its projection, so an operator's section,
+maps every (context, element) to its projection.  The closure under
+intersection reads the pool too: abelian contexts meet in the projections
+they share, so only a new shared set is intersected.  An operator's section,
 the cross-context check and the gluing scan work with one value per pool
 projection.  The join-law scans skip families with two members in one
 context, and stop growing a family at a join in the pool.  Whether one
@@ -29,8 +31,7 @@ from .observables import check_completely_increasing, observable
 from .vn import (TOL, Tolerances, VNSubalgebra, algebra_intersection,
                  as_matrix, check_hermitian, family_from_steps,
                  minimal_projections, projection_join, projection_joins,
-                 projection_leq, spectral_family_of, subalgebra,
-                 trivial_algebra)
+                 spectral_family_of, subalgebra, trivial_algebra)
 
 MAX_MINIMAL = 6
 MAX_CONTEXTS = 24
@@ -59,16 +60,15 @@ class Context:
         return out
 
     def element_of(self, p, tol: Tolerances = TOL) -> int:
-        p = _in_dim(p, self.algebra.dim)
-        mask = 0
-        for i, q in enumerate(self.minimal):
-            if projection_leq(q, p, tol):
-                mask |= 1 << i
-        if float(np.linalg.norm(self.projection_of(mask) - p)) > tol.proj:
+        """The element whose projection lies within ``tol.proj`` of p, by
+        the diagram's pool rule."""
+        ps = np.array([self.projection_of(e) for e in range(self.lattice.n)])
+        e = int(_first_match(ps, _in_dim(p, self.algebra.dim)[None], tol)[0])
+        if e < 0:
             raise PreconditionError(
                 "projection does not belong to the context",
                 witness={"context": self.name})
-        return mask
+        return e
 
     def nonzero_elements(self) -> list[int]:
         return [e for e in range(self.lattice.n) if e != self.lattice.zero]
@@ -91,12 +91,6 @@ def context_from_algebra(name: str, alg: VNSubalgebra,
             "too many minimal projections for the lattice bridge",
             witness={"context": name, "count": len(mins)})
     return Context(name, alg, boolean_algebra(len(mins)), tuple(mins))
-
-
-def _same_algebra(a: VNSubalgebra, b: VNSubalgebra,
-                  tol: Tolerances) -> bool:
-    return (a.linear_dim == b.linear_dim
-            and all(b.contains(x, tol) for x in a.basis))
 
 
 @dataclass(frozen=True)
@@ -174,55 +168,64 @@ def diagram(named_generators: dict[str, list], dim: int | None = None,
             tol: Tolerances = TOL) -> ContextDiagram:
     """Build contexts from generator lists, then close under pairwise
     intersection; a scalars context is appended when no context is
-    one-dimensional (every subalgebra holds the identity)."""
+    one-dimensional (every subalgebra holds the identity).  Every context,
+    given or generated, takes a fresh name and counts toward MAX_CONTEXTS.
+
+    Each context is matched into the pool as it is added, and the closure
+    reads the pool indices each context holds.  An abelian algebra is the
+    span of its projections, so two contexts meet in the algebra spanned by
+    the pool projections they share: a pair whose shared set some context
+    already holds adds nothing, and each new intersection is built once."""
     if not named_generators:
         raise InputError("need at least one context")
     ctxs: list[Context] = []
-    for name, gens in named_generators.items():
-        if any(c.name == name for c in ctxs):
-            raise InputError("duplicate context name", witness={"context": name})
-        c = context_from_generators(name, gens, dim=dim, tol=tol)
-        if ctxs and c.algebra.dim != ctxs[0].algebra.dim:
-            raise InputError("ambient dimension mismatch",
-                             witness={"context": name})
-        ctxs.append(c)
-    ambient = ctxs[0].algebra.dim
-
-    changed = True
-    while changed:
-        changed = False
-        for a, b in combinations(list(ctxs), 2):
-            inter = algebra_intersection(a.algebra, b.algebra, tol)
-            if any(_same_algebra(inter, c.algebra, tol) for c in ctxs):
-                continue
-            # name independent of the order the contexts were given in
-            ctxs.append(context_from_algebra(
-                "&".join(sorted((a.name, b.name))), inter, tol))
-            changed = True
-            if len(ctxs) > MAX_CONTEXTS:
-                raise ResourceError("intersection closure grew too large",
-                                    witness={"cap": MAX_CONTEXTS})
-    if not any(c.algebra.linear_dim == 1 for c in ctxs):
-        ctxs.append(context_from_algebra("scalars",
-                                         trivial_algebra(ambient, tol), tol))
-
-    # Elements of one context differ by a nonzero sum of minimal
-    # projections, so none lies within tol.proj of another: matching a whole
-    # context against the pool built before it finds what matching element
-    # by element would.
+    held: list[frozenset] = []
     pool: list[np.ndarray] = []
     labels: list[str] = []
     element_pool: dict[tuple[str, int], int] = {}
-    for c in ctxs:
+
+    def add(c: Context) -> None:
+        if any(x.name == c.name for x in ctxs):
+            raise InputError("duplicate context name",
+                             witness={"context": c.name})
+        if len(ctxs) == MAX_CONTEXTS:
+            raise ResourceError("diagram has too many contexts",
+                                witness={"cap": MAX_CONTEXTS})
+        if ctxs and c.algebra.dim != ctxs[0].algebra.dim:
+            raise InputError("ambient dimension mismatch",
+                             witness={"context": c.name})
+        # Elements of one context differ by a nonzero sum of minimal
+        # projections, so none lies within tol.proj of another: matching a
+        # whole context against the pool built before it finds what
+        # matching element by element would.
         elems = c.nonzero_elements()
         ps = np.array([c.projection_of(e) for e in elems])
-        found = _first_match(np.array(pool), ps, tol)
-        for e, p, idx in zip(elems, ps, found.tolist()):
+        for e, p, idx in zip(elems, ps,
+                             _first_match(np.array(pool), ps, tol).tolist()):
             if idx < 0:
                 pool.append(p)
                 labels.append(f"{c.name}:{c.lattice.names[e]}")
                 idx = len(pool) - 1
             element_pool[(c.name, e)] = idx
+        ctxs.append(c)
+        held.append(frozenset(element_pool[(c.name, e)] for e in elems))
+
+    for name, gens in named_generators.items():
+        add(context_from_generators(name, gens, dim=dim, tol=tol))
+    changed = True
+    while changed:
+        changed = False
+        for (a, ha), (b, hb) in combinations(list(zip(ctxs, held)), 2):
+            if ha & hb in held:
+                continue
+            # name independent of the order the contexts were given in
+            add(context_from_algebra(
+                "&".join(sorted((a.name, b.name))),
+                algebra_intersection(a.algebra, b.algebra, tol), tol))
+            changed = True
+    ambient = ctxs[0].algebra.dim
+    if not any(c.algebra.linear_dim == 1 for c in ctxs):
+        add(context_from_algebra("scalars", trivial_algebra(ambient, tol), tol))
     stack = np.array(pool)
     stack.flags.writeable = False
     return ContextDiagram(ambient, tuple(ctxs), stack, tuple(labels),

@@ -945,3 +945,210 @@ def test_projections_of_the_wrong_dimension_are_refused():
         assert str(err.value) == \
             "projection dimension differs from the context's"
         assert err.value.witness == [3, 2]
+
+
+# -- closure on shared pool projections against the algebra loop it replaced -----
+
+def _ref_same_algebra(a, b, tol):
+    return (a.linear_dim == b.linear_dim
+            and all(b.contains(x, tol) for x in a.basis))
+
+
+def ref_diagram(named_generators, dim=None, tol=vn.TOL):
+    """``diagram`` as it was: every pair of contexts intersected as algebras
+    each round, a result kept unless its span matches a context's, and the
+    pool built after the closure."""
+    if not named_generators:
+        raise InputError("need at least one context")
+    ctxs = []
+    for name, gens in named_generators.items():
+        if any(c.name == name for c in ctxs):
+            raise InputError("duplicate context name", witness={"context": name})
+        c = cx.context_from_generators(name, gens, dim=dim, tol=tol)
+        if ctxs and c.algebra.dim != ctxs[0].algebra.dim:
+            raise InputError("ambient dimension mismatch",
+                             witness={"context": name})
+        ctxs.append(c)
+    ambient = ctxs[0].algebra.dim
+    changed = True
+    while changed:
+        changed = False
+        for a, b in combinations(list(ctxs), 2):
+            inter = vn.algebra_intersection(a.algebra, b.algebra, tol)
+            if any(_ref_same_algebra(inter, c.algebra, tol) for c in ctxs):
+                continue
+            ctxs.append(cx.context_from_algebra(
+                "&".join(sorted((a.name, b.name))), inter, tol))
+            changed = True
+            if len(ctxs) > cx.MAX_CONTEXTS:
+                raise ResourceError("intersection closure grew too large",
+                                    witness={"cap": cx.MAX_CONTEXTS})
+    if not any(c.algebra.linear_dim == 1 for c in ctxs):
+        ctxs.append(cx.context_from_algebra(
+            "scalars", vn.trivial_algebra(ambient, tol), tol))
+    pool, labels, element_pool = [], [], {}
+    for c in ctxs:
+        elems = c.nonzero_elements()
+        ps = np.array([c.projection_of(e) for e in elems])
+        found = cx._first_match(np.array(pool), ps, tol)
+        for e, p, idx in zip(elems, ps, found.tolist()):
+            if idx < 0:
+                pool.append(p)
+                labels.append(f"{c.name}:{c.lattice.names[e]}")
+                idx = len(pool) - 1
+            element_pool[(c.name, e)] = idx
+    return cx.ContextDiagram(ambient, tuple(ctxs), np.array(pool),
+                             tuple(labels), element_pool, tol)
+
+
+def given_generators(dia):
+    """The generators of a diagram's given contexts (the generated ones are
+    named with '&' or 'scalars')."""
+    return {c.name: list(c.algebra.generators) for c in dia.contexts
+            if "&" not in c.name and c.name != "scalars"}
+
+
+def assert_closes_like_the_algebra_loop(named, dim, monkeypatch):
+    """Bit-identical contexts and pool, and one ``algebra_intersection``
+    call per intersection context."""
+    calls = []
+
+    def counted(a, b, tol):
+        calls.append(1)
+        return vn.algebra_intersection(a, b, tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(cx, "algebra_intersection", counted)
+        got = cx.diagram(named, dim=dim)
+    want = ref_diagram(named, dim=dim)
+    assert [c.name for c in got.contexts] == [c.name for c in want.contexts]
+    for c, w in zip(got.contexts, want.contexts):
+        assert len(c.minimal) == len(w.minimal)
+        assert all(np.array_equal(p, q) for p, q in zip(c.minimal, w.minimal))
+    assert np.array_equal(got.pool, want.pool)
+    assert got.pool_labels == want.pool_labels
+    assert list(got.element_pool.items()) == list(want.element_pool.items())
+    assert len(calls) == sum("&" in c.name for c in got.contexts)
+    return got, len(calls)
+
+
+def test_fixture_closes_with_one_intersection(monkeypatch):
+    """The parent loop intersected the fixture's pair four times."""
+    dia = fixture_diagram()
+    got, calls = assert_closes_like_the_algebra_loop(
+        given_generators(dia), 2, monkeypatch)
+    assert calls == 1 and got == dia
+
+
+def test_corpus_diagram_closes_like_the_algebra_loop(monkeypatch):
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    dia = jsonio.load_diagram(str(corpus / "diagram_qubit.json"))
+    assert_closes_like_the_algebra_loop(given_generators(dia), dia.dim,
+                                        monkeypatch)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=glue_cases())
+def test_glue_case_diagrams_close_like_the_algebra_loop(case):
+    dia, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        assert_closes_like_the_algebra_loop(given_generators(dia), dia.dim, mp)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_planes_diagrams_close_like_the_algebra_loop(dim, monkeypatch):
+    rng = random.Random(dim)
+    dia = planes_diagram(dim, [rng.uniform(0.2, 1.4) for _ in range(3)])
+    assert_closes_like_the_algebra_loop(given_generators(dia), dim,
+                                        monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_commuting_diagrams_close_like_the_algebra_loop(seed, monkeypatch):
+    """Diagonal generators with repeated entries under one shared unitary:
+    the contexts commute and meet in many shared projections."""
+    rng = random.Random(seed)
+    dim = rng.randint(3, 8)
+    u = np.linalg.qr(vn.random_hermitian(rng, dim) + 1j * np.eye(dim))[0]
+    named = {f"G{k}": [(u * [float(rng.randrange(3)) for _ in range(dim)])
+                       @ u.conj().T]
+             for k in range(rng.randint(3, 6))}
+    assert_closes_like_the_algebra_loop(named, dim, monkeypatch)
+
+
+@pytest.mark.parametrize("named", [
+    {"Az": [AZ], "Ax": [AX], "Ax&Az": [np.diag([0.0, 2.0])]},
+    {"scalars": [AZ]},
+], ids=["intersection", "scalars"])
+def test_a_given_name_clashing_with_a_generated_one_is_refused(named):
+    """Both diagrams used to keep two contexts of one name, on which the
+    diagram's own operator section failed validation."""
+    with pytest.raises(InputError) as err:
+        cx.diagram(named, dim=2)
+    assert str(err.value) == "duplicate context name"
+    assert err.value.witness == {"context": next(reversed(named))}
+
+
+def test_the_context_cap_counts_given_and_scalars_contexts():
+    """40 masas and a given scalars context used to build 41 contexts."""
+    rng = random.Random(0)
+    named = {f"M{k}": [vn.random_hermitian(rng, 2)] for k in range(40)}
+    named["scalars"] = [np.eye(2)]
+    with pytest.raises(ResourceError) as err:
+        cx.diagram(named, dim=2)
+    assert err.value.witness == {"cap": cx.MAX_CONTEXTS}
+
+
+def test_the_context_cap_stops_the_closure():
+    rng = random.Random(0)
+    named = {f"C{k}": [np.diag([float(rng.randrange(3)) for _ in range(6)])]
+             for k in range(20)}
+    with pytest.raises(ResourceError) as err:
+        cx.diagram(named, dim=6)
+    assert err.value.witness == {"cap": cx.MAX_CONTEXTS}
+    with pytest.raises(ResourceError):
+        ref_diagram(named, dim=6)
+
+
+def ref_element_of(c, p, tol=vn.TOL):
+    """``Context.element_of`` as it was: the minimal projections under p,
+    then their sum checked against p."""
+    p = cx._in_dim(p, c.algebra.dim)
+    mask = 0
+    for i, q in enumerate(c.minimal):
+        if vn.projection_leq(q, p, tol):
+            mask |= 1 << i
+    if float(np.linalg.norm(c.projection_of(mask) - p)) > tol.proj:
+        raise PreconditionError("projection does not belong to the context",
+                                witness={"context": c.name})
+    return mask
+
+
+def element_outcome(lookup, p):
+    try:
+        return lookup(p)
+    except PreconditionError as err:
+        return str(err), err.witness
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_element_of_matches_the_minimal_projection_loop(seed):
+    """Every element of every context, as is and moved by 0.3 and 3 times
+    tol.proj, and a projection of another context."""
+    rng = random.Random(seed)
+    dim = 2 + seed % 3
+    dia = cx.diagram({"A": [vn.random_hermitian(rng, dim)],
+                      "B": [vn.random_hermitian(rng, dim)],
+                      "D": [np.diag([float(rng.randrange(3))
+                                     for _ in range(dim)])]}, dim=dim)
+    for c in dia.contexts:
+        for e in range(c.lattice.n):
+            p = c.projection_of(e)
+            queries = [p, nudged(rng, p, 0.3, dia.tol),
+                       nudged(rng, p, 3.0, dia.tol),
+                       rng.choice(dia.contexts).projection_of(e % 2)]
+            for q in queries:
+                assert element_outcome(c.element_of, q) == \
+                    element_outcome(lambda x: ref_element_of(c, x), q)
+    assert cx.diagram({"D": [AZ]}, dim=2).contexts[0].element_of(
+        np.zeros((2, 2))) == 0
