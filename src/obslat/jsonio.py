@@ -79,6 +79,15 @@ def _list(v, key: str, length: int | None = None) -> list:
     return v
 
 
+def _flag(v, key: str) -> bool:
+    """A flag read from a file: a JSON boolean; anything else, such as the
+    string "false", is an InputError naming the key it came from."""
+    if not isinstance(v, bool):
+        raise InputError("expected a boolean",
+                         witness={"key": key, "value": v})
+    return v
+
+
 def _mapping(v, key: str) -> dict:
     """A mapping read from a file; anything else is an InputError naming
     the key it came from."""
@@ -234,7 +243,7 @@ def load_table(ref, referrer: Path | None = None) -> ObservableFunction:
         vals[gen] = v
     top = lat.index(str(data["top"])) if "top" in data else None
     return observable(lat, vals, top=top,
-                      checked=bool(data.get("checked", True)))
+                      checked=_flag(data.get("checked", True), "checked"))
 
 
 def table_to_json(f: ObservableFunction,
@@ -334,7 +343,8 @@ def load_top_family(ref, referrer: Path | None = None):
     base = space.mask_of(_list(data.get("base", []), "base"))
     return top_spectral_family(
         space, pairs, base=base,
-        unbounded_above=bool(data.get("unbounded_above", False)))
+        unbounded_above=_flag(data.get("unbounded_above", False),
+                              "unbounded_above"))
 
 
 def top_family_to_json(family) -> dict:

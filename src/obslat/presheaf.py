@@ -8,14 +8,14 @@ over b.  The builders apply their restriction rule on the cover pairs only
 and compose every other table along one cover,
 ``tab[a, c] = tab[a, b][tab[b, c]]``; a presheaf is a functor, so its values
 on the covers fix it.  The laws and the gluing scan compare positions, and
-sections are rendered as values only in witnesses.  The gluing scan is exhaustive over join-covers and
-compatible families, so it is guarded by a work cap.
+sections are rendered as values only in witnesses.  The gluing scan presumes
+the laws and walks the antichain covers under one work cap.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product as iproduct
 
 import numpy as np
@@ -173,105 +173,94 @@ def check_presheaf(ps: LatticePresheaf) -> tuple[bool, dict | None]:
 
 def check_sheaf_condition(ps: LatticePresheaf, work_cap: int = WORK_CAP
                           ) -> dict:
-    """Scan every join-cover (two or more nonzero elements below a with join
-    a, in (size, index) order) and every compatible family over it; a family
-    is compatible when its members agree after restriction to each nonzero
-    pairwise meet.  Reports the first existence failure and the first
-    uniqueness failure separately; ok means neither occurred.
+    """Scan every antichain cover of each element a (two or more pairwise
+    incomparable nonzero elements below a with join a, in (size, index)
+    order) and every compatible family over it: one whose members agree
+    after restriction to each nonzero pairwise meet.  Reports the first
+    existence failure and the first uniqueness failure; ok means neither.
 
-    Families are tuples of positions and are compared through the tables.
-    At the first compatible family of a cover, the sections over a are
-    grouped once by their restrictions to the cover members (the cover's
-    gluing index), and each family looks its gluings up there.  That index
-    reads every member's restriction of every section over a, so on a
-    partial presheaf built directly through the API the missing-entry
-    InputError can name an entry that a section-by-section comparison
-    would never have reached."""
+    The laws are presumed (PreconditionError with their witness otherwise).
+    A cover and the sieve it generates share compatible families and
+    gluings, and each covering sieve is generated by one antichain, its
+    maximal members; so the first failures over all covers lie on
+    antichains.  One work count caps the scan: a unit per antichain drawn
+    plus the families of each cover.  A cover's gluing index, built at its
+    first compatible family, groups the sections over a by their
+    restrictions to the members; each family looks its gluings up there."""
+    laws_ok, laws_witness = check_presheaf(ps)
+    if not laws_ok:
+        raise PreconditionError("the sheaf condition needs a presheaf",
+                                witness=laws_witness)
     lat = ps.lattice
-    rows: dict[tuple[int, int], list[int]] = {}
+    meet = lat.meet_table.tolist()
 
+    @cache
     def row(a, b):
-        """The table of a <= b as a list; an absent table reads as missing
-        entries."""
-        if (a, b) not in rows:
-            tab = ps.restrictions.get((a, b))
-            rows[a, b] = (list(range(len(ps.sections[b]))) if a == b
-                          else tab.tolist() if tab is not None
-                          else [-1] * len(ps.sections[b]))
-        return rows[a, b]
+        """The table of a < b as a list."""
+        return ps.restrictions[a, b].tolist()
 
-    work = 0
+    sizes = [len(s) for s in ps.sections]
     first_existence = None
     first_uniqueness = None
-    nonzero = [a for a in range(lat.n) if a != lat.zero]
-    for a in range(lat.n):
-        if a == lat.zero:
-            continue
-        below = [b for b in nonzero if lat.le(b, a)]
-        for size in range(2, len(below) + 1):
-            for cover in combinations(below, size):
-                if lat.join_of(cover) != a:
-                    continue
-                sizes = [len(ps.sections[b]) for b in cover]
-                work += math.prod(sizes)
-                if work > work_cap:
-                    raise ResourceError(
-                        "gluing scan exceeded the work cap",
-                        witness={"cap": work_cap})
-                meets = [(j, l, m, row(m, cover[j]), row(m, cover[l]))
-                         for j, l in combinations(range(size), 2)
-                         if (m := lat.meet(cover[j], cover[l])) != lat.zero]
-                gluings = None
-                for family in iproduct(*map(range, sizes)):
-                    if not _compatible(ps, cover, meets, family):
-                        continue
-                    if gluings is None:
-                        gluings = _gluings(ps, a, cover,
-                                           [row(b, a) for b in cover])
-                    glue = gluings.get(family, [])
-                    if not glue and first_existence is None:
-                        first_existence = _witness(ps, a, cover, family, glue)
-                    if len(glue) > 1 and first_uniqueness is None:
-                        first_uniqueness = _witness(ps, a, cover, family,
-                                                    glue)
-                    if first_existence and first_uniqueness:
-                        return {"ok": False, "existence": first_existence,
-                                "uniqueness": first_uniqueness}
+    for a, cover in _antichain_covers(lat, sizes, work_cap):
+        meets = [(j, l, row(m, cover[j]), row(m, cover[l]))
+                 for j, l in combinations(range(len(cover)), 2)
+                 if (m := meet[cover[j]][cover[l]]) != lat.zero]
+        gluings = None
+        for family in iproduct(*(range(sizes[b]) for b in cover)):
+            if any(row_j[family[j]] != row_l[family[l]]
+                   for j, l, row_j, row_l in meets):
+                continue
+            if gluings is None:
+                # the sections over a, by their restrictions to the members
+                gluings = {}
+                for g, key in enumerate(zip(*(row(b, a) for b in cover))):
+                    gluings.setdefault(key, []).append(g)
+            glue = gluings.get(family, [])
+            if not glue and first_existence is None:
+                first_existence = _witness(ps, a, cover, family, glue)
+            if len(glue) > 1 and first_uniqueness is None:
+                first_uniqueness = _witness(ps, a, cover, family, glue)
+            if first_existence and first_uniqueness:
+                return {"ok": False, "existence": first_existence,
+                        "uniqueness": first_uniqueness}
     return {"ok": first_existence is None and first_uniqueness is None,
             "existence": first_existence, "uniqueness": first_uniqueness}
 
 
-def _gluings(ps: LatticePresheaf, a: int, cover, rows) -> dict:
-    """Positions over a grouped, in section order, by the positions of their
-    restrictions to the cover members (``rows`` holds each member's table)."""
-    if any(-1 in row for row in rows):
-        _raise_missing(ps, [(b, a, g) for g in range(len(ps.sections[a]))
-                            for b in cover])
-    out: dict[tuple, list] = {}
-    for g, key in enumerate(zip(*rows)):
-        out.setdefault(key, []).append(g)
-    return out
-
-
-def _compatible(ps: LatticePresheaf, cover, meets, family) -> bool:
-    """Whether the members agree on every nonzero pairwise meet; ``meets``
-    lists (j, l, meet, table of member j, table of member l)."""
-    for j, l, m, row_j, row_l in meets:
-        x, y = row_j[family[j]], row_l[family[l]]
-        if x != y or x == -1:
-            if -1 in (x, y):
-                _raise_missing(ps, [(m, cover[j], family[j]),
-                                    (m, cover[l], family[l])])
-            return False
-    return True
-
-
-def _raise_missing(ps: LatticePresheaf, entries) -> None:
-    """Restrict the sections at the (target, source, position) entries in
-    order, through ``restrict``, which raises the missing-entry error of
-    the first absent one."""
-    for a, b, i in entries:
-        ps.restrict(a, b, ps.sections[b][i])
+def _antichain_covers(lat: FiniteOrthoLattice, sizes, work_cap: int):
+    """(a, cover) for each antichain cover, in scan order.  Level k + 1
+    extends each antichain of level k, kept as the mask of its members, by
+    each later element incomparable to all of them.  The work is a unit per
+    antichain drawn plus, for a cover, the product of its members' section
+    counts, so the cap bounds a level's memory as well as the time."""
+    join = lat.join_table.tolist()
+    comparable = [lat.upset_mask(b) | lat.downset_mask(b)
+                  for b in range(lat.n)]
+    work = 0
+    for a in range(lat.n):
+        below = lat.downset_mask(a) & ~(1 << a | 1 << lat.zero)
+        level = [1 << b for b in bits(below)]
+        while level:
+            drawn = []
+            for mask in level:
+                members = bits(mask)
+                # -(2 << c) keeps the elements after c
+                top, free = lat.zero, below & -(2 << members[-1])
+                for b in members:
+                    top, free = join[top][b], free & ~comparable[b]
+                for c in bits(free):
+                    drawn.append(mask | 1 << c)
+                    cover = (*members, c) if join[top][c] == a else ()
+                    work += (1 + math.prod(sizes[b] for b in cover)
+                             if cover else 1)
+                    if work > work_cap:
+                        raise ResourceError(
+                            "gluing scan exceeded the work cap",
+                            witness={"cap": work_cap})
+                    if cover:
+                        yield a, cover
+            level = drawn
 
 
 def _witness(ps, a, cover, family, glue) -> dict:
@@ -436,13 +425,18 @@ def _families_with_top(lattice, top, grid, cap) -> list:
 def function_presheaf(space, values) -> tuple[LatticePresheaf,
                                               FiniteOrthoLattice, list[int]]:
     """Sections over an open set: all maps from its points into the value
-    list, restriction by forgetting points.  A genuine sheaf."""
+    list, restriction by forgetting points.  A genuine sheaf.  A repeated
+    value is dropped, so the first occurrence fixes the order."""
     from .classical import open_set_lattice
+    values = list(dict.fromkeys(values))
+    for v in values:
+        if not math.isfinite(v):
+            raise InputError("values must be finite reals", witness=v)
     lat, opens = open_set_lattice(space)
 
     def describe(v):
         return [[space.points[p], g] for p, g in v]
 
-    ps = _bundle(lat, opens, [list(values)] * len(space.points), describe,
+    ps = _bundle(lat, opens, [values] * len(space.points), describe,
                  SECTION_CAP, "too many sections; shrink the values list")
     return ps, lat, opens

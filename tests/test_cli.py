@@ -612,8 +612,11 @@ SIX_POINTS = {"points": list("abcdef"),
      "too many sections; shrink the values list", {"cap": 4096}),
     ({"kind": "spectral", "lattice": "chain2", "grid": [0.0, float("inf")]},
      "breakpoints must be finite reals", "Infinity"),
+    ({"kind": "functions", "space": c("space_sierpinski.json"),
+      "values": [0.0, float("nan"), float("inf")]},
+     "values must be finite reals", "NaN"),
 ], ids=["grid-not-a-list", "values-not-a-list", "value-not-a-real",
-        "sections-over-the-cap", "non-finite-grid"])
+        "sections-over-the-cap", "non-finite-grid", "non-finite-values"])
 def test_bad_presheaf_files_exit_2_at_once(capsys, tmp_path, data, error,
                                            witness):
     path = tmp_path / "presheaf.json"
@@ -624,6 +627,26 @@ def test_bad_presheaf_files_exit_2_at_once(capsys, tmp_path, data, error,
     assert code == 2 and out == ""
     assert json.loads(err, parse_constant=pytest.fail) == {
         "error": error, "witness": witness}
+
+
+def test_repeated_function_values_are_dropped(capsys, tmp_path):
+    """[0.0, 0.0] once gave every open set duplicate sections, and this
+    genuine sheaf was reported failing both existence and uniqueness, with
+    four identical gluings in its witness."""
+    two = {"points": ["x", "y"], "min_neighborhoods": {"x": ["x"],
+                                                       "y": ["y"]}}
+    payloads = []
+    for values in ([0.0, 0.0], [0.0]):
+        path = tmp_path / "presheaf.json"
+        path.write_text(json.dumps({"kind": "functions", "space": two,
+                                    "values": values}))
+        code, payload = run_json(capsys, "presheaf", "check", "-i", str(path))
+        assert code == 0 and payload["sheaf"] is True
+        payloads.append(payload)
+        code, payload = run_json(capsys, "presheaf", "sheafify",
+                                 "-i", str(path))
+        assert code == 0 and payload["section_counts"]["{1,2}"] == 1
+    assert payloads[0] == payloads[1]
 
 
 def _leaves(parser, path=()):

@@ -1,5 +1,6 @@
 """On-disk formats: resolution order, round trips, malformed inputs."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from obslat import classical, jsonio
 from obslat.acceptance import fixture_diagram, fixture_section
 from obslat.corpus import standard_lattices
-from obslat.errors import InputError
+from obslat.errors import CheckFailure, InputError
 from obslat.spectral import spectral_family
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_resolve_path_order(tmp_path, monkeypatch):
@@ -197,6 +200,36 @@ def test_top_family_round_trip():
     assert blob2["base"] == ["1"] and blob2["unbounded_above"] is True
     again2 = jsonio.load_top_family(blob2)
     assert again2.base == 0b001 and again2.unbounded_above
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [False]])
+def test_flags_are_json_booleans(flag):
+    """A flag reads only a JSON boolean: through bool() the string "false"
+    read as true, so a table was verified and a family loaded unbounded."""
+    table = {"lattice": "mo2", "values": {"1": 2.0}, "checked": flag}
+    family = jsonio.top_family_to_json(classical.top_spectral_family(
+        classical.sierpinski3(), [(0.5, 0b001), (1.5, 0b111)]))
+    family["unbounded_above"] = flag
+    for load, data, key in ((jsonio.load_table, table, "checked"),
+                            (jsonio.load_top_family, family,
+                             "unbounded_above")):
+        with pytest.raises(InputError) as err:
+            load(data)
+        assert str(err.value) == "expected a boolean"
+        assert err.value.witness == {"key": key, "value": flag}
+
+
+def test_false_flags_are_read_as_false():
+    bad = jsonio.load_json(CORPUS / "table_bad_mo2.json")
+    assert bad["checked"] is False
+    assert jsonio.load_table(bad).values[5] == 2.0
+    with pytest.raises(CheckFailure):
+        jsonio.load_table({**bad, "checked": True})
+    family = jsonio.top_family_to_json(classical.top_spectral_family(
+        classical.sierpinski3(), [(0.5, 0b001), (1.5, 0b111)]))
+    for flag in (False, True):
+        loaded = jsonio.load_top_family({**family, "unbounded_above": flag})
+        assert loaded.unbounded_above is flag
 
 
 def test_point_values_forms():

@@ -1,6 +1,7 @@
 """Presheaves on lattices: laws, gluing, stalks, sheafification."""
 import math
 import time
+import tracemalloc
 from itertools import combinations, product as iproduct
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from obslat import classical, corpus, presheaf, stone
 from obslat.corpus import boolean_algebra, standard_lattices
 from obslat.errors import InputError, PreconditionError, ResourceError
-from obslat.lattice import bits
+from obslat.lattice import FiniteOrthoLattice, bits
 from obslat.spectral import SpectralFamily, restrict_family, spectral_family
 
 
@@ -323,9 +324,15 @@ def test_sheafify_matches_the_oracle(name):
     _assert_same_presheaf(got, want)
 
 
-def test_partial_presheaf_scan_raises_input_error():
-    with pytest.raises(InputError):
-        presheaf.check_sheaf_condition(_chain2_presheaf("partial"))
+def test_partial_presheaf_scan_raises_precondition_error():
+    """The scan presumes the laws, as glue_section presumes a section; a
+    partial map is the laws' witness, not a missing-entry InputError."""
+    ps = _chain2_presheaf("partial")
+    with pytest.raises(PreconditionError) as err:
+        presheaf.check_sheaf_condition(ps)
+    assert str(err.value) == "the sheaf condition needs a presheaf"
+    assert err.value.witness == presheaf.check_presheaf(ps)[1] == {
+        "kind": "partial-map", "from": "1", "to": "m", "value": "'t'"}
 
 
 def test_scan_work_counts(monkeypatch):
@@ -491,14 +498,29 @@ def _outcome(check, *args, **kw):
     """A check's result, or the type, message and witness of its error."""
     try:
         return check(*args, **kw)
-    except (InputError, ResourceError) as err:
+    except (InputError, PreconditionError, ResourceError) as err:
         return type(err).__name__, str(err), err.witness
 
 
 def _assert_checks_match_the_oracles(ps, work_cap=presheaf.WORK_CAP):
-    assert presheaf.check_presheaf(ps) == _oracle_check_presheaf(ps)
-    assert _outcome(presheaf.check_sheaf_condition, ps, work_cap) == \
-        _outcome(_oracle_check_sheaf_condition, ps, work_cap)
+    """The laws equal the oracle's.  Where they fail, the scan raises
+    PreconditionError with their witness.  On a presheaf the scan's report
+    equals the subset scan's wherever that reports at the default cap, and
+    wherever both report under a smaller cap; the antichain scan may report
+    where the subset scan reaches the cap, and the other way round below
+    the default.  Returns the scan's outcome and the subset scan's."""
+    laws = presheaf.check_presheaf(ps)
+    assert laws == _oracle_check_presheaf(ps)
+    got = _outcome(presheaf.check_sheaf_condition, ps, work_cap)
+    if not laws[0]:
+        assert got == ("PreconditionError",
+                       "the sheaf condition needs a presheaf", laws[1])
+        return got, None
+    want = _outcome(_oracle_check_sheaf_condition, ps, work_cap)
+    if isinstance(want, dict) and (work_cap == presheaf.WORK_CAP
+                                   or isinstance(got, dict)):
+        assert got == want
+    return got, want
 
 
 # b4 and b2xchain3 with two values, and b3, b4 and b2xchain3 with three,
@@ -519,7 +541,36 @@ def test_spectral_checks_match_the_oracles(name, grid):
 @pytest.mark.parametrize("name", list(standard_lattices()))
 def test_scan_cap_matches_the_oracle(name):
     ps = presheaf.spectral_presheaf(standard_lattices()[name], [0.0, 1.0])
-    _assert_checks_match_the_oracles(ps, work_cap=400)
+    for cap in (50, 400):
+        _assert_checks_match_the_oracles(ps, work_cap=cap)
+
+
+def _flips(outcomes) -> dict:
+    """How often one scan reports where the other reaches the cap."""
+    return {
+        "scan reports, oracle raises": sum(
+            isinstance(got, dict) and not isinstance(want, dict)
+            for got, want in outcomes),
+        "oracle reports, scan raises": sum(
+            isinstance(want, dict) and not isinstance(got, dict)
+            for got, want in outcomes)}
+
+
+def test_cap_flips_on_the_corpus():
+    """The two scans count different work, so under a small cap one can
+    reach it where the other reports.  On the corpus presheaves only the
+    antichain scan gains verdicts."""
+    inputs = [presheaf.spectral_presheaf(lat, [0.0, 1.0])
+              for lat in standard_lattices().values()]
+    inputs += [presheaf.function_presheaf(space, [0.0, 1.0])[0]
+               for space in (classical.sierpinski3(),
+                             classical.discrete_space("abc"),
+                             classical.digital_line(2))]
+    for cap, gained in ((50, 4), (400, 3)):
+        outcomes = [_assert_checks_match_the_oracles(ps, work_cap=cap)
+                    for ps in inputs]
+        assert _flips(outcomes) == {"scan reports, oracle raises": gained,
+                                    "oracle reports, scan raises": 0}
 
 
 @pytest.mark.parametrize("space", [
@@ -559,6 +610,79 @@ def test_random_presheaf_checks_match_the_oracles(name, data):
         if a != b and lat.le(a, b)}
     ps = presheaf.lattice_presheaf(lat, sections, restrictions)
     _assert_checks_match_the_oracles(ps)
+
+
+_SMALL = [name for name, lat in standard_lattices().items() if lat.n <= 12]
+
+
+@st.composite
+def lawful_bundles(draw):
+    """A presheaf that keeps the laws on a corpus lattice of at most 12
+    elements: masks[a] is the OR of random point sets drawn over the
+    down-set of a, so it grows along the order, and each point's fiber has
+    1-2 values.  Where masks[a] holds more than its covers' masks, the
+    gluing may not be unique; where a meet's mask is smaller than the members'
+    common points, a compatible family may not glue."""
+    lat = standard_lattices()[draw(st.sampled_from(_SMALL))]
+    points = draw(st.integers(1, 3))
+    own = [draw(st.integers(0, (1 << points) - 1)) for _ in range(lat.n)]
+    masks = [0] * lat.n
+    for a in range(lat.n):
+        for e in lat.downset(a):
+            masks[a] |= own[e]
+    fibers = [list(range(draw(st.integers(1, 2)))) for _ in range(points)]
+    return presheaf._bundle(lat, masks, fibers, None, presheaf.SECTION_CAP,
+                            "too many sections")
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=lawful_bundles())
+def test_lawful_bundle_checks_match_the_oracles(ps):
+    for cap in (presheaf.WORK_CAP, 50, 400):
+        _assert_checks_match_the_oracles(ps, work_cap=cap)
+
+
+@pytest.mark.parametrize("lattice,grid", [
+    (boolean_algebra(4), [0.0]), (boolean_algebra(5), [0.0]),
+    (boolean_algebra(4), [0.0, 1.0]),
+    (standard_lattices()["b2xchain3"], [0.0, 0.5, 1.0]),
+    (corpus.chain(64), [0.0, 0.5, 1.0])],
+    ids=["b4-1", "b5-1", "b4-2", "b2xchain3-3", "chain64-3"])
+def test_scan_decides_where_the_subset_scan_reached_the_cap(lattice, grid):
+    """The subset scan took 1.9 s on b4 with one value and reached the work
+    cap on every other input here, after 8.5 s on b5.  They are sheaves:
+    the lattices are distributive."""
+    ps = presheaf.spectral_presheaf(lattice, grid)
+    start = time.perf_counter()
+    report = presheaf.check_sheaf_condition(ps)
+    assert time.perf_counter() - start < 5.0
+    assert report == {"ok": True, "existence": None, "uniqueness": None}
+
+
+def test_antichains_drawn_count_against_the_cap():
+    """61 atoms under M, and an extra top T listed first.  Antichains of
+    atoms join to M, never to T, so T has no antichain cover: without a
+    unit per antichain drawn the scan would enumerate 2^61 of them before
+    its first cover.  The cap bounds time and the memory of a level (the
+    subset scan took 3.7 s to reach it here)."""
+    atoms = [f"x{i}" for i in range(61)]
+    pairs = [("0", x) for x in atoms] + [(x, "M") for x in atoms]
+    lat = FiniteOrthoLattice.from_relation(["T", "0", *atoms, "M"],
+                                           pairs + [("M", "T")])
+    ps = presheaf.spectral_presheaf(lat, [0.0])
+    start = time.perf_counter()
+    with pytest.raises(ResourceError) as err:
+        presheaf.check_sheaf_condition(ps)
+    assert time.perf_counter() - start < 5.0
+    assert err.value.witness == {"cap": presheaf.WORK_CAP}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            presheaf.check_sheaf_condition(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize("grid", [
