@@ -9,12 +9,14 @@ maps every (context, element) to its projection.  The closure under
 intersection reads the pool too: abelian contexts meet in the projections
 they share, so only a new shared set is intersected.  An operator's section,
 the cross-context check and the gluing scan work with one value per pool
-projection.  The join-law scans skip families with two members in one
-context, and stop growing a family at a join in the pool.  Whether one
-selfadjoint operator induces a global section is decided exactly, in every
-dimension, by the minimal candidate family (see ``_extendability``): the
-verdict is "yes" with a verified operator or "no" with a projection that
-lies under the join of the lower-valued ones.
+projection.  Whether one selfadjoint operator induces a global section is
+decided first, exactly and in every dimension, by the minimal candidate
+family (see ``_extendability``): the verdict is "yes" with a verified
+operator or "no" with a projection that lies under the join of the
+lower-valued ones.  An operator's section meets both join laws, so the
+join-law scans run only on "no" (or when ``2 * tol.proj > tol.sub``); they
+skip families with two members in one context, and stop growing a family at
+a join in the pool.
 """
 from __future__ import annotations
 
@@ -332,21 +334,31 @@ class GlueReport:
 
 
 def glue_section(dia: ContextDiagram, section) -> GlueReport:
-    """Check the two join laws over the projection pool and decide whether a
-    single selfadjoint operator induces the whole section.
+    """Decide whether a single selfadjoint operator induces the whole
+    section, then check the two join laws over the projection pool.
 
-    The increasing law covers every pair, the commuting law every pairwise
-    commuting family (grown as ``_first_failure`` says), both with no two
-    members in one context, where the section check decides the law, and
-    both skip joins that escape the pool.  A join is looked up as the first
-    pool projection within ``tol.proj`` of it.  The commuting scan raises
-    ``ResourceError`` past ``GLUE_WORK_CAP`` families, singletons included,
-    unless a family drawn before the cap already fails."""
+    An operator's section meets both laws on every family: P v Q <= E_lam
+    exactly when P <= E_lam and Q <= E_lam.  So on "yes" the laws hold and
+    are not scanned, provided a join matched within ``tol.proj`` passes the
+    range test at ``tol.sub`` (``2 * tol.proj <= tol.sub``, as for ``TOL``):
+    a failing family whose join matches entry j is then caught at level v_j
+    when v_j is below the sup of its members' values, and at that sup when
+    above.  The verdict and the scans both compare values exactly.
+
+    Otherwise the increasing law covers every pair, the commuting law every
+    pairwise commuting family (grown as ``_first_failure`` says), both with
+    no two members in one context, where the section check decides the law,
+    and both skip joins that escape the pool.  A join is looked up as the
+    first pool projection within ``tol.proj`` of it.  The commuting scan
+    raises ``ResourceError`` past ``GLUE_WORK_CAP`` families, singletons
+    included, unless a family drawn before the cap already fails."""
     values = pool_values(dia, section)
-    cross, comm = dia._relations
-    commuting_witness = _first_failure(dia, values, cross & comm, True)
-    increasing_witness = _first_failure(dia, values, cross, False)
     extendable, certificate, operator = _extendability(dia, values)
+    commuting_witness = increasing_witness = None
+    if extendable == "no" or 2 * dia.tol.proj > dia.tol.sub:
+        cross, comm = dia._relations
+        commuting_witness = _first_failure(dia, values, cross & comm, True)
+        increasing_witness = _first_failure(dia, values, cross, False)
     return GlueReport(tuple(dia.pool_labels), tuple(values),
                       commuting_witness is None, commuting_witness,
                       increasing_witness is None, increasing_witness,

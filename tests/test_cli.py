@@ -723,3 +723,31 @@ def test_console_script_entry_point_resolves_to_main():
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     module, _, attr = scripts["obslat"].partition(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+def bundled_openblas():
+    """numpy's bundled OpenBLAS, or None where it is absent."""
+    import ctypes
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("libscipy_openblas64_*.so"):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
+def test_the_command_runs_on_one_blas_thread(capsys):
+    lib = bundled_openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS is absent")
+    before = lib.scipy_openblas_get_num_threads64_()
+    try:
+        lib.scipy_openblas_set_num_threads64_(2)
+        assert run(capsys, "lattice", "list")[0] == 0
+        assert lib.scipy_openblas_get_num_threads64_() == 1
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)

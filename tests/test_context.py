@@ -533,11 +533,24 @@ def test_first_failure_can_be_a_triple_whose_pairs_escape_the_pool():
     assert (witness["value"], witness["sup_of_values"]) == (1.0, 0.0)
 
 
+def diagonal_sections(dia):
+    """The section of diag(0, 1, ..., d-1) on a planes diagram, and the same
+    section with Z:{1} lowered by 1.0: still global and not extendable, so
+    its join laws are scanned."""
+    section = cx.section_from_operator(dia, np.diag(np.arange(dia.dim * 1.0)))
+    lowered = {name: dict(vals) for name, vals in section.items()}
+    z1 = dia.pool_labels.index("Z:{1}")
+    for (name, e), i in dia.element_pool.items():
+        if i == z1:
+            lowered[name][e] -= 1.0
+    return section, lowered
+
+
 def test_glue_work_cap_raises(monkeypatch):
     """A cap of one family per pool entry covers the singletons only; the
     first pair goes over it."""
     dia = planes_diagram(3, [0.3, 0.7, 1.1])
-    section = cx.section_from_operator(dia, np.diag([0.0, 1.0, 2.0]))
+    section = diagonal_sections(dia)[1]
     assert cx.glue_section(dia, section).commuting_ok
     monkeypatch.setattr(cx, "GLUE_WORK_CAP", len(dia.pool))
     with pytest.raises(ResourceError) as err:
@@ -755,8 +768,9 @@ def test_pool_lookup_matches_the_linear_scan(dim, seed, factors):
 def test_cap_right_after_a_failing_family_returns_its_witness(monkeypatch):
     """The smallest cap at which the witness comes back falls after the
     singletons and no later than on the complete stream, and the stream
-    goes on past it (an operator section, whose laws hold, draws the same
-    families and raises there); one family earlier, the cap raises."""
+    goes on past it (a non-extendable section whose commuting law holds
+    draws the same families and raises there); one family earlier, the cap
+    raises."""
     dia, section = cross_context_witness_case()
     witness = cx.glue_section(dia, section).commuting_witness
     in_ctx, comm = scan_inputs(dia)
@@ -774,7 +788,7 @@ def test_cap_right_after_a_failing_family_returns_its_witness(monkeypatch):
     assert len(dia.pool) < at <= complete_at
     assert outcome(at)[1]["commuting_witness"] == witness
     assert outcome(at - 1) == ("over the cap", {"cap": at - 1})
-    passing = cx.section_from_operator(dia, np.diag([0.0, 1.0, 2.0]))
+    passing = diagonal_sections(dia)[1]
     assert outcome(at, passing) == ("over the cap", {"cap": at})
 
 
@@ -785,13 +799,7 @@ def clique_sections():
     global, not extendable, its commuting law holding and its increasing
     law failing."""
     dia = planes_diagram(4, [0.3, 0.8, 1.2])
-    section = cx.section_from_operator(dia, np.diag([0.0, 1.0, 2.0, 3.0]))
-    lowered = {name: dict(vals) for name, vals in section.items()}
-    z1 = dia.pool_labels.index("Z:{1}")
-    for (name, e), i in dia.element_pool.items():
-        if i == z1:
-            lowered[name][e] -= 1.0
-    return dia, section, lowered
+    return (dia, *diagonal_sections(dia))
 
 
 def test_dim4_three_plane_clique_glues_in_bounded_memory():
@@ -819,6 +827,118 @@ def test_dim4_three_plane_clique_glues_quickly():
         assert got == complete_glue(dia, sec)
     assert got["extendable"] == "no" and got["commuting_ok"]
     assert not got["increasing_ok"]
+
+
+# -- extendability first, the join-law scans as its oracle -----------------------
+
+def scan_witnesses(dia, values):
+    """Both join-law scans, run whatever the extendability verdict."""
+    cross, comm = dia._relations
+    return (cx._first_failure(dia, values, cross & comm, True),
+            cx._first_failure(dia, values, cross, False))
+
+
+@st.composite
+def extendability_cases(draw):
+    """A glue case, an operator section on two random contexts in dims 2-5,
+    or such a section with one pool value moved to another value of the
+    section or half a unit off it."""
+    kind = draw(st.sampled_from(["glue case", "operator", "moved"]))
+    if kind == "glue case":
+        return draw(glue_cases())
+    dim = draw(st.integers(2, 5))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    dia = cx.diagram({"A": [vn.random_hermitian(rng, dim)],
+                      "B": [vn.random_hermitian(rng, dim)]}, dim=dim)
+    section = cx.section_from_operator(dia, vn.random_hermitian(rng, dim))
+    if kind == "moved":
+        values = sorted({v for vals in section.values() for v in vals.values()})
+        i = rng.randrange(len(dia.pool))
+        to = rng.choice(values + [values[0] - 0.5, values[-1] + 0.5])
+        for (name, e), k in dia.element_pool.items():
+            if k == i:
+                section[name][e] = to
+    return dia, section
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=extendability_cases())
+def test_scans_find_no_failure_where_an_operator_extends(case):
+    """The report's witnesses are the scans' on every global section, and on
+    "yes", where the scans are skipped, neither scan finds a failure."""
+    dia, section = case
+    if not cx.is_global_section(dia, section)[0]:
+        return
+    report = cx.glue_section(dia, section)
+    want = scan_witnesses(dia, cx.pool_values(dia, section))
+    assert (report.commuting_witness, report.increasing_witness) == want
+    if report.extendable == "yes":
+        assert want == (None, None)
+
+
+def test_scans_run_only_on_no_or_a_loose_match(monkeypatch):
+    """No scan on "yes" under ``TOL``; both when ``tol.proj`` is raised to
+    ``tol.sub``, and on "no"."""
+    calls = []
+    scan = cx._first_failure
+    monkeypatch.setattr(cx, "_first_failure",
+                        lambda *args: calls.append(args) or scan(*args))
+    for tol, want in ((vn.TOL, 0), (vn.TOL.scaled(proj=vn.TOL.sub), 2)):
+        dia = cx.diagram({"Az": [AZ], "Ax": [AX]}, dim=2, tol=tol)
+        calls.clear()
+        report = cx.glue_section(
+            dia, cx.section_from_operator(dia, np.diag([0.3, 1.2])))
+        assert report.extendable == "yes" and len(calls) == want
+        assert report.commuting_ok and report.increasing_ok
+    dia = fixture_diagram()
+    calls.clear()
+    assert cx.glue_section(dia, fixture_section(dia)).extendable == "no"
+    assert len(calls) == 2
+
+
+def six_levels(rng, dim):
+    """dim values from 0..5, each at least once, in random order."""
+    return rng.permutation(np.concatenate(
+        [np.arange(6), rng.integers(0, 6, dim - 6)])).astype(float)
+
+
+def test_operator_sections_glue_quickly_at_dimension_16():
+    """Eight random contexts (pool 497), whose increasing scan took about
+    18 s, and four diagonal ones, each a six-block partition of the 16
+    coordinates, whose commuting scan reached ``GLUE_WORK_CAP``: an
+    operator's section is "yes" without either scan.  The synthesized
+    operator's breakpoints come from ``eigh``, so it gives the section back
+    within ``tol.cluster``.  A non-extendable section on a small diagram
+    still gets the complete scan's witnesses."""
+    rng = np.random.default_rng(16)
+    unitaries = [np.linalg.qr(rng.normal(size=(16, 16))
+                              + 1j * rng.normal(size=(16, 16)))[0]
+                 for _ in range(8)]
+    cases = [({f"C{k}": [(u * six_levels(rng, 16)) @ u.conj().T]
+               for k, u in enumerate(unitaries)},
+              vn.random_hermitian(random.Random(16), 16)),
+             ({f"D{k}": [np.diag(six_levels(rng, 16)).astype(complex)]
+               for k in range(4)},
+              np.diag(np.arange(1.0, 17.0)))]
+    pools = []
+    for gens, a in cases:
+        dia = cx.diagram(gens, dim=16)
+        pools.append(len(dia.pool))
+        section = cx.section_from_operator(dia, a)
+        t0 = time.perf_counter()
+        report = cx.glue_section(dia, section)
+        assert time.perf_counter() - t0 < 0.5
+        assert report.extendable == "yes"
+        assert report.commuting_ok and report.increasing_ok
+        again = cx.section_from_operator(dia, report.operator)
+        assert max(abs(again[name][e] - v) for name, vals in section.items()
+                   for e, v in vals.items()) <= dia.tol.cluster
+    assert pools[0] == 497
+    small = planes_diagram(3, [0.3, 0.7, 1.1])
+    for dia, section in ((small, diagonal_sections(small)[1]),
+                         cross_context_witness_case()):
+        assert cx.glue_section(dia, section).summary() == \
+            complete_glue(dia, section)
 
 
 def test_scan_walks_the_related_families_in_scan_order(monkeypatch):
