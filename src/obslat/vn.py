@@ -177,31 +177,39 @@ class OperatorSpectralFamily:
         return a
 
 
-def spectral_family_of(a, tol: Tolerances = TOL) -> OperatorSpectralFamily:
-    """Cluster eigenvalues within the cluster gap (the module's only lossy
-    step; each breakpoint is its cluster's mean), then accumulate
-    eigenprojections."""
-    if isinstance(a, OperatorSpectralFamily):
-        return a
+def _clustered_eigen(a, tol: Tolerances):
+    """Eigenvector columns, one breakpoint per cluster of eigenvalues within
+    the cluster gap (the module's only lossy step; each breakpoint is its
+    cluster's mean), and the column count up to the end of each cluster."""
     vals, vecs = eigen_hermitian(a, tol)
-    n = len(vals)
     groups: list[list[int]] = [[0]]
-    for i in range(1, n):
+    for i in range(1, len(vals)):
         if vals[i] - vals[groups[-1][-1]] <= tol.cluster:
             groups[-1].append(i)
         else:
             groups.append([i])
-    breakpoints = []
+    breakpoints = tuple(float(np.mean([vals[i] for i in g])) for g in groups)
+    return vecs, breakpoints, [g[-1] + 1 for g in groups]
+
+
+def spectral_family_of(a, tol: Tolerances = TOL) -> OperatorSpectralFamily:
+    """Cluster eigenvalues (``_clustered_eigen``), then accumulate
+    eigenprojections."""
+    if isinstance(a, OperatorSpectralFamily):
+        return a
+    vecs, breakpoints, ends = _clustered_eigen(a, tol)
+    n = vecs.shape[0]
     projections = []
     cum = np.zeros((n, n), dtype=complex)
-    for g in groups:
-        breakpoints.append(float(np.mean([vals[i] for i in g])))
-        for i in g:
+    start = 0
+    for end in ends:
+        for i in range(start, end):
             col = vecs[:, i:i + 1]
             cum = cum + col @ col.conj().T
         projections.append(cum.copy())
+        start = end
     projections[-1] = np.eye(n, dtype=complex)
-    return OperatorSpectralFamily(tuple(breakpoints), tuple(projections), n)
+    return OperatorSpectralFamily(breakpoints, tuple(projections), n)
 
 
 def family_from_steps(breakpoints, projections, tol: Tolerances = TOL
@@ -282,14 +290,9 @@ def _vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1)
 
 
-def commutant_basis(mats, dim: int, tol: Tolerances = TOL) -> np.ndarray:
-    """Basis of everything commuting with the given matrices and their
-    adjoints, as a (k, dim, dim) stack: the null space of the stacked
-    Sylvester equations, via vec(G X - X G) = (G (x) I - I (x) G^T) vec(X).
-    Each generator's two blocks are broadcast at once (einsum), and whenever
-    the stack passes dim^2 rows it is replaced by its R factor, which has the
-    same null space and singular values, so memory stays O(dim^4) for any
-    number of generators."""
+def _sylvester_stack(mats, dim: int) -> np.ndarray:
+    """The stacked Sylvester equations of ``commutant_basis``, folded into
+    their R factor whenever they pass dim^2 rows."""
     eye = np.eye(dim, dtype=complex)
     stack = np.zeros((0, dim * dim), dtype=complex)
     for g in mats:
@@ -303,7 +306,18 @@ def commutant_basis(mats, dim: int, tol: Tolerances = TOL) -> np.ndarray:
         stack = np.vstack([stack, blocks.reshape(2 * dim * dim, dim * dim)])
         if stack.shape[0] > dim * dim:
             stack = np.linalg.qr(stack, mode="r")
-    return null_space(stack, tol).T.reshape(-1, dim, dim)
+    return stack
+
+
+def commutant_basis(mats, dim: int, tol: Tolerances = TOL) -> np.ndarray:
+    """Basis of everything commuting with the given matrices and their
+    adjoints, as a (k, dim, dim) stack: the null space of the stacked
+    Sylvester equations, via vec(G X - X G) = (G (x) I - I (x) G^T) vec(X).
+    Each generator's two blocks are broadcast at once (einsum), and whenever
+    the stack passes dim^2 rows it is replaced by its R factor, which has the
+    same null space and singular values, so memory stays O(dim^4) for any
+    number of generators."""
+    return null_space(_sylvester_stack(mats, dim), tol).T.reshape(-1, dim, dim)
 
 
 @dataclass(frozen=True)
@@ -349,9 +363,11 @@ def subalgebra(gens, dim: int | None = None, tol: Tolerances = TOL
     commutant (the generators' own), stored once as a read-only (k, d, d)
     stack.  Being singly generated (Pearcy 1962), the commutant is generated
     by two random elements, whose commutant has the double commutant's
-    dimension, or more if the pair is not generic.  The span grows to it by
-    products: each round forms every product of the current basis in one
-    batched matmul.  A span that stalls or passes it raises."""
+    dimension, or more if the pair is not generic.  Only that dimension is
+    needed: d^2 less the rank of the pair's folded Sylvester stack, from its
+    singular values alone.  The span grows to it by products: each round
+    forms every product of the current basis in one batched matmul.  A span
+    that stalls or passes it raises."""
     gens = [as_matrix(g) for g in gens]
     if dim is None:
         if not gens:
@@ -365,7 +381,8 @@ def subalgebra(gens, dim: int | None = None, tol: Tolerances = TOL
     comm.flags.writeable = False
     w = np.random.default_rng(GENERIC_SEED).standard_normal((2, 2, len(comm)))
     pair = np.tensordot(w[0] + 1j * w[1], comm, axes=1)
-    target = len(commutant_basis(pair, dim, tol))
+    target = dim * dim - int(_rank(np.linalg.svd(
+        _sylvester_stack(pair, dim), compute_uv=False), tol))
     seed = [np.eye(dim, dtype=complex)] + [
         h for g in gens for h in (g, g.conj().T)]
     basis = orthonormal_range(np.column_stack([_vec(m) for m in seed]), tol)
@@ -440,61 +457,75 @@ def _in_algebra_dim(m: VNSubalgebra, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _cores(m: VNSubalgebra, vecs: np.ndarray, ks, tol: Tolerances) -> list:
+    """Core of span(vecs[:, :k]) for each k, ``vecs`` unitary.  With the K
+    commutant elements in that basis, h = V* C V (one batched product),
+    V_k x lies in the core iff h[:, k:, :k] x = 0: (I - P_k) G V_k is
+    V_{>k} (V* G V)[k:, :k] and V_{>k} is an isometry, so these K (d - k)
+    rows have the singular values of the (K d, k) system.  One k at a time
+    keeps memory at one system.  One batched norm per core checks that it
+    commutes with every element (hence lies in the algebra); a breach is an
+    internal numeric failure, witnessed by the first element's defect."""
+    comm = m.commutant
+    h = vecs.conj().T @ comm @ vecs
+    cores = []
+    for k in ks:
+        basis = vecs[:, :k]
+        if k:
+            basis = basis @ null_space(h[:, k:, :k].reshape(-1, k), tol)
+        core = basis @ basis.conj().T
+        defects = np.linalg.norm(comm @ core - core @ comm, axis=(1, 2))
+        breach = np.flatnonzero(defects > tol.sub)
+        if len(breach):
+            raise ResourceError("core failed to commute with the commutant",
+                                witness={"defect": float(defects[breach[0]])})
+        cores.append(core)
+    return cores
+
+
 def core_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
     """Largest subspace of ran q invariant under the commutant, as a
     projection: the x in ran q with g x in ran q for all g in the commutant,
-    already invariant because the commutant is an algebra.  The whole
-    commutant stack acts at once: one batched product gives the (k d, r)
-    system whose null space is kept, and one batched norm checks that the
-    result commutes with every element (hence lies in the algebra); a breach
-    is an internal numeric failure, witnessed by the first element's
-    defect."""
-    return _core(m, _in_algebra_dim(m, check_projection(q, tol)), tol)
+    already invariant because the commutant is an algebra.  One SVD of q
+    gives a unitary whose leading columns, as many as ``_rank`` keeps, span
+    ran q; ``_cores`` keeps one null space in that basis."""
+    q = _in_algebra_dim(m, check_projection(q, tol))
+    u, s, _ = np.linalg.svd(q)
+    return _cores(m, u, [int(_rank(s, tol))], tol)[0]
 
 
 def support_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
     """Smallest projection of the algebra above q: complement of the core of
-    the complement."""
+    the complement, taken as in ``core_projection``."""
     q = _in_algebra_dim(m, check_projection(q, tol))
     eye = np.eye(m.dim, dtype=complex)
-    return eye - _core(m, eye - q, tol)
-
-
-def _core(m: VNSubalgebra, q: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """``core_projection`` of a projection already checked against m."""
-    basis = orthonormal_range(q, tol)
-    comm = m.commutant
-    if basis.shape[1] > 0:
-        moved = comm @ basis
-        moved -= basis @ (basis.conj().T @ moved)
-        keep = null_space(moved.reshape(-1, basis.shape[1]), tol)
-        if keep.shape[1] < basis.shape[1]:
-            basis = orthonormal_range(basis @ keep, tol)
-    core = basis @ basis.conj().T
-    defects = np.linalg.norm(comm @ core - core @ comm, axis=(1, 2))
-    breach = np.flatnonzero(defects > tol.sub)
-    if len(breach):
-        raise ResourceError("core failed to commute with the commutant",
-                            witness={"defect": float(defects[breach[0]])})
-    return core
+    u, s, _ = np.linalg.svd(eye - q)
+    return eye - _cores(m, u, [int(_rank(s, tol))], tol)[0]
 
 
 def rho_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     """Smallest spectral-order upper bound of a inside the subalgebra,
-    synthesized from the cores of a's spectral projections."""
-    fam = spectral_family_of(_in_algebra_dim(m, check_hermitian(a, tol)), tol)
-    steps = [core_projection(m, e, tol) for e in fam.projections]
-    return family_from_steps(fam.breakpoints, steps, tol).synthesize()
+    synthesized from the cores of a's spectral projections.  The projection
+    at a breakpoint spans the eigenvectors up to the end of its cluster, so
+    the eigenbasis serves every core (``_cores``)."""
+    vecs, breakpoints, ends = _clustered_eigen(
+        _in_algebra_dim(m, check_hermitian(a, tol)), tol)
+    return family_from_steps(breakpoints, _cores(m, vecs, ends, tol),
+                             tol).synthesize()
 
 
 def sigma_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     """Largest spectral-order lower bound inside the subalgebra, from the
     supports of the spectral projections.  The defining infimum over later
     arguments is exact on step families, so each merged breakpoint takes the
-    support of the value right there."""
-    fam = spectral_family_of(_in_algebra_dim(m, check_hermitian(a, tol)), tol)
-    steps = [support_projection(m, e, tol) for e in fam.projections]
-    return family_from_steps(fam.breakpoints, steps, tol).synthesize()
+    support of the value right there: the complement of the core of the
+    eigenvectors past its cluster, which lead the reversed eigenbasis."""
+    vecs, breakpoints, ends = _clustered_eigen(
+        _in_algebra_dim(m, check_hermitian(a, tol)), tol)
+    eye = np.eye(m.dim, dtype=complex)
+    cores = _cores(m, vecs[:, ::-1], [m.dim - k for k in ends], tol)
+    return family_from_steps(breakpoints, [eye - c for c in cores],
+                             tol).synthesize()
 
 
 def atomic_value(a, x, tol: Tolerances = TOL) -> float:

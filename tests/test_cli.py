@@ -751,3 +751,32 @@ def test_the_command_runs_on_one_blas_thread(capsys):
         assert lib.scipy_openblas_get_num_threads64_() == 1
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
+
+
+def test_restrict_at_the_cap_beside_a_busy_core(capsys, tmp_path):
+    """A d = 16 restriction stays quick while a spinning child process keeps
+    one core busy; on two BLAS threads the matrix layer has run 10 to 60 times
+    slower there."""
+    rng = np.random.default_rng(16)
+    shape = (2, 16, 16)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gen, op = m + m.conj().transpose(0, 2, 1)
+    gens, ops = tmp_path / "gens.json", tmp_path / "op.json"
+    jsonio.save_json(gens, {"dim": 16,
+                            "generators": [jsonio.matrix_to_json(gen)]})
+    jsonio.save_json(ops, {"matrix": jsonio.matrix_to_json(op)})
+    spin = subprocess.Popen(
+        [sys.executable, "-c", "print(flush=True)\nwhile True: pass"],
+        stdout=subprocess.PIPE)
+    try:
+        spin.stdout.readline()
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "vn", "restrict", "--algebra",
+                                 str(gens), "--op", str(ops), "--map", "rho")
+        elapsed = time.perf_counter() - start
+    finally:
+        spin.kill()
+        spin.wait(timeout=10)
+        spin.stdout.close()
+    assert code == 0 and len(payload["matrix"]) == 16
+    assert elapsed < 5.0

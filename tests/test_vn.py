@@ -3,6 +3,7 @@ one-stack null space, the two coarse-graining maps, and the caps."""
 import math
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,66 @@ def test_subalgebra_matches_the_full_bicommutant_oracle(rng):
         assert np.linalg.norm(vn.sigma_restrict(new, a)
                               - ref_restrict(old, a, "support")) < 1e-12
     assert strictly_between > len(sets) // 2
+
+
+def clustered_hermitian(rng, dim):
+    """A Hermitian whose eigenvalues repeat (drawn from 0, 1, 2) in a random
+    basis, so its spectral projections skip ranks."""
+    u, _ = np.linalg.qr(vn.random_hermitian(rng, dim) + 1j * np.eye(dim))
+    a = u @ np.diag([float(rng.randrange(3)) for _ in range(dim)]) @ u.conj().T
+    return (a + a.conj().T) / 2
+
+
+def assert_restrictions_match_the_oracle(alg, a):
+    assert np.linalg.norm(vn.rho_restrict(alg, a)
+                          - ref_restrict(alg, a, "core")) < 1e-12
+    assert np.linalg.norm(vn.sigma_restrict(alg, a)
+                          - ref_restrict(alg, a, "support")) < 1e-12
+
+
+def test_restrictions_of_clustered_operators_match_the_oracle(rng):
+    sets = [(gens[0].shape[0], gens) for gens in corpus_generator_sets()]
+    sets += list(random_generator_sets(rng)) + list(block_generator_sets(rng))
+    clustered = 0
+    for dim, gens in sets:
+        a = clustered_hermitian(rng, dim)
+        clustered += len(vn.spectral_family_of(a).breakpoints) < dim
+        assert_restrictions_match_the_oracle(vn.subalgebra(gens, dim=dim), a)
+    assert clustered > len(sets) // 2
+
+
+@pytest.mark.parametrize("dim", [12, 16])
+def test_restrictions_match_the_oracle_at_the_caps(dim):
+    """The trivial algebra and a maximal abelian one, on a random and a
+    clustered operator."""
+    rng = random.Random(dim)
+    algebras = (vn.trivial_algebra(dim),
+                vn.subalgebra([vn.random_hermitian(rng, dim)], dim=dim))
+    for alg in algebras:
+        for a in (vn.random_hermitian(rng, dim), clustered_hermitian(rng, dim)):
+            assert_restrictions_match_the_oracle(alg, a)
+
+
+@pytest.mark.parametrize("fn", [vn.rho_restrict, vn.sigma_restrict],
+                         ids=lambda fn: fn.__name__)
+def test_restriction_on_the_trivial_algebra_at_the_cap_stays_small(fn):
+    """The 256-element commutant acts on one core at a time, so the traced
+    peak stays near 3 MiB; a padded batch of all 16 systems at once would
+    hold many times that."""
+    alg = vn.trivial_algebra(16)
+    b = vn.random_hermitian(random.Random(16), 16)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        out = fn(alg, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5.0
+    assert peak < 8 * 2 ** 20
+    vals = np.linalg.eigvalsh(b)
+    want = vals[-1] if fn is vn.rho_restrict else vals[0]
+    assert np.linalg.norm(out - want * np.eye(16)) < 1e-9
 
 
 def test_non_generic_pair_raises_with_the_span_witness(monkeypatch):
