@@ -14,9 +14,7 @@ decided first, exactly and in every dimension, by the minimal candidate
 family (see ``_extendability``): the verdict is "yes" with a verified
 operator or "no" with a projection that lies under the join of the
 lower-valued ones.  An operator's section meets both join laws, so the
-join-law scans run only on "no" (or when ``2 * tol.proj > tol.sub``); they
-skip families with two members in one context, and stop growing a family at
-a join in the pool.
+join-law scans run only on "no" (or when ``2 * tol.proj > tol.sub``).
 """
 from __future__ import annotations
 
@@ -28,7 +26,7 @@ import numpy as np
 
 from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
-from .lattice import FiniteOrthoLattice, bits
+from .lattice import FiniteOrthoLattice, _cliques, _row_masks, bits, mask_from
 from .observables import check_completely_increasing, observable
 from .vn import (TOL, Tolerances, VNSubalgebra, algebra_intersection,
                  as_matrix, check_hermitian, family_from_steps,
@@ -273,7 +271,8 @@ def _validate_section(dia: ContextDiagram, section) -> None:
                 "section must value every nonzero element of the context",
                 witness={"context": c.name})
         for v in section[c.name].values():
-            if not isinstance(v, (int, float)) or not np.isfinite(v):
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not np.isfinite(v)):
                 raise InputError("section values must be finite reals",
                                  witness={"context": c.name})
 
@@ -345,13 +344,12 @@ def glue_section(dia: ContextDiagram, section) -> GlueReport:
     when v_j is below the sup of its members' values, and at that sup when
     above.  The verdict and the scans both compare values exactly.
 
-    Otherwise the increasing law covers every pair, the commuting law every
-    pairwise commuting family (grown as ``_first_failure`` says), both with
-    no two members in one context, where the section check decides the law,
-    and both skip joins that escape the pool.  A join is looked up as the
-    first pool projection within ``tol.proj`` of it.  The commuting scan
-    raises ``ResourceError`` past ``GLUE_WORK_CAP`` families, singletons
-    included, unless a family drawn before the cap already fails."""
+    Otherwise the increasing law covers every pair and the commuting law
+    every pairwise commuting family ``_first_failure`` grows, none with two
+    members in one context (there the section check decides the law); a
+    join that escapes the pool is skipped.  The commuting scan raises
+    ``ResourceError`` past ``GLUE_WORK_CAP`` families, singletons included,
+    unless a family drawn before the cap already fails."""
     values = pool_values(dia, section)
     extendable, certificate, operator = _extendability(dia, values)
     commuting_witness = increasing_witness = None
@@ -369,22 +367,20 @@ def _first_failure(dia, values, adj, grow) -> dict | None:
     """Witness for the first family, in (size, index) order, of entries
     pairwise related by ``adj`` (read at i < k) whose join is not valued at
     the sup of its members' values.  Without ``grow`` the families are the
-    pairs.  With it a family grows, by later entries related to all its
-    members, only while its join escapes the pool: a join q in the pool
-    lies in the algebra of its family and commutes with the other entries,
-    so a failure above forces one of the family or of q with the others,
-    both earlier.  Each level streams from the last and is read ``_CHUNK``
-    families at a time, joined with one SVD call and matched at once."""
+    pairs.  With it a family grows only while its join escapes the pool: a
+    join q in the pool lies in the algebra of its family and commutes with
+    the other entries, so a failure above forces one of the family or of q
+    with the others, both earlier."""
     vals = np.array(values)
-    level = (((i,), np.flatnonzero(adj[i, i + 1:]) + i + 1)
-             for i in range(len(vals)))
+    rows, entries = _row_masks(adj), (1 << len(vals)) - 1
+    level = [1 << i for i in range(len(vals))]
     drawn = len(vals)
-    while True:
-        stream = ((fam + (k,), later[pos + 1:]) for fam, later in level
-                  for pos, k in enumerate(later.tolist()))
+    while level:
+        stream = ((*members, c) for _, members, later
+                  in _cliques(rows, entries, level) for c in later)
         level = []
         while chunk := list(islice(stream, _CHUNK)):
-            fams = np.array([fam for fam, _ in chunk])
+            fams = np.array(chunk)
             j = _first_match(dia.pool, projection_joins(dia.pool[fams], dia.tol),
                              dia.tol)
             fail = (j >= 0) & (vals[j] != vals[fams].max(axis=1))
@@ -395,16 +391,14 @@ def _first_failure(dia, values, adj, grow) -> dict | None:
                                         witness={"cap": GLUE_WORK_CAP})
             if fail.any():
                 k = fail.argmax()
-                fam, j = fams[k].tolist(), int(j[k])
+                fam, j = chunk[k], int(j[k])
                 return {"members": [dia.pool_labels[i] for i in fam],
                         "join": dia.pool_labels[j], "value": values[j],
                         "sup_of_values": max(values[i] for i in fam)}
             drawn += len(chunk)
-            if grow:
-                level += [(fam, rest[adj[fam[-1], rest]])
-                          for (fam, rest), m in zip(chunk, j.tolist()) if m < 0]
-        if not level:
-            return None
+            level += [mask_from(fam)
+                      for fam, m in zip(chunk, j.tolist()) if grow and m < 0]
+    return None
 
 
 def _extendability(dia: ContextDiagram, values: list[float]

@@ -9,6 +9,7 @@ also pick one of the built-in lattices.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -60,13 +61,13 @@ def load_json(path: Path):
 
 
 def _real(v, key: str) -> float:
-    """A number read from a file; anything float() refuses is an InputError
-    naming the key it came from."""
-    try:
-        return float(v)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("expected a real number",
-                         witness={"key": key, "value": v}) from None
+    """A number read from a file; a JSON boolean, or anything float()
+    refuses, is an InputError naming the key it came from."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(v, bool):
+            return float(v)
+    raise InputError("expected a real number",
+                     witness={"key": key, "value": v})
 
 
 def _list(v, key: str, length: int | None = None) -> list:

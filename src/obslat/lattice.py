@@ -2,9 +2,8 @@
 
 Elements are identified by index into a name tuple.  The order relation is a
 dense boolean matrix ``leq`` with ``leq[i, j] == True`` iff ``i <= j``.  Each
-element also keeps its down-set and its up-set as bitmasks (bit k set for
-element k), built as ``uint64`` rows (the element cap is 64) and kept as
-Python ints.  The lower bounds of a pair are ``down[i] & down[j]``, and the
+element also keeps its down-set and its up-set as int bitmasks (bit k set
+for element k).  The lower bounds of a pair are ``down[i] & down[j]``, and the
 pair has a meet exactly when that mask is itself the down-set of an element:
 all n-by-n pair masks are looked up at once among the sorted down-set masks,
 and joins are found the same way from up-sets.  Meet and join are
@@ -18,6 +17,7 @@ package; helpers live at the bottom of this module.
 """
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,8 +62,7 @@ class FiniteOrthoLattice:
 
         self.zero = self._unique_extremum(bottom=True)
         self.one = self._unique_extremum(bottom=False)
-        self._down: list[int] = _row_masks(self.leq.T).tolist()
-        self._up: list[int] = _row_masks(self.leq).tolist()
+        self._down, self._up = _row_masks(self.leq.T), _row_masks(self.leq)
         self.meet_table, self.join_table = self._build_tables()
         # stone.canonical_order's memo, top -> sorted generators; it reads
         # only leq, which never changes after this point
@@ -371,10 +370,10 @@ def _transitive_reflexive_closure(rel: np.ndarray) -> np.ndarray:
         out = nxt
 
 
-def _row_masks(mat: np.ndarray) -> np.ndarray:
-    """Row k of a boolean matrix as a uint64 bitmask (bit j for column j)."""
-    bit = np.left_shift(np.uint64(1), np.arange(mat.shape[1], dtype=np.uint64))
-    return np.bitwise_or.reduce(np.where(mat, bit, np.uint64(0)), axis=1)
+def _row_masks(mat: np.ndarray) -> list[int]:
+    """Row k of a boolean matrix as an int bitmask (bit j for column j)."""
+    rows = np.packbits(mat, axis=1, bitorder="little").tolist()
+    return list(map(int.from_bytes, rows, repeat("little")))
 
 
 def _lookup(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -405,3 +404,17 @@ def bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _cliques(rows: Sequence[int], roots: int, level: Iterable[int]):
+    """For each clique (mask) of ``level``, in order: the clique, its members
+    and the later elements of ``roots`` related to every member, both
+    ascending (row b is read only after bit b).  Adding each in turn draws
+    the cliques one larger, in (size, index) order if ``level`` is."""
+    for clique in level:
+        members = bits(clique)
+        # -(2 << m) keeps the elements after m
+        later = roots & -(2 << members[-1])
+        for b in members:
+            later &= rows[b]
+        yield clique, members, bits(later)

@@ -9,7 +9,7 @@ and compose every other table along one cover,
 ``tab[a, c] = tab[a, b][tab[b, c]]``; a presheaf is a functor, so its values
 on the covers fix it.  The laws and the gluing scan compare positions, and
 sections are rendered as values only in witnesses.  The gluing scan presumes
-the laws and walks the antichain covers under one work cap.
+the laws and draws its antichain covers from ``lattice._cliques``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
-from .lattice import FiniteOrthoLattice, bits
+from .lattice import FiniteOrthoLattice, _cliques, _row_masks, bits
 from .stone import DualIdeal
 
 WORK_CAP = 200_000
@@ -184,9 +184,7 @@ def check_sheaf_condition(ps: LatticePresheaf, work_cap: int = WORK_CAP
     gluings, and each covering sieve is generated by one antichain, its
     maximal members; so the first failures over all covers lie on
     antichains.  One work count caps the scan: a unit per antichain drawn
-    plus the families of each cover.  A cover's gluing index, built at its
-    first compatible family, groups the sections over a by their
-    restrictions to the members; each family looks its gluings up there."""
+    plus the families of each cover."""
     laws_ok, laws_witness = check_presheaf(ps)
     if not laws_ok:
         raise PreconditionError("the sheaf condition needs a presheaf",
@@ -229,27 +227,21 @@ def check_sheaf_condition(ps: LatticePresheaf, work_cap: int = WORK_CAP
 
 
 def _antichain_covers(lat: FiniteOrthoLattice, sizes, work_cap: int):
-    """(a, cover) for each antichain cover, in scan order.  Level k + 1
-    extends each antichain of level k, kept as the mask of its members, by
-    each later element incomparable to all of them.  The work is a unit per
-    antichain drawn plus, for a cover, the product of its members' section
-    counts, so the cap bounds a level's memory as well as the time."""
+    """(a, cover) for each antichain cover in scan order.  A unit of work
+    per antichain drawn makes the cap bound a level's memory too."""
     join = lat.join_table.tolist()
-    comparable = [lat.upset_mask(b) | lat.downset_mask(b)
-                  for b in range(lat.n)]
+    incomparable = _row_masks(~(lat.leq | lat.leq.T))
     work = 0
     for a in range(lat.n):
         below = lat.downset_mask(a) & ~(1 << a | 1 << lat.zero)
         level = [1 << b for b in bits(below)]
         while level:
             drawn = []
-            for mask in level:
-                members = bits(mask)
-                # -(2 << c) keeps the elements after c
-                top, free = lat.zero, below & -(2 << members[-1])
+            for mask, members, later in _cliques(incomparable, below, level):
+                top = lat.zero
                 for b in members:
-                    top, free = join[top][b], free & ~comparable[b]
-                for c in bits(free):
+                    top = join[top][b]
+                for c in later:
                     drawn.append(mask | 1 << c)
                     cover = (*members, c) if join[top][c] == a else ()
                     work += (1 + math.prod(sizes[b] for b in cover)

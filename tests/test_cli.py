@@ -405,6 +405,7 @@ def test_breakpoints_must_be_a_list_of_pairs(capsys, tmp_path, argv, data,
      "values[a',1]"),
     (("vn", "spectral-family"), [[1.0, [0.0, "x"]], [0.0, 1.0]],
      "matrix[0][1]"),
+    (("vn", "spectral-family"), [[True, 0], [0, False]], "matrix[0][0]"),
     (("classical", "induce", "--space", c("space_sierpinski.json"), "--fn"),
      {"values": {"1": 0.0, "2": None, "3": 1.0}}, "values[2]"),
     (("classical", "check-continuity", "--family"),

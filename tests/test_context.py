@@ -139,10 +139,11 @@ def test_section_validation():
     del partial["Az"][1]
     with pytest.raises(InputError):
         cx.is_global_section(dia, partial)
-    nan = {k: dict(v) for k, v in good.items()}
-    nan["Az"][1] = float("nan")
-    with pytest.raises(InputError):
-        cx.is_global_section(dia, nan)
+    for bad in (float("nan"), True):
+        wrong = {k: dict(v) for k, v in good.items()}
+        wrong["Az"][1] = bad
+        with pytest.raises(InputError):
+            cx.is_global_section(dia, wrong)
 
 
 def test_global_section_witness_kinds():

@@ -232,6 +232,30 @@ def test_false_flags_are_read_as_false():
         assert loaded.unbounded_above is flag
 
 
+@pytest.mark.parametrize("load, data, key, value", [
+    (jsonio.load_presheaf,
+     {"kind": "spectral", "lattice": "mo2", "grid": [True, 0.5]},
+     "grid[0]", True),
+    (jsonio.load_matrix, [[True, 0], [0, False]], "matrix[0][0]", True),
+    (jsonio.load_family,
+     {"lattice": "mo2", "breakpoints": [[1.0, "a"], [False, "1"]]},
+     "breakpoints[1]", False),
+    (jsonio.load_table, {"lattice": "mo2", "values": {"1": True}},
+     "values[1]", True),
+    (lambda data: jsonio.load_section(data, dia=fixture_diagram()),
+     {"values": {"Az": {"{1}": 1.0, "{2}": False}}}, "values[Az][{2}]",
+     False),
+], ids=["grid", "matrix entry", "breakpoint", "table value", "section value"])
+def test_json_booleans_are_not_reals(load, data, key, value):
+    """float() reads true as 1.0, so a boolean where a number belongs ran
+    to a verdict."""
+    with pytest.raises(InputError) as err:
+        load(data)
+    assert str(err.value) == "expected a real number"
+    assert err.value.witness == {"key": key, "value": value}
+    assert type(err.value.witness["value"]) is bool
+
+
 def test_point_values_forms():
     assert jsonio.load_point_values({"values": {"p": 1}}) == {"p": 1.0}
     assert jsonio.load_point_values({"p": 1}) == {"p": 1.0}

@@ -12,8 +12,8 @@ from obslat import classical, corpus, jsonio
 from obslat.classical import sierpinski3
 from obslat.errors import (InputError, ObslatError, PreconditionError,
                            ResourceError)
-from obslat.lattice import (FiniteOrthoLattice, _transitive_reflexive_closure,
-                            bits, mask_from)
+from obslat.lattice import (FiniteOrthoLattice, _cliques,
+                            _transitive_reflexive_closure, bits, mask_from)
 
 ORTHO_NAMES = ["b1", "b2", "b3", "b4", "chain2", "mo1", "mo2", "mo3", "o6",
                "mo2xb1"]
@@ -202,6 +202,68 @@ def test_bits_rejects_a_negative_mask():
         bits(-1)
     with pytest.raises(InputError, match="nonnegative"):
         sierpinski3().is_open(-2)
+
+
+# -- the clique walker against brute force ---------------------------------------
+
+def walked_levels(rows, roots):
+    """The cliques the walker draws, level by level from the singletons of
+    roots, as member tuples in the order drawn; the last level is empty."""
+    out, level = [], [1 << b for b in bits(roots)]
+    while True:
+        drawn = []
+        for clique, members, later in _cliques(rows, roots, level):
+            assert members == bits(clique)
+            drawn += [clique | 1 << c for c in later]
+        out.append([tuple(bits(m)) for m in drawn])
+        if not drawn:
+            return out
+        level = drawn
+
+
+def brute_levels(related, roots):
+    """The cliques of 2, 3, ... roots, each size in index order, up to the
+    first size with none."""
+    out = []
+    for size in itertools.count(2):
+        out.append([fam for fam in itertools.combinations(bits(roots), size)
+                    if all(related(i, k)
+                           for i, k in itertools.combinations(fam, 2))])
+        if not out[-1]:
+            return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cliques_draw_every_clique_in_scan_order(data):
+    """A random relation on up to 12 nodes, given by the bits of row i after
+    i, and random roots.  The walker reads nothing else, so the raw rows,
+    random at and below the diagonal, draw what the symmetric ones do."""
+    n = data.draw(st.integers(1, 12))
+    raw = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                             min_size=n, max_size=n))
+    roots = data.draw(st.integers(0, (1 << n) - 1))
+
+    def related(i, k):
+        return bool(raw[min(i, k)] >> max(i, k) & 1)
+
+    symmetric = [mask_from(k for k in range(n) if k != i and related(i, k))
+                 for i in range(n)]
+    want = brute_levels(related, roots)
+    assert walked_levels(symmetric, roots) == want
+    assert walked_levels(raw, roots) == want
+
+
+@pytest.mark.parametrize("name", list(corpus.standard_lattices()))
+def test_cliques_draw_the_antichains_below_each_element(name):
+    """The sheaf scan's walk: incomparability rows, below each element a
+    without a and bottom."""
+    lat = corpus.standard_lattices()[name]
+    rows = [~(lat.upset_mask(b) | lat.downset_mask(b)) for b in range(lat.n)]
+    for a in range(lat.n):
+        below = lat.downset_mask(a) & ~(1 << a | 1 << lat.zero)
+        assert walked_levels(rows, below) == brute_levels(
+            lambda i, k: not lat.le(i, k) and not lat.le(k, i), below)
 
 
 @settings(max_examples=60, deadline=None)
