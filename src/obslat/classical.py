@@ -382,14 +382,15 @@ GRID_POINTS = 48
 
 
 def grid_coordinates(lo: float, hi: float, step: float) -> list[float]:
-    """At most GRID_POINTS points from lo to hi, step apart; the count is
-    capped before any point is built."""
+    """At most GRID_POINTS points from lo, step apart, none past hi but for
+    a relative slack of 1e-9 on the step count (so 0:1:0.1 ends at 1); the
+    count is capped before any point is built."""
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise InputError("grid bounds and step must be finite",
                          witness={"lo": lo, "hi": hi, "step": step})
     if step <= 0 or hi <= lo:
         raise InputError("need lo < hi and a positive step")
-    count = round(min((hi - lo) / step, GRID_POINTS))
+    count = math.floor(min((hi - lo) / step, GRID_POINTS) * (1 + 1e-9))
     if count + 1 > GRID_POINTS:
         raise ResourceError(f"grid too fine; at most {GRID_POINTS} points")
     return [round(lo + k * step, 10) for k in range(count + 1)]
@@ -421,6 +422,8 @@ def demo_family(kind: str, lo: float = -2.0, hi: float = 2.0,
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InputError("grid bounds must be finite",
                              witness={"lo": lo, "hi": hi})
+        if not step > 0 or hi <= lo:    # the step may still be nan
+            raise InputError("need lo < hi and a positive step")
         n = max(1, round(min(hi - lo, GRID_POINTS)))
         if 2 * n + 1 > GRID_POINTS:
             raise ResourceError(f"line too long; at most {GRID_POINTS} points",

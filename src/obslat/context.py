@@ -28,10 +28,10 @@ from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, _cliques, _row_masks, bits, mask_from
 from .observables import check_completely_increasing, observable
-from .vn import (TOL, Tolerances, VNSubalgebra, algebra_intersection,
-                 as_matrix, check_hermitian, family_from_steps,
-                 minimal_projections, projection_join, projection_joins,
-                 spectral_family_of, subalgebra, trivial_algebra)
+from .vn import (TOL, Tolerances, VNSubalgebra, _range_values,
+                 algebra_intersection, as_matrix, check_hermitian,
+                 family_from_steps, minimal_projections, projection_join,
+                 projection_joins, subalgebra, trivial_algebra)
 
 MAX_MINIMAL = 6
 MAX_CONTEXTS = 24
@@ -236,21 +236,16 @@ def diagram(named_generators: dict[str, list], dim: int | None = None,
 
 def section_from_operator(dia: ContextDiagram, a) -> dict[str, dict[int, float]]:
     """Restrict a selfadjoint operator to every context.  The value at a
-    projection, the first spectral breakpoint whose eigenspace contains its
-    range, depends on the projection alone: each pool projection is decided
-    once, walking the steps from the top (the identity) down with one
-    batched product and norm per step, and its value is copied to every
-    (context, element) over it in ``dia.element_pool`` order."""
+    projection, the first spectral breakpoint whose step contains its range,
+    depends on the projection alone: the whole pool is decided at once in
+    the operator's eigenbasis (``vn._range_values``), and each value is
+    copied to every (context, element) over it in ``dia.element_pool``
+    order."""
     a = check_hermitian(a, dia.tol)
     if a.shape[0] != dia.dim:
         raise InputError("operator dimension mismatch",
                          witness=[int(a.shape[0]), dia.dim])
-    fam = spectral_family_of(a, dia.tol)
-    vals = np.empty(len(dia.pool))
-    for mu, e in zip(fam.breakpoints[::-1], fam.projections[::-1]):
-        vals[np.linalg.norm(e @ dia.pool - dia.pool, axis=(1, 2))
-             <= dia.tol.sub] = mu
-    vals = vals.tolist()
+    vals = _range_values(a, dia.pool, dia.tol).tolist()
     out: dict[str, dict[int, float]] = {c.name: {} for c in dia.contexts}
     for (name, e), i in dia.element_pool.items():
         out[name][e] = vals[i]

@@ -177,39 +177,48 @@ class OperatorSpectralFamily:
         return a
 
 
+def _cluster_ends(vals, tol: Tolerances) -> list[int]:
+    """Ends (exclusive) of the runs of ascending reals whose consecutive gaps
+    are within the cluster gap: the module's one clustering rule."""
+    return [k for k in range(1, len(vals) + 1)
+            if k == len(vals) or vals[k] - vals[k - 1] > tol.cluster]
+
+
 def _clustered_eigen(a, tol: Tolerances):
-    """Eigenvector columns, one breakpoint per cluster of eigenvalues within
-    the cluster gap (the module's only lossy step; each breakpoint is its
-    cluster's mean), and the column count up to the end of each cluster."""
+    """Eigenvector columns V, one breakpoint per cluster of eigenvalues (the
+    module's only lossy step; each breakpoint is its cluster's mean), and
+    the column count k up to each cluster's end: the step there is V_k V_k*."""
     vals, vecs = eigen_hermitian(a, tol)
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][-1]] <= tol.cluster:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    breakpoints = tuple(float(np.mean([vals[i] for i in g])) for g in groups)
-    return vecs, breakpoints, [g[-1] + 1 for g in groups]
+    ends = _cluster_ends(vals, tol)
+    breakpoints = tuple(float(np.mean(vals[i:k]))
+                        for i, k in zip([0, *ends], ends))
+    return vecs, breakpoints, ends
 
 
 def spectral_family_of(a, tol: Tolerances = TOL) -> OperatorSpectralFamily:
-    """Cluster eigenvalues (``_clustered_eigen``), then accumulate
-    eigenprojections."""
+    """Each step V_k V_k* read off the clustered eigenbasis
+    (``_clustered_eigen``); the last is the identity exactly."""
     if isinstance(a, OperatorSpectralFamily):
         return a
     vecs, breakpoints, ends = _clustered_eigen(a, tol)
     n = vecs.shape[0]
-    projections = []
-    cum = np.zeros((n, n), dtype=complex)
-    start = 0
-    for end in ends:
-        for i in range(start, end):
-            col = vecs[:, i:i + 1]
-            cum = cum + col @ col.conj().T
-        projections.append(cum.copy())
-        start = end
-    projections[-1] = np.eye(n, dtype=complex)
-    return OperatorSpectralFamily(breakpoints, tuple(projections), n)
+    steps = [vecs[:, :k] @ vecs[:, :k].conj().T for k in ends[:-1]]
+    return OperatorSpectralFamily(
+        breakpoints, (*steps, np.eye(n, dtype=complex)), n)
+
+
+def _range_values(a, ps: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """For each projection P of the stack ps, the first breakpoint of a whose
+    step E_k holds ran P within the sub tolerance.  V* P is one product for
+    the whole stack; V is unitary, so |E_k P - P| = |(I - E_k) P| is the
+    root of the squared row norms of V* P summed over rows k and on."""
+    vecs, breakpoints, ends = _clustered_eigen(a, tol)
+    w = vecs.conj().T @ ps
+    rows = (w.real ** 2 + w.imag ** 2).sum(axis=-1)
+    tails = np.zeros((len(ps), len(vecs) + 1))
+    tails[:, :-1] = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+    first = (np.sqrt(tails[:, ends]) <= tol.sub).argmax(axis=1)
+    return np.array(breakpoints)[first]
 
 
 def family_from_steps(breakpoints, projections, tol: Tolerances = TOL
@@ -238,13 +247,7 @@ def merged_breakpoints(fams, tol: Tolerances = TOL) -> list[float]:
     identified; each cluster is represented by its maximum, so evaluating
     there sees every member family past its jump."""
     lams = sorted(set(b for f in fams for b in f.breakpoints))
-    out: list[float] = []
-    for lam in lams:
-        if out and lam - out[-1] <= tol.cluster:
-            out[-1] = lam
-        else:
-            out.append(lam)
-    return out
+    return [lams[k - 1] for k in _cluster_ends(lams, tol)]
 
 
 def spectral_leq(a, b, tol: Tolerances = TOL) -> bool:
@@ -423,20 +426,18 @@ def minimal_projections(m: VNSubalgebra, tol: Tolerances = TOL
     eigenvalue of a fixed generic element.
 
     A Hermitian combination with pairwise-irrational weights separates the
-    joint eigenspaces; the result is verified to have exactly linear_dim
-    members, all inside the algebra."""
+    joint eigenspaces, each a cluster block V_{i:k} V_{i:k}* of its
+    eigenbasis; the result is verified to have exactly linear_dim members,
+    all inside the algebra."""
     if not m.is_abelian(tol):
         raise PreconditionError("minimal projections need an abelian algebra")
     herm = m.hermitian_basis()
     generic = np.zeros((m.dim, m.dim), dtype=complex)
     for k, h in enumerate(herm):
         generic = generic + math.sqrt(k + 2.0) * h
-    fam = spectral_family_of(generic, tol)
-    prev = np.zeros((m.dim, m.dim), dtype=complex)
-    out = []
-    for e in fam.projections:
-        out.append(e - prev)
-        prev = e
+    vecs, _, ends = _clustered_eigen(generic, tol)
+    out = [vecs[:, i:k] @ vecs[:, i:k].conj().T
+           for i, k in zip([0, *ends], ends)]
     if len(out) != m.linear_dim:
         raise ResourceError(
             "generic element failed to separate the minimal projections",

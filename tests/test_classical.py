@@ -296,6 +296,13 @@ def test_open_set_lattice_bridge():
 
 def test_grid_coordinates():
     assert cl.grid_coordinates(-1.0, 1.0, 0.5) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    # no point past hi, and a count a rounding error short of whole still
+    # reaches hi
+    assert cl.grid_coordinates(0.0, 1.0, 0.6) == [0.0, 0.6]
+    assert cl.grid_coordinates(0.0, 1.0, 0.1)[-1] == 1.0
+    assert len(cl.grid_coordinates(0.0, 1.0, 0.1)) == 11
+    assert cl.grid_coordinates(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.3]
+    assert len(cl.grid_coordinates(-2.0, 2.0, 0.25)) == 17
     with pytest.raises(InputError):
         cl.grid_coordinates(1.0, -1.0, 0.5)
     with pytest.raises(ResourceError):

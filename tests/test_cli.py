@@ -558,6 +558,10 @@ def test_matrix_of_another_dimension_than_the_algebra_exit_2(capsys, tmp_path,
     ("nan:1:0.5", "grid bounds must be finite"),
     ("0:1e9:1", "line too long; at most 48 points"),
     ("-1e308:1e308:1", "line too long; at most 48 points"),
+    ("2:-2:0.25", "need lo < hi and a positive step"),
+    ("-2:2:0", "need lo < hi and a positive step"),
+    ("-2:2:-1", "need lo < hi and a positive step"),
+    ("-2:2:nan", "need lo < hi and a positive step"),
 ])
 def test_step_line_bounds_exit_2_at_once(capsys, grid, error):
     start = time.perf_counter()

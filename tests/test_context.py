@@ -904,6 +904,21 @@ def six_levels(rng, dim):
         [np.arange(6), rng.integers(0, 6, dim - 6)])).astype(float)
 
 
+def dimension_16_cases():
+    """Eight random six-level contexts and four diagonal ones in dim 16,
+    each diagram with an operator."""
+    rng = np.random.default_rng(16)
+    unitaries = [np.linalg.qr(rng.normal(size=(16, 16))
+                              + 1j * rng.normal(size=(16, 16)))[0]
+                 for _ in range(8)]
+    yield (cx.diagram({f"C{k}": [(u * six_levels(rng, 16)) @ u.conj().T]
+                       for k, u in enumerate(unitaries)}, dim=16),
+           vn.random_hermitian(random.Random(16), 16))
+    yield (cx.diagram({f"D{k}": [np.diag(six_levels(rng, 16)).astype(complex)]
+                       for k in range(4)}, dim=16),
+           np.diag(np.arange(1.0, 17.0)))
+
+
 def test_operator_sections_glue_quickly_at_dimension_16():
     """Eight random contexts (pool 497), whose increasing scan took about
     18 s, and four diagonal ones, each a six-block partition of the 16
@@ -912,19 +927,8 @@ def test_operator_sections_glue_quickly_at_dimension_16():
     operator's breakpoints come from ``eigh``, so it gives the section back
     within ``tol.cluster``.  A non-extendable section on a small diagram
     still gets the complete scan's witnesses."""
-    rng = np.random.default_rng(16)
-    unitaries = [np.linalg.qr(rng.normal(size=(16, 16))
-                              + 1j * rng.normal(size=(16, 16)))[0]
-                 for _ in range(8)]
-    cases = [({f"C{k}": [(u * six_levels(rng, 16)) @ u.conj().T]
-               for k, u in enumerate(unitaries)},
-              vn.random_hermitian(random.Random(16), 16)),
-             ({f"D{k}": [np.diag(six_levels(rng, 16)).astype(complex)]
-               for k in range(4)},
-              np.diag(np.arange(1.0, 17.0)))]
     pools = []
-    for gens, a in cases:
-        dia = cx.diagram(gens, dim=16)
+    for dia, a in dimension_16_cases():
         pools.append(len(dia.pool))
         section = cx.section_from_operator(dia, a)
         t0 = time.perf_counter()
@@ -1038,6 +1042,32 @@ def test_section_matches_the_loop_on_four_dimensional_planes(seed):
     for a in [np.diag([0.0, 1.0, 2.0, 3.0]), np.diag([0.0, 0.0, 1.0, 1.0])] + \
             sample_operators(dia, rng):
         assert_section_matches_the_loop(dia, a)
+
+
+def test_section_matches_the_loop_at_dimension_16():
+    """Both dim-16 diagrams, each with its operator, one with six repeated
+    eigenvalues in a random basis, and the sampled operators."""
+    rng = random.Random(16)
+    for dia, a in dimension_16_cases():
+        u = np.linalg.eigh(vn.random_hermitian(rng, 16))[1]
+        levels = six_levels(np.random.default_rng(rng.randrange(100)), 16)
+        for b in [a, (u * levels) @ u.conj().T] + sample_operators(dia, rng):
+            assert_section_matches_the_loop(dia, b)
+
+
+@pytest.mark.parametrize("angle, lower", [(0.5, True), (2.0, False)])
+def test_section_range_test_sits_at_the_sub_tolerance(angle, lower):
+    """An eigenbasis turned by t against the diagonal context moves its lines
+    by sin t out of the eigenspaces: within ``tol.sub`` the line takes the
+    eigenvalue, past it the next breakpoint up."""
+    dia = cx.diagram({"D": [np.diag([0.0, 1.0]).astype(complex)]}, dim=2)
+    t = angle * dia.tol.sub
+    u = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    a = (u * [0.0, 1.0]) @ u.T
+    section = cx.section_from_operator(dia, a)
+    assert section["D"][dia.context_named("D").element_of(
+        np.diag([1.0, 0.0]))] == (0.0 if lower else 1.0)
+    assert_section_matches_the_loop(dia, a)
 
 
 def test_contexts_sharing_a_pool_projection_give_it_one_value():

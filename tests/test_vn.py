@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obslat import jsonio, vn
 from obslat.errors import InputError, PreconditionError, ResourceError
@@ -98,6 +99,149 @@ def test_merged_breakpoints_cluster_jitter():
     f2 = vn.family_from_steps([0.0, 1.0], [np.diag([0.0, 1.0]), eye])
     merged = vn.merged_breakpoints([f1, f2])
     assert merged == [0.0, 1.0]
+
+
+# -- the eigenbasis steps against the loops they replaced -----------------------
+
+def ref_spectral_family_of(a, tol=vn.TOL):
+    """The clustering loop and the rank-1 accumulation of eigenprojections,
+    one column at a time."""
+    vals, vecs = vn.eigen_hermitian(a, tol)
+    groups = [[0]]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[groups[-1][-1]] <= tol.cluster:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    breakpoints = tuple(float(np.mean([vals[i] for i in g])) for g in groups)
+    n = vecs.shape[0]
+    projections = []
+    cum = np.zeros((n, n), dtype=complex)
+    for g in groups:
+        for i in g:
+            col = vecs[:, i:i + 1]
+            cum = cum + col @ col.conj().T
+        projections.append(cum.copy())
+    projections[-1] = np.eye(n, dtype=complex)
+    return vn.OperatorSpectralFamily(breakpoints, tuple(projections), n)
+
+
+def ref_minimal_projections(m, tol=vn.TOL):
+    """Differences of the cumulative steps of the generic element, with the
+    same checks."""
+    if not m.is_abelian(tol):
+        raise PreconditionError("minimal projections need an abelian algebra")
+    generic = np.zeros((m.dim, m.dim), dtype=complex)
+    for k, h in enumerate(m.hermitian_basis()):
+        generic = generic + math.sqrt(k + 2.0) * h
+    prev = np.zeros((m.dim, m.dim), dtype=complex)
+    out = []
+    for e in ref_spectral_family_of(generic, tol).projections:
+        out.append(e - prev)
+        prev = e
+    if len(out) != m.linear_dim:
+        raise ResourceError(
+            "generic element failed to separate the minimal projections",
+            witness={"found": len(out), "algebra_dim": m.linear_dim})
+    for p in out:
+        if not m.contains(p, tol):
+            raise ResourceError(
+                "spectral projection of the generic element left the algebra")
+    return out
+
+
+def ref_merged_breakpoints(fams, tol=vn.TOL):
+    lams = sorted(set(b for f in fams for b in f.breakpoints))
+    out = []
+    for lam in lams:
+        if out and lam - out[-1] <= tol.cluster:
+            out[-1] = lam
+        else:
+            out.append(lam)
+    return out
+
+
+def assert_family_matches_the_loop(a):
+    got, want = vn.spectral_family_of(a), ref_spectral_family_of(a)
+    assert got.breakpoints == want.breakpoints
+    assert [vn.rank_of_projection(p) for p in got.projections] == \
+        [vn.rank_of_projection(p) for p in want.projections]
+    for p, q in zip(got.projections, want.projections):
+        assert np.linalg.norm(p - q) < 1e-12
+    assert np.array_equal(got.projections[-1], np.eye(got.dim, dtype=complex))
+    return got
+
+
+def minimal_outcome(fn, alg):
+    try:
+        return fn(alg)
+    except (PreconditionError, ResourceError) as e:
+        return type(e), str(e), e.witness
+
+
+def assert_minimal_projections_match_the_loop(alg):
+    got = minimal_outcome(vn.minimal_projections, alg)
+    want = minimal_outcome(ref_minimal_projections, alg)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert np.linalg.norm(p - q) < 1e-12
+
+
+def test_eigenbasis_steps_match_the_loops_on_the_corpus(rng):
+    sets = [gens for gens in corpus_generator_sets()]
+    sets += [gens for _, gens in random_generator_sets(rng) if gens]
+    fams = []
+    for gens in sets:
+        for g in gens:
+            fams.append(assert_family_matches_the_loop(vn.check_hermitian(g)))
+        assert_minimal_projections_match_the_loop(
+            vn.subalgebra(gens, dim=gens[0].shape[0]))
+    for f, g in zip(fams, fams[1:]):
+        assert vn.merged_breakpoints([f, g]) == ref_merged_breakpoints([f, g])
+
+
+def clustered_values():
+    """Ascending reals built by float addition from gaps of zero (repeats),
+    exactly ``tol.cluster``, just above or below it, and of order one."""
+    c = vn.TOL.cluster
+    gap = st.sampled_from([0.0, c, c, np.nextafter(c, 0), np.nextafter(c, 1),
+                           2 * c, 0.5, 1.0])
+    return st.tuples(st.sampled_from([0.0, -1.0, 0.25]),
+                     st.lists(gap, min_size=1, max_size=5)).map(
+        lambda t: np.cumsum([t[0], *t[1]]).tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(vals=clustered_values(), seed=st.integers(0, 10 ** 6),
+       turned=st.booleans())
+def test_eigenbasis_steps_match_the_loops_on_clusters(vals, seed, turned):
+    """Diagonal operators keep the gaps exact; turned ones in a random basis
+    move them by rounding.  The minimal projections are those of the
+    algebra generated by the same operator with its clusters merged into
+    repeated eigenvalues (gaps of 1e-8 are beyond ``subalgebra``'s
+    conditioning)."""
+    dim = len(vals)
+    u = np.eye(dim, dtype=complex)
+    if turned:
+        r = random.Random(seed)
+        u, _ = np.linalg.qr(vn.random_hermitian(r, dim) + 1j * np.eye(dim))
+    fam = assert_family_matches_the_loop(vn.check_hermitian(
+        (u * vals) @ u.conj().T))
+    assert_minimal_projections_match_the_loop(vn.subalgebra(
+        [vn.check_hermitian((u * np.round(vals, 3)) @ u.conj().T)], dim=dim))
+    assert vn.merged_breakpoints([fam]) == ref_merged_breakpoints([fam])
+
+
+@settings(max_examples=80, deadline=None)
+@given(lams=st.lists(clustered_values(), min_size=1, max_size=3))
+def test_merged_breakpoints_match_the_loop(lams):
+    eye = np.eye(1, dtype=complex)
+    fams = [vn.OperatorSpectralFamily(tuple(v), (eye,) * len(v), 1)
+            for v in lams]
+    assert vn.merged_breakpoints(fams) == ref_merged_breakpoints(fams)
 
 
 def test_spectral_order_on_diagonals():
