@@ -209,8 +209,7 @@ def cmd_obs_reconstruct(args) -> Report:
 
 def cmd_vn_spectral_family(args) -> Report:
     tol = _parse_tol(args.tol)
-    a = vn.check_hermitian(jsonio.load_matrix(args.matrix), tol)
-    fam = vn.spectral_family_of(a, tol)
+    fam = vn.spectral_family_of(jsonio.load_matrix(args.matrix), tol)
     rows = [{"breakpoint": mu, "rank": vn.rank_of_projection(p)}
             for mu, p in zip(fam.breakpoints, fam.projections)]
     lines = [f"{_fmt_val(r['breakpoint'])}: rank {r['rank']}" for r in rows]
@@ -219,8 +218,8 @@ def cmd_vn_spectral_family(args) -> Report:
 
 def cmd_vn_order(args) -> Report:
     tol = _parse_tol(args.tol)
-    a = vn.check_hermitian(jsonio.load_matrix(args.a), tol)
-    b = vn.check_hermitian(jsonio.load_matrix(args.b), tol)
+    a = vn.spectral_family_of(jsonio.load_matrix(args.a), tol)
+    b = vn.spectral_family_of(jsonio.load_matrix(args.b), tol)
     ab = vn.spectral_leq(a, b, tol)
     ba = vn.spectral_leq(b, a, tol)
     return 0, {"a_leq_b": ab, "b_leq_a": ba}, [f"A <= B: {_b(ab)}",
@@ -243,9 +242,8 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
 def cmd_vn_restrict(args) -> Report:
     tol = _parse_tol(args.tol)
     alg = _load_algebra(args.algebra, tol)
-    a = vn.check_hermitian(jsonio.load_matrix(args.op), tol)
     fn = vn.rho_restrict if args.map == "rho" else vn.sigma_restrict
-    out = fn(alg, a, tol)
+    out = fn(alg, jsonio.load_matrix(args.op), tol)
     data = jsonio.matrix_to_json(out)
     lines = _matrix_lines(out)
     _write_out(args, data, lines)
@@ -255,7 +253,7 @@ def cmd_vn_restrict(args) -> Report:
 def cmd_vn_core(args) -> Report:
     tol = _parse_tol(args.tol)
     alg = _load_algebra(args.algebra, tol)
-    q = vn.check_projection(jsonio.load_matrix(args.proj), tol)
+    q = jsonio.load_matrix(args.proj)
     core = vn.core_projection(alg, q, tol)
     support = vn.support_projection(alg, q, tol)
     lines = ([f"core rank {vn.rank_of_projection(core)}"]

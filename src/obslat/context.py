@@ -28,10 +28,10 @@ from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, _cliques, _row_masks, bits, mask_from
 from .observables import check_completely_increasing, observable
-from .vn import (TOL, Tolerances, VNSubalgebra, _range_values,
-                 algebra_intersection, as_matrix, check_hermitian,
-                 family_from_steps, minimal_projections, projection_join,
-                 projection_joins, subalgebra, trivial_algebra)
+from .vn import (TOL, Tolerances, VNSubalgebra, _commuting, _range_values,
+                 algebra_intersection, as_matrix, family_from_steps,
+                 minimal_projections, projection_join, projection_joins,
+                 projection_leq, subalgebra, trivial_algebra)
 
 MAX_MINIMAL = 6
 MAX_CONTEXTS = 24
@@ -128,8 +128,7 @@ class ContextDiagram:
         inc = np.zeros((len(self.contexts), len(self.pool)), dtype=np.float32)
         for (name, _), i in self.element_pool.items():
             inc[ctx[name], i] = 1.0
-        comm = [np.linalg.norm(self.pool @ p - p @ self.pool, axis=(1, 2))
-                <= self.tol.sub for p in self.pool]
+        comm = [_commuting(self.pool, p, self.tol)[0] for p in self.pool]
         return inc.T @ inc == 0, np.array(comm)
 
 
@@ -241,10 +240,6 @@ def section_from_operator(dia: ContextDiagram, a) -> dict[str, dict[int, float]]
     the operator's eigenbasis (``vn._range_values``), and each value is
     copied to every (context, element) over it in ``dia.element_pool``
     order."""
-    a = check_hermitian(a, dia.tol)
-    if a.shape[0] != dia.dim:
-        raise InputError("operator dimension mismatch",
-                         witness=[int(a.shape[0]), dia.dim])
     vals = _range_values(a, dia.pool, dia.tol).tolist()
     out: dict[str, dict[int, float]] = {c.name: {} for c in dia.contexts}
     for (name, e), i in dia.element_pool.items():
@@ -416,8 +411,7 @@ def _extendability(dia: ContextDiagram, values: list[float]
     for lam in levels[:-1]:
         below = np.flatnonzero(vals <= lam).tolist()
         m = projection_join(dia.pool[below], tol)
-        under = (vals > lam) & (np.linalg.norm(m @ dia.pool - dia.pool,
-                                               axis=(1, 2)) <= tol.sub)
+        under = (vals > lam) & projection_leq(dia.pool, m, tol)
         if under.any():
             i = int(under.argmax())
             return "no", {"reason": "projection-under-level-join",

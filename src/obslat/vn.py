@@ -44,6 +44,8 @@ def as_matrix(entries) -> np.ndarray:
         raise InputError("matrix must be square", witness=list(a.shape))
     if a.shape[0] > MAX_DIM:
         raise ResourceError(f"dimension {a.shape[0]} exceeds {MAX_DIM}")
+    if not a.size:
+        raise InputError("dimension must be positive", witness=0)
     if not np.isfinite(a).all():
         raise InputError("matrix entries must be finite", witness=[
             int(k) for k in np.argwhere(~np.isfinite(a))[0]])
@@ -77,7 +79,8 @@ def rank_of_projection(p) -> int:
 # -- eigensolver -------------------------------------------------------------
 
 def eigen_hermitian(a, tol: Tolerances = TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns: the
+    module's only eigensolve, and the only Hermitian check of an operator."""
     return np.linalg.eigh(check_hermitian(a, tol))
 
 
@@ -115,12 +118,22 @@ def projection_onto(columns: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     return b @ b.conj().T
 
 
-def projection_leq(p, q, tol: Tolerances = TOL) -> bool:
-    """Range containment ran p <= ran q: q acts as the identity on ran p
-    within the sub tolerance."""
-    p = np.asarray(p)
-    q = np.asarray(q)
-    return float(np.linalg.norm(q @ p - p)) <= tol.sub
+def _one_dim(dims) -> int:
+    """The dimension all the given ones share (0 for none)."""
+    dims = sorted(set(dims))
+    if len(dims) > 1:
+        raise InputError("dimension mismatch", witness=dims)
+    return dims[0] if dims else 0
+
+
+def projection_leq(p, q, tol: Tolerances = TOL):
+    """Range containment ran p <= ran q, the module's one test of it: q acts
+    as the identity on ran p within the sub tolerance.  Leading axes
+    broadcast, one verdict per pair (a bool for two matrices)."""
+    p, q = np.asarray(p), np.asarray(q)
+    _one_dim([p.shape[-2], q.shape[-1]])
+    out = np.linalg.norm(q @ p - p, axis=(-2, -1)) <= tol.sub
+    return bool(out) if out.ndim == 0 else out
 
 
 def projection_join(ps, tol: Tolerances = TOL) -> np.ndarray:
@@ -128,6 +141,7 @@ def projection_join(ps, tol: Tolerances = TOL) -> np.ndarray:
     ps = [np.asarray(p, dtype=complex) for p in ps]
     if not ps:
         raise PreconditionError("join of no projections")
+    _one_dim(p.shape[0] for p in ps)
     return projection_onto(np.hstack(ps), tol)
 
 
@@ -150,7 +164,7 @@ def projection_meet(ps, tol: Tolerances = TOL) -> np.ndarray:
     ps = [np.asarray(p, dtype=complex) for p in ps]
     if not ps:
         raise PreconditionError("meet of no projections")
-    eye = np.eye(ps[0].shape[0], dtype=complex)
+    eye = np.eye(_one_dim(p.shape[0] for p in ps), dtype=complex)
     return eye - projection_join([eye - p for p in ps], tol)
 
 
@@ -209,10 +223,14 @@ def spectral_family_of(a, tol: Tolerances = TOL) -> OperatorSpectralFamily:
 
 def _range_values(a, ps: np.ndarray, tol: Tolerances) -> np.ndarray:
     """For each projection P of the stack ps, the first breakpoint of a whose
-    step E_k holds ran P within the sub tolerance.  V* P is one product for
-    the whole stack; V is unitary, so |E_k P - P| = |(I - E_k) P| is the
-    root of the squared row norms of V* P summed over rows k and on."""
+    step E_k holds ran P within the sub tolerance: ``projection_leq``'s
+    test, read in a's eigenbasis.  V* P is one product for the whole stack;
+    V is unitary, so |E_k P - P| = |(I - E_k) P| is the root of the squared
+    row norms of V* P summed over rows k and on."""
     vecs, breakpoints, ends = _clustered_eigen(a, tol)
+    if len(vecs) != ps.shape[-1]:
+        raise InputError("operator dimension mismatch",
+                         witness=[len(vecs), int(ps.shape[-1])])
     w = vecs.conj().T @ ps
     rows = (w.real ** 2 + w.imag ** 2).sum(axis=-1)
     tails = np.zeros((len(ps), len(vecs) + 1))
@@ -227,10 +245,7 @@ def family_from_steps(breakpoints, projections, tol: Tolerances = TOL
     from zero to the identity, projections equal within the sub tolerance;
     witnesses name projections by rank."""
     ps = [check_projection(p, tol) for p in projections]
-    dims = sorted({p.shape[0] for p in ps})
-    if len(dims) > 1:
-        raise InputError("dimension mismatch", witness=dims)
-    dim = dims[0] if dims else 0
+    dim = _one_dim(p.shape[0] for p in ps)
     steps = _canonical_steps(
         zip(breakpoints, ps), lambda p, q: projection_leq(p, q, tol),
         lambda p, q: float(np.linalg.norm(p - q)) <= tol.sub,
@@ -262,13 +277,10 @@ def spectral_leq(a, b, tol: Tolerances = TOL) -> bool:
 
 
 def _pointwise(ops, combine, tol: Tolerances) -> np.ndarray:
-    fams = [spectral_family_of(x if isinstance(x, OperatorSpectralFamily)
-                               else check_hermitian(x, tol), tol) for x in ops]
+    fams = [spectral_family_of(x, tol) for x in ops]
     if not fams:
         raise PreconditionError("need a nonempty operator list")
-    dims = {f.dim for f in fams}
-    if len(dims) != 1:
-        raise InputError("dimension mismatch", witness=sorted(dims))
+    _one_dim(f.dim for f in fams)
     lams = merged_breakpoints(fams, tol)
     steps = [combine([f.value_at(lam) for f in fams], tol) for lam in lams]
     return family_from_steps(lams, steps, tol).synthesize()
@@ -291,6 +303,14 @@ def spectral_join(ops, tol: Tolerances = TOL) -> np.ndarray:
 
 def _vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1)
+
+
+def _commuting(xs: np.ndarray, y: np.ndarray, tol: Tolerances
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each X of the stack xs commutes with y within the sub
+    tolerance, with its defect |X y - y X|_F: the one commutation test."""
+    defects = np.linalg.norm(xs @ y - y @ xs, axis=(-2, -1))
+    return defects <= tol.sub, defects
 
 
 def _sylvester_stack(mats, dim: int) -> np.ndarray:
@@ -348,8 +368,8 @@ class VNSubalgebra:
             1.0, float(np.linalg.norm(v)))
 
     def is_abelian(self, tol: Tolerances = TOL) -> bool:
-        return all(float(np.linalg.norm(x @ y - y @ x)) <= tol.sub
-                   for x in self.basis for y in self.basis)
+        xs = np.array(self.basis)
+        return all(_commuting(xs, y, tol)[0].all() for y in xs)
 
     def hermitian_basis(self) -> list[np.ndarray]:
         """A spanning set of the selfadjoint part."""
@@ -464,8 +484,8 @@ def _cores(m: VNSubalgebra, vecs: np.ndarray, ks, tol: Tolerances) -> list:
     V_k x lies in the core iff h[:, k:, :k] x = 0: (I - P_k) G V_k is
     V_{>k} (V* G V)[k:, :k] and V_{>k} is an isometry, so these K (d - k)
     rows have the singular values of the (K d, k) system.  One k at a time
-    keeps memory at one system.  One batched norm per core checks that it
-    commutes with every element (hence lies in the algebra); a breach is an
+    keeps memory at one system.  One ``_commuting`` call per core checks that
+    it commutes with every element (hence lies in the algebra); a breach is an
     internal numeric failure, witnessed by the first element's defect."""
     comm = m.commutant
     h = vecs.conj().T @ comm @ vecs
@@ -475,11 +495,10 @@ def _cores(m: VNSubalgebra, vecs: np.ndarray, ks, tol: Tolerances) -> list:
         if k:
             basis = basis @ null_space(h[:, k:, :k].reshape(-1, k), tol)
         core = basis @ basis.conj().T
-        defects = np.linalg.norm(comm @ core - core @ comm, axis=(1, 2))
-        breach = np.flatnonzero(defects > tol.sub)
-        if len(breach):
+        ok, defects = _commuting(comm, core, tol)
+        if not ok.all():
             raise ResourceError("core failed to commute with the commutant",
-                                witness={"defect": float(defects[breach[0]])})
+                                witness={"defect": float(defects[ok.argmin()])})
         cores.append(core)
     return cores
 
@@ -509,8 +528,8 @@ def rho_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     synthesized from the cores of a's spectral projections.  The projection
     at a breakpoint spans the eigenvectors up to the end of its cluster, so
     the eigenbasis serves every core (``_cores``)."""
-    vecs, breakpoints, ends = _clustered_eigen(
-        _in_algebra_dim(m, check_hermitian(a, tol)), tol)
+    vecs, breakpoints, ends = _clustered_eigen(a, tol)
+    _in_algebra_dim(m, vecs)
     return family_from_steps(breakpoints, _cores(m, vecs, ends, tol),
                              tol).synthesize()
 
@@ -521,8 +540,8 @@ def sigma_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     arguments is exact on step families, so each merged breakpoint takes the
     support of the value right there: the complement of the core of the
     eigenvectors past its cluster, which lead the reversed eigenbasis."""
-    vecs, breakpoints, ends = _clustered_eigen(
-        _in_algebra_dim(m, check_hermitian(a, tol)), tol)
+    vecs, breakpoints, ends = _clustered_eigen(a, tol)
+    _in_algebra_dim(m, vecs)
     eye = np.eye(m.dim, dtype=complex)
     cores = _cores(m, vecs[:, ::-1], [m.dim - k for k in ends], tol)
     return family_from_steps(breakpoints, [eye - c for c in cores],
@@ -544,10 +563,8 @@ def atomic_value(a, x, tol: Tolerances = TOL) -> float:
     if x.shape[0] != fam.dim:
         raise InputError("vector dimension differs from the operator's",
                          witness=[int(x.shape[0]), fam.dim])
-    for mu, e in zip(fam.breakpoints, fam.projections):
-        if float(np.linalg.norm(e @ x - x)) <= tol.sub:
-            return mu
-    return float(fam.breakpoints[-1])
+    holds = projection_leq(x[:, None], np.array(fam.projections), tol)
+    return float(fam.breakpoints[holds.argmax() if holds.any() else -1])
 
 
 # -- samplers -----------------------------------------------------------------

@@ -302,8 +302,37 @@ def test_extendability_verdicts_carry_their_proofs(dim, seed, from_operator):
 
 def test_operator_dimension_mismatch():
     dia = fixture_diagram()
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         cx.section_from_operator(dia, np.diag([0.0, 1.0, 2.0]))
+    assert str(err.value) == "operator dimension mismatch"
+    assert err.value.witness == [3, 2]
+    # the Hermitian check comes first
+    with pytest.raises(InputError) as err:
+        cx.section_from_operator(dia, np.triu(np.ones((3, 3))))
+    assert str(err.value).startswith("matrix is not Hermitian")
+
+
+def test_section_checks_the_operator_once(monkeypatch):
+    seen = []
+    check = vn.check_hermitian
+
+    def counted(a, tol=vn.TOL):
+        seen.append(np.asarray(a, dtype=complex))
+        return check(a, tol)
+
+    monkeypatch.setattr(vn, "check_hermitian", counted)
+    # context may hold its own reference to the check
+    monkeypatch.setattr(cx, "check_hermitian", counted, raising=False)
+    a = np.diag([0.5, 2.0]).astype(complex)
+    cx.section_from_operator(fixture_diagram(), a)
+    assert sum(np.array_equal(x, a) for x in seen) == 1
+
+
+def test_empty_generators_are_refused():
+    with pytest.raises(InputError) as err:
+        cx.diagram({"E": [np.zeros((0, 0))]})
+    assert str(err.value) == "dimension must be positive"
+    assert err.value.witness == 0
 
 
 def test_scalars_come_from_a_one_dimensional_context(monkeypatch):

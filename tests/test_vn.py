@@ -835,3 +835,206 @@ def test_matrix_must_have_the_algebras_dimension(fn):
     with pytest.raises(InputError) as err:
         fn(alg, np.diag([1.0, 0.0]))
     assert err.value.witness == [2, 3]
+
+
+# -- one site per decision: commutation, containment, the Hermitian check ------
+
+def ref_is_abelian(m, tol=vn.TOL):
+    """``is_abelian`` as the pair loop it replaced."""
+    return all(float(np.linalg.norm(x @ y - y @ x)) <= tol.sub
+               for x in m.basis for y in m.basis)
+
+
+def abelian_oracle_algebras(rng):
+    """The corpus algebras; at d = 1..8 the trivial algebra, a maximal
+    abelian one, one with a repeated eigenvalue, a non-abelian block algebra
+    and a generic pair's; the trivial and a maximal abelian one at d = 16;
+    C + M_2 spanned with its central elements first."""
+    for gens in corpus_generator_sets():
+        yield vn.subalgebra(gens)
+    flip = np.zeros((3, 3), dtype=complex)
+    flip[1, 2] = flip[2, 1] = 1.0
+    yield vn.VNSubalgebra(3, (), (np.eye(3, dtype=complex),
+                                  np.diag([1.0, 0.0, 0.0]).astype(complex),
+                                  np.diag([0.0, 1.0, -1.0]).astype(complex),
+                                  flip))
+    for dim in range(1, 9):
+        u, _ = np.linalg.qr(vn.random_hermitian(rng, dim) + 1j * np.eye(dim))
+        k = min(2, dim)
+        blocks = []
+        for _ in range(2):
+            g = np.zeros((dim, dim), dtype=complex)
+            g[:k, :k] = vn.random_hermitian(rng, k)
+            blocks.append(u @ g @ u.conj().T)
+        repeated = u @ np.diag([0.0] * k + [1.0] * (dim - k)) @ u.conj().T
+        for gens in ([], [vn.random_hermitian(rng, dim)], [repeated], blocks,
+                     [vn.random_hermitian(rng, dim),
+                      vn.random_hermitian(rng, dim)]):
+            yield vn.subalgebra(gens, dim=dim)
+    yield vn.trivial_algebra(16)
+    yield vn.subalgebra([vn.random_hermitian(rng, 16)])
+
+
+def test_abelian_check_matches_the_pair_loop(rng):
+    verdicts = [(alg.is_abelian(), ref_is_abelian(alg))
+                for alg in abelian_oracle_algebras(rng)]
+    assert all(got == want for got, want in verdicts)
+    assert {got for got, _ in verdicts} == {True, False}
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_abelian_check_sits_at_the_sub_tolerance(factor):
+    """A diagonal algebra with one element turned by t out of the diagonal:
+    diag(1, 0) and diag(0, 1) + t (E12 + E21) have commutator norm t sqrt 2."""
+    t = factor * vn.TOL.sub / math.sqrt(2.0)
+    turned = np.array([[0.0, t], [t, 1.0]], dtype=complex)
+    m = vn.VNSubalgebra(2, (), (np.eye(2, dtype=complex),
+                                np.diag([1.0, 0.0]).astype(complex), turned))
+    assert m.is_abelian() == ref_is_abelian(m) == (factor < 1)
+
+
+def test_containment_takes_stacks(rng):
+    """Leading axes broadcast, one verdict per pair, each the two-matrix
+    verdict; a column stack is tested by its range."""
+    ps = np.array([vn.random_projection(rng, 3) for _ in range(4)])
+    qs = np.array([vn.random_projection(rng, 3) for _ in range(3)]
+                  + [np.eye(3, dtype=complex), ps[0]])
+    got = vn.projection_leq(ps[:, None], qs[None])
+    assert got.shape == (4, 5)
+    assert got.tolist() == [[vn.projection_leq(p, q) for q in qs] for p in ps]
+    assert got[:, 3].all() and got[0, 4]
+    assert isinstance(vn.projection_leq(ps[0], qs[0]), bool)
+    x = np.array([[1.0], [0.0], [0.0]])
+    assert vn.projection_leq(x, np.diag([1.0, 0.0, 0.0]))
+    assert not vn.projection_leq(x, np.diag([0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda p, q: vn.projection_leq(p, q),
+    lambda p, q: vn.projection_join([p, q]),
+    lambda p, q: vn.projection_meet([p, q])],
+    ids=["projection_leq", "projection_join", "projection_meet"])
+def test_projection_dimension_mismatch_is_typed(fn):
+    with pytest.raises(InputError) as err:
+        fn(np.eye(2), np.eye(3))
+    assert str(err.value) == "dimension mismatch"
+    assert err.value.witness == [2, 3]
+
+
+@pytest.mark.parametrize("fn", [
+    vn.as_matrix, vn.check_hermitian, vn.eigen_hermitian, vn.check_projection,
+    vn.spectral_family_of, lambda a: vn.subalgebra([a])],
+    ids=["as_matrix", "check_hermitian", "eigen_hermitian",
+         "check_projection", "spectral_family_of", "subalgebra"])
+def test_empty_matrices_are_refused(fn):
+    with pytest.raises(InputError) as err:
+        fn(np.zeros((0, 0)))
+    assert str(err.value) == "dimension must be positive"
+    assert err.value.witness == 0
+
+
+def ref_atomic_value(a, x, tol=vn.TOL):
+    """``atomic_value`` as the step loop it replaced."""
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    x = x / float(np.linalg.norm(x))
+    fam = vn.spectral_family_of(a, tol)
+    for mu, e in zip(fam.breakpoints, fam.projections):
+        if float(np.linalg.norm(e @ x - x)) <= tol.sub:
+            return mu
+    return float(fam.breakpoints[-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 5), seed=st.integers(0, 10 ** 6),
+       entries=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10),
+       eigen=st.none() | st.integers(0, 4))
+def test_atomic_value_matches_the_step_loop(dim, seed, entries, eigen):
+    """Operators with repeated eigenvalues in a random basis; vectors drawn
+    by hypothesis, or one of the operator's eigenvectors."""
+    a = clustered_hermitian(random.Random(seed), dim)
+    if eigen is None:
+        x = np.array(entries[:dim]) + 1j * np.array(entries[5:5 + dim])
+        if np.linalg.norm(x) <= vn.TOL.pivot:
+            x = np.ones(dim)
+    else:
+        x = np.linalg.eigh(a)[1][:, eigen % dim]
+    assert vn.atomic_value(a, x) == ref_atomic_value(a, x)
+
+
+def counted_checks(monkeypatch):
+    """Arguments of every ``check_hermitian`` call from here on."""
+    seen = []
+    check = vn.check_hermitian
+
+    def counted(a, tol=vn.TOL):
+        seen.append(np.asarray(a, dtype=complex))
+        return check(a, tol)
+
+    monkeypatch.setattr(vn, "check_hermitian", counted)
+    return seen
+
+
+def checks_of(seen, m):
+    """How many checks saw m, by value: a check hands on a symmetrized copy,
+    which equals a Hermitian m exactly."""
+    return sum(np.array_equal(x, m) for x in seen)
+
+
+@pytest.mark.parametrize("call, uses_b", [
+    (lambda a, b, alg: vn.spectral_family_of(a), 0),
+    (lambda a, b, alg: vn.rho_restrict(alg, a), 0),
+    (lambda a, b, alg: vn.sigma_restrict(alg, a), 0),
+    (lambda a, b, alg: vn.spectral_meet([a, b]), 1),
+    (lambda a, b, alg: vn.spectral_join([a, b]), 1),
+    (lambda a, b, alg: vn.spectral_leq(a, b), 1),
+    (lambda a, b, alg: vn.atomic_value(a, np.ones(3)), 0)],
+    ids=["spectral_family_of", "rho_restrict", "sigma_restrict",
+         "spectral_meet", "spectral_join", "spectral_leq", "atomic_value"])
+def test_each_operator_is_checked_once(call, uses_b, monkeypatch):
+    """Steps that a call builds are checked as projections too; each operator
+    handed in is checked once.  Both are exactly Hermitian."""
+    rng = random.Random(3)
+    a, b = clustered_hermitian(rng, 3), vn.random_hermitian(rng, 3)
+    alg = vn.subalgebra([np.diag([0.0, 1.0, 1.0])])
+    seen = counted_checks(monkeypatch)
+    call(a, b, alg)
+    assert [checks_of(seen, op) for op in (a, b)] == [1, uses_b]
+
+
+@pytest.mark.parametrize("argv, files, checks", [
+    (["spectral-family", "matrix_a.json"], ["matrix_a.json"], [1]),
+    (["order", "matrix_low.json", "matrix_high.json"],
+     ["matrix_low.json", "matrix_high.json"], [1, 1]),
+    (["restrict", "--algebra", "gens_diag.json", "--op", "matrix_a.json",
+      "--map", "rho"], ["matrix_a.json"], [1]),
+    (["restrict", "--algebra", "gens_diag.json", "--op", "matrix_a.json",
+      "--map", "sigma"], ["matrix_a.json"], [1]),
+    # one check in each of the two library calls, core and support
+    (["core", "--algebra", "gens_diag.json", "--proj", "proj_q.json"],
+     ["proj_q.json"], [2])],
+    ids=["spectral-family", "order", "rho", "sigma", "core"])
+def test_vn_commands_check_each_matrix_in_the_library(argv, files, checks,
+                                                      monkeypatch, capsys):
+    from obslat.cli import main
+    seen = counted_checks(monkeypatch)
+    args = [str(CORPUS / x) if x.endswith(".json") else x for x in argv]
+    assert main(["vn", *args]) == 0
+    capsys.readouterr()
+    loaded = [jsonio.load_matrix(str(CORPUS / f)) for f in files]
+    assert [checks_of(seen, m) for m in loaded] == checks
+
+
+def test_vn_order_solves_each_operator_once(monkeypatch, capsys):
+    from obslat.cli import main
+    calls = []
+    solve = vn.eigen_hermitian
+
+    def counted(a, tol=vn.TOL):
+        calls.append(a)
+        return solve(a, tol)
+
+    monkeypatch.setattr(vn, "eigen_hermitian", counted)
+    assert main(["vn", "order", str(CORPUS / "matrix_low.json"),
+                 str(CORPUS / "matrix_high.json")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
