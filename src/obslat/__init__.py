@@ -23,8 +23,7 @@ from .observables import (ObservableFunction, observable, observable_table,
 from .vn import (Tolerances, TOL, OperatorSpectralFamily, VNSubalgebra,
                  eigen_hermitian, spectral_family_of, family_from_steps,
                  spectral_leq, spectral_meet, spectral_join, subalgebra,
-                 trivial_algebra, algebra_intersection, minimal_projections,
-                 core_projection, support_projection, rho_restrict,
+                 trivial_algebra, joint_eigenblocks, core_projection, support_projection, rho_restrict,
                  sigma_restrict, atomic_value)
 from .classical import (FiniteTopSpace, TopSpectralFamily, discrete_space,
                         sierpinski3, digital_line, top_spectral_family,

@@ -387,19 +387,15 @@ def fixture_diagram():
 
 
 def fixture_section(dia) -> dict:
-    """Value 1 on one diagonal line, 1.5 on one symmetric line, 2 elsewhere;
+    """Value 1 on the line of e0, 1.5 on the line of e0 + e1, 2 elsewhere;
     consistent in every context but joint over none."""
+    lows = {"Az": (np.diag([1.0, 0.0]), 1.0), "Ax": (np.full((2, 2), 0.5), 1.5)}
     section: dict[str, dict[int, float]] = {}
     for c in dia.contexts:
-        vals: dict[int, float] = {}
-        low = {"Az": 1.0, "Ax": 1.5}.get(c.name)
-        ats = [e for e in c.nonzero_elements()
-               if e in c.lattice.atoms()]
-        for e in c.nonzero_elements():
-            vals[e] = 2.0
-        if low is not None and ats:
-            vals[ats[0]] = low
-        section[c.name] = vals
+        section[c.name] = dict.fromkeys(c.nonzero_elements(), 2.0)
+        if c.name in lows:
+            p, low = lows[c.name]
+            section[c.name][c.element_of(p)] = low
     return section
 
 

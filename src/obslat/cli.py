@@ -24,7 +24,7 @@ import numpy as np
 from . import acceptance, classical, observables, spectral, stone, vn
 from . import jsonio
 from . import presheaf as presheaf_mod
-from .context import glue_section, is_global_section, section_from_operator
+from .context import glue_section, section_from_operator
 from .errors import (CheckFailure, InputError, ObslatError, PreconditionError,
                      ResourceError)
 from .vn import TOL, Tolerances
@@ -334,10 +334,10 @@ def cmd_context_glue(args) -> Report:
     tol = _parse_tol(args.tol)
     dia = jsonio.load_diagram(args.diagram, tol=tol)
     _, section = jsonio.load_section(args.sections, tol=tol, dia=dia)
-    ok, witness = is_global_section(dia, section)
-    if not ok:
-        raise CheckFailure("not a global section", witness=witness)
-    report = glue_section(dia, section)
+    try:
+        report = glue_section(dia, section)
+    except PreconditionError as exc:
+        raise CheckFailure("not a global section", witness=exc.witness)
     payload = report.summary()
     payload["pool"] = [{"projection": lab, "value": val}
                        for lab, val in zip(report.pool_labels, report.values)]

@@ -1,20 +1,21 @@
-"""Contexts (abelian operator subalgebras with their Boolean projection
+"""Contexts (abelian matrix algebras with their Boolean projection
 lattices), diagrams of contexts closed under intersection, partial sections
 over a diagram, and the gluing report with an operator-extendability verdict.
 
-A section assigns one real value to every nonzero projection of every
-context.  Values live on lattice elements; the bridge to matrices goes
-through the minimal projections of each context, and the diagram's pool
-maps every (context, element) to its projection.  The closure under
-intersection reads the pool too: abelian contexts meet in the projections
-they share, so only a new shared set is intersected.  An operator's section,
-the cross-context check and the gluing scan work with one value per pool
-projection.  Whether one selfadjoint operator induces a global section is
-decided first, exactly and in every dimension, by the minimal candidate
-family (see ``_extendability``): the verdict is "yes" with a verified
-operator or "no" with a projection that lies under the join of the
-lower-valued ones.  An operator's section meets both join laws, so the
-join-law scans run only on "no" (or when ``2 * tol.proj > tol.sub``).
+A given context's atoms are its generators' joint eigenblocks, numbered
+lexicographically by eigenvalue (``vn.joint_eigenblocks``), so element
+names such as ``{1,2}`` depend on the generators alone.  A section assigns
+one real value to every nonzero projection of every context; the diagram's
+pool maps every (context, element) to its projection.  Abelian contexts
+meet in the projections they share, so the closure under intersection
+reads the pool and builds intersection contexts with no numerics.  An
+operator's section, the cross-context check and the gluing scan work with
+one value per pool projection.  Whether one selfadjoint operator induces a
+global section is decided first, exactly and in every dimension, by the
+minimal candidate family (see ``_extendability``): the verdict is "yes"
+with a verified operator or "no" with a projection that lies under the join
+of the lower-valued ones.  An operator's section meets both join laws, so
+the join-law scans run only on "no" (or when ``2 * tol.proj > tol.sub``).
 """
 from __future__ import annotations
 
@@ -28,10 +29,9 @@ from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, _cliques, _row_masks, bits, mask_from
 from .observables import check_completely_increasing, observable
-from .vn import (TOL, Tolerances, VNSubalgebra, _commuting, _range_values,
-                 algebra_intersection, as_matrix, family_from_steps,
-                 minimal_projections, projection_join, projection_joins,
-                 projection_leq, subalgebra, trivial_algebra)
+from .vn import (TOL, Tolerances, _commuting, _generators, _range_values,
+                 as_matrix, family_from_steps, joint_eigenblocks,
+                 projection_join, projection_joins, projection_leq)
 
 MAX_MINIMAL = 6
 MAX_CONTEXTS = 24
@@ -44,17 +44,16 @@ _CHUNK = 256
 
 @dataclass(frozen=True)
 class Context:
-    """An abelian subalgebra with its projection lattice realized as the
-    powerset of its minimal projections (bit i of an element's mask selects
-    minimal[i])."""
+    """An abelian algebra of d x d matrices, held as its minimal projections,
+    with its projection lattice realized as their powerset (bit i of an
+    element's mask selects minimal[i])."""
     name: str
-    algebra: VNSubalgebra = field(compare=False)
+    dim: int = field(compare=False)
     lattice: FiniteOrthoLattice = field(compare=False)
     minimal: tuple = field(compare=False, default=())
 
     def projection_of(self, element: int) -> np.ndarray:
-        d = self.algebra.dim
-        out = np.zeros((d, d), dtype=complex)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
         for i in bits(element):
             out = out + self.minimal[i]
         return out
@@ -63,7 +62,7 @@ class Context:
         """The element whose projection lies within ``tol.proj`` of p, by
         the diagram's pool rule."""
         ps = np.array([self.projection_of(e) for e in range(self.lattice.n)])
-        e = int(_first_match(ps, _in_dim(p, self.algebra.dim)[None], tol)[0])
+        e = int(_first_match(ps, _in_dim(p, self.dim)[None], tol)[0])
         if e < 0:
             raise PreconditionError(
                 "projection does not belong to the context",
@@ -76,21 +75,39 @@ class Context:
 
 def context_from_generators(name: str, gens, dim: int | None = None,
             tol: Tolerances = TOL) -> Context:
-    alg = subalgebra(gens, dim=dim, tol=tol)
-    return context_from_algebra(name, alg, tol)
-
-
-def context_from_algebra(name: str, alg: VNSubalgebra,
-                         tol: Tolerances = TOL) -> Context:
-    if not alg.is_abelian(tol):
+    """The context that commuting normal matrices generate.  Its atoms are
+    their joint eigenblocks (``vn.joint_eigenblocks``), numbered
+    lexicographically by the eigenvalues of the generators' Hermitian and
+    skew parts in turn."""
+    gens, dim = _generators(gens, dim)
+    both = np.array([h for g in gens for h in (g, g.conj().T)])
+    if not all(_commuting(both, y, tol)[0].all() for y in both):
         raise InputError("context algebras must be abelian",
                          witness={"context": name})
-    mins = minimal_projections(alg, tol)
+    mins = joint_eigenblocks(gens, dim, tol)
     if len(mins) > MAX_MINIMAL:
         raise ResourceError(
             "too many minimal projections for the lattice bridge",
             witness={"context": name, "count": len(mins)})
-    return Context(name, alg, boolean_algebra(len(mins)), tuple(mins))
+    return Context(name, dim, boolean_algebra(len(mins)), tuple(mins))
+
+
+def _shared_context(name: str, parent: Context, shared: frozenset,
+                    element_pool: dict) -> tuple[Context, list[int]]:
+    """The context of the pool projections ``shared`` by ``parent`` and other
+    contexts, with the pool index of each of its nonzero elements.  Abelian
+    algebras meet in the span of the projections they share, a Boolean
+    subalgebra of each.  Its atoms are the minimal shared elements, as masks
+    over the parent's atoms, numbered by their lowest atom."""
+    masks = [e for e in parent.nonzero_elements()
+             if element_pool[(parent.name, e)] in shared]
+    atoms = sorted((m for m in masks
+                    if not any(x != m and x & m == x for x in masks)),
+                   key=lambda m: m & -m)
+    c = Context(name, parent.dim, boolean_algebra(len(atoms)),
+                tuple(parent.projection_of(m) for m in atoms))
+    return c, [element_pool[(parent.name, sum(atoms[i] for i in bits(e)))]
+               for e in c.nonzero_elements()]
 
 
 @dataclass(frozen=True)
@@ -170,11 +187,12 @@ def diagram(named_generators: dict[str, list], dim: int | None = None,
     one-dimensional (every subalgebra holds the identity).  Every context,
     given or generated, takes a fresh name and counts toward MAX_CONTEXTS.
 
-    Each context is matched into the pool as it is added, and the closure
-    reads the pool indices each context holds.  An abelian algebra is the
-    span of its projections, so two contexts meet in the algebra spanned by
-    the pool projections they share: a pair whose shared set some context
-    already holds adds nothing, and each new intersection is built once."""
+    Each given context is matched into the pool as it is added, and the
+    closure reads the pool indices each context holds.  Two contexts meet in
+    the span of the pool projections they share: a pair whose shared set
+    some context already holds adds nothing, and each new intersection, like
+    the scalars (the identity alone), is read off the pool with no
+    numerics (``_shared_context``)."""
     if not named_generators:
         raise InputError("need at least one context")
     ctxs: list[Context] = []
@@ -183,31 +201,32 @@ def diagram(named_generators: dict[str, list], dim: int | None = None,
     labels: list[str] = []
     element_pool: dict[tuple[str, int], int] = {}
 
-    def add(c: Context) -> None:
+    def add(c: Context, found: list[int] | None = None) -> None:
         if any(x.name == c.name for x in ctxs):
             raise InputError("duplicate context name",
                              witness={"context": c.name})
         if len(ctxs) == MAX_CONTEXTS:
             raise ResourceError("diagram has too many contexts",
                                 witness={"cap": MAX_CONTEXTS})
-        if ctxs and c.algebra.dim != ctxs[0].algebra.dim:
+        if ctxs and c.dim != ctxs[0].dim:
             raise InputError("ambient dimension mismatch",
                              witness={"context": c.name})
-        # Elements of one context differ by a nonzero sum of minimal
-        # projections, so none lies within tol.proj of another: matching a
-        # whole context against the pool built before it finds what
-        # matching element by element would.
         elems = c.nonzero_elements()
-        ps = np.array([c.projection_of(e) for e in elems])
-        for e, p, idx in zip(elems, ps,
-                             _first_match(np.array(pool), ps, tol).tolist()):
-            if idx < 0:
-                pool.append(p)
-                labels.append(f"{c.name}:{c.lattice.names[e]}")
-                idx = len(pool) - 1
-            element_pool[(c.name, e)] = idx
+        if found is None:
+            # Elements of one context differ by a nonzero sum of minimal
+            # projections, so none lies within tol.proj of another: matching
+            # a whole context against the pool built before it finds what
+            # matching element by element would.
+            ps = np.array([c.projection_of(e) for e in elems])
+            found = _first_match(np.array(pool), ps, tol).tolist()
+            for k, (e, p) in enumerate(zip(elems, ps)):
+                if found[k] < 0:
+                    pool.append(p)
+                    labels.append(f"{c.name}:{c.lattice.names[e]}")
+                    found[k] = len(pool) - 1
+        element_pool.update(((c.name, e), i) for e, i in zip(elems, found))
         ctxs.append(c)
-        held.append(frozenset(element_pool[(c.name, e)] for e in elems))
+        held.append(frozenset(found))
 
     for name, gens in named_generators.items():
         add(context_from_generators(name, gens, dim=dim, tol=tol))
@@ -218,16 +237,18 @@ def diagram(named_generators: dict[str, list], dim: int | None = None,
             if ha & hb in held:
                 continue
             # name independent of the order the contexts were given in
-            add(context_from_algebra(
-                "&".join(sorted((a.name, b.name))),
-                algebra_intersection(a.algebra, b.algebra, tol), tol))
+            a, b = sorted((a, b), key=lambda c: c.name)
+            add(*_shared_context(f"{a.name}&{b.name}", a, ha & hb,
+                                 element_pool))
             changed = True
-    ambient = ctxs[0].algebra.dim
-    if not any(c.algebra.linear_dim == 1 for c in ctxs):
-        add(context_from_algebra("scalars", trivial_algebra(ambient, tol), tol))
+    if not any(len(c.minimal) == 1 for c in ctxs):
+        first = ctxs[0]
+        one = element_pool[(first.name, first.lattice.one)]
+        add(*_shared_context("scalars", first, frozenset({one}),
+                             element_pool))
     stack = np.array(pool)
     stack.flags.writeable = False
-    return ContextDiagram(ambient, tuple(ctxs), stack, tuple(labels),
+    return ContextDiagram(ctxs[0].dim, tuple(ctxs), stack, tuple(labels),
                           element_pool, tol)
 
 

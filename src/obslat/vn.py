@@ -1,6 +1,6 @@
 """Small Hermitian matrices: eigenstructure, operator spectral families, the
-spectral order, commutants, and the two coarse-graining maps onto a
-subalgebra.
+spectral order, the joint eigenblocks of commuting normal matrices,
+commutants, and the two coarse-graining maps onto a subalgebra.
 
 Everything is exact linear algebra on matrices of dimension <= 16.  numpy
 (LAPACK) supplies the eigensolver, the SVDs and the QR; every rank decision
@@ -11,7 +11,6 @@ All comparisons name the tolerance they use; the defaults live in
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -319,10 +318,6 @@ def _sylvester_stack(mats, dim: int) -> np.ndarray:
     eye = np.eye(dim, dtype=complex)
     stack = np.zeros((0, dim * dim), dtype=complex)
     for g in mats:
-        g = as_matrix(g)
-        if g.shape[0] != dim:
-            raise InputError("generator dimension mismatch",
-                             witness=[int(g.shape[0]), dim])
         hs = np.stack([g, g.conj().T])
         blocks = (np.einsum("hij,kl->hikjl", hs, eye)
                   - np.einsum("ij,hlk->hikjl", eye, hs))
@@ -340,6 +335,7 @@ def commutant_basis(mats, dim: int, tol: Tolerances = TOL) -> np.ndarray:
     the stack passes dim^2 rows it is replaced by its R factor, which has the
     same null space and singular values, so memory stays O(dim^4) for any
     number of generators."""
+    mats, dim = _generators(mats, dim)
     return null_space(_sylvester_stack(mats, dim), tol).T.reshape(-1, dim, dim)
 
 
@@ -367,17 +363,24 @@ class VNSubalgebra:
         return float(np.linalg.norm(resid)) <= tol.sub * max(
             1.0, float(np.linalg.norm(v)))
 
-    def is_abelian(self, tol: Tolerances = TOL) -> bool:
-        xs = np.array(self.basis)
-        return all(_commuting(xs, y, tol)[0].all() for y in xs)
 
-    def hermitian_basis(self) -> list[np.ndarray]:
-        """A spanning set of the selfadjoint part."""
-        out = []
-        for x in self.basis:
-            out.append((x + x.conj().T) / 2)
-            out.append((x - x.conj().T) / 2j)
-        return out
+def _generators(gens, dim: int | None) -> tuple[list[np.ndarray], int]:
+    """The generators as matrices, and the dimension they share: ``dim`` when
+    given, else the first generator's, positive and at most MAX_DIM."""
+    gens = [as_matrix(g) for g in gens]
+    if dim is None:
+        if not gens:
+            raise InputError("need generators or an explicit dimension")
+        dim = gens[0].shape[0]
+    if dim > MAX_DIM:
+        raise ResourceError(f"dimension {dim} exceeds {MAX_DIM}")
+    if dim < 1:
+        raise InputError("dimension must be positive", witness=dim)
+    for g in gens:
+        if g.shape[0] != dim:
+            raise InputError("generator dimension mismatch",
+                             witness=[int(g.shape[0]), dim])
+    return gens, dim
 
 
 def subalgebra(gens, dim: int | None = None, tol: Tolerances = TOL
@@ -391,15 +394,7 @@ def subalgebra(gens, dim: int | None = None, tol: Tolerances = TOL
     singular values alone.  The span grows to it by products: each round
     forms every product of the current basis in one batched matmul.  A span
     that stalls or passes it raises."""
-    gens = [as_matrix(g) for g in gens]
-    if dim is None:
-        if not gens:
-            raise InputError("need generators or an explicit dimension")
-        dim = gens[0].shape[0]
-    if dim > MAX_DIM:
-        raise ResourceError(f"dimension {dim} exceeds {MAX_DIM}")
-    if dim < 1:
-        raise InputError("dimension must be positive", witness=dim)
+    gens, dim = _generators(gens, dim)
     comm = commutant_basis(gens, dim, tol)
     comm.flags.writeable = False
     w = np.random.default_rng(GENERIC_SEED).standard_normal((2, 2, len(comm)))
@@ -427,46 +422,34 @@ def trivial_algebra(dim: int, tol: Tolerances = TOL) -> VNSubalgebra:
     return subalgebra([], dim=dim, tol=tol)
 
 
-def algebra_intersection(a: VNSubalgebra, b: VNSubalgebra,
-                         tol: Tolerances = TOL) -> VNSubalgebra:
-    """Meet of two subalgebras: intersection of the linear spans, then
-    regeneration (which restores closure and re-runs the checks)."""
-    if a.dim != b.dim:
-        raise InputError("ambient dimension mismatch", witness=[a.dim, b.dim])
-    pa = projection_onto(np.column_stack([_vec(x) for x in a.basis]), tol)
-    pb = projection_onto(np.column_stack([_vec(x) for x in b.basis]), tol)
-    vecs = orthonormal_range(projection_meet([pa, pb], tol), tol)
-    mats = [vecs[:, k].reshape(a.dim, a.dim) for k in range(vecs.shape[1])]
-    return subalgebra(mats, dim=a.dim, tol=tol)
-
-
-def minimal_projections(m: VNSubalgebra, tol: Tolerances = TOL
-                        ) -> list[np.ndarray]:
-    """Minimal projections of an abelian subalgebra, ordered by the
-    eigenvalue of a fixed generic element.
-
-    A Hermitian combination with pairwise-irrational weights separates the
-    joint eigenspaces, each a cluster block V_{i:k} V_{i:k}* of its
-    eigenbasis; the result is verified to have exactly linear_dim members,
-    all inside the algebra."""
-    if not m.is_abelian(tol):
-        raise PreconditionError("minimal projections need an abelian algebra")
-    herm = m.hermitian_basis()
-    generic = np.zeros((m.dim, m.dim), dtype=complex)
-    for k, h in enumerate(herm):
-        generic = generic + math.sqrt(k + 2.0) * h
-    vecs, _, ends = _clustered_eigen(generic, tol)
-    out = [vecs[:, i:k] @ vecs[:, i:k].conj().T
-           for i, k in zip([0, *ends], ends)]
-    if len(out) != m.linear_dim:
-        raise ResourceError(
-            "generic element failed to separate the minimal projections",
-            witness={"found": len(out), "algebra_dim": m.linear_dim})
-    for p in out:
-        if not m.contains(p, tol):
-            raise ResourceError(
-                "spectral projection of the generic element left the algebra")
-    return out
+def joint_eigenblocks(gens, dim: int | None = None, tol: Tolerances = TOL
+                      ) -> list[np.ndarray]:
+    """Minimal projections of the abelian *-algebra that commuting normal
+    matrices generate: their joint eigenspaces (Horn & Johnson, *Matrix
+    Analysis*, 2.5).  The whole space is split by the clustered eigenvalues
+    (``_clustered_eigen``) of each generator's Hermitian part, then skew
+    part, compressed to each block, so the blocks come out ordered
+    lexicographically by those eigenvalues.  Commutation is the caller's
+    check; blocks that leave a generator off their block diagonal by more
+    than the sub tolerance raise."""
+    gens, dim = _generators(gens, dim)
+    blocks = [np.eye(dim, dtype=complex)]
+    for g in gens:
+        for part in ((g + g.conj().T) / 2, (g - g.conj().T) / 2j):
+            split = []
+            for v in blocks:
+                c = v.conj().T @ part @ v
+                vecs, _, ends = _clustered_eigen((c + c.conj().T) / 2, tol)
+                w = v @ vecs
+                split += [w[:, i:k] for i, k in zip([0, *ends], ends)]
+            blocks = split
+    projs = [b @ b.conj().T for b in blocks]
+    for g in gens:
+        defect = float(np.linalg.norm(g - sum(p @ g @ p for p in projs)))
+        if defect > tol.sub:
+            raise ResourceError("joint eigenblocks do not reduce a generator",
+                                witness={"defect": defect})
+    return projs
 
 
 # -- core, support, and the two restriction maps -------------------------------

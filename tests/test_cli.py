@@ -233,6 +233,39 @@ def test_context_commands(capsys, tmp_path):
     assert json.loads(err)["witness"]["kind"] == "not-increasing-in-context"
 
 
+def test_context_glue_checks_the_section_once(capsys, tmp_path, monkeypatch):
+    """A section that clashes across contexts exits 1 with the global
+    check's witness, and a global one glues: one ``is_global_section`` call
+    each."""
+    from obslat import cli, context
+    calls = []
+    check = context.is_global_section
+
+    def counted(dia, section):
+        calls.append(1)
+        return check(dia, section)
+
+    monkeypatch.setattr(context, "is_global_section", counted)
+    monkeypatch.setattr(cli, "is_global_section", counted, raising=False)
+    clash = json.loads((CORPUS / "section_clash.json").read_text())
+    clash["values"]["Ax&Az"]["{1}"] = 3.0
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(clash))
+    code, _, err = run(capsys, "context", "glue",
+                       "--diagram", c("diagram_qubit.json"),
+                       "--sections", str(path))
+    assert code == 1 and len(calls) == 1
+    calls.clear()
+    assert run(capsys, "context", "glue", "--diagram", c("diagram_qubit.json"),
+               "--sections", c("section_clash.json"))[0] == 0
+    assert len(calls) == 1
+    assert json.loads(err) == {
+        "error": "not a global section",
+        "witness": {"kind": "inconsistent-across-contexts",
+                    "projection": "Ax:{1,2}", "contexts": ["Ax", "Ax&Az"],
+                    "values": [2.0, 3.0]}}
+
+
 def test_context_glue_prints_the_commuting_witness(capsys, tmp_path):
     """Three contexts on C^3; each keeps one basis line and turns the plane
     of the other two by 45 degrees.  The lines kept by X and Y are valued 0

@@ -1,6 +1,7 @@
 """Context diagrams, sections, gluing laws, operator extendability."""
 import itertools
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from obslat import context as cx
 from obslat import jsonio, vn
 from obslat.acceptance import fixture_diagram, fixture_section
+from obslat.corpus import boolean_algebra
 from obslat.errors import InputError, PreconditionError, ResourceError
+from test_vn import ref_is_abelian, ref_minimal_projections, same_projections
 
 AZ = np.diag([0.0, 1.0]).astype(complex)
 AX = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -55,6 +58,8 @@ def test_construction_errors():
         cx.diagram({"A": [AZ], "B": [np.diag([0.0, 1.0, 2.0])]})
     with pytest.raises(InputError):
         cx.context_from_generators("bad", [AZ, AX])
+    with pytest.raises(InputError):       # not normal: g and g* do not commute
+        cx.context_from_generators("nilpotent", [np.triu(np.ones((2, 2)), 1)])
     with pytest.raises(ResourceError):
         cx.context_from_generators("big", [np.diag(np.arange(7.0))])
 
@@ -79,16 +84,16 @@ def test_fixture_section_breaks_the_joint_law_only():
     ok, witness = cx.is_global_section(dia, section)
     assert ok and witness is None
     report = cx.glue_section(dia, section)
-    assert report.values == (1.0, 2.0, 2.0, 1.5, 2.0)
+    assert report.values == (1.0, 2.0, 2.0, 2.0, 1.5)
     assert report.commuting_ok and report.commuting_witness is None
     assert not report.increasing_ok
     assert report.increasing_witness == {
-        "members": ["Az:{1}", "Ax:{1}"], "join": "Az:{1,2}",
+        "members": ["Az:{1}", "Ax:{2}"], "join": "Az:{1,2}",
         "value": 2.0, "sup_of_values": 1.5}
     assert report.extendable == "no"
     assert report.certificate == {
         "reason": "projection-under-level-join", "projection": "Az:{2}",
-        "value": 2.0, "level": 1.5, "join_of": ["Az:{1}", "Ax:{1}"]}
+        "value": 2.0, "level": 1.5, "join_of": ["Az:{1}", "Ax:{2}"]}
     json.dumps(report.summary())
 
 
@@ -97,12 +102,12 @@ def test_join_laws_compare_values_exactly():
     level join at that value already spans the qubit."""
     dia = fixture_diagram()
     section = fixture_section(dia)
-    section["Ax"][1] = 2.0 - 1e-12
+    section["Ax"][2] = 2.0 - 1e-12        # the line of e0 + e1
     assert cx.is_global_section(dia, section)[0]
     report = cx.glue_section(dia, section)
     assert not report.increasing_ok
     assert report.increasing_witness == {
-        "members": ["Az:{1}", "Ax:{1}"], "join": "Az:{1,2}",
+        "members": ["Az:{1}", "Ax:{2}"], "join": "Az:{1,2}",
         "value": 2.0, "sup_of_values": 2.0 - 1e-12}
     assert report.extendable == "no"
     assert report.certificate["level"] == 2.0 - 1e-12
@@ -206,8 +211,9 @@ def test_synthesis_guard_raises_on_a_breach(monkeypatch):
 
 
 def test_dim3_fixture_is_not_extendable():
-    """A 45 degree rotation inside the top-left plane: the two low lines
-    span that plane at level 1.5, and it contains the line valued 2."""
+    """A 45 degree rotation inside the top-left plane: the two low lines,
+    of e1 and of e0 - e1, span that plane at level 1.5, and it contains the
+    line of e0, valued 2."""
     c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     u = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
     az = np.diag([0.0, 1.0, 2.0]).astype(complex)
@@ -216,14 +222,13 @@ def test_dim3_fixture_is_not_extendable():
     assert [c_.name for c_ in dia.contexts] == \
         ["Az", "Ax", "Ax&Az", "scalars"]
 
+    lows = {"Az": ([0.0, 1.0, 0.0], 1.0), "Ax": ([c, -s, 0.0], 1.5)}
     section = {}
     for ctx in dia.contexts:
-        low = {"Az": 1.0, "Ax": 1.5}.get(ctx.name)
         vals = {e: 2.0 for e in ctx.nonzero_elements()}
-        if low is not None:
-            ats = [e for e in ctx.nonzero_elements()
-                   if e in ctx.lattice.atoms()]
-            vals[ats[0]] = low
+        if ctx.name in lows:
+            v, low = lows[ctx.name]
+            vals[ctx.element_of(np.outer(v, v))] = low
         section[ctx.name] = vals
     ok, _ = cx.is_global_section(dia, section)
     assert ok
@@ -232,8 +237,8 @@ def test_dim3_fixture_is_not_extendable():
     assert not report.increasing_ok
     assert report.extendable == "no"
     assert report.certificate == {
-        "reason": "projection-under-level-join", "projection": "Az:{2}",
-        "value": 2.0, "level": 1.5, "join_of": ["Az:{1}", "Ax:{1}"]}
+        "reason": "projection-under-level-join", "projection": "Az:{1}",
+        "value": 2.0, "level": 1.5, "join_of": ["Az:{2}", "Ax:{2}"]}
 
 
 def random_section(dia, rng, grid):
@@ -336,12 +341,14 @@ def test_empty_generators_are_refused():
 
 
 def test_scalars_come_from_a_one_dimensional_context(monkeypatch):
-    def no_build(*args, **kwargs):
-        raise AssertionError("trivial_algebra should not be built")
-
-    monkeypatch.setattr(cx, "trivial_algebra", no_build)
+    built = []
+    shared = cx._shared_context
+    monkeypatch.setattr(cx, "_shared_context",
+                        lambda name, *args: built.append(name)
+                        or shared(name, *args))
     dia = fixture_diagram()
     assert [c.name for c in dia.contexts] == ["Az", "Ax", "Ax&Az"]
+    assert built == ["Ax&Az"]
 
 
 # -- the gluing scan against the subset scan it replaced -------------------------
@@ -510,7 +517,8 @@ def cross_context_witness_case():
     """A dim-3 three-plane section whose commuting-law witness is a
     cross-context pair."""
     dia = planes_diagram(3, [np.pi / 4] * 3)
-    lines = {"X": [0.0, 0.0, 2.0], "Y": [0.0, 0.0, 2.0], "Z": [0.0, 1.0, 2.0]}
+    # atom values: X's e0 2, Y's e0 - e2 2, Z's e0 + e1 1 and e2 2, others 0
+    lines = {"X": [2.0, 0.0, 0.0], "Y": [0.0, 0.0, 2.0], "Z": [1.0, 0.0, 2.0]}
     section = {c.name: {e: max(lines.get(c.name, [2.0])[i] for i in cx.bits(e))
                         for e in c.nonzero_elements()}
                for c in dia.contexts}
@@ -518,16 +526,15 @@ def cross_context_witness_case():
 
 
 def test_cross_context_commuting_family_breaks_the_law():
-    """X's plane {1,2} and Z's plane {1,2} are the diagonal projections onto
-    e1+e2 and e0+e1: they commute, share no context, and join to the
-    identity, valued above both."""
+    """X:{1} and Y:{2} are the lines of e0 and e1: they commute, share no
+    context, and join to Z's plane of e0 and e1, valued below them."""
     dia, section = cross_context_witness_case()
     assert cx.is_global_section(dia, section)[0]
     got = cx.glue_section(dia, section).summary()
     assert got == subset_scan_glue(dia, section)
     assert got["commuting_witness"] == {
-        "members": ["X:{1,2}", "Z:{1,2}"], "join": "X:{1,2,3}",
-        "value": 2.0, "sup_of_values": 1.0}
+        "members": ["X:{1}", "Y:{2}"], "join": "Z:{1,2}",
+        "value": 1.0, "sup_of_values": 2.0}
 
 
 def test_first_failure_can_be_a_triple_whose_pairs_escape_the_pool():
@@ -1130,43 +1137,74 @@ def test_projections_of_the_wrong_dimension_are_refused():
 
 # -- closure on shared pool projections against the algebra loop it replaced -----
 
+def ref_context(name, alg, tol):
+    """The former ``context_from_algebra``: the generic element's blocks of
+    an abelian algebra."""
+    if not ref_is_abelian(alg, tol):
+        raise InputError("context algebras must be abelian",
+                         witness={"context": name})
+    mins = ref_minimal_projections(alg, tol)
+    if len(mins) > cx.MAX_MINIMAL:
+        raise ResourceError(
+            "too many minimal projections for the lattice bridge",
+            witness={"context": name, "count": len(mins)})
+    return cx.Context(name, alg.dim, boolean_algebra(len(mins)), tuple(mins))
+
+
+def ref_algebra_intersection(a, b, tol):
+    """The former ``algebra_intersection``: the meet of the two spans,
+    regenerated."""
+    def span(m):
+        return vn.projection_onto(
+            np.column_stack([x.reshape(-1) for x in m.basis]), tol)
+
+    vecs = vn.orthonormal_range(vn.projection_meet([span(a), span(b)], tol),
+                                tol)
+    return vn.subalgebra([vecs[:, k].reshape(a.dim, a.dim)
+                          for k in range(vecs.shape[1])], dim=a.dim, tol=tol)
+
+
 def _ref_same_algebra(a, b, tol):
     return (a.linear_dim == b.linear_dim
             and all(b.contains(x, tol) for x in a.basis))
 
 
 def ref_diagram(named_generators, dim=None, tol=vn.TOL):
-    """``diagram`` as it was: every pair of contexts intersected as algebras
-    each round, a result kept unless its span matches a context's, and the
-    pool built after the closure."""
+    """``diagram`` as it was: each context the bicommutant of its generators
+    (``vn.subalgebra``) with the generic element's blocks, every pair of
+    contexts intersected as algebras each round, a result kept unless its
+    span matches a context's, and the pool built after the closure."""
     if not named_generators:
         raise InputError("need at least one context")
-    ctxs = []
+    ctxs, algs = [], {}
+
+    def add(name, alg):
+        ctxs.append(ref_context(name, alg, tol))
+        algs[name] = alg
+
     for name, gens in named_generators.items():
-        if any(c.name == name for c in ctxs):
+        if name in algs:
             raise InputError("duplicate context name", witness={"context": name})
-        c = cx.context_from_generators(name, gens, dim=dim, tol=tol)
-        if ctxs and c.algebra.dim != ctxs[0].algebra.dim:
+        alg = vn.subalgebra(gens, dim=dim, tol=tol)
+        if algs and alg.dim != ctxs[0].dim:
             raise InputError("ambient dimension mismatch",
                              witness={"context": name})
-        ctxs.append(c)
-    ambient = ctxs[0].algebra.dim
+        add(name, alg)
+    ambient = ctxs[0].dim
     changed = True
     while changed:
         changed = False
         for a, b in combinations(list(ctxs), 2):
-            inter = vn.algebra_intersection(a.algebra, b.algebra, tol)
-            if any(_ref_same_algebra(inter, c.algebra, tol) for c in ctxs):
+            inter = ref_algebra_intersection(algs[a.name], algs[b.name], tol)
+            if any(_ref_same_algebra(inter, m, tol) for m in algs.values()):
                 continue
-            ctxs.append(cx.context_from_algebra(
-                "&".join(sorted((a.name, b.name))), inter, tol))
+            add("&".join(sorted((a.name, b.name))), inter)
             changed = True
             if len(ctxs) > cx.MAX_CONTEXTS:
                 raise ResourceError("intersection closure grew too large",
                                     witness={"cap": cx.MAX_CONTEXTS})
-    if not any(c.algebra.linear_dim == 1 for c in ctxs):
-        ctxs.append(cx.context_from_algebra(
-            "scalars", vn.trivial_algebra(ambient, tol), tol))
+    if not any(m.linear_dim == 1 for m in algs.values()):
+        add("scalars", vn.trivial_algebra(ambient, tol))
     pool, labels, element_pool = [], [], {}
     for c in ctxs:
         elems = c.nonzero_elements()
@@ -1183,33 +1221,50 @@ def ref_diagram(named_generators, dim=None, tol=vn.TOL):
 
 
 def given_generators(dia):
-    """The generators of a diagram's given contexts (the generated ones are
-    named with '&' or 'scalars')."""
-    return {c.name: list(c.algebra.generators) for c in dia.contexts
-            if "&" not in c.name and c.name != "scalars"}
+    """One generator per given context (the generated ones are named with
+    '&' or 'scalars'), sum_k k P_k over its atoms: it generates the same
+    algebra and numbers the atoms as the context does."""
+    return {c.name: [sum(k * p for k, p in enumerate(c.minimal))]
+            for c in dia.contexts if "&" not in c.name and c.name != "scalars"}
+
+
+def assert_same_diagram_by_content(got, want):
+    """The same contexts in the same order, each with the same atoms, the
+    same pool, and each context holding the same pool projections, all
+    matched by content: the atom numbering may differ."""
+    assert [c.name for c in got.contexts] == [c.name for c in want.contexts]
+    for c, w in zip(got.contexts, want.contexts):
+        assert same_projections(c.minimal, w.minimal)
+    assert same_projections(list(got.pool), list(want.pool))
+    to_want = cx._first_match(want.pool, got.pool, got.tol).tolist()
+    assert {(name, to_want[i]) for (name, _), i in got.element_pool.items()} \
+        == {(name, i) for (name, _), i in want.element_pool.items()}
+    for (name, e), i in got.element_pool.items():
+        assert np.linalg.norm(got.context_named(name).projection_of(e)
+                              - got.pool[i]) <= got.tol.proj
 
 
 def assert_closes_like_the_algebra_loop(named, dim, monkeypatch):
-    """Bit-identical contexts and pool, and one ``algebra_intersection``
-    call per intersection context."""
+    """The algebra loop's contexts, pool and element pool, by content; no
+    bicommutant, and one ``_shared_context`` call per generated context."""
     calls = []
+    shared = cx._shared_context
 
-    def counted(a, b, tol):
+    def counted(*args):
         calls.append(1)
-        return vn.algebra_intersection(a, b, tol)
+        return shared(*args)
+
+    def no_bicommutant(*args, **kwargs):
+        raise AssertionError("diagram built a bicommutant")
 
     with monkeypatch.context() as m:
-        m.setattr(cx, "algebra_intersection", counted)
+        m.setattr(cx, "_shared_context", counted)
+        m.setattr(vn, "subalgebra", no_bicommutant)
         got = cx.diagram(named, dim=dim)
     want = ref_diagram(named, dim=dim)
-    assert [c.name for c in got.contexts] == [c.name for c in want.contexts]
-    for c, w in zip(got.contexts, want.contexts):
-        assert len(c.minimal) == len(w.minimal)
-        assert all(np.array_equal(p, q) for p, q in zip(c.minimal, w.minimal))
-    assert np.array_equal(got.pool, want.pool)
-    assert got.pool_labels == want.pool_labels
-    assert list(got.element_pool.items()) == list(want.element_pool.items())
-    assert len(calls) == sum("&" in c.name for c in got.contexts)
+    assert_same_diagram_by_content(got, want)
+    assert len(calls) == sum("&" in c.name or c.name == "scalars"
+                             for c in got.contexts)
     return got, len(calls)
 
 
@@ -1224,8 +1279,10 @@ def test_fixture_closes_with_one_intersection(monkeypatch):
 def test_corpus_diagram_closes_like_the_algebra_loop(monkeypatch):
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     dia = jsonio.load_diagram(str(corpus / "diagram_qubit.json"))
-    assert_closes_like_the_algebra_loop(given_generators(dia), dia.dim,
-                                        monkeypatch)
+    named = {name: [jsonio.load_matrix(g) for g in gens] for name, gens in
+             jsonio.load_json(corpus / "diagram_qubit.json")["contexts"].items()}
+    got, _ = assert_closes_like_the_algebra_loop(named, dia.dim, monkeypatch)
+    assert got.pool_labels == dia.pool_labels
 
 
 @settings(max_examples=30, deadline=None)
@@ -1294,7 +1351,7 @@ def test_the_context_cap_stops_the_closure():
 def ref_element_of(c, p, tol=vn.TOL):
     """``Context.element_of`` as it was: the minimal projections under p,
     then their sum checked against p."""
-    p = cx._in_dim(p, c.algebra.dim)
+    p = cx._in_dim(p, c.dim)
     mask = 0
     for i, q in enumerate(c.minimal):
         if vn.projection_leq(q, p, tol):
@@ -1333,3 +1390,89 @@ def test_element_of_matches_the_minimal_projection_loop(seed):
                     element_outcome(lambda x: ref_element_of(c, x), q)
     assert cx.diagram({"D": [AZ]}, dim=2).contexts[0].element_of(
         np.zeros((2, 2))) == 0
+
+
+# -- atom numbering: joint eigenblocks in lexicographic eigenvalue order ---------
+
+def coordinates(c):
+    """The coordinate each rank-one atom of a diagonal context holds."""
+    return [int(np.argmax(np.diagonal(p).real)) for p in c.minimal]
+
+
+def test_diagonal_atoms_are_numbered_by_eigenvalue():
+    """The parent numbered diag(1, 2, 3) as coordinates [1, 0, 2] and its
+    square as [1, 2, 0]."""
+    for gens in ([np.diag([1.0, 2.0, 3.0])], [np.diag([1.0, 4.0, 9.0])]):
+        assert coordinates(cx.context_from_generators("D", gens)) == [0, 1, 2]
+    assert coordinates(cx.context_from_generators(
+        "D", [np.diag([3.0, 1.0, 2.0])])) == [1, 2, 0]
+
+
+def test_atoms_are_numbered_lexicographically():
+    """Two generators: the first one's eigenvalue ascending, ties broken by
+    the second's.  One normal generator: its Hermitian part, then its skew
+    part."""
+    c = cx.context_from_generators("G", [np.diag([1.0, 0.0, 1.0, 0.0]),
+                                         np.diag([5.0, 7.0, 2.0, 6.0])])
+    assert coordinates(c) == [3, 1, 2, 0]
+    c = cx.context_from_generators("N", [np.diag([1 + 1j, 1 - 1j, 0.0])])
+    assert coordinates(c) == [2, 1, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 6), seed=st.integers(0, 10 ** 6))
+def test_numbering_depends_on_the_generated_order_alone(dim, seed):
+    """g = U D U* with repeated levels numbers its atoms as g^3 + g, as the
+    pair [g, g^2], and as g rebuilt from U with its eigenvector columns
+    re-phased do."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(dim, dim))
+                     + 1j * rng.normal(size=(dim, dim)))[0]
+    levels = rng.integers(0, 3, dim).astype(float)
+    g = (u * levels) @ u.conj().T
+    phased = u * np.exp(2j * np.pi * rng.random(dim))
+    want = cx.context_from_generators("C", [g]).minimal
+    assert len(want) == len(set(levels))
+    for gens in ([g @ g @ g + g], [g, g @ g],
+                 [(phased * levels) @ phased.conj().T]):
+        got = cx.context_from_generators("C", gens).minimal
+        assert len(got) == len(want)
+        assert all(np.linalg.norm(p - q) < 1e-9 for p, q in zip(got, want))
+
+
+@pytest.mark.parametrize("vals", [[0.0, 0.5, 0.5 + 1e-8],
+                                  [0.0, 0.5, 0.5 + 1e-8, 0.5 + 2e-8]])
+def test_near_degenerate_diagonal_generators_give_contexts(vals):
+    """The bicommutant refused both: the first as non-abelian, the second as
+    not closing.  The atoms are the clusters of ``vn._cluster_ends``."""
+    c = cx.diagram({"D": [np.diag(vals)]}).context_named("D")
+    ends = vn._cluster_ends(np.array(vals), vn.TOL)
+    assert len(c.minimal) == len(ends) == 3
+    assert [vn.rank_of_projection(p) for p in c.minimal] == \
+        np.diff([0, *ends]).tolist()
+
+
+def test_blocks_that_do_not_reduce_a_generator_raise():
+    """diag(0, 1, 1 + 2e-8) splits into three lines.  A generator that turns
+    the last two by 0.03 commutes with it within ``tol.sub`` (0.03 * 2e-8 *
+    sqrt 2) and is no function of it."""
+    h = np.zeros((3, 3))
+    h[1, 2] = h[2, 1] = 0.03
+    with pytest.raises(ResourceError) as err:
+        cx.context_from_generators("G", [np.diag([0.0, 1.0, 1.0 + 2e-8]), h])
+    assert str(err.value) == "joint eigenblocks do not reduce a generator"
+    assert err.value.witness["defect"] == pytest.approx(0.03 * math.sqrt(2))
+
+
+def test_diagram_builds_no_bicommutant(monkeypatch):
+    """Given contexts come from their joint eigenblocks, intersections and
+    the scalars from the pool."""
+    def no_bicommutant(*args, **kwargs):
+        raise AssertionError("diagram built a bicommutant")
+
+    monkeypatch.setattr(vn, "subalgebra", no_bicommutant)
+    monkeypatch.setattr(vn, "commutant_basis", no_bicommutant)
+    dia = planes_diagram(4, [0.3, 0.8, 1.2])
+    # every pair shares the line of e3 and its complement, and nothing else
+    assert [c.name for c in dia.contexts] == ["X", "Y", "Z", "X&Y", "scalars"]
+    assert len(dia.context_named("X&Y").minimal) == 2

@@ -1,4 +1,5 @@
-"""Smoke tests for the worked-example scripts under scripts/."""
+"""Smoke tests for the worked-example scripts under scripts/, and the
+behaviour sweep against its recording."""
 import os
 import subprocess
 import sys
@@ -30,3 +31,13 @@ def test_make_corpus_reproduces_the_checked_in_corpus(tmp_path):
 
 def test_nonlinearity_demo_reports_rho_is_not_additive():
     assert "additive: False" in run_script("nonlinearity_demo.py").splitlines()
+
+
+def test_sweep_matches_the_recording():
+    """The first 60 diagrams of ``scripts/sweep.py`` with seed 0: contexts,
+    pool labels, and the reports of an operator's section and a 0/1
+    section, byte for byte.  Regenerate the recording after a deliberate
+    change of behaviour with
+    ``PYTHONPATH=src python3 scripts/sweep.py 0 60 > tests/sweep_slice.jsonl``."""
+    recorded = (ROOT / "tests" / "sweep_slice.jsonl").read_text()
+    assert run_script("sweep.py", 0, 60) == recorded

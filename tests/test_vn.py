@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obslat import context as cx
 from obslat import jsonio, vn
 from obslat.errors import InputError, PreconditionError, ResourceError
 
@@ -126,13 +127,21 @@ def ref_spectral_family_of(a, tol=vn.TOL):
     return vn.OperatorSpectralFamily(breakpoints, tuple(projections), n)
 
 
+def hermitian_parts(m):
+    """The Hermitian and skew parts of each span basis element: a spanning
+    set of the algebra's selfadjoint part."""
+    return [h for x in m.basis
+            for h in ((x + x.conj().T) / 2, (x - x.conj().T) / 2j)]
+
+
 def ref_minimal_projections(m, tol=vn.TOL):
-    """Differences of the cumulative steps of the generic element, with the
-    same checks."""
-    if not m.is_abelian(tol):
+    """The former ``minimal_projections``: differences of the cumulative
+    steps of a generic element, the span basis's Hermitian parts weighted by
+    sqrt(k + 2), with the same checks.  Its order follows the span basis."""
+    if not ref_is_abelian(m, tol):
         raise PreconditionError("minimal projections need an abelian algebra")
     generic = np.zeros((m.dim, m.dim), dtype=complex)
-    for k, h in enumerate(m.hermitian_basis()):
+    for k, h in enumerate(hermitian_parts(m)):
         generic = generic + math.sqrt(k + 2.0) * h
     prev = np.zeros((m.dim, m.dim), dtype=complex)
     out = []
@@ -179,15 +188,22 @@ def minimal_outcome(fn, alg):
         return type(e), str(e), e.witness
 
 
-def assert_minimal_projections_match_the_loop(alg):
-    got = minimal_outcome(vn.minimal_projections, alg)
-    want = minimal_outcome(ref_minimal_projections, alg)
+def same_projections(got, want):
+    """The same projections, each within 1e-10, in any order."""
+    return len(got) == len(want) and all(
+        sum(float(np.linalg.norm(p - q)) < 1e-10 for q in want) == 1
+        for p in got)
+
+
+def assert_eigenblocks_match_the_loop(gens, dim):
+    """On an abelian algebra the joint eigenblocks are the generic element's
+    blocks, matched by content; the loop refuses only non-abelian ones."""
+    want = minimal_outcome(ref_minimal_projections,
+                           vn.subalgebra(gens, dim=dim))
     if isinstance(want, tuple):
-        assert got == want
+        assert want[0] is PreconditionError
         return
-    assert len(got) == len(want)
-    for p, q in zip(got, want):
-        assert np.linalg.norm(p - q) < 1e-12
+    assert same_projections(vn.joint_eigenblocks(gens, dim), want)
 
 
 def test_eigenbasis_steps_match_the_loops_on_the_corpus(rng):
@@ -197,8 +213,7 @@ def test_eigenbasis_steps_match_the_loops_on_the_corpus(rng):
     for gens in sets:
         for g in gens:
             fams.append(assert_family_matches_the_loop(vn.check_hermitian(g)))
-        assert_minimal_projections_match_the_loop(
-            vn.subalgebra(gens, dim=gens[0].shape[0]))
+        assert_eigenblocks_match_the_loop(gens, gens[0].shape[0])
     for f, g in zip(fams, fams[1:]):
         assert vn.merged_breakpoints([f, g]) == ref_merged_breakpoints([f, g])
 
@@ -219,19 +234,24 @@ def clustered_values():
        turned=st.booleans())
 def test_eigenbasis_steps_match_the_loops_on_clusters(vals, seed, turned):
     """Diagonal operators keep the gaps exact; turned ones in a random basis
-    move them by rounding.  The minimal projections are those of the
-    algebra generated by the same operator with its clusters merged into
-    repeated eigenvalues (gaps of 1e-8 are beyond ``subalgebra``'s
-    conditioning)."""
+    move them by rounding.  The joint eigenblocks of one operator are the
+    differences of its steps, in order.  The generic element's blocks are
+    compared on the same operator with its clusters merged into repeated
+    eigenvalues (gaps of 1e-8 are beyond ``subalgebra``'s conditioning)."""
     dim = len(vals)
     u = np.eye(dim, dtype=complex)
     if turned:
         r = random.Random(seed)
         u, _ = np.linalg.qr(vn.random_hermitian(r, dim) + 1j * np.eye(dim))
-    fam = assert_family_matches_the_loop(vn.check_hermitian(
-        (u * vals) @ u.conj().T))
-    assert_minimal_projections_match_the_loop(vn.subalgebra(
-        [vn.check_hermitian((u * np.round(vals, 3)) @ u.conj().T)], dim=dim))
+    a = vn.check_hermitian((u * vals) @ u.conj().T)
+    fam = assert_family_matches_the_loop(a)
+    steps = [np.zeros((dim, dim)), *fam.projections]
+    blocks = vn.joint_eigenblocks([a], dim)
+    assert len(blocks) == len(fam.breakpoints)
+    for p, lo, hi in zip(blocks, steps, steps[1:]):
+        assert np.linalg.norm(p - (hi - lo)) < 1e-12
+    assert_eigenblocks_match_the_loop(
+        [vn.check_hermitian((u * np.round(vals, 3)) @ u.conj().T)], dim)
     assert vn.merged_breakpoints([fam]) == ref_merged_breakpoints([fam])
 
 
@@ -524,13 +544,10 @@ def test_subalgebra_matches_the_full_bicommutant_oracle(rng):
         new, old = vn.subalgebra(gens, dim=dim), ref_subalgebra(gens, dim=dim)
         assert len(new.basis) == len(old.basis)
         assert all(np.array_equal(x, y) for x, y in zip(new.basis, old.basis))
-        if old.is_abelian():
-            assert all(np.array_equal(x, y) for x, y in zip(
-                vn.minimal_projections(new), vn.minimal_projections(old)))
         assert len(new.commutant) == len(old.commutant)
         assert np.linalg.norm(projector(new.commutant)
                               - projector(old.commutant)) < 1e-8
-        herm = sum(rng.gauss(0, 1) * h for h in new.hermitian_basis())
+        herm = sum(rng.gauss(0, 1) * h for h in hermitian_parts(new))
         inner = vn.spectral_family_of(herm).projections[0]
         eye = np.eye(dim)
         qs = [vn.random_projection(rng, dim) for _ in range(3)]
@@ -682,7 +699,7 @@ def test_matrix_layer_at_the_caps(dim):
                           vn.random_hermitian(rng, dim)], dim=dim)
     assert triv.linear_dim == 1 and len(triv.commutant) == dim * dim
     assert full.linear_dim == dim * dim and len(full.commutant) == 1
-    assert alg.linear_dim == dim and alg.is_abelian()
+    assert alg.linear_dim == dim and ref_is_abelian(alg)
     q = vn.random_projection(rng, dim, rank=dim // 2)
     b = vn.random_hermitian(rng, dim)
     vals = np.linalg.eigvalsh(b)
@@ -701,12 +718,12 @@ def test_matrix_layer_at_the_caps(dim):
 def test_subalgebra_structure(rng):
     alg = vn.subalgebra([np.diag([0.0, 1.0, 2.0])], dim=3)
     assert alg.linear_dim == 3
-    assert alg.is_abelian()
+    assert ref_is_abelian(alg)
     assert alg.contains(np.diag([5.0, -1.0, 0.5]))
     assert not alg.contains(np.ones((3, 3)))
-    mins = vn.minimal_projections(alg)
+    mins = vn.joint_eigenblocks(alg.generators, 3)
     assert len(mins) == 3
-    assert all(vn.rank_of_projection(p) == 1 for p in mins)
+    assert all(vn.rank_of_projection(p) == 1 and alg.contains(p) for p in mins)
     total = sum(mins[1:], mins[0])
     assert np.linalg.norm(total - np.eye(3)) < 1e-9
 
@@ -714,12 +731,11 @@ def test_subalgebra_structure(rng):
 def test_trivial_and_intersection(rng):
     triv = vn.trivial_algebra(3)
     assert triv.linear_dim == 1
-    assert vn.minimal_projections(triv)[0].shape == (3, 3)
-    diag = vn.subalgebra([np.diag([0.0, 1.0, 2.0])], dim=3)
+    assert np.array_equal(vn.joint_eigenblocks([], 3), [np.eye(3)])
+    diag = np.diag([0.0, 1.0, 2.0])
     u, _ = np.linalg.qr(vn.random_hermitian(rng, 3) + 1j * np.eye(3))
-    rotated = vn.subalgebra([u @ np.diag([0.0, 1.0, 2.0]) @ u.conj().T], dim=3)
-    inter = vn.algebra_intersection(diag, rotated)
-    assert inter.linear_dim == 1
+    dia = cx.diagram({"D": [diag], "R": [u @ diag @ u.conj().T]}, dim=3)
+    assert len(dia.context_named("D&R").minimal) == 1
 
 
 def test_core_support_sandwich(rng):
@@ -840,9 +856,23 @@ def test_matrix_must_have_the_algebras_dimension(fn):
 # -- one site per decision: commutation, containment, the Hermitian check ------
 
 def ref_is_abelian(m, tol=vn.TOL):
-    """``is_abelian`` as the pair loop it replaced."""
+    """The former ``VNSubalgebra.is_abelian``: the pair loop over the span
+    basis."""
     return all(float(np.linalg.norm(x @ y - y @ x)) <= tol.sub
                for x in m.basis for y in m.basis)
+
+
+def context_is_abelian(m, tol=vn.TOL):
+    """Whether ``context_from_generators`` passes the algebra's generators
+    (its span basis when it has none) through its abelian check."""
+    try:
+        cx.context_from_generators("C", m.generators or m.basis, dim=m.dim,
+                                   tol=tol)
+    except InputError:
+        return False
+    except ResourceError:   # raised after the check, e.g. past MAX_MINIMAL
+        pass
+    return True
 
 
 def abelian_oracle_algebras(rng):
@@ -876,7 +906,7 @@ def abelian_oracle_algebras(rng):
 
 
 def test_abelian_check_matches_the_pair_loop(rng):
-    verdicts = [(alg.is_abelian(), ref_is_abelian(alg))
+    verdicts = [(context_is_abelian(alg), ref_is_abelian(alg))
                 for alg in abelian_oracle_algebras(rng)]
     assert all(got == want for got, want in verdicts)
     assert {got for got, _ in verdicts} == {True, False}
@@ -890,7 +920,7 @@ def test_abelian_check_sits_at_the_sub_tolerance(factor):
     turned = np.array([[0.0, t], [t, 1.0]], dtype=complex)
     m = vn.VNSubalgebra(2, (), (np.eye(2, dtype=complex),
                                 np.diag([1.0, 0.0]).astype(complex), turned))
-    assert m.is_abelian() == ref_is_abelian(m) == (factor < 1)
+    assert context_is_abelian(m) == ref_is_abelian(m) == (factor < 1)
 
 
 def test_containment_takes_stacks(rng):
