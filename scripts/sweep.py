@@ -19,8 +19,11 @@ atoms 0 or 1 in the order of <P, H> for a seeded Hermitian H, so it does not
 depend on how the atoms are numbered, values every element by the largest
 of its atoms, and copies the values of shared projections to the generated
 contexts.  A report is the ``glue_section`` summary, or the error and its
-witness when the section is not global.  Floats are rounded to 8 places and
-keys are sorted.  Run from anywhere:
+witness when the section is not global.  Each line also records ``rho``
+and ``sigma``: the two restrictions of the same operator onto
+``vn.subalgebra`` of the first given context's generator, as the breakpoints
+and step ranks of their spectral families (or the error and its witness).
+Floats are rounded to 8 places and keys are sorted.  Run from anywhere:
 
     PYTHONPATH=src python3 scripts/sweep.py SEED COUNT
 """
@@ -29,8 +32,9 @@ import sys
 
 import numpy as np
 
+from obslat import vn
 from obslat.context import diagram, glue_section, section_from_operator
-from obslat.errors import PreconditionError, ResourceError
+from obslat.errors import ObslatError, PreconditionError, ResourceError
 from obslat.lattice import bits
 
 SHAPES = ("random", "diagonal", "shared")
@@ -101,6 +105,20 @@ def report(dia, section) -> dict:
         return failure(err)
 
 
+def restrictions(gens, dim: int, op) -> dict:
+    """rho and sigma of op onto the algebra of gens: breakpoints and the
+    rank of each step."""
+    try:
+        alg = vn.subalgebra(gens, dim=dim)
+        fams = {name: vn.spectral_family_of(fn(alg, op)) for name, fn in
+                (("rho", vn.rho_restrict), ("sigma", vn.sigma_restrict))}
+    except ObslatError as err:
+        return {"rho": failure(err), "sigma": failure(err)}
+    return {name: {"breakpoints": list(f.breakpoints),
+                   "ranks": [vn.rank_of_projection(p) for p in f.projections]}
+            for name, f in fams.items()}
+
+
 def rounded(obj):
     if isinstance(obj, float):
         return round(obj, 8) + 0.0      # no negative zero
@@ -116,14 +134,15 @@ def sweep_line(seed: int, index: int) -> str:
     shape = SHAPES[index % len(SHAPES)]
     dim = int(rng.integers(2, 7))
     named = generators(rng, shape, dim)
-    line = {"seed": seed, "index": index, "shape": shape, "dim": dim}
+    u = unitary(rng, dim)
+    op = (u * rng.integers(0, 3, dim).astype(float)) @ u.conj().T
+    line = {"seed": seed, "index": index, "shape": shape, "dim": dim,
+            **restrictions(named["C0"], dim, op)}
     try:
         dia = diagram(named, dim=dim)
     except ResourceError as err:
         return json.dumps(rounded({**line, "diagram": failure(err)}),
                           sort_keys=True)
-    u = unitary(rng, dim)
-    op = (u * rng.integers(0, 3, dim).astype(float)) @ u.conj().T
     atoms = {c.name: [dia.pool_labels[dia.element_pool[(c.name, 1 << i)]]
                       for i in range(len(c.minimal))] for c in dia.contexts}
     line |= {"atoms": atoms, "pool": list(dia.pool_labels),

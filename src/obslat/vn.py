@@ -199,11 +199,16 @@ def _cluster_ends(vals, tol: Tolerances) -> list[int]:
 
 def _clustered_eigen(a, tol: Tolerances):
     """Eigenvector columns V, one breakpoint per cluster of eigenvalues (the
-    module's only lossy step; each breakpoint is its cluster's mean), and
-    the column count k up to each cluster's end: the step there is V_k V_k*."""
+    module's only lossy step; each breakpoint is its cluster's mean, which
+    for a cluster of one is its eigenvalue, read off without ``np.mean``),
+    and the column count k up to each cluster's end: the step there is
+    V_k V_k*."""
     vals, vecs = eigen_hermitian(a, tol)
-    ends = _cluster_ends(vals, tol)
-    breakpoints = tuple(float(np.mean(vals[i:k]))
+    listed = vals.tolist()
+    ends = _cluster_ends(listed, tol)
+    # np.mean of one value is that value + 0.0: a negative zero turns positive
+    breakpoints = tuple(listed[i] + 0.0 if k - i == 1
+                        else float(np.mean(vals[i:k]))
                         for i, k in zip([0, *ends], ends))
     return vecs, breakpoints, ends
 
@@ -238,20 +243,89 @@ def _range_values(a, ps: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.array(breakpoints)[first]
 
 
+def _frobenius(xs: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of the stack xs, bit for bit
+    ``np.linalg.norm`` of that matrix alone: the sums of squares of the real
+    and the imaginary parts are each one BLAS dot, as numpy takes them."""
+    flat = xs.reshape(len(xs), -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None]
+                    + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def _checked_projections(projections, tol: Tolerances) -> np.ndarray:
+    """The projections, symmetrized, as one (n, d, d) stack, each checked as
+    ``check_projection`` checks one.  Shapes come first; then finiteness,
+    the Hermitian defect and the idempotence defect are batched norms, one
+    pass per dimension present.  The first projection in input order that
+    fails a check raises ``check_projection``'s own error and witness, and
+    only then must the dimensions agree."""
+    mats = [np.asarray(p, dtype=complex) for p in projections]
+    shaped = next((k for k, a in enumerate(mats) if not (
+        a.ndim == 2 and 0 < a.shape[0] == a.shape[1] <= MAX_DIM)), len(mats))
+    first, stacks = shaped, {}
+    for dim in {a.shape[0] for a in mats[:shaped]}:
+        idx = [k for k in range(shaped) if mats[k].shape[0] == dim]
+        a = np.array([mats[k] for k in idx])
+        adj = a.conj().transpose(0, 2, 1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            p = (a + adj) / 2
+            defects = _frobenius(np.concatenate([a - adj, p @ p - p]))
+        bad = (~np.isfinite(a).all(axis=(1, 2)) | (defects[:len(a)] > tol.sym)
+               | (defects[len(a):] > tol.proj))
+        if bad.any():
+            first = min(first, idx[int(bad.argmax())])
+        stacks[dim] = p
+    if first < len(mats):
+        check_projection(mats[first], tol)   # raises: the same norms
+    dim = _one_dim(stacks)
+    return stacks[dim] if stacks else np.zeros((0, 0, 0), dtype=complex)
+
+
 def family_from_steps(breakpoints, projections, tol: Tolerances = TOL
                       ) -> OperatorSpectralFamily:
     """Canonical form (``spectral._canonical_steps``) in the range order
     from zero to the identity, projections equal within the sub tolerance;
-    witnesses name projections by rank."""
-    ps = [check_projection(p, tol) for p in projections]
-    dim = _one_dim(p.shape[0] for p in ps)
+    witnesses name projections by rank.  The projections are checked in one
+    batched pass (``_checked_projections``).  ``_canonical_steps`` runs over
+    positions in the chain of zero, the steps in lambda order and the
+    identity, and reads its tests from batched norms: the order of
+    neighbours (all it compares by order), and the equality of neighbours
+    and of each step with zero and with the identity.  Only a step right
+    after a dropped one meets the last step kept, if that is neither, on its
+    own."""
+    ps = _checked_projections(projections, tol)
+    dim = ps.shape[-1]
+    lams = [float(lam) for lam, _ in zip(breakpoints, range(len(ps)))]
+    order = sorted(range(len(lams)), key=lams.__getitem__)
+    position = [0] * len(order)
+    for i, k in enumerate(order, 1):
+        position[k] = i
+    eye = np.eye(dim, dtype=complex)
+    chain = np.concatenate([np.zeros((1, dim, dim), dtype=complex), ps[order],
+                            eye[None]])
+    top = len(chain) - 1
+    leq = projection_leq(chain[:-1], chain[1:], tol).tolist()
+    near = (_frobenius(np.concatenate([chain[1:] - chain[:-1], chain,
+                                       chain - eye])) <= tol.sub).tolist()
+    after, zero, identity = (near[:top], near[top:2 * top + 1],
+                             near[2 * top + 1:])
+
+    def same(i: int, j: int) -> bool:
+        i, j = min(i, j), max(i, j)
+        if i == 0:
+            return zero[j]
+        if j == top:
+            return identity[i]
+        if j == i + 1:
+            return after[i]
+        return float(np.linalg.norm(chain[i] - chain[j])) <= tol.sub
+
     steps = _canonical_steps(
-        zip(breakpoints, ps), lambda p, q: projection_leq(p, q, tol),
-        lambda p, q: float(np.linalg.norm(p - q)) <= tol.sub,
-        np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex),
-        rank_of_projection)
+        zip(lams, position), lambda i, j: leq[i], same, 0, top,
+        lambda i: rank_of_projection(chain[i]))
     return OperatorSpectralFamily(tuple(lam for lam, _ in steps),
-                                  tuple(p for _, p in steps), dim)
+                                  tuple(chain[i] for _, i in steps), dim)
 
 
 # -- spectral order ------------------------------------------------------------
@@ -461,28 +535,40 @@ def _in_algebra_dim(m: VNSubalgebra, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cores(m: VNSubalgebra, vecs: np.ndarray, ks, tol: Tolerances) -> list:
-    """Core of span(vecs[:, :k]) for each k, ``vecs`` unitary.  With the K
-    commutant elements in that basis, h = V* C V (one batched product),
-    V_k x lies in the core iff h[:, k:, :k] x = 0: (I - P_k) G V_k is
-    V_{>k} (V* G V)[k:, :k] and V_{>k} is an isometry, so these K (d - k)
+# Size budget of the commute check in ``_cores``: commutant entries times
+# cores per ``_commuting`` call.  The commutant of ``trivial_algebra(16)``
+# (256 elements of 16 x 16) fills it alone, so there each core goes alone.
+_CORE_CHUNK = 1 << 16
+
+
+def _cores(m: VNSubalgebra, vecs: np.ndarray, ks, tol: Tolerances
+           ) -> np.ndarray:
+    """Core of span(vecs[:, :k]) for each k, ``vecs`` unitary, as a stack.
+    With the K commutant elements in that basis, h = V* C V (one batched
+    product), V_k x lies in the core iff h[:, k:, :k] x = 0: (I - P_k) G V_k
+    is V_{>k} (V* G V)[k:, :k] and V_{>k} is an isometry, so these K (d - k)
     rows have the singular values of the (K d, k) system.  One k at a time
-    keeps memory at one system.  One ``_commuting`` call per core checks that
-    it commutes with every element (hence lies in the algebra); a breach is an
-    internal numeric failure, witnessed by the first element's defect."""
-    comm = m.commutant
+    keeps memory at one system.  Then ``_commuting`` checks that the cores
+    commute with every element (hence lie in the algebra), one call per
+    chunk of as many cores as ``_CORE_CHUNK`` allows; a breach is an
+    internal numeric failure, witnessed by the first breaching element's
+    defect on the first breaching core."""
+    comm = np.asarray(m.commutant)
     h = vecs.conj().T @ comm @ vecs
-    cores = []
-    for k in ks:
+    cores = np.empty((len(ks), m.dim, m.dim), dtype=complex)
+    for i, k in enumerate(ks):
         basis = vecs[:, :k]
         if k:
             basis = basis @ null_space(h[:, k:, :k].reshape(-1, k), tol)
-        core = basis @ basis.conj().T
-        ok, defects = _commuting(comm, core, tol)
+        cores[i] = basis @ basis.conj().T
+    step = max(1, _CORE_CHUNK // max(comm.size, 1))
+    for i in range(0, len(cores), step):
+        ok, defects = _commuting(comm, cores[i:i + step, None], tol)
         if not ok.all():
+            c = int(ok.all(axis=1).argmin())
             raise ResourceError("core failed to commute with the commutant",
-                                witness={"defect": float(defects[ok.argmin()])})
-        cores.append(core)
+                                witness={"defect": float(
+                                    defects[c, ok[c].argmin()])})
     return cores
 
 
@@ -527,8 +613,7 @@ def sigma_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     _in_algebra_dim(m, vecs)
     eye = np.eye(m.dim, dtype=complex)
     cores = _cores(m, vecs[:, ::-1], [m.dim - k for k in ends], tol)
-    return family_from_steps(breakpoints, [eye - c for c in cores],
-                             tol).synthesize()
+    return family_from_steps(breakpoints, eye - cores, tol).synthesize()
 
 
 def atomic_value(a, x, tol: Tolerances = TOL) -> float:

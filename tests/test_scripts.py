@@ -35,8 +35,8 @@ def test_nonlinearity_demo_reports_rho_is_not_additive():
 
 def test_sweep_matches_the_recording():
     """The first 60 diagrams of ``scripts/sweep.py`` with seed 0: contexts,
-    pool labels, and the reports of an operator's section and a 0/1
-    section, byte for byte.  Regenerate the recording after a deliberate
+    pool labels, the reports of an operator's section and a 0/1 section,
+    and the operator's rho and sigma, byte for byte.  Regenerate the recording after a deliberate
     change of behaviour with
     ``PYTHONPATH=src python3 scripts/sweep.py 0 60 > tests/sweep_slice.jsonl``."""
     recorded = (ROOT / "tests" / "sweep_slice.jsonl").read_text()

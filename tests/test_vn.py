@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from obslat import context as cx
 from obslat import jsonio, vn
 from obslat.errors import InputError, PreconditionError, ResourceError
+from obslat.spectral import _canonical_steps
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -92,6 +93,181 @@ def test_family_from_steps_errors():
         vn.family_from_steps([0.0, 1.0], [eye, e0])
     fam = vn.family_from_steps([0.5, 0.0, 1.0], [e0, zero, eye])
     assert fam.breakpoints == (0.5, 1.0)
+
+
+# -- family_from_steps against the per-step loop it replaced ---------------------
+
+def ref_family_from_steps(breakpoints, projections, tol=vn.TOL):
+    """Each projection checked on its own, then ``_canonical_steps`` comparing
+    the projections themselves, one norm per comparison."""
+    ps = [vn.check_projection(p, tol) for p in projections]
+    dim = vn._one_dim(p.shape[0] for p in ps)
+    steps = _canonical_steps(
+        zip(breakpoints, ps), lambda p, q: vn.projection_leq(p, q, tol),
+        lambda p, q: float(np.linalg.norm(p - q)) <= tol.sub,
+        np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex),
+        vn.rank_of_projection)
+    return vn.OperatorSpectralFamily(tuple(lam for lam, _ in steps),
+                                     tuple(p for _, p in steps), dim)
+
+
+def family_outcome(build, lams, ps):
+    """The family's breakpoints and projections as bits, or the error's type,
+    message and witness."""
+    try:
+        fam = build(lams, ps)
+    except (InputError, ResourceError) as err:
+        return type(err), err.args, repr(err.witness)
+    return ([lam.hex() for lam in fam.breakpoints],
+            [(p.shape, p.tobytes()) for p in fam.projections], fam.dim)
+
+
+def assert_family_matches_the_step_loop(lams, ps):
+    want = family_outcome(ref_family_from_steps, lams, ps)
+    assert family_outcome(vn.family_from_steps, lams, ps) == want
+    return want
+
+
+def unitary(seed, dim):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+BREAKS = ("nan", "inf", "lambda", "non-square", "too-big", "empty-matrix",
+          "dimension", "hermitian", "barely-hermitian", "idempotent",
+          "barely-idempotent", "decreasing", "tie", "no-top", "no-steps")
+
+
+def broken(kind, lams, ps, k, dim):
+    """Break the family at step k (taken modulo its length) one way; a
+    family with no steps stays as it is."""
+    lams, ps = list(lams), [np.array(p, dtype=complex) for p in ps]
+    if not ps:
+        return lams, ps
+    k = k % len(ps)
+    eye = np.eye(*ps[k].shape)
+    if kind in ("nan", "inf"):
+        ps[k][..., -1:] = float(kind)
+    elif kind == "lambda":
+        lams[k] = float("nan")
+    elif kind == "non-square":
+        ps[k] = np.zeros((dim, dim + 1))
+    elif kind == "too-big":
+        ps[k] = np.eye(vn.MAX_DIM + 1)
+    elif kind == "empty-matrix":
+        ps[k] = np.zeros((0, 0))
+    elif kind == "dimension":
+        ps[k] = np.eye(dim + 1)
+    elif kind in ("hermitian", "barely-hermitian"):
+        # a defect of 1.4 or 2 times the sym tolerance when barely
+        ps[k][:1, -1:] += 1e-6j if kind == "hermitian" else vn.TOL.sym * 1j
+    elif kind in ("idempotent", "barely-idempotent"):
+        # a defect of about twice the proj tolerance when barely
+        ps[k] = ps[k] + (1e-3 if kind == "idempotent" else 2 * vn.TOL.proj
+                         / max(1, ps[k].shape[0]) ** 0.5) * eye
+    elif kind == "decreasing":
+        ps[k] = eye - ps[k]
+    elif kind == "tie":
+        lams[k] = lams[k - 1]
+    elif kind == "no-top":
+        keep = [i for i, p in enumerate(ps) if not (
+            p.shape == (dim, dim) and np.linalg.norm(p - np.eye(dim)) < 1e-9)]
+        lams, ps = [lams[i] for i in keep], [ps[i] for i in keep]
+    else:
+        lams, ps = [], []
+    return lams, ps
+
+
+@st.composite
+def step_families(draw):
+    """A family of steps V_r V_r* of one random unitary, ranks 0 to dim drawn
+    with repeats, lambdas from a small grid so that some coincide, in a
+    shuffled order, usually with the identity among them; then up to two
+    breaks from ``BREAKS``."""
+    dim = draw(st.integers(1, 5))
+    u = unitary(draw(st.integers(0, 2 ** 32 - 1)), dim)
+    n = draw(st.integers(0, 7))
+    ranks = sorted(draw(st.lists(st.integers(0, dim), min_size=n,
+                                 max_size=n)))
+    grid = st.sampled_from([-1.0, -0.0, 0.25, 0.5, 1.0, 1.5, 2.5])
+    lams = sorted(draw(st.lists(grid, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        ranks.append(dim)
+        lams.append(3.0)
+    steps = [u[:, :r] @ u[:, :r].conj().T for r in ranks]
+    order = draw(st.permutations(range(len(steps))))
+    lams, steps = [lams[i] for i in order], [steps[i] for i in order]
+    for kind in draw(st.lists(st.sampled_from(BREAKS), max_size=2)):
+        lams, steps = broken(kind, lams, steps, draw(st.integers(0, 10)), dim)
+    return lams, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=step_families())
+def test_family_from_steps_matches_the_step_loop(family):
+    """Valid families give bitwise the loop's breakpoints and projections;
+    broken ones its first error, message and witness."""
+    assert_family_matches_the_step_loop(*family)
+
+
+def test_broken_families_raise_the_step_loops_first_error():
+    """Each break on its own, on a family with every kind of step, and two
+    at once, where the earlier step's error must come first."""
+    dim = 3
+    u = unitary(1, dim)
+    steps = [u[:, :r] @ u[:, :r].conj().T for r in (3, 0, 1, 2, 1, 3)]
+    lams = [2.0, -1.0, 0.0, 1.0, 0.5, 3.0]
+    assert len(assert_family_matches_the_step_loop(lams, steps)[0]) == 3
+    messages = set()
+    for kind in BREAKS:
+        want = assert_family_matches_the_step_loop(
+            *broken(kind, lams, steps, 3, dim))
+        messages.add(want[1][0])
+        for other in BREAKS:
+            assert_family_matches_the_step_loop(*broken(
+                other, *broken(kind, lams, steps, 4, dim), 2, dim))
+    # nan and inf, and each kind with its barely- twin, share a message
+    assert len(messages) == len(BREAKS) - 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_family_from_steps_matches_the_step_loop_at_dimension_16(seed):
+    """The pointwise joins of two operators' families at their merged
+    breakpoints, as ``spectral_meet`` builds them, shuffled, with repeated
+    steps and a zero step mixed in: at least 30 steps."""
+    rng = random.Random(seed)
+    fams = [vn.spectral_family_of(vn.random_hermitian(rng, 16))
+            for _ in range(2)]
+    lams = vn.merged_breakpoints(fams)
+    steps = [vn.projection_join([f.value_at(lam) for f in fams])
+             for lam in lams]
+    lams += [lams[3], lams[0] - 1.0, lams[-1]]
+    steps += [steps[3], np.zeros((16, 16)), steps[-1]]
+    order = list(range(len(lams)))
+    rng.shuffle(order)
+    lams, steps = [lams[i] for i in order], [steps[i] for i in order]
+    assert len(steps) >= 30
+    want = assert_family_matches_the_step_loop(lams, steps)
+    assert len(want[0]) == 16
+
+
+def test_singleton_clusters_keep_the_means_bits(monkeypatch):
+    """A cluster of one takes its eigenvalue, wider clusters keep the mean;
+    an eigensolver that hands out a negative zero (LAPACK does, on a
+    diagonal input not symmetrized first) gives the mean's positive zero."""
+    a = np.diag([-0.0, 1.0, 1.0 + 1e-9, 2.0 + 1e-15, 5.0])
+    got = vn.spectral_family_of(a).breakpoints
+    want = ref_spectral_family_of(a).breakpoints
+    assert [b.hex() for b in got] == [b.hex() for b in want]
+    assert len(got) == 4
+    monkeypatch.setattr(vn, "eigen_hermitian",
+                        lambda a, tol: np.linalg.eigh(a))
+    a = np.diag([-0.0, 1.0]).astype(complex)
+    assert np.signbit(np.linalg.eigh(a)[0][0])
+    got = vn.spectral_family_of(a).breakpoints
+    assert [b.hex() for b in got] == [float(np.mean([-0.0])).hex(),
+                                      (1.0).hex()]
 
 
 def test_merged_breakpoints_cluster_jitter():
@@ -504,6 +680,74 @@ def test_batched_commute_check_keeps_the_loop_witness():
         ref_core_projection(m, q)
     assert got.value.args == want.value.args
     assert got.value.witness == want.value.witness == {"defect": 1.0}
+
+
+def ref_cores(m, vecs, ks, tol=vn.TOL):
+    """One ``_commuting`` call per core, as soon as the core is found."""
+    comm = m.commutant
+    h = vecs.conj().T @ comm @ vecs
+    cores = []
+    for k in ks:
+        basis = vecs[:, :k]
+        if k:
+            basis = basis @ vn.null_space(h[:, k:, :k].reshape(-1, k), tol)
+        core = basis @ basis.conj().T
+        ok, defects = vn._commuting(comm, core, tol)
+        if not ok.all():
+            raise ResourceError("core failed to commute with the commutant",
+                                witness={"defect": float(defects[ok.argmin()])})
+        cores.append(core)
+    return cores
+
+
+def shift_breaking_algebra(dim, i, fill, adjoint):
+    """A hand-built algebra whose stored commutant holds the identity,
+    ``fill`` random diagonals, then E, 2E and 3F for E = E_{i,i+1} and
+    F = E_{i+1,i+2} (1-based; their adjoints when ``adjoint``).  On
+    diag(0, ..., dim - 1) the cores of rho (sigma) are the spans of the
+    leading (trailing) basis vectors, which all of these keep.  The core at
+    position i - 1 fails to commute with E and 2E, the next one with 3F,
+    and no other fails: the first breach has defect 1."""
+    e = np.zeros((3, dim, dim), dtype=complex)
+    for n, (r, c) in enumerate([(i - 1, i), (i - 1, i), (i, i + 1)]):
+        e[(n, c, r) if adjoint else (n, r, c)] = n + 1.0
+    rng = np.random.default_rng(dim)
+    diagonals = [np.diag(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+                 for _ in range(fill)]
+    comm = np.array([np.eye(dim), *diagonals, *e])
+    return vn.VNSubalgebra(dim, (), (np.eye(dim, dtype=complex),), comm)
+
+
+@pytest.mark.parametrize("dim, i, fill, chunks", [
+    (4, 2, 0, 1),        # all cores in one chunk
+    (8, 5, 298, 3),      # three cores a chunk, both breaches in chunk 2
+    (16, 2, 138, 16)],   # one core a chunk
+    ids=["one-chunk", "three-chunks", "core-per-chunk"])
+@pytest.mark.parametrize("fn", [vn.rho_restrict, vn.sigma_restrict],
+                         ids=lambda fn: fn.__name__)
+def test_core_check_keeps_the_per_core_loops_witness(fn, dim, i, fill, chunks,
+                                                     monkeypatch):
+    """The batched check raises on a later core, in a later chunk too, with
+    the per-core loop's witness: the first breaching core's first breaching
+    element, not the largest defect nor a later core's."""
+    alg = shift_breaking_algebra(dim, i, fill, fn is vn.sigma_restrict)
+    per_chunk = vn._CORE_CHUNK // alg.commutant.size
+    assert -(-dim // per_chunk) == chunks
+    a = np.diag(np.arange(dim, dtype=float))
+    with pytest.raises(ResourceError) as got:
+        fn(alg, a)
+    monkeypatch.setattr(vn, "_cores", ref_cores)
+    with pytest.raises(ResourceError) as want:
+        fn(alg, a)
+    assert got.value.args == want.value.args
+    assert got.value.witness == want.value.witness == {"defect": 1.0}
+    vecs = vn.eigen_hermitian(a)[1]
+    ks = list(range(1, dim + 1))
+    if fn is vn.sigma_restrict:
+        vecs, ks = vecs[:, ::-1], [dim - k for k in ks]
+    ref_cores(alg, vecs, ks[:i - 1])
+    with pytest.raises(ResourceError):
+        ref_cores(alg, vecs, ks[:i])
 
 
 def test_commutant_stack_is_read_only():
