@@ -19,11 +19,15 @@ atoms 0 or 1 in the order of <P, H> for a seeded Hermitian H, so it does not
 depend on how the atoms are numbered, values every element by the largest
 of its atoms, and copies the values of shared projections to the generated
 contexts.  A report is the ``glue_section`` summary, or the error and its
-witness when the section is not global.  Each line also records ``rho``
-and ``sigma``: the two restrictions of the same operator onto
-``vn.subalgebra`` of the first given context's generator, as the breakpoints
-and step ranks of their spectral families (or the error and its witness).
-Floats are rounded to 8 places and keys are sorted.  Run from anywhere:
+witness when the section is not global.  Each line also records, under
+``restricted``, ``rho`` and ``sigma`` of a second operator onto
+``vn.subalgebra`` of the first given context's generator (``C0``) and of the
+first two (``C0+C1``, not abelian unless the shape is diagonal), as the
+breakpoints and step ranks of their spectral families (or the error and its
+witness).  That operator has levels 0-2 in C0's eigenbasis with one
+coordinate plane turned, drawn from the seed triple (SEED, k, 1), so its
+cores fall strictly between 0 and I.  Floats are rounded to 8 places and
+keys are sorted.  Run from anywhere:
 
     PYTHONPATH=src python3 scripts/sweep.py SEED COUNT
 """
@@ -45,6 +49,16 @@ def unitary(rng, dim: int) -> np.ndarray:
     return np.linalg.qr(z)[0]
 
 
+def plane_turn(rng, dim: int) -> np.ndarray:
+    """A rotation by 0.2-1.4 in one random coordinate plane."""
+    i, j = rng.choice(dim, 2, replace=False)
+    t = rng.uniform(0.2, 1.4)
+    turn = np.eye(dim)
+    turn[[i, i, j, j], [i, j, i, j]] = [np.cos(t), -np.sin(t), np.sin(t),
+                                        np.cos(t)]
+    return turn
+
+
 def generators(rng, shape: str, dim: int) -> dict:
     count = int(rng.integers(2, 5))
     base = unitary(rng, dim)
@@ -59,12 +73,7 @@ def generators(rng, shape: str, dim: int) -> dict:
         else:
             u = base.copy()
             if k and rng.random() < 0.7:
-                i, j = rng.choice(dim, 2, replace=False)
-                t = rng.uniform(0.2, 1.4)
-                turn = np.eye(dim)
-                turn[[i, i, j, j], [i, j, i, j]] = [np.cos(t), -np.sin(t),
-                                             np.sin(t), np.cos(t)]
-                u = base @ turn
+                u = base @ plane_turn(rng, dim)
         out[f"C{k}"] = [(u * levels) @ u.conj().T]
     return out
 
@@ -119,6 +128,14 @@ def restrictions(gens, dim: int, op) -> dict:
             for name, f in fams.items()}
 
 
+def restricted_operator(seed: int, index: int, gen) -> np.ndarray:
+    """Levels 0-2 in the eigenbasis of gen, one coordinate plane turned."""
+    rng = np.random.default_rng([seed, index, 1])
+    dim = len(gen)
+    w = np.linalg.eigh(gen)[1] @ plane_turn(rng, dim)
+    return (w * rng.integers(0, 3, dim).astype(float)) @ w.conj().T
+
+
 def rounded(obj):
     if isinstance(obj, float):
         return round(obj, 8) + 0.0      # no negative zero
@@ -136,8 +153,11 @@ def sweep_line(seed: int, index: int) -> str:
     named = generators(rng, shape, dim)
     u = unitary(rng, dim)
     op = (u * rng.integers(0, 3, dim).astype(float)) @ u.conj().T
+    target = restricted_operator(seed, index, named["C0"][0])
     line = {"seed": seed, "index": index, "shape": shape, "dim": dim,
-            **restrictions(named["C0"], dim, op)}
+            "restricted": {
+                "C0": restrictions(named["C0"], dim, target),
+                "C0+C1": restrictions(named["C0"] + named["C1"], dim, target)}}
     try:
         dia = diagram(named, dim=dim)
     except ResourceError as err:

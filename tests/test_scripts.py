@@ -1,9 +1,13 @@
 """Smoke tests for the worked-example scripts under scripts/, and the
 behaviour sweep against its recording."""
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,8 +40,37 @@ def test_nonlinearity_demo_reports_rho_is_not_additive():
 def test_sweep_matches_the_recording():
     """The first 60 diagrams of ``scripts/sweep.py`` with seed 0: contexts,
     pool labels, the reports of an operator's section and a 0/1 section,
-    and the operator's rho and sigma, byte for byte.  Regenerate the recording after a deliberate
-    change of behaviour with
-    ``PYTHONPATH=src python3 scripts/sweep.py 0 60 > tests/sweep_slice.jsonl``."""
+    and rho and sigma onto two algebras, byte for byte.  Regenerate the
+    recording after a deliberate change of behaviour with
+    ``PYTHONPATH=src python3 scripts/sweep.py 0 60 > tests/sweep_slice.jsonl``.
+    Most lines restrict to a step strictly between 0 and I, so the
+    recording pins cores that are neither."""
     recorded = (ROOT / "tests" / "sweep_slice.jsonl").read_text()
     assert run_script("sweep.py", 0, 60) == recorded
+    between = 0
+    for line in recorded.splitlines():
+        d = json.loads(line)
+        between += any(0 < r < d["dim"] for algebra in d["restricted"].values()
+                       for fam in algebra.values() for r in fam.get("ranks", ()))
+    assert between >= 40
+
+
+def test_sweep_compare_finds_head_and_the_tree_alike():
+    """``scripts/sweep_compare.py`` runs the tree's sweep against HEAD's
+    ``src`` and the tree's own; behaviour changes are committed with their
+    recording, so the two agree."""
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode:
+        pytest.skip("needs a git checkout with a commit")
+    out = run_script("sweep_compare.py", "HEAD", ".", 0, 3)
+    assert out == "HEAD and . agree on all 3 lines of sweep.py 0 3\n"
+
+
+def test_sweep_compare_reports_the_first_differing_line():
+    spec = importlib.util.spec_from_file_location(
+        "sweep_compare", ROOT / "scripts" / "sweep_compare.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    assert compare.first_difference(["a", "b"], ["a", "b"]) is None
+    assert compare.first_difference(["a", "b", "c"], ["a", "x", "y"]) == 1
+    assert compare.first_difference(["a"], ["a", "b"]) == 1
