@@ -29,9 +29,10 @@ from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, _cliques, _row_masks, bits, mask_from
 from .observables import check_completely_increasing, observable
-from .vn import (TOL, Tolerances, _commuting, _generators, _range_values,
-                 as_matrix, family_from_steps, joint_eigenblocks,
-                 projection_join, projection_joins, projection_leq)
+from .vn import (TOL, Tolerances, _abelian, _commuting, _generators,
+                 _range_values, as_matrix, family_from_steps,
+                 joint_eigenblocks, projection_join, projection_joins,
+                 projection_leq)
 
 MAX_MINIMAL = 6
 MAX_CONTEXTS = 24
@@ -80,8 +81,7 @@ def context_from_generators(name: str, gens, dim: int | None = None,
     lexicographically by the eigenvalues of the generators' Hermitian and
     skew parts in turn."""
     gens, dim = _generators(gens, dim)
-    both = np.array([h for g in gens for h in (g, g.conj().T)])
-    if not all(_commuting(both, y, tol)[0].all() for y in both):
+    if not _abelian(gens, tol):
         raise InputError("context algebras must be abelian",
                          witness={"context": name})
     mins = joint_eigenblocks(gens, dim, tol)

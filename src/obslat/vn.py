@@ -37,8 +37,19 @@ class Tolerances:
 TOL = Tolerances()
 
 
+def _complex_entries(entries) -> np.ndarray | None:
+    """The entries as a complex array, or None when their nesting is ragged
+    or one of them is no number."""
+    try:
+        return np.asarray(entries, dtype=complex)
+    except (TypeError, ValueError):
+        return None
+
+
 def as_matrix(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=complex)
+    a = _complex_entries(entries)
+    if a is None:
+        raise InputError("matrix entries must be numbers in equal rows")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("matrix must be square", witness=list(a.shape))
     if a.shape[0] > MAX_DIM:
@@ -260,8 +271,9 @@ def _checked_projections(projections, tol: Tolerances) -> np.ndarray:
     pass per dimension present.  The first projection in input order that
     fails a check raises ``check_projection``'s own error and witness, and
     only then must the dimensions agree."""
-    mats = [np.asarray(p, dtype=complex) for p in projections]
-    shaped = next((k for k, a in enumerate(mats) if not (
+    projections = list(projections)
+    mats = [_complex_entries(p) for p in projections]
+    shaped = next((k for k, a in enumerate(mats) if a is None or not (
         a.ndim == 2 and 0 < a.shape[0] == a.shape[1] <= MAX_DIM)), len(mats))
     first, stacks = shaped, {}
     for dim in {a.shape[0] for a in mats[:shaped]}:
@@ -277,7 +289,7 @@ def _checked_projections(projections, tol: Tolerances) -> np.ndarray:
             first = min(first, idx[int(bad.argmax())])
         stacks[dim] = p
     if first < len(mats):
-        check_projection(mats[first], tol)   # raises: the same norms
+        check_projection(projections[first], tol)   # raises: the same norms
     dim = _one_dim(stacks)
     return stacks[dim] if stacks else np.zeros((0, 0, 0), dtype=complex)
 
@@ -457,18 +469,35 @@ def _generators(gens, dim: int | None) -> tuple[list[np.ndarray], int]:
     return gens, dim
 
 
-def subalgebra(gens, dim: int | None = None, tol: Tolerances = TOL
-               ) -> VNSubalgebra:
-    """The unital *-algebra generated by the given matrices, with its
-    commutant (the generators' own), stored once as a read-only (k, d, d)
-    stack.  Being singly generated (Pearcy 1962), the commutant is generated
-    by two random elements, whose commutant has the double commutant's
-    dimension, or more if the pair is not generic.  Only that dimension is
-    needed: d^2 less the rank of the pair's folded Sylvester stack, from its
-    singular values alone.  The span grows to it by products: each round
-    forms every product of the current basis in one batched matmul.  A span
-    that stalls or passes it raises."""
-    gens, dim = _generators(gens, dim)
+def _abelian(gens, tol: Tolerances) -> bool:
+    """Whether the matrices and their adjoints pairwise commute within the
+    sub tolerance (``_commuting``), one call per member."""
+    both = np.array([h for g in gens for h in (g, g.conj().T)])
+    return all(_commuting(both, y, tol)[0].all() for y in both)
+
+
+def _block_algebra(gens, dim: int, blocks, projs) -> VNSubalgebra:
+    """The functions on the joint eigenblocks: basis P_i / sqrt(m_i) for the
+    blocks' isometries b_i of rank m_i, and their commutant, the direct sum
+    of the full matrix algebras on ran P_i, as the matrix units
+    b_i[:, a] b_i[:, c]* within each block."""
+    basis = tuple(p / np.sqrt(b.shape[1]) for b, p in zip(blocks, projs))
+    comm = np.concatenate([
+        (b.T[:, None, :, None] * b.conj().T[None, :, None, :]).reshape(
+            -1, dim, dim) for b in blocks])
+    comm.flags.writeable = False
+    return VNSubalgebra(dim, tuple(gens), basis, comm)
+
+
+def _sylvester_algebra(gens, dim: int, tol: Tolerances) -> VNSubalgebra:
+    """The algebra from the commutant, the null space of the generators'
+    Sylvester stack.  Being singly generated (Pearcy 1962), the commutant is
+    generated by two random elements, whose commutant has the double
+    commutant's dimension, or more if the pair is not generic.  Only that
+    dimension is needed: d^2 less the rank of the pair's folded Sylvester
+    stack, from its singular values alone.  The span grows to it by
+    products: each round forms every product of the current basis in one
+    batched matmul.  A span that stalls or passes it raises."""
     comm = commutant_basis(gens, dim, tol)
     comm.flags.writeable = False
     w = np.random.default_rng(GENERIC_SEED).standard_normal((2, 2, len(comm)))
@@ -492,21 +521,36 @@ def subalgebra(gens, dim: int | None = None, tol: Tolerances = TOL
     return VNSubalgebra(dim, tuple(gens), tuple(mats), comm)
 
 
+def subalgebra(gens, dim: int | None = None, tol: Tolerances = TOL
+               ) -> VNSubalgebra:
+    """The unital *-algebra generated by the given matrices, with its
+    commutant (the generators' own), stored once as a read-only (k, d, d)
+    stack.  When the generators and their adjoints pairwise commute
+    (``_abelian``) and their joint eigenblocks (``joint_eigenblocks``)
+    reduce every generator, the algebra is the functions on those blocks
+    (``_block_algebra``), so eigenvalues within the cluster gap share a
+    block, as in a context.  A set that is not abelian, or abelian with
+    blocks that fail that guard, takes the Sylvester path
+    (``_sylvester_algebra``)."""
+    gens, dim = _generators(gens, dim)
+    if _abelian(gens, tol):
+        try:
+            found = _eigenblocks(gens, dim, tol)
+        except ResourceError:
+            pass
+        else:
+            return _block_algebra(gens, dim, *found)
+    return _sylvester_algebra(gens, dim, tol)
+
+
 def trivial_algebra(dim: int, tol: Tolerances = TOL) -> VNSubalgebra:
     return subalgebra([], dim=dim, tol=tol)
 
 
-def joint_eigenblocks(gens, dim: int | None = None, tol: Tolerances = TOL
-                      ) -> list[np.ndarray]:
-    """Minimal projections of the abelian *-algebra that commuting normal
-    matrices generate: their joint eigenspaces (Horn & Johnson, *Matrix
-    Analysis*, 2.5).  The whole space is split by the clustered eigenvalues
-    (``_clustered_eigen``) of each generator's Hermitian part, then skew
-    part, compressed to each block, so the blocks come out ordered
-    lexicographically by those eigenvalues.  Commutation is the caller's
-    check; blocks that leave a generator off their block diagonal by more
-    than the sub tolerance raise."""
-    gens, dim = _generators(gens, dim)
+def _eigenblocks(gens, dim: int, tol: Tolerances
+                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Isometries b_i onto the joint eigenblocks of ``joint_eigenblocks``,
+    and the projections b_i b_i*, in its order and under its guard."""
     blocks = [np.eye(dim, dtype=complex)]
     for g in gens:
         for part in ((g + g.conj().T) / 2, (g - g.conj().T) / 2j):
@@ -523,7 +567,21 @@ def joint_eigenblocks(gens, dim: int | None = None, tol: Tolerances = TOL
         if defect > tol.sub:
             raise ResourceError("joint eigenblocks do not reduce a generator",
                                 witness={"defect": defect})
-    return projs
+    return blocks, projs
+
+
+def joint_eigenblocks(gens, dim: int | None = None, tol: Tolerances = TOL
+                      ) -> list[np.ndarray]:
+    """Minimal projections of the abelian *-algebra that commuting normal
+    matrices generate: their joint eigenspaces (Horn & Johnson, *Matrix
+    Analysis*, 2.5).  The whole space is split by the clustered eigenvalues
+    (``_clustered_eigen``) of each generator's Hermitian part, then skew
+    part, compressed to each block, so the blocks come out ordered
+    lexicographically by those eigenvalues.  Commutation is the caller's
+    check (``_abelian``); blocks that leave a generator off their block
+    diagonal by more than the sub tolerance raise."""
+    gens, dim = _generators(gens, dim)
+    return _eigenblocks(gens, dim, tol)[1]
 
 
 # -- core, support, and the two restriction maps -------------------------------

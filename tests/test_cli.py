@@ -560,6 +560,32 @@ def test_dimensions_in_files_are_positive_integers(capsys, tmp_path, argv,
                                "witness": {"key": key, "value": value}}
 
 
+def test_near_degenerate_algebra_file_exit_0(capsys, tmp_path):
+    """diag(0, .5, .5 + 1e-8, .5 + 2e-8) generates the algebra of its
+    context's three atoms, e0, e1 and e2 + e3 (the last two eigenvalues lie
+    within the cluster gap)."""
+    gens, op, proj = (tmp_path / n for n in ("gens.json", "op.json",
+                                             "proj.json"))
+    jsonio.save_json(gens, {"dim": 4, "generators": [jsonio.matrix_to_json(
+        np.diag([0.0, 0.5, 0.5 + 1e-8, 0.5 + 2e-8]))]})
+    jsonio.save_json(op, {"matrix": jsonio.matrix_to_json(
+        np.diag([0.0, 1.0, 2.0, 3.0]))})
+    jsonio.save_json(proj, {"matrix": jsonio.matrix_to_json(
+        np.diag([0.0, 1.0, 1.0, 0.0]))})
+    code, payload = run_json(capsys, "vn", "restrict", "--algebra", str(gens),
+                             "--op", str(op), "--map", "rho")
+    assert code == 0
+    assert np.allclose(jsonio.load_matrix(payload["matrix"]),
+                       np.diag([0.0, 1.0, 3.0, 3.0]))
+    code, payload = run_json(capsys, "vn", "core", "--algebra", str(gens),
+                             "--proj", str(proj))
+    assert code == 0
+    assert np.allclose(jsonio.load_matrix(payload["core"]),
+                       np.diag([0.0, 1.0, 0.0, 0.0]))
+    assert np.allclose(jsonio.load_matrix(payload["support"]),
+                       np.diag([0.0, 1.0, 1.0, 1.0]))
+
+
 def test_algebra_dimension_above_the_cap_exit_2(capsys, tmp_path):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps({"dim": 17, "generators": []}))

@@ -19,7 +19,8 @@ from obslat import jsonio, vn
 from obslat.acceptance import fixture_diagram, fixture_section
 from obslat.corpus import boolean_algebra
 from obslat.errors import InputError, PreconditionError, ResourceError
-from test_vn import ref_is_abelian, ref_minimal_projections, same_projections
+from test_vn import (ref_is_abelian, ref_minimal_projections, ref_subalgebra,
+                     same_projections)
 
 AZ = np.diag([0.0, 1.0]).astype(complex)
 AX = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -1160,8 +1161,8 @@ def ref_algebra_intersection(a, b, tol):
 
     vecs = vn.orthonormal_range(vn.projection_meet([span(a), span(b)], tol),
                                 tol)
-    return vn.subalgebra([vecs[:, k].reshape(a.dim, a.dim)
-                          for k in range(vecs.shape[1])], dim=a.dim, tol=tol)
+    return ref_subalgebra([vecs[:, k].reshape(a.dim, a.dim)
+                           for k in range(vecs.shape[1])], dim=a.dim, tol=tol)
 
 
 def _ref_same_algebra(a, b, tol):
@@ -1171,7 +1172,7 @@ def _ref_same_algebra(a, b, tol):
 
 def ref_diagram(named_generators, dim=None, tol=vn.TOL):
     """``diagram`` as it was: each context the bicommutant of its generators
-    (``vn.subalgebra``) with the generic element's blocks, every pair of
+    (the test oracle ``ref_subalgebra``) with the generic element's blocks, every pair of
     contexts intersected as algebras each round, a result kept unless its
     span matches a context's, and the pool built after the closure."""
     if not named_generators:
@@ -1185,7 +1186,7 @@ def ref_diagram(named_generators, dim=None, tol=vn.TOL):
     for name, gens in named_generators.items():
         if name in algs:
             raise InputError("duplicate context name", witness={"context": name})
-        alg = vn.subalgebra(gens, dim=dim, tol=tol)
+        alg = ref_subalgebra(gens, dim=dim, tol=tol)
         if algs and alg.dim != ctxs[0].dim:
             raise InputError("ambient dimension mismatch",
                              witness={"context": name})
@@ -1204,7 +1205,7 @@ def ref_diagram(named_generators, dim=None, tol=vn.TOL):
                 raise ResourceError("intersection closure grew too large",
                                     witness={"cap": cx.MAX_CONTEXTS})
     if not any(m.linear_dim == 1 for m in algs.values()):
-        add("scalars", vn.trivial_algebra(ambient, tol))
+        add("scalars", ref_subalgebra([], dim=ambient, tol=tol))
     pool, labels, element_pool = [], [], {}
     for c in ctxs:
         elems = c.nonzero_elements()

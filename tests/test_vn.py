@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -375,7 +376,7 @@ def assert_eigenblocks_match_the_loop(gens, dim):
     """On an abelian algebra the joint eigenblocks are the generic element's
     blocks, matched by content; the loop refuses only non-abelian ones."""
     want = minimal_outcome(ref_minimal_projections,
-                           vn.subalgebra(gens, dim=dim))
+                           ref_subalgebra(gens, dim=dim))
     if isinstance(want, tuple):
         assert want[0] is PreconditionError
         return
@@ -778,16 +779,24 @@ def projector(mats):
 
 
 def test_subalgebra_matches_the_full_bicommutant_oracle(rng):
-    """Bases and minimal projections bitwise, commutants as subspaces, and
-    core, support, rho and sigma on projections whose core lies strictly
-    between 0 and q as well as on random ones."""
+    """Bases bitwise on sets that are not abelian (the Sylvester path) and
+    as subspaces on abelian ones (the eigenblock path), commutants as
+    subspaces, and core, support, rho and sigma on projections whose core
+    lies strictly between 0 and q as well as on random ones."""
     sets = [(gens[0].shape[0], gens) for gens in corpus_generator_sets()]
     sets += list(random_generator_sets(rng)) + list(block_generator_sets(rng))
     strictly_between = 0
+    abelian = 0
     for dim, gens in sets:
         new, old = vn.subalgebra(gens, dim=dim), ref_subalgebra(gens, dim=dim)
         assert len(new.basis) == len(old.basis)
-        assert all(np.array_equal(x, y) for x, y in zip(new.basis, old.basis))
+        if ref_is_abelian(old):
+            abelian += 1
+            assert np.linalg.norm(projector(new.basis)
+                                  - projector(old.basis)) < 1e-8
+        else:
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(new.basis, old.basis))
         assert len(new.commutant) == len(old.commutant)
         assert np.linalg.norm(projector(new.commutant)
                               - projector(old.commutant)) < 1e-8
@@ -810,6 +819,99 @@ def test_subalgebra_matches_the_full_bicommutant_oracle(rng):
         assert np.linalg.norm(vn.sigma_restrict(new, a)
                               - ref_restrict(old, a, "support")) < 1e-12
     assert strictly_between > len(sets) // 2
+    assert 0 < abelian < len(sets)
+
+
+def sylvester_subalgebra(gens, dim):
+    """``subalgebra`` on its Sylvester path, whatever the generators."""
+    with mock.patch.object(vn, "_abelian", lambda gens, tol: False):
+        return vn.subalgebra(gens, dim=dim)
+
+
+@st.composite
+def abelian_generator_sets(draw):
+    """Commuting normal generators in one random basis at d = 1..16: one
+    Hermitian with repeated integer levels, two of them, a unitary with
+    repeated phases, or none."""
+    dim = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["one", "two", "unitary", "none"]))
+    levels = draw(st.integers(1, 4))
+    np_rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = np_rng.normal(size=(dim, dim)) + 1j * np_rng.normal(size=(dim, dim))
+    u = np.linalg.qr(z)[0]
+
+    def turned(vals):
+        return (u * vals) @ u.conj().T
+
+    def drawn_levels():
+        return np_rng.integers(0, levels, dim).astype(float)
+
+    if kind == "none":
+        return dim, []
+    if kind == "unitary":
+        return dim, [turned(np.exp(2j * np.pi * drawn_levels() / levels))]
+    return dim, [turned(drawn_levels())
+                 for _ in range(1 if kind == "one" else 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=abelian_generator_sets(), seed=st.integers(0, 10 ** 6))
+def test_eigenblock_path_matches_the_sylvester_path(case, seed):
+    """On abelian sets the two paths give the same algebra and commutant as
+    subspaces, and the same core, support, rho and sigma, on a projection
+    whose core lies strictly between 0 and q (a block and a random line)
+    unless that is all of I or there is one block, and on a random one."""
+    dim, gens = case
+    rng = random.Random(seed)
+    new, old = vn.subalgebra(gens, dim=dim), sylvester_subalgebra(gens, dim)
+    assert new.linear_dim == old.linear_dim
+    assert len(new.commutant) == len(old.commutant)
+    assert np.linalg.norm(projector(new.basis) - projector(old.basis)) < 1e-10
+    assert np.linalg.norm(projector(new.commutant)
+                          - projector(old.commutant)) < 1e-10
+    eye = np.eye(dim)
+    block = vn.joint_eigenblocks(gens, dim)[0]
+    qs = [vn.projection_join([block, vn.random_projection(rng, dim, 1)]),
+          vn.random_projection(rng, dim)]
+    for q in qs:
+        core = vn.core_projection(new, q)
+        assert np.linalg.norm(core - vn.core_projection(old, q)) < 1e-12
+        assert np.linalg.norm(vn.support_projection(new, q)
+                              - vn.support_projection(old, q)) < 1e-12
+    rank = vn.rank_of_projection(qs[0])
+    if new.linear_dim > 1 and rank < dim:
+        assert 0 < vn.rank_of_projection(vn.core_projection(new, qs[0])) < rank
+    a = vn.random_hermitian(rng, dim)
+    for fn in (vn.rho_restrict, vn.sigma_restrict):
+        assert np.linalg.norm(fn(new, a) - fn(old, a)) < 1e-12
+
+
+@pytest.mark.parametrize("vals", [[0.0, 0.5, 0.5 + 1e-8],
+                                  [0.0, 0.5, 0.5 + 1e-8, 0.5 + 2e-8],
+                                  [0.0, 0.5, 0.5 + 5e-9]])
+def test_near_degenerate_generators_give_the_contexts_algebra(vals):
+    """Eigenvalues within the cluster gap share a block, as in a context:
+    the algebra has one dimension per atom.  The Sylvester path refused the
+    second set and gave the third three dimensions."""
+    alg = vn.subalgebra([np.diag(vals)])
+    atoms = cx.context_from_generators("D", [np.diag(vals)]).minimal
+    assert alg.linear_dim == len(atoms)
+    assert len(alg.commutant) == sum(
+        vn.rank_of_projection(p) ** 2 for p in atoms)
+    assert all(alg.contains(p) for p in atoms)
+
+
+def test_blocks_that_do_not_reduce_a_generator_take_the_sylvester_path():
+    """diag(0, 1, 1 + 2e-8) and a generator that turns its last two lines
+    by 0.03 commute within ``tol.sub``, but their joint eigenblocks fail
+    the guard, so the algebra is the Sylvester path's: C + C + M_2 less
+    nothing, five dimensions, as before."""
+    h = np.zeros((3, 3))
+    h[1, 2] = h[2, 1] = 0.03
+    gens = [np.diag([0.0, 1.0, 1.0 + 2e-8]), h]
+    assert vn._abelian([vn.as_matrix(g) for g in gens], vn.TOL)
+    alg = vn.subalgebra(gens)
+    assert alg.linear_dim == sylvester_subalgebra(gens, 3).linear_dim == 5
 
 
 def clustered_hermitian(rng, dim):
@@ -874,15 +976,18 @@ def test_restriction_on_the_trivial_algebra_at_the_cap_stays_small(fn):
 
 def test_non_generic_pair_raises_with_the_span_witness(monkeypatch):
     """A pair of scalars (zero weights) has all of M_3 as its commutant, so
-    the count passes any span and the diagonal algebra stalls below it."""
+    the count passes any span, and M_2 + C, generated by a set that is not
+    abelian, stalls below it."""
     class ZeroWeights:
         def standard_normal(self, shape):
             return np.zeros(shape)
 
+    flip = np.zeros((3, 3))
+    flip[0, 1] = flip[1, 0] = 1.0
     monkeypatch.setattr(vn.np.random, "default_rng", lambda seed: ZeroWeights())
     with pytest.raises(ResourceError) as err:
-        vn.subalgebra([np.diag([0.0, 1.0, 2.0])], dim=3)
-    assert err.value.witness == {"span": 3, "bicommutant": 9}
+        vn.subalgebra([np.diag([1.0, -1.0, 0.0]), flip], dim=3)
+    assert err.value.witness == {"span": 5, "bicommutant": 9}
 
 
 @pytest.mark.parametrize("dim, error", [(0, InputError), (-2, InputError),
@@ -1205,6 +1310,23 @@ def test_empty_matrices_are_refused(fn):
         fn(np.zeros((0, 0)))
     assert str(err.value) == "dimension must be positive"
     assert err.value.witness == 0
+
+
+@pytest.mark.parametrize("entries", [[[1, 0], [0]], [["a", 0], [0, 1]]],
+                         ids=["ragged", "string"])
+@pytest.mark.parametrize("fn", [
+    vn.as_matrix, vn.check_hermitian, lambda a: vn.subalgebra([a]),
+    lambda a: vn.family_from_steps([0.0], [a]),
+    lambda a: vn.family_from_steps([0.0, 1.0], [np.eye(2), a])],
+    ids=["as_matrix", "check_hermitian", "subalgebra", "family_from_steps",
+         "second_step"])
+def test_entries_that_are_no_matrix_are_refused(fn, entries):
+    """A ragged nesting or an entry that is no number raises ``InputError``
+    rather than numpy's ``ValueError``."""
+    with pytest.raises(InputError) as err:
+        fn(entries)
+    assert str(err.value) == "matrix entries must be numbers in equal rows"
+    assert err.value.witness is None
 
 
 def ref_atomic_value(a, x, tol=vn.TOL):
