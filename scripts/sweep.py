@@ -22,7 +22,7 @@ contexts.  A report is the ``glue_section`` summary, or the error and its
 witness when the section is not global.  Each line also records, under
 ``restricted``, ``rho`` and ``sigma`` of a second operator onto
 ``vn.subalgebra`` of the first given context's generator (``C0``) and of the
-first two (``C0+C1``, not abelian unless the shape is diagonal), as the
+first two (``C0+C1``, not abelian where their bases differ), as the
 breakpoints and step ranks of their spectral families (or the error and its
 witness).  That operator has levels 0-2 in C0's eigenbasis with one
 coordinate plane turned, drawn from the seed triple (SEED, k, 1), so its

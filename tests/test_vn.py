@@ -414,7 +414,8 @@ def test_eigenbasis_steps_match_the_loops_on_clusters(vals, seed, turned):
     move them by rounding.  The joint eigenblocks of one operator are the
     differences of its steps, in order.  The generic element's blocks are
     compared on the same operator with its clusters merged into repeated
-    eigenvalues (gaps of 1e-8 are beyond ``subalgebra``'s conditioning)."""
+    eigenvalues (gaps of 1e-8 are beyond the bicommutant oracle's
+    conditioning)."""
     dim = len(vals)
     u = np.eye(dim, dtype=complex)
     if turned:
@@ -858,9 +859,10 @@ def abelian_generator_sets(draw):
 @given(case=abelian_generator_sets(), seed=st.integers(0, 10 ** 6))
 def test_eigenblock_path_matches_the_sylvester_path(case, seed):
     """On abelian sets the two paths give the same algebra and commutant as
-    subspaces, and the same core, support, rho and sigma, on a projection
-    whose core lies strictly between 0 and q (a block and a random line)
-    unless that is all of I or there is one block, and on a random one."""
+    subspaces, each with orthonormal vecs, and the same core, support, rho
+    and sigma, on a projection whose core lies strictly between 0 and q (a
+    block and a random line) unless that is all of I or there is one block,
+    and on a random one."""
     dim, gens = case
     rng = random.Random(seed)
     new, old = vn.subalgebra(gens, dim=dim), sylvester_subalgebra(gens, dim)
@@ -869,7 +871,9 @@ def test_eigenblock_path_matches_the_sylvester_path(case, seed):
     assert np.linalg.norm(projector(new.basis) - projector(old.basis)) < 1e-10
     assert np.linalg.norm(projector(new.commutant)
                           - projector(old.commutant)) < 1e-10
-    eye = np.eye(dim)
+    for mats in (new.basis, new.commutant):
+        vecs = np.array([m.reshape(-1) for m in mats])
+        assert np.linalg.norm(vecs.conj() @ vecs.T - np.eye(len(vecs))) < 1e-12
     block = vn.joint_eigenblocks(gens, dim)[0]
     qs = [vn.projection_join([block, vn.random_projection(rng, dim, 1)]),
           vn.random_projection(rng, dim)]
@@ -904,8 +908,8 @@ def test_near_degenerate_generators_give_the_contexts_algebra(vals):
 def test_blocks_that_do_not_reduce_a_generator_take_the_sylvester_path():
     """diag(0, 1, 1 + 2e-8) and a generator that turns its last two lines
     by 0.03 commute within ``tol.sub``, but their joint eigenblocks fail
-    the guard, so the algebra is the Sylvester path's: C + C + M_2 less
-    nothing, five dimensions, as before."""
+    the guard, so the algebra is the Sylvester path's C + M_2, five
+    dimensions, as before."""
     h = np.zeros((3, 3))
     h[1, 2] = h[2, 1] = 0.03
     gens = [np.diag([0.0, 1.0, 1.0 + 2e-8]), h]
