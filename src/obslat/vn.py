@@ -19,7 +19,7 @@ from .errors import InputError, PreconditionError, ResourceError
 from .spectral import _canonical_steps, _step_value
 
 MAX_DIM = 16
-GENERIC_SEED = 20260101   # of the two random elements in subalgebra
+GENERIC_SEED = 20260101   # of the two random elements in _sylvester_algebra
 
 
 @dataclass(frozen=True)
