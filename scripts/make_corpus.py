@@ -69,6 +69,14 @@ def main() -> None:
     put("gens_diag.json", {
         "dim": 3,
         "generators": [matrix_to_json(np.diag([0.0, 1.0, 2.0]))]})
+    # diag(1, -1, 0) and the flip of the first two lines generate M_2 + C,
+    # which is not abelian: its algebra takes the Sylvester path
+    flip = np.zeros((3, 3))
+    flip[0, 1] = flip[1, 0] = 1.0
+    put("gens_block.json", {
+        "dim": 3,
+        "generators": [matrix_to_json(np.diag([1.0, -1.0, 0.0])),
+                       matrix_to_json(flip)]})
 
     sp3 = classical.sierpinski3()
     put("space_sierpinski.json", space_to_json(sp3))

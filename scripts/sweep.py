@@ -20,14 +20,14 @@ depend on how the atoms are numbered, values every element by the largest
 of its atoms, and copies the values of shared projections to the generated
 contexts.  A report is the ``glue_section`` summary, or the error and its
 witness when the section is not global.  Each line also records, under
-``restricted``, ``rho`` and ``sigma`` of a second operator onto
-``vn.subalgebra`` of the first given context's generator (``C0``) and of the
-first two (``C0+C1``, not abelian where their bases differ), as the
-breakpoints and step ranks of their spectral families (or the error and its
-witness).  That operator has levels 0-2 in C0's eigenbasis with one
-coordinate plane turned, drawn from the seed triple (SEED, k, 1), so its
-cores fall strictly between 0 and I.  Floats are rounded to 8 places and
-keys are sorted.  Run from anywhere:
+``restricted``, the ``linear_dim`` of ``vn.subalgebra`` of the first given
+context's generator (``C0``) and of the first two (``C0+C1``, not abelian
+where their bases differ), and ``rho`` and ``sigma`` of a second operator
+onto each, as the breakpoints and step ranks of their spectral families (or
+the error and its witness).  That operator has levels 0-2 in C0's
+eigenbasis with one coordinate plane turned, drawn from the seed triple
+(SEED, k, 1), so its cores fall strictly between 0 and I.  Floats are
+rounded to 8 places and keys are sorted.  Run from anywhere:
 
     PYTHONPATH=src python3 scripts/sweep.py SEED COUNT
 """
@@ -115,17 +115,20 @@ def report(dia, section) -> dict:
 
 
 def restrictions(gens, dim: int, op) -> dict:
-    """rho and sigma of op onto the algebra of gens: breakpoints and the
-    rank of each step."""
+    """The linear dimension of the algebra of gens, and rho and sigma of op
+    onto it: breakpoints and the rank of each step."""
+    out = {}
     try:
         alg = vn.subalgebra(gens, dim=dim)
+        out["linear_dim"] = alg.linear_dim
         fams = {name: vn.spectral_family_of(fn(alg, op)) for name, fn in
                 (("rho", vn.rho_restrict), ("sigma", vn.sigma_restrict))}
     except ObslatError as err:
-        return {"rho": failure(err), "sigma": failure(err)}
-    return {name: {"breakpoints": list(f.breakpoints),
-                   "ranks": [vn.rank_of_projection(p) for p in f.projections]}
-            for name, f in fams.items()}
+        return out | {"rho": failure(err), "sigma": failure(err)}
+    return out | {name: {"breakpoints": list(f.breakpoints),
+                         "ranks": [vn.rank_of_projection(p)
+                                   for p in f.projections]}
+                  for name, f in fams.items()}
 
 
 def restricted_operator(seed: int, index: int, gen) -> np.ndarray:

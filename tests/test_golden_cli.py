@@ -41,6 +41,13 @@ COMMANDS = [
      "--op", "corpus/matrix_a.json", "--map", "rho"),
     ("vn", "core", "--algebra", "corpus/gens_diag.json",
      "--proj", "corpus/proj_q.json"),
+    # M_2 + C, not abelian: the Sylvester path
+    ("vn", "restrict", "--algebra", "corpus/gens_block.json",
+     "--op", "corpus/matrix_a.json", "--map", "rho"),
+    ("vn", "restrict", "--algebra", "corpus/gens_block.json",
+     "--op", "corpus/matrix_a.json", "--map", "sigma"),
+    ("vn", "core", "--algebra", "corpus/gens_block.json",
+     "--proj", "corpus/proj_q.json"),
     ("classical", "induce", "--space", "corpus/space_sierpinski.json",
      "--fn", "corpus/fn_id.json"),
     ("classical", "check-continuity",

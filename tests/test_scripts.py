@@ -40,7 +40,8 @@ def test_nonlinearity_demo_reports_rho_is_not_additive():
 def test_sweep_matches_the_recording():
     """The first 60 diagrams of ``scripts/sweep.py`` with seed 0: contexts,
     pool labels, the reports of an operator's section and a 0/1 section,
-    and rho and sigma onto two algebras, byte for byte.  Regenerate the
+    and the linear dimension of two algebras with rho and sigma onto each,
+    byte for byte.  Regenerate the
     recording after a deliberate change of behaviour with
     ``PYTHONPATH=src python3 scripts/sweep.py 0 60 > tests/sweep_slice.jsonl``.
     Most lines restrict to a step strictly between 0 and I, so the
@@ -51,7 +52,8 @@ def test_sweep_matches_the_recording():
     for line in recorded.splitlines():
         d = json.loads(line)
         between += any(0 < r < d["dim"] for algebra in d["restricted"].values()
-                       for fam in algebra.values() for r in fam.get("ranks", ()))
+                       for name in ("rho", "sigma")
+                       for r in algebra[name].get("ranks", ()))
     assert between >= 40
 
 
