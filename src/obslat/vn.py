@@ -1,6 +1,7 @@
 """Small Hermitian matrices: eigenstructure, operator spectral families, the
 spectral order, the joint eigenblocks of commuting normal matrices,
-commutants, and the two coarse-graining maps onto a subalgebra.
+commutants, subalgebras as their double commutants, and the two
+coarse-graining maps onto a subalgebra.
 
 Everything is exact linear algebra on matrices of dimension <= 16.  numpy
 (LAPACK) supplies the eigensolver, the SVDs and the QR; every rank decision
@@ -19,7 +20,7 @@ from .errors import InputError, PreconditionError, ResourceError
 from .spectral import _canonical_steps, _step_value
 
 MAX_DIM = 16
-GENERIC_SEED = 20260101   # of the two random elements in _sylvester_algebra
+GENERIC_SEED = 20260101   # of the random pair whose commutant is the algebra
 
 
 @dataclass(frozen=True)
@@ -296,19 +297,24 @@ def _checked_projections(projections, tol: Tolerances) -> np.ndarray:
 
 def family_from_steps(breakpoints, projections, tol: Tolerances = TOL
                       ) -> OperatorSpectralFamily:
-    """Canonical form (``spectral._canonical_steps``) in the range order
-    from zero to the identity, projections equal within the sub tolerance;
-    witnesses name projections by rank.  The projections are checked in one
-    batched pass (``_checked_projections``).  ``_canonical_steps`` runs over
-    positions in the chain of zero, the steps in lambda order and the
-    identity, and reads its tests from batched norms: the order of
-    neighbours (all it compares by order), and the equality of neighbours
-    and of each step with zero and with the identity.  Only a step right
-    after a dropped one meets the last step kept, if that is neither, on its
-    own."""
+    """The family of the given steps, one breakpoint per projection (other
+    counts raise), in canonical form (``spectral._canonical_steps``) in the
+    range order from zero to the identity, projections equal within the sub
+    tolerance; witnesses name projections by rank.  The projections are
+    checked in one batched pass (``_checked_projections``).
+    ``_canonical_steps`` runs over positions in the chain of zero, the steps
+    in lambda order and the identity, and reads its tests from batched
+    norms: the order of neighbours (all it compares by order), and the
+    equality of neighbours and of each step with zero and with the
+    identity.  Only a step right after a dropped one meets the last step
+    kept, if that is neither, on its own."""
+    breakpoints, projections = list(breakpoints), list(projections)
+    if len(breakpoints) != len(projections):
+        raise InputError("one breakpoint per projection", witness={
+            "breakpoints": len(breakpoints), "projections": len(projections)})
     ps = _checked_projections(projections, tol)
     dim = ps.shape[-1]
-    lams = [float(lam) for lam, _ in zip(breakpoints, range(len(ps)))]
+    lams = [float(lam) for lam in breakpoints]
     order = sorted(range(len(lams)), key=lams.__getitem__)
     position = [0] * len(order)
     for i, k in enumerate(order, 1):
@@ -386,10 +392,6 @@ def spectral_join(ops, tol: Tolerances = TOL) -> np.ndarray:
 
 # -- subalgebras and commutants ------------------------------------------------
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=complex).reshape(-1)
-
-
 def _commuting(xs: np.ndarray, y: np.ndarray, tol: Tolerances
                ) -> tuple[np.ndarray, np.ndarray]:
     """Whether each X of the stack xs commutes with y within the sub
@@ -440,24 +442,27 @@ class VNSubalgebra:
         return len(self.basis)
 
     def contains(self, m, tol: Tolerances = TOL) -> bool:
+        """Whether m lies in the algebra, its double commutant: m, scaled
+        down to Frobenius norm 1 when larger, commutes with the commutant
+        (``_commuting``)."""
         m = as_matrix(m)
         if m.shape[0] != self.dim:
             return False
-        b = np.column_stack([_vec(x) for x in self.basis])
-        v = _vec(m)
-        resid = v - b @ (b.conj().T @ v)   # columns are orthonormal
-        return float(np.linalg.norm(resid)) <= tol.sub * max(
-            1.0, float(np.linalg.norm(v)))
+        m = m / max(1.0, float(np.linalg.norm(m)))
+        return bool(_commuting(np.asarray(self.commutant), m, tol)[0].all())
 
 
 def _generators(gens, dim: int | None) -> tuple[list[np.ndarray], int]:
     """The generators as matrices, and the dimension they share: ``dim`` when
-    given, else the first generator's, positive and at most MAX_DIM."""
+    given (an integer, numpy's included, but no bool), else the first
+    generator's, positive and at most MAX_DIM."""
     gens = [as_matrix(g) for g in gens]
     if dim is None:
         if not gens:
             raise InputError("need generators or an explicit dimension")
         dim = gens[0].shape[0]
+    elif isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise InputError("dimension must be an integer", witness=repr(dim))
     if dim > MAX_DIM:
         raise ResourceError(f"dimension {dim} exceeds {MAX_DIM}")
     if dim < 1:
@@ -490,35 +495,24 @@ def _block_algebra(gens, dim: int, blocks, projs) -> VNSubalgebra:
 
 
 def _sylvester_algebra(gens, dim: int, tol: Tolerances) -> VNSubalgebra:
-    """The algebra from the commutant, the null space of the generators'
-    Sylvester stack.  Being singly generated (Pearcy 1962), the commutant is
-    generated by two random elements, whose commutant has the double
-    commutant's dimension, or more if the pair is not generic.  Only that
-    dimension is needed: d^2 less the rank of the pair's folded Sylvester
-    stack, from its singular values alone.  The span grows to it by
-    products: each round forms every product of the current basis in one
-    batched matmul.  A span that stalls or passes it raises."""
+    """The algebra as its double commutant (von Neumann), from the
+    commutant, the null space of the generators' Sylvester stack.  Being
+    singly generated (Pearcy 1962), the commutant is generated by two
+    random elements, so the algebra is the pair's commutant.  A pair that
+    is not generic has a larger commutant, which then holds an element that
+    fails to commute with the commutant: one ``_commuting`` call per basis
+    element checks, and a breach raises with the largest defect."""
     comm = commutant_basis(gens, dim, tol)
     comm.flags.writeable = False
     w = np.random.default_rng(GENERIC_SEED).standard_normal((2, 2, len(comm)))
     pair = np.tensordot(w[0] + 1j * w[1], comm, axes=1)
-    target = dim * dim - int(_rank(np.linalg.svd(
-        _sylvester_stack(pair, dim), compute_uv=False), tol))
-    seed = [np.eye(dim, dtype=complex)] + [
-        h for g in gens for h in (g, g.conj().T)]
-    basis = orthonormal_range(np.column_stack([_vec(m) for m in seed]), tol)
-    mats = basis.T.reshape(-1, dim, dim)
-    while len(mats) < target:
-        products = (mats[:, None] @ mats[None, :]).reshape(-1, dim * dim)
-        basis = orthonormal_range(np.hstack([basis, products.T]), tol)
-        if basis.shape[1] == len(mats):
-            break
-        mats = basis.T.reshape(-1, dim, dim)
-    if len(mats) != target:
+    basis = commutant_basis(pair, dim, tol)
+    checks = [_commuting(comm, x, tol) for x in basis]
+    if not all(ok.all() for ok, _ in checks):
         raise ResourceError(
-            "double commutant does not close at the generated span",
-            witness={"span": len(mats), "bicommutant": target})
-    return VNSubalgebra(dim, tuple(gens), tuple(mats), comm)
+            "the random pair's commutant leaves the double commutant",
+            witness={"defect": max(float(d.max()) for _, d in checks)})
+    return VNSubalgebra(dim, tuple(gens), tuple(basis), comm)
 
 
 def subalgebra(gens, dim: int | None = None, tol: Tolerances = TOL

@@ -96,6 +96,18 @@ def test_family_from_steps_errors():
     assert fam.breakpoints == (0.5, 1.0)
 
 
+@pytest.mark.parametrize("lams, ps", [
+    ([0.0, 1.0, 2.0], [np.eye(2)]),
+    ([0.0], [np.diag([1.0, 0.0]), np.eye(2)]),
+    ([], [np.eye(2)])], ids=["more-breakpoints", "more-steps", "none"])
+def test_family_from_steps_needs_one_breakpoint_per_projection(lams, ps):
+    """Unmatched inputs are not zipped away: the counts are checked first."""
+    with pytest.raises(InputError) as err:
+        vn.family_from_steps(lams, ps)
+    assert err.value.witness == {"breakpoints": len(lams),
+                                 "projections": len(ps)}
+
+
 # -- family_from_steps against the per-step loop it replaced ---------------------
 
 def ref_family_from_steps(breakpoints, projections, tol=vn.TOL):
@@ -601,12 +613,11 @@ def block_generator_sets(rng):
 # commutant of the whole commutant.
 
 def ref_closed_linear_span(seed, dim, tol=vn.TOL):
-    basis = vn.orthonormal_range(np.column_stack([vn._vec(m) for m in seed]),
-                                 tol)
+    basis = vn.orthonormal_range(
+        np.column_stack([m.reshape(-1) for m in seed]), tol)
     while True:
         mats = [basis[:, k].reshape(dim, dim) for k in range(basis.shape[1])]
-        cols = [basis] + [vn._vec(x @ y).reshape(-1, 1)
-                          for x in mats for y in mats]
+        cols = [basis] + [(x @ y).reshape(-1, 1) for x in mats for y in mats]
         new_basis = vn.orthonormal_range(np.hstack(cols), tol)
         if new_basis.shape[1] == basis.shape[1]:
             return mats
@@ -780,10 +791,10 @@ def projector(mats):
 
 
 def test_subalgebra_matches_the_full_bicommutant_oracle(rng):
-    """Bases bitwise on sets that are not abelian (the Sylvester path) and
-    as subspaces on abelian ones (the eigenblock path), commutants as
-    subspaces, and core, support, rho and sigma on projections whose core
-    lies strictly between 0 and q as well as on random ones."""
+    """Bases and commutants as subspaces, on sets that are not abelian (the
+    Sylvester path) and on abelian ones (the eigenblock path), and core,
+    support, rho and sigma on projections whose core lies strictly between
+    0 and q as well as on random ones."""
     sets = [(gens[0].shape[0], gens) for gens in corpus_generator_sets()]
     sets += list(random_generator_sets(rng)) + list(block_generator_sets(rng))
     strictly_between = 0
@@ -791,13 +802,9 @@ def test_subalgebra_matches_the_full_bicommutant_oracle(rng):
     for dim, gens in sets:
         new, old = vn.subalgebra(gens, dim=dim), ref_subalgebra(gens, dim=dim)
         assert len(new.basis) == len(old.basis)
-        if ref_is_abelian(old):
-            abelian += 1
-            assert np.linalg.norm(projector(new.basis)
-                                  - projector(old.basis)) < 1e-8
-        else:
-            assert all(np.array_equal(x, y)
-                       for x, y in zip(new.basis, old.basis))
+        abelian += ref_is_abelian(old)
+        assert np.linalg.norm(projector(new.basis)
+                              - projector(old.basis)) < 1e-8
         assert len(new.commutant) == len(old.commutant)
         assert np.linalg.norm(projector(new.commutant)
                               - projector(old.commutant)) < 1e-8
@@ -979,9 +986,10 @@ def test_restriction_on_the_trivial_algebra_at_the_cap_stays_small(fn):
 
 
 def test_non_generic_pair_raises_with_the_span_witness(monkeypatch):
-    """A pair of scalars (zero weights) has all of M_3 as its commutant, so
-    the count passes any span, and M_2 + C, generated by a set that is not
-    abelian, stalls below it."""
+    """A pair of scalars (zero weights) has all of M_3 as its commutant,
+    which is not the double commutant of M_2 + C, generated by a set that
+    is not abelian.  The largest defect is that of a matrix unit E_i3 or
+    E_3i against the commutant's element E_33: 1."""
     class ZeroWeights:
         def standard_normal(self, shape):
             return np.zeros(shape)
@@ -991,7 +999,48 @@ def test_non_generic_pair_raises_with_the_span_witness(monkeypatch):
     monkeypatch.setattr(vn.np.random, "default_rng", lambda seed: ZeroWeights())
     with pytest.raises(ResourceError) as err:
         vn.subalgebra([np.diag([1.0, -1.0, 0.0]), flip], dim=3)
-    assert err.value.witness == {"span": 5, "bicommutant": 9}
+    assert err.value.witness == {"defect": pytest.approx(1.0)}
+
+
+def ref_contains(m, x, tol=vn.TOL):
+    """The former ``VNSubalgebra.contains``: the residual of x off the span
+    of the basis, within the sub tolerance relative to |x|_F once that
+    exceeds 1."""
+    x = vn.as_matrix(x)
+    if x.shape[0] != m.dim:
+        return False
+    b = np.column_stack([y.reshape(-1) for y in m.basis])
+    v = x.reshape(-1)
+    resid = v - b @ (b.conj().T @ v)   # columns are orthonormal
+    return float(np.linalg.norm(resid)) <= tol.sub * max(
+        1.0, float(np.linalg.norm(v)))
+
+
+def test_contains_matches_the_span_residual_rule(rng):
+    """On both paths, ``contains`` and the rule it replaced accept 200
+    members of Frobenius norm 1, 1e3 and 1e6, and refuse each of them plus
+    a piece orthogonal to the algebra of relative size 1e-6."""
+    np_rng = np.random.default_rng(4)
+    sets = list(random_generator_sets(rng)) + list(block_generator_sets(rng))
+    algs = [alg for alg in (vn.subalgebra(gens, dim=dim) for dim, gens in sets)
+            if alg.linear_dim < alg.dim ** 2]      # room for an orthogonal piece
+    assert 0 < sum(ref_is_abelian(alg) for alg in algs) < len(algs)
+    for k in range(200):
+        alg = algs[k % len(algs)]
+        dim = alg.dim
+        coef = np_rng.normal(size=alg.linear_dim) + 1j * np_rng.normal(
+            size=alg.linear_dim)
+        member = np.tensordot(coef, np.array(alg.basis), axes=1)
+        member /= np.linalg.norm(member)
+        z = (np_rng.normal(size=dim * dim)
+             + 1j * np_rng.normal(size=dim * dim))
+        off = (z - projector(alg.basis) @ z).reshape(dim, dim)
+        off /= np.linalg.norm(off)
+        for scale in (1.0, 1e3, 1e6):
+            assert alg.contains(scale * member)
+            assert ref_contains(alg, scale * member)
+            assert not alg.contains(scale * (member + 1e-6 * off))
+            assert not ref_contains(alg, scale * (member + 1e-6 * off))
 
 
 @pytest.mark.parametrize("dim, error", [(0, InputError), (-2, InputError),
@@ -999,6 +1048,26 @@ def test_non_generic_pair_raises_with_the_span_witness(monkeypatch):
 def test_subalgebra_dimension_is_checked_first(dim, error):
     with pytest.raises(error):
         vn.subalgebra([], dim=dim)
+
+
+@pytest.mark.parametrize("build", [
+    lambda dim: vn.subalgebra([], dim=dim),
+    lambda dim: vn.trivial_algebra(dim),
+    lambda dim: vn.commutant_basis([], dim),
+    lambda dim: vn.joint_eigenblocks([np.eye(2)], dim),
+    lambda dim: cx.context_from_generators("C", [np.eye(2)], dim=dim),
+    lambda dim: cx.diagram({"C": [np.eye(2)]}, dim=dim)],
+    ids=["subalgebra", "trivial_algebra", "commutant_basis",
+         "joint_eigenblocks", "context_from_generators", "diagram"])
+def test_a_given_dimension_must_be_an_integer(build):
+    """Non-integers and bools are typed errors, as in ``jsonio``; numpy
+    integers are dimensions."""
+    for dim in (2.5, 2.0, True, "2"):
+        with pytest.raises(InputError) as err:
+            build(dim)
+        assert err.value.args[0] == "dimension must be an integer"
+        assert err.value.witness == repr(dim)
+    build(np.int64(2))
 
 
 def test_null_space_of_tall_wide_and_empty_systems():
