@@ -19,15 +19,20 @@ atoms 0 or 1 in the order of <P, H> for a seeded Hermitian H, so it does not
 depend on how the atoms are numbered, values every element by the largest
 of its atoms, and copies the values of shared projections to the generated
 contexts.  A report is the ``glue_section`` summary, or the error and its
-witness when the section is not global.  Each line also records, under
+witness when the section is not global; an extendable report also holds,
+under ``family``, the breakpoints and step ranks of the operator it
+synthesized.  Each line also records, under
 ``restricted``, the ``linear_dim`` of ``vn.subalgebra`` of the first given
 context's generator (``C0``) and of the first two (``C0+C1``, not abelian
 where their bases differ), and ``rho`` and ``sigma`` of a second operator
 onto each, as the breakpoints and step ranks of their spectral families (or
 the error and its witness).  That operator has levels 0-2 in C0's
 eigenbasis with one coordinate plane turned, drawn from the seed triple
-(SEED, k, 1), so its cores fall strictly between 0 and I.  Floats are
-rounded to 8 places and keys are sorted.  Run from anywhere:
+(SEED, k, 1), so its cores fall strictly between 0 and I.  Under
+``meet`` and ``join`` it records ``vn.spectral_meet`` and
+``vn.spectral_join`` of the operator of the first section and that second
+operator, as breakpoints and step ranks.  Floats are rounded to 8 places
+and keys are sorted.  Run from anywhere:
 
     PYTHONPATH=src python3 scripts/sweep.py SEED COUNT
 """
@@ -107,11 +112,21 @@ def failure(err) -> dict:
     return {"error": str(err), "witness": err.witness}
 
 
+def steps(op) -> dict:
+    """The breakpoints of op's spectral family and the rank of each step."""
+    f = vn.spectral_family_of(op)
+    return {"breakpoints": list(f.breakpoints),
+            "ranks": [vn.rank_of_projection(p) for p in f.projections]}
+
+
 def report(dia, section) -> dict:
     try:
-        return glue_section(dia, section).summary()
+        glued = glue_section(dia, section)
     except (PreconditionError, ResourceError) as err:
         return failure(err)
+    if glued.extendable == "yes":
+        return glued.summary() | {"family": steps(glued.operator)}
+    return glued.summary()
 
 
 def restrictions(gens, dim: int, op) -> dict:
@@ -121,14 +136,22 @@ def restrictions(gens, dim: int, op) -> dict:
     try:
         alg = vn.subalgebra(gens, dim=dim)
         out["linear_dim"] = alg.linear_dim
-        fams = {name: vn.spectral_family_of(fn(alg, op)) for name, fn in
+        fams = {name: steps(fn(alg, op)) for name, fn in
                 (("rho", vn.rho_restrict), ("sigma", vn.sigma_restrict))}
     except ObslatError as err:
         return out | {"rho": failure(err), "sigma": failure(err)}
-    return out | {name: {"breakpoints": list(f.breakpoints),
-                         "ranks": [vn.rank_of_projection(p)
-                                   for p in f.projections]}
-                  for name, f in fams.items()}
+    return out | fams
+
+
+def lattice_ops(ops) -> dict:
+    """Spectral meet and join of ops: breakpoints and step ranks."""
+    out = {}
+    for name, fn in (("meet", vn.spectral_meet), ("join", vn.spectral_join)):
+        try:
+            out[name] = steps(fn(ops))
+        except ObslatError as err:
+            out[name] = failure(err)
+    return out
 
 
 def restricted_operator(seed: int, index: int, gen) -> np.ndarray:
@@ -158,6 +181,7 @@ def sweep_line(seed: int, index: int) -> str:
     op = (u * rng.integers(0, 3, dim).astype(float)) @ u.conj().T
     target = restricted_operator(seed, index, named["C0"][0])
     line = {"seed": seed, "index": index, "shape": shape, "dim": dim,
+            **lattice_ops([op, target]),
             "restricted": {
                 "C0": restrictions(named["C0"], dim, target),
                 "C0+C1": restrictions(named["C0"] + named["C1"], dim, target)}}

@@ -39,22 +39,27 @@ def test_nonlinearity_demo_reports_rho_is_not_additive():
 
 def test_sweep_matches_the_recording():
     """The first 60 diagrams of ``scripts/sweep.py`` with seed 0: contexts,
-    pool labels, the reports of an operator's section and a 0/1 section,
-    and the linear dimension of two algebras with rho and sigma onto each,
-    byte for byte.  Regenerate the
+    pool labels, the reports of an operator's section and a 0/1 section
+    with the family of each extendable one's operator, the spectral meet
+    and join of two operators, and the linear dimension of two algebras
+    with rho and sigma onto each, byte for byte.  Regenerate the
     recording after a deliberate change of behaviour with
     ``PYTHONPATH=src python3 scripts/sweep.py 0 60 > tests/sweep_slice.jsonl``.
-    Most lines restrict to a step strictly between 0 and I, so the
-    recording pins cores that are neither."""
+    Most lines restrict to a step strictly between 0 and I, and most meet
+    and join families have such a step, so the recording pins steps that
+    are neither."""
     recorded = (ROOT / "tests" / "sweep_slice.jsonl").read_text()
     assert run_script("sweep.py", 0, 60) == recorded
-    between = 0
-    for line in recorded.splitlines():
-        d = json.loads(line)
-        between += any(0 < r < d["dim"] for algebra in d["restricted"].values()
-                       for name in ("rho", "sigma")
-                       for r in algebra[name].get("ranks", ()))
-    assert between >= 40
+    lines = [json.loads(line) for line in recorded.splitlines()]
+
+    def between(d, fam):
+        return any(0 < r < d["dim"] for r in fam.get("ranks", ()))
+
+    assert sum(any(between(d, algebra[name])
+                   for algebra in d["restricted"].values()
+                   for name in ("rho", "sigma")) for d in lines) >= 40
+    assert sum(between(d, d[name]) for d in lines
+               for name in ("meet", "join")) >= 60
 
 
 def test_sweep_compare_finds_head_and_the_tree_alike():
