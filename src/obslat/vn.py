@@ -255,95 +255,52 @@ def _range_values(a, ps: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.array(breakpoints)[first]
 
 
-def _frobenius(xs: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of the stack xs, bit for bit
-    ``np.linalg.norm`` of that matrix alone: the sums of squares of the real
-    and the imaginary parts are each one BLAS dot, as numpy takes them."""
-    flat = xs.reshape(len(xs), -1)
-    re, im = flat.real, flat.imag
-    return np.sqrt((re[:, None, :] @ re[:, :, None]
-                    + im[:, None, :] @ im[:, :, None])[:, 0, 0])
-
-
-def _checked_projections(projections, tol: Tolerances) -> np.ndarray:
-    """The projections, symmetrized, as one (n, d, d) stack, each checked as
-    ``check_projection`` checks one.  Shapes come first; then finiteness,
-    the Hermitian defect and the idempotence defect are batched norms, one
-    pass per dimension present.  The first projection in input order that
-    fails a check raises ``check_projection``'s own error and witness, and
-    only then must the dimensions agree."""
-    projections = list(projections)
-    mats = [_complex_entries(p) for p in projections]
-    shaped = next((k for k, a in enumerate(mats) if a is None or not (
-        a.ndim == 2 and 0 < a.shape[0] == a.shape[1] <= MAX_DIM)), len(mats))
-    first, stacks = shaped, {}
-    for dim in {a.shape[0] for a in mats[:shaped]}:
-        idx = [k for k in range(shaped) if mats[k].shape[0] == dim]
-        a = np.array([mats[k] for k in idx])
-        adj = a.conj().transpose(0, 2, 1)
-        with np.errstate(invalid="ignore", over="ignore"):
-            p = (a + adj) / 2
-            defects = _frobenius(np.concatenate([a - adj, p @ p - p]))
-        bad = (~np.isfinite(a).all(axis=(1, 2)) | (defects[:len(a)] > tol.sym)
-               | (defects[len(a):] > tol.proj))
-        if bad.any():
-            first = min(first, idx[int(bad.argmax())])
-        stacks[dim] = p
-    if first < len(mats):
-        check_projection(projections[first], tol)   # raises: the same norms
-    dim = _one_dim(stacks)
-    return stacks[dim] if stacks else np.zeros((0, 0, 0), dtype=complex)
-
-
 def family_from_steps(breakpoints, projections, tol: Tolerances = TOL
                       ) -> OperatorSpectralFamily:
     """The family of the given steps, one breakpoint per projection (other
     counts raise), in canonical form (``spectral._canonical_steps``) in the
     range order from zero to the identity, projections equal within the sub
-    tolerance; witnesses name projections by rank.  The projections are
-    checked in one batched pass (``_checked_projections``).
-    ``_canonical_steps`` runs over positions in the chain of zero, the steps
-    in lambda order and the identity, and reads its tests from batched
-    norms: the order of neighbours (all it compares by order), and the
-    equality of neighbours and of each step with zero and with the
-    identity.  Only a step right after a dropped one meets the last step
-    kept, if that is neither, on its own."""
+    tolerance; witnesses name projections by rank.  Each projection is
+    checked (``check_projection``), in input order, before the dimensions
+    must agree."""
     breakpoints, projections = list(breakpoints), list(projections)
     if len(breakpoints) != len(projections):
         raise InputError("one breakpoint per projection", witness={
             "breakpoints": len(breakpoints), "projections": len(projections)})
-    ps = _checked_projections(projections, tol)
-    dim = ps.shape[-1]
-    lams = [float(lam) for lam in breakpoints]
-    order = sorted(range(len(lams)), key=lams.__getitem__)
-    position = [0] * len(order)
-    for i, k in enumerate(order, 1):
-        position[k] = i
-    eye = np.eye(dim, dtype=complex)
-    chain = np.concatenate([np.zeros((1, dim, dim), dtype=complex), ps[order],
-                            eye[None]])
-    top = len(chain) - 1
-    leq = projection_leq(chain[:-1], chain[1:], tol).tolist()
-    near = (_frobenius(np.concatenate([chain[1:] - chain[:-1], chain,
-                                       chain - eye])) <= tol.sub).tolist()
-    after, zero, identity = (near[:top], near[top:2 * top + 1],
-                             near[2 * top + 1:])
-
-    def same(i: int, j: int) -> bool:
-        i, j = min(i, j), max(i, j)
-        if i == 0:
-            return zero[j]
-        if j == top:
-            return identity[i]
-        if j == i + 1:
-            return after[i]
-        return float(np.linalg.norm(chain[i] - chain[j])) <= tol.sub
-
+    ps = [check_projection(p, tol) for p in projections]
+    dim = _one_dim(p.shape[0] for p in ps)
     steps = _canonical_steps(
-        zip(lams, position), lambda i, j: leq[i], same, 0, top,
-        lambda i: rank_of_projection(chain[i]))
+        zip(breakpoints, ps), lambda p, q: projection_leq(p, q, tol),
+        lambda p, q: float(np.linalg.norm(p - q)) <= tol.sub,
+        np.zeros((dim, dim), dtype=complex), np.eye(dim, dtype=complex),
+        rank_of_projection)
     return OperatorSpectralFamily(tuple(lam for lam, _ in steps),
-                                  tuple(chain[i] for _, i in steps), dim)
+                                  tuple(p for _, p in steps), dim)
+
+
+def _nested_family(breakpoints, steps: np.ndarray, tol: Tolerances
+                   ) -> OperatorSpectralFamily:
+    """``family_from_steps`` of a nonempty (n, d, d) stack of projections
+    that this module built, increasing at the strictly ascending
+    breakpoints.  Nested projections are equal exactly when their ranks
+    are, so each step is kept where its rank (``rank_of_projection``) grows.
+    The guards are the ones the builder's numerics could breach: one
+    batched ``projection_leq`` over neighbours and a last rank of d, each
+    raising ``family_from_steps``'s own error.  The steps are symmetrized,
+    not checked again."""
+    ps = (steps + steps.conj().transpose(0, 2, 1)) / 2
+    ranks = [rank_of_projection(p) for p in ps]
+    leq = projection_leq(ps[:-1], ps[1:], tol)
+    if not leq.all():
+        i = int(leq.argmin())
+        raise InputError("family is not increasing", witness=[
+            [breakpoints[i], ranks[i]], [breakpoints[i + 1], ranks[i + 1]]])
+    dim = ps.shape[-1]
+    if ranks[-1] != dim:
+        raise InputError("family must reach its top element", witness=dim)
+    keep = np.flatnonzero(np.diff(ranks, prepend=0) > 0).tolist()
+    return OperatorSpectralFamily(tuple(breakpoints[i] for i in keep),
+                                  tuple(ps[i] for i in keep), dim)
 
 
 # -- spectral order ------------------------------------------------------------
@@ -374,7 +331,7 @@ def _pointwise(ops, combine, tol: Tolerances) -> np.ndarray:
     _one_dim(f.dim for f in fams)
     lams = merged_breakpoints(fams, tol)
     steps = [combine([f.value_at(lam) for f in fams], tol) for lam in lams]
-    return family_from_steps(lams, steps, tol).synthesize()
+    return _nested_family(lams, np.array(steps), tol).synthesize()
 
 
 def spectral_meet(ops, tol: Tolerances = TOL) -> np.ndarray:
@@ -444,10 +401,8 @@ class VNSubalgebra:
     def contains(self, m, tol: Tolerances = TOL) -> bool:
         """Whether m lies in the algebra, its double commutant: m, scaled
         down to Frobenius norm 1 when larger, commutes with the commutant
-        (``_commuting``)."""
-        m = as_matrix(m)
-        if m.shape[0] != self.dim:
-            return False
+        (``_commuting``).  A matrix of another dimension raises."""
+        m = _in_algebra_dim(self, as_matrix(m))
         m = m / max(1.0, float(np.linalg.norm(m)))
         return bool(_commuting(np.asarray(self.commutant), m, tol)[0].all())
 
@@ -651,8 +606,8 @@ def rho_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     the eigenbasis serves every core (``_cores``)."""
     vecs, breakpoints, ends = _clustered_eigen(a, tol)
     _in_algebra_dim(m, vecs)
-    return family_from_steps(breakpoints, _cores(m, vecs, ends, tol),
-                             tol).synthesize()
+    return _nested_family(breakpoints, _cores(m, vecs, ends, tol),
+                          tol).synthesize()
 
 
 def sigma_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
@@ -665,13 +620,16 @@ def sigma_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     _in_algebra_dim(m, vecs)
     eye = np.eye(m.dim, dtype=complex)
     cores = _cores(m, vecs[:, ::-1], [m.dim - k for k in ends], tol)
-    return family_from_steps(breakpoints, eye - cores, tol).synthesize()
+    return _nested_family(breakpoints, eye - cores, tol).synthesize()
 
 
 def atomic_value(a, x, tol: Tolerances = TOL) -> float:
     """The first breakpoint whose spectral projection contains the given
     vector (normalized here)."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
+    x = _complex_entries(x)
+    if x is None:
+        raise InputError("vector entries must be numbers in equal rows")
+    x = x.reshape(-1)
     if not np.isfinite(x).all():
         raise InputError("vector entries must be finite",
                          witness=int(np.flatnonzero(~np.isfinite(x))[0]))
