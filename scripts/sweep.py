@@ -143,7 +143,7 @@ def restrictions(gens, dim: int, op) -> dict:
     return out | fams
 
 
-def lattice_ops(ops) -> dict:
+def meet_and_join(ops) -> dict:
     """Spectral meet and join of ops: breakpoints and step ranks."""
     out = {}
     for name, fn in (("meet", vn.spectral_meet), ("join", vn.spectral_join)):
@@ -181,7 +181,7 @@ def sweep_line(seed: int, index: int) -> str:
     op = (u * rng.integers(0, 3, dim).astype(float)) @ u.conj().T
     target = restricted_operator(seed, index, named["C0"][0])
     line = {"seed": seed, "index": index, "shape": shape, "dim": dim,
-            **lattice_ops([op, target]),
+            **meet_and_join([op, target]),
             "restricted": {
                 "C0": restrictions(named["C0"], dim, target),
                 "C0+C1": restrictions(named["C0"] + named["C1"], dim, target)}}

@@ -265,12 +265,6 @@ def test_family_from_steps_matches_the_step_loop_at_dimension_16(seed):
     assert len(want[0]) == 16
 
 
-def nested_outcome(lams, ps):
-    return family_outcome(
-        lambda lams, ps: vn._nested_family(lams, np.array(ps), vn.TOL),
-        lams, ps)
-
-
 @st.composite
 def nested_stacks(draw):
     """Steps V_r V_r* of one random unitary at ascending breakpoints, ranks
@@ -302,8 +296,10 @@ def test_nested_family_matches_family_from_steps(stack):
     breakpoints and projections of ``family_from_steps``, or its error,
     message and witness."""
     lams, steps = stack
-    assert nested_outcome(lams, steps) == family_outcome(
-        vn.family_from_steps, lams, steps)
+    nested = family_outcome(
+        lambda lams, ps: vn._nested_family(lams, np.array(ps), vn.TOL),
+        lams, steps)
+    assert nested == family_outcome(vn.family_from_steps, lams, steps)
 
 
 def test_singleton_clusters_keep_the_means_bits(monkeypatch):
