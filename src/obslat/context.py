@@ -30,7 +30,7 @@ from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, _cliques, _row_masks, bits, mask_from
 from .observables import check_completely_increasing, observable
 from .vn import (TOL, Tolerances, _abelian, _commuting, _generators,
-                 _nested_family, _range_values, as_matrix,
+                 _range_values, as_matrix, family_from_steps,
                  joint_eigenblocks, projection_join, projection_joins,
                  projection_leq)
 
@@ -442,7 +442,7 @@ def _extendability(dia: ContextDiagram, values: list[float]
                           }, None
         joins.append(m)
     joins.append(np.eye(dia.dim, dtype=complex))
-    candidate = _nested_family(levels, np.array(joins), tol).synthesize()
+    candidate = family_from_steps(levels, joins, tol).synthesize()
     induced = section_from_operator(dia, candidate)
     for (name, e), i in dia.element_pool.items():
         if abs(induced[name][e] - values[i]) > tol.cluster:

@@ -278,31 +278,6 @@ def family_from_steps(breakpoints, projections, tol: Tolerances = TOL
                                   tuple(p for _, p in steps), dim)
 
 
-def _nested_family(breakpoints, steps: np.ndarray, tol: Tolerances
-                   ) -> OperatorSpectralFamily:
-    """``family_from_steps`` of a nonempty (n, d, d) stack of projections
-    that this module built, increasing at the strictly ascending
-    breakpoints.  Nested projections are equal exactly when their ranks
-    are, so each step is kept where its rank (``rank_of_projection``) grows.
-    The guards are the ones the builder's numerics could breach: one
-    batched ``projection_leq`` over neighbours and a last rank of d, each
-    raising ``family_from_steps``'s own error.  The steps are symmetrized,
-    not checked again."""
-    ps = (steps + steps.conj().transpose(0, 2, 1)) / 2
-    ranks = [rank_of_projection(p) for p in ps]
-    leq = projection_leq(ps[:-1], ps[1:], tol)
-    if not leq.all():
-        i = int(leq.argmin())
-        raise InputError("family is not increasing", witness=[
-            [breakpoints[i], ranks[i]], [breakpoints[i + 1], ranks[i + 1]]])
-    dim = ps.shape[-1]
-    if ranks[-1] != dim:
-        raise InputError("family must reach its top element", witness=dim)
-    keep = np.flatnonzero(np.diff(ranks, prepend=0) > 0).tolist()
-    return OperatorSpectralFamily(tuple(breakpoints[i] for i in keep),
-                                  tuple(ps[i] for i in keep), dim)
-
-
 # -- spectral order ------------------------------------------------------------
 
 def merged_breakpoints(fams, tol: Tolerances = TOL) -> list[float]:
@@ -331,7 +306,7 @@ def _pointwise(ops, combine, tol: Tolerances) -> np.ndarray:
     _one_dim(f.dim for f in fams)
     lams = merged_breakpoints(fams, tol)
     steps = [combine([f.value_at(lam) for f in fams], tol) for lam in lams]
-    return _nested_family(lams, np.array(steps), tol).synthesize()
+    return family_from_steps(lams, steps, tol).synthesize()
 
 
 def spectral_meet(ops, tol: Tolerances = TOL) -> np.ndarray:
@@ -606,8 +581,8 @@ def rho_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     the eigenbasis serves every core (``_cores``)."""
     vecs, breakpoints, ends = _clustered_eigen(a, tol)
     _in_algebra_dim(m, vecs)
-    return _nested_family(breakpoints, _cores(m, vecs, ends, tol),
-                          tol).synthesize()
+    return family_from_steps(breakpoints, _cores(m, vecs, ends, tol),
+                             tol).synthesize()
 
 
 def sigma_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
@@ -620,7 +595,7 @@ def sigma_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     _in_algebra_dim(m, vecs)
     eye = np.eye(m.dim, dtype=complex)
     cores = _cores(m, vecs[:, ::-1], [m.dim - k for k in ends], tol)
-    return _nested_family(breakpoints, eye - cores, tol).synthesize()
+    return family_from_steps(breakpoints, eye - cores, tol).synthesize()
 
 
 def atomic_value(a, x, tol: Tolerances = TOL) -> float:

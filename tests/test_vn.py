@@ -265,43 +265,6 @@ def test_family_from_steps_matches_the_step_loop_at_dimension_16(seed):
     assert len(want[0]) == 16
 
 
-@st.composite
-def nested_stacks(draw):
-    """Steps V_r V_r* of one random unitary at ascending breakpoints, ranks
-    nondecreasing with repeats and zeros, ending at rank d or at the exact
-    identity; sometimes two neighbours swapped or the top dropped."""
-    dim = draw(st.integers(1, 16))
-    u = unitary(draw(st.integers(0, 2 ** 32 - 1)), dim)
-    ranks = sorted(draw(st.lists(st.integers(0, dim), min_size=1,
-                                 max_size=8)))
-    ranks = [0] * draw(st.integers(0, 2)) + ranks
-    steps = [u[:, :r] @ u[:, :r].conj().T for r in ranks]
-    steps.append(draw(st.sampled_from([u @ u.conj().T, np.eye(dim)])))
-    grid = [-2.0 + 0.25 * k for k in range(24)]
-    lams = sorted(draw(st.sets(st.sampled_from(grid), min_size=len(steps),
-                               max_size=len(steps))))
-    change = draw(st.sampled_from(["none", "swap", "drop-top"]))
-    if change == "swap":
-        i = draw(st.integers(0, len(steps) - 2))
-        steps[i], steps[i + 1] = steps[i + 1], steps[i]
-    elif change == "drop-top":
-        lams, steps = lams[:-1], steps[:-1]
-    return lams, steps
-
-
-@settings(max_examples=300, deadline=None)
-@given(stack=nested_stacks())
-def test_nested_family_matches_family_from_steps(stack):
-    """Module-built steps, canonicalized by rank, give bitwise the
-    breakpoints and projections of ``family_from_steps``, or its error,
-    message and witness."""
-    lams, steps = stack
-    nested = family_outcome(
-        lambda lams, ps: vn._nested_family(lams, np.array(ps), vn.TOL),
-        lams, steps)
-    assert nested == family_outcome(vn.family_from_steps, lams, steps)
-
-
 def test_singleton_clusters_keep_the_means_bits(monkeypatch):
     """A cluster of one takes its eigenvalue, wider clusters keep the mean;
     an eigensolver that hands out a negative zero (LAPACK does, on a
@@ -1502,9 +1465,8 @@ def checks_of(seen, m):
     ids=["spectral_family_of", "rho_restrict", "sigma_restrict",
          "spectral_meet", "spectral_join", "spectral_leq", "atomic_value"])
 def test_each_operator_is_checked_once(call, uses_b, monkeypatch):
-    """Each operator handed in is checked once; the steps that a call builds
-    as projections are not checked again.  Both operators are exactly
-    Hermitian."""
+    """Steps that a call builds are checked as projections too; each operator
+    handed in is checked once.  Both are exactly Hermitian."""
     rng = random.Random(3)
     a, b = clustered_hermitian(rng, 3), vn.random_hermitian(rng, 3)
     alg = vn.subalgebra([np.diag([0.0, 1.0, 1.0])])
