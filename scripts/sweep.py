@@ -26,7 +26,9 @@ synthesized.  Each line also records, under
 context's generator (``C0``) and of the first two (``C0+C1``, not abelian
 where their bases differ), and ``rho`` and ``sigma`` of a second operator
 onto each, as the breakpoints and step ranks of their spectral families (or
-the error and its witness).  That operator has levels 0-2 in C0's
+the error and its witness), with the ranks of that operator's first
+spectral projection q and of q's ``core_projection`` and
+``support_projection`` in each algebra.  That operator has levels 0-2 in C0's
 eigenbasis with one coordinate plane turned, drawn from the seed triple
 (SEED, k, 1), so its cores fall strictly between 0 and I.  Under
 ``meet`` and ``join`` it records ``vn.spectral_meet`` and
@@ -129,9 +131,21 @@ def report(dia, section) -> dict:
     return glued.summary()
 
 
+def hulls(alg, q) -> dict:
+    """The ranks of q and of its core and support in alg."""
+    try:
+        return {"q": vn.rank_of_projection(q),
+                "core": vn.rank_of_projection(vn.core_projection(alg, q)),
+                "support": vn.rank_of_projection(
+                    vn.support_projection(alg, q))}
+    except ObslatError as err:
+        return failure(err)
+
+
 def restrictions(gens, dim: int, op) -> dict:
-    """The linear dimension of the algebra of gens, and rho and sigma of op
-    onto it: breakpoints and the rank of each step."""
+    """The linear dimension of the algebra of gens, rho and sigma of op onto
+    it (breakpoints and the rank of each step), and under ``hulls`` the
+    ranks of op's first spectral projection and of its core and support."""
     out = {}
     try:
         alg = vn.subalgebra(gens, dim=dim)
@@ -140,7 +154,8 @@ def restrictions(gens, dim: int, op) -> dict:
                 (("rho", vn.rho_restrict), ("sigma", vn.sigma_restrict))}
     except ObslatError as err:
         return out | {"rho": failure(err), "sigma": failure(err)}
-    return out | fams
+    q = vn.spectral_family_of(op).projections[0]
+    return out | fams | {"hulls": hulls(alg, q)}
 
 
 def meet_and_join(ops) -> dict:

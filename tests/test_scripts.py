@@ -42,12 +42,14 @@ def test_sweep_matches_the_recording():
     pool labels, the reports of an operator's section and a 0/1 section
     with the family of each extendable one's operator, the spectral meet
     and join of two operators, and the linear dimension of two algebras
-    with rho and sigma onto each, byte for byte.  Regenerate the
+    with rho and sigma onto each and the core and support of a projection
+    in each, byte for byte.  Regenerate the
     recording after a deliberate change of behaviour with
     ``PYTHONPATH=src python3 scripts/sweep.py 0 60 > tests/sweep_slice.jsonl``.
     Most lines restrict to a step strictly between 0 and I, and most meet
-    and join families have such a step, so the recording pins steps that
-    are neither."""
+    and join families have such a step, and many cores and supports lie
+    strictly between 0, q and I, so the recording pins steps that are
+    neither."""
     recorded = (ROOT / "tests" / "sweep_slice.jsonl").read_text()
     assert run_script("sweep.py", 0, 60) == recorded
     lines = [json.loads(line) for line in recorded.splitlines()]
@@ -60,6 +62,12 @@ def test_sweep_matches_the_recording():
                    for name in ("rho", "sigma")) for d in lines) >= 40
     assert sum(between(d, d[name]) for d in lines
                for name in ("meet", "join")) >= 60
+
+    def strict(d, h):
+        return 0 < h["core"] < h["q"] or h["q"] < h["support"] < d["dim"]
+
+    assert sum(strict(d, algebra["hulls"]) for d in lines
+               for algebra in d["restricted"].values()) >= 50
 
 
 def test_sweep_compare_finds_head_and_the_tree_alike():
