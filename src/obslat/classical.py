@@ -2,8 +2,8 @@
 
 Point sets are bitmasks.  A finite topology is determined by the minimal open
 neighborhood of each point, so the space stores one neighborhood mask per
-point; interior, closure and openness are mask scans.  A list of opens is
-read through the neighborhoods it induces: each listed set is the union of
+point; closure and openness are read through the interior.  A list of opens
+is read through the neighborhoods it induces: each listed set is the union of
 its points' neighborhoods, so the list is a topology exactly when it holds
 every such union.  The full list of opens is enumerated only on demand, with
 a cap, since a near-discrete space has exponentially many.
@@ -101,23 +101,27 @@ class FiniteTopSpace:
 
     # -- topology ------------------------------------------------------------
 
+    def _points_of(self, mask: int) -> list[int]:
+        """``bits`` of a mask, which must name no point outside the space."""
+        if mask > self.full:
+            raise InputError("mask names points outside the space",
+                             witness=mask)
+        return bits(mask)
+
     def is_open(self, mask: int) -> bool:
-        return all(self.nb_masks[x] & mask == self.nb_masks[x]
-                   for x in bits(mask))
+        return self.interior(mask) == mask
 
     def interior(self, mask: int) -> int:
         out = 0
-        for x in bits(mask):
+        for x in self._points_of(mask):
             if self.nb_masks[x] & mask == self.nb_masks[x]:
                 out |= 1 << x
         return out
 
     def closure(self, mask: int) -> int:
-        out = 0
-        for x in range(len(self.points)):
-            if self.nb_masks[x] & mask:
-                out |= 1 << x
-        return out
+        """The complement of the interior of the complement."""
+        self._points_of(mask)
+        return self.full & ~self.interior(self.full & ~mask)
 
     def _unions(self):
         """Every union of minimal neighborhoods, once, the empty set first."""

@@ -30,10 +30,15 @@ def _canonical_steps(pairs, le, same, base, top, show, check=lambda v: v):
     ``base`` at the front or as its predecessor is dropped (the step map is
     unchanged), and the last value must be ``top`` unless that is None.
     Witnesses render values with ``show``."""
-    raw = [(float(lam), v) for lam, v in pairs]
+    raw = list(pairs)
     if not raw and top is not None:
         raise InputError("a spectral family needs at least one breakpoint")
     for k, (lam, v) in enumerate(raw):
+        try:
+            lam = float(lam)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("breakpoints must be finite reals",
+                             witness=repr(lam)) from None
         if not math.isfinite(lam):
             raise InputError("breakpoints must be finite reals", witness=lam)
         raw[k] = (lam, check(v))

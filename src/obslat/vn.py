@@ -566,12 +566,10 @@ def core_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
 
 
 def support_projection(m: VNSubalgebra, q, tol: Tolerances = TOL) -> np.ndarray:
-    """Smallest projection of the algebra above q: complement of the core of
-    the complement, taken as in ``core_projection``."""
-    q = _in_algebra_dim(m, check_projection(q, tol))
-    eye = np.eye(m.dim, dtype=complex)
-    u, s, _ = np.linalg.svd(eye - q)
-    return eye - _cores(m, u, [int(_rank(s, tol))], tol)[0]
+    """Smallest projection of the algebra above q: the complement of the
+    core of the complement."""
+    eye = np.eye(len(as_matrix(q)), dtype=complex)
+    return eye - core_projection(m, eye - q, tol)
 
 
 def rho_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
@@ -586,16 +584,10 @@ def rho_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
 
 
 def sigma_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
-    """Largest spectral-order lower bound inside the subalgebra, from the
-    supports of the spectral projections.  The defining infimum over later
-    arguments is exact on step families, so each merged breakpoint takes the
-    support of the value right there: the complement of the core of the
-    eigenvectors past its cluster, which lead the reversed eigenbasis."""
-    vecs, breakpoints, ends = _clustered_eigen(a, tol)
-    _in_algebra_dim(m, vecs)
-    eye = np.eye(m.dim, dtype=complex)
-    cores = _cores(m, vecs[:, ::-1], [m.dim - k for k in ends], tol)
-    return family_from_steps(breakpoints, eye - cores, tol).synthesize()
+    """Largest spectral-order lower bound inside the subalgebra: -rho(-a),
+    since negation reverses the spectral order and keeps the subalgebra.
+    Subtracting from 0.0 keeps zero entries at +0.0."""
+    return 0.0 - rho_restrict(m, -as_matrix(a), tol)
 
 
 def atomic_value(a, x, tol: Tolerances = TOL) -> float:

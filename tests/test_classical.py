@@ -22,6 +22,53 @@ def test_space_construction_and_queries():
     assert sorted(sp.opens()) == [0b000, 0b001, 0b011, 0b111]
 
 
+# The parent scans, verbatim: closure and openness each as its own loop over
+# the minimal neighborhoods, before both were read through the interior.
+def ref_closure(space, mask):
+    out = 0
+    for x in range(len(space.points)):
+        if space.nb_masks[x] & mask:
+            out |= 1 << x
+    return out
+
+
+def ref_is_open(space, mask):
+    return all(space.nb_masks[x] & mask == space.nb_masks[x]
+               for x in bits(mask))
+
+
+def test_closure_and_openness_match_the_neighborhood_loops():
+    """Every mask of every topology on 1..4 points and of the digital lines
+    with 1..5 vertices."""
+    spaces = [cl.FiniteTopSpace(range(n), opens=opens) for n in (1, 2, 3, 4)
+              for opens in cl.all_topologies(n)]
+    spaces += [cl.digital_line(n) for n in range(1, 6)]
+    masks = 0
+    for space in spaces:
+        for mask in range(space.full + 1):
+            assert space.closure(mask) == ref_closure(space, mask)
+            assert space.is_open(mask) == ref_is_open(space, mask)
+            masks += 1
+    assert (len(spaces), masks) == (394, 8658)
+
+
+SP3 = cl.sierpinski3()
+
+
+@pytest.mark.parametrize("call, mask", [
+    (SP3.interior, 0b1000), (SP3.closure, 0b1001), (SP3.is_open, 0b1111),
+    (lambda m: cl.top_spectral_family(SP3, [(2.0, 0b111)], base=m), 0b1000),
+    (lambda m: cl.top_spectral_family(SP3, [(1.0, m), (2.0, 0b111)]), 0b1001)],
+    ids=["interior", "closure", "is_open", "base", "value"])
+def test_masks_outside_the_space_are_refused(call, mask):
+    """The neighborhood scans indexed past the points (``IndexError``), and
+    the closure ignored the extra bits."""
+    with pytest.raises(InputError) as err:
+        call(mask)
+    assert str(err.value) == "mask names points outside the space"
+    assert err.value.witness == mask
+
+
 def test_opens_must_close_under_union_intersection():
     with pytest.raises(InputError):
         cl.FiniteTopSpace(["a", "b", "c"],
@@ -342,3 +389,41 @@ def test_demo_unbounded_has_open_tail():
     assert demo["family"].unbounded_above
     with pytest.raises(InputError):
         cl.demo_family("nope")
+
+
+@pytest.mark.parametrize("call, error, message, witness", [
+    (lambda: cl.FiniteTopSpace([], nb_masks=[]), InputError,
+     "a space needs at least one point", None),
+    (lambda: cl.FiniteTopSpace(["a", "a"], nb_masks=[1, 2]), InputError,
+     "duplicate point names", None),
+    (lambda: cl.FiniteTopSpace(["a"], opens=[0, 1], nb_masks=[1]),
+     InputError, "give exactly one of opens or nb_masks", None),
+    (lambda: cl.FiniteTopSpace(["a"]), InputError,
+     "give exactly one of opens or nb_masks", None),
+    (lambda: cl.FiniteTopSpace(["a", "b"], nb_masks=[2, 2]), InputError,
+     "minimal neighborhood of a must contain it", None),
+    (lambda: cl.sierpinski3().mask_of(["1", "z"]), InputError,
+     "unknown point 'z'", "z"),
+    (lambda: cl.digital_line(0), InputError,
+     "digital line needs at least one vertex", None),
+    (lambda: cl.sigma_from_function(cl.sierpinski3(), {"1": 0.0}),
+     InputError, "function must be total", ["2", "3"]),
+    (lambda: cl.open_set_lattice(cl.discrete_space(list("abcdefg"))),
+     ResourceError, "128 open sets exceed the lattice cap 64", None),
+    (lambda: cl.lattice_family_of(cl.top_spectral_family(
+        cl.sierpinski3(), [(0.0, 0b001)], unbounded_above=True)),
+     PreconditionError, "lattice form needs a bounded family", None),
+    (lambda: cl.lattice_family_of(cl.top_spectral_family(
+        cl.sierpinski3(), [(1.0, 0b111)], base=0b001)),
+     PreconditionError, "lattice form models empty-based families only",
+     ["1"])],
+    ids=["no-points", "duplicates", "both", "neither", "own-point",
+         "unknown-point", "no-vertex", "partial", "past-the-cap",
+         "unbounded", "based"])
+def test_typed_errors_keep_their_message_and_witness(call, error, message,
+                                                    witness):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert err.value.witness == witness

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obslat import corpus
-from obslat.errors import InputError
+from obslat.errors import InputError, PreconditionError
 from obslat.spectral import (constant_family, projection_family,
                              restrict_family, sample_family, spectral_family)
 
@@ -149,3 +149,21 @@ def test_projection_family_refuses_an_element_outside_the_lattice(lattices,
         projection_family(lattices["mo2"], index)
     assert str(err.value) == "the projection is not an element of the lattice"
     assert err.value.witness == [index, 6]
+
+
+MO2 = corpus.standard_lattices()["mo2"]
+A, B = MO2.index("a"), MO2.index("b")
+
+
+@pytest.mark.parametrize("call, error, message, witness", [
+    (lambda: restrict_family(spectral_family(MO2, [(1.0, A)], top=A), B),
+     PreconditionError, "restriction target meets the family top in bottom",
+     "b")],
+    ids=["restrict-to-bottom"])
+def test_typed_errors_keep_their_message_and_witness(call, error, message,
+                                                    witness):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert err.value.witness == witness

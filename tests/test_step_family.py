@@ -52,6 +52,18 @@ CASES = [
      "breakpoints must be finite reals", math.inf),
     ("inf", projections, [(1.0, E0), (-math.inf, EYE)],
      "breakpoints must be finite reals", -math.inf),
+    ("string", lattice, [("x", A), (2.0, ONE)],
+     "breakpoints must be finite reals", "'x'"),
+    ("string", opens, [("x", 0b001), (2.0, 0b111)],
+     "breakpoints must be finite reals", "'x'"),
+    ("string", projections, [("a", EYE)],
+     "breakpoints must be finite reals", "'a'"),
+    ("none", lattice, [(None, ONE)], "breakpoints must be finite reals",
+     "None"),
+    ("none", opens, [(1.0, 0b001), (None, 0b111)],
+     "breakpoints must be finite reals", "None"),
+    ("none", projections, [(None, EYE)], "breakpoints must be finite reals",
+     "None"),
     ("shared", lattice, [(1.0, A), (1.0, ONE)],
      "two different elements at breakpoint 1", ["a", "1"]),
     ("shared", opens, [(1.0, 0b001), (1.0, 0b111)],

@@ -717,10 +717,13 @@ def shift_breaking_algebra(dim, i, fill, adjoint):
     """A hand-built algebra whose stored commutant holds the identity,
     ``fill`` random diagonals, then E, 2E and 3F for E = E_{i,i+1} and
     F = E_{i+1,i+2} (1-based; their adjoints when ``adjoint``).  On
-    diag(0, ..., dim - 1) the cores of rho (sigma) are the spans of the
-    leading (trailing) basis vectors, which all of these keep.  The core at
-    position i - 1 fails to commute with E and 2E, the next one with 3F,
-    and no other fails: the first breach has defect 1."""
+    a = diag(0, ..., dim - 1) the cores of rho are the spans of the leading
+    basis vectors, growing, which all of these keep: the core at position
+    i - 1 fails to commute with E and 2E, the next one with 3F, and no
+    other fails, so the first breach has defect 1.  sigma is -rho(-a), whose
+    cores are the spans of the trailing basis vectors, growing: with the
+    adjoints the core at position dim - i - 2 fails with 3F* and the next
+    one with E* and 2E*, so the first breach has defect 3."""
     e = np.zeros((3, dim, dim), dtype=complex)
     for n, (r, c) in enumerate([(i - 1, i), (i - 1, i), (i, i + 1)]):
         e[(n, c, r) if adjoint else (n, r, c)] = n + 1.0
@@ -733,7 +736,7 @@ def shift_breaking_algebra(dim, i, fill, adjoint):
 
 @pytest.mark.parametrize("dim, i, fill, chunks", [
     (4, 2, 0, 1),        # all cores in one chunk
-    (8, 5, 298, 3),      # three cores a chunk, both breaches in chunk 2
+    (8, 5, 298, 3),      # three cores a chunk, rho's breaches in chunk 2
     (16, 2, 138, 16)],   # one core a chunk
     ids=["one-chunk", "three-chunks", "core-per-chunk"])
 @pytest.mark.parametrize("fn", [vn.rho_restrict, vn.sigma_restrict],
@@ -743,7 +746,8 @@ def test_core_check_keeps_the_per_core_loops_witness(fn, dim, i, fill, chunks,
     """The batched check raises on a later core, in a later chunk too, with
     the per-core loop's witness: the first breaching core's first breaching
     element, not the largest defect nor a later core's."""
-    alg = shift_breaking_algebra(dim, i, fill, fn is vn.sigma_restrict)
+    sigma = fn is vn.sigma_restrict
+    alg = shift_breaking_algebra(dim, i, fill, sigma)
     per_chunk = vn._CORE_CHUNK // alg.commutant.size
     assert -(-dim // per_chunk) == chunks
     a = np.diag(np.arange(dim, dtype=float))
@@ -753,14 +757,107 @@ def test_core_check_keeps_the_per_core_loops_witness(fn, dim, i, fill, chunks,
     with pytest.raises(ResourceError) as want:
         fn(alg, a)
     assert got.value.args == want.value.args
-    assert got.value.witness == want.value.witness == {"defect": 1.0}
-    vecs = vn.eigen_hermitian(a)[1]
+    assert got.value.witness == want.value.witness == {
+        "defect": 3.0 if sigma else 1.0}
+    vecs = vn.eigen_hermitian(-a if sigma else a)[1]
     ks = list(range(1, dim + 1))
-    if fn is vn.sigma_restrict:
-        vecs, ks = vecs[:, ::-1], [dim - k for k in ks]
-    ref_cores(alg, vecs, ks[:i - 1])
+    first = dim - i - 2 if sigma else i - 1
+    ref_cores(alg, vecs, ks[:first])
     with pytest.raises(ResourceError):
-        ref_cores(alg, vecs, ks[:i])
+        ref_cores(alg, vecs, ks[:first + 1])
+
+
+# The parent bodies, verbatim: support from its own SVD of I - q, and sigma
+# from the cores of the reversed eigenbasis with complemented ranks, before
+# each was written through its primal.
+
+def ref_support_projection(m, q, tol=vn.TOL):
+    q = vn._in_algebra_dim(m, vn.check_projection(q, tol))
+    eye = np.eye(m.dim, dtype=complex)
+    u, s, _ = np.linalg.svd(eye - q)
+    return eye - vn._cores(m, u, [int(vn._rank(s, tol))], tol)[0]
+
+
+def ref_sigma_restrict(m, a, tol=vn.TOL):
+    vecs, breakpoints, ends = vn._clustered_eigen(a, tol)
+    vn._in_algebra_dim(m, vecs)
+    eye = np.eye(m.dim, dtype=complex)
+    cores = vn._cores(m, vecs[:, ::-1], [m.dim - k for k in ends], tol)
+    return vn.family_from_steps(breakpoints, eye - cores, tol).synthesize()
+
+
+def dual_map_algebras(rng):
+    """The generator sets above, and at d = 1..16 the trivial algebra, one
+    random Hermitian's, one with integer levels 0-2 in a random basis, and
+    a diagonal one with such levels; two random Hermitians (the Sylvester
+    path) at d = 6, 11 and 16."""
+    sets = [(gens[0].shape[0], gens) for gens in corpus_generator_sets()]
+    sets += list(random_generator_sets(rng)) + list(block_generator_sets(rng))
+    for dim in range(1, 17):
+        levels = [float(rng.randrange(3)) for _ in range(dim)]
+        sets += [(dim, []), (dim, [vn.random_hermitian(rng, dim)]),
+                 (dim, [clustered_hermitian(rng, dim)]),
+                 (dim, [np.diag(levels)])]
+    sets += [(dim, [vn.random_hermitian(rng, dim) for _ in range(2)])
+             for dim in (6, 11, 16)]
+    return [vn.subalgebra(gens, dim=dim) for dim, gens in sets]
+
+
+def test_dual_maps_match_their_own_bodies(rng):
+    """sigma as -rho(-a) and support as the complement of the core of the
+    complement agree with the bodies they replaced within 1e-12, on random
+    and clustered operators and on projections whose core or support lies
+    strictly between 0, q and I as well as on random ones."""
+    algebras = dual_map_algebras(rng)
+    strictly_between = 0
+    for alg in algebras:
+        dim = alg.dim
+        for a in (vn.random_hermitian(rng, dim), clustered_hermitian(rng, dim)):
+            assert np.linalg.norm(vn.sigma_restrict(alg, a)
+                                  - ref_sigma_restrict(alg, a)) < 1e-12
+        inner = vn.spectral_family_of(
+            sum(rng.gauss(0, 1) * h for h in hermitian_parts(alg))
+        ).projections[0]
+        qs = [vn.random_projection(rng, dim) for _ in range(2)]
+        qs += [vn.projection_join([inner, vn.random_projection(rng, dim, 1)])]
+        for q in qs + [np.eye(dim) - p for p in qs]:
+            support = vn.support_projection(alg, q)
+            assert np.linalg.norm(support
+                                  - ref_support_projection(alg, q)) < 1e-12
+            rank = vn.rank_of_projection(q)
+            strictly_between += rank < vn.rank_of_projection(support) < dim
+    assert strictly_between > len(algebras) // 2
+
+
+BAD_OPERATORS = {
+    "not-hermitian": np.triu(np.ones((3, 3))),
+    "wrong-dimension": np.eye(4),
+    "ragged": [[1.0, 0.0], [0.0]],
+    "nan": np.diag([math.nan, 0.0, 0.0]),
+    "not-idempotent": vn.random_hermitian(random.Random(7), 3)}
+
+
+@pytest.mark.parametrize("fn, ref, kind", [
+    *((vn.sigma_restrict, ref_sigma_restrict, kind)
+      for kind in BAD_OPERATORS if kind != "not-idempotent"),
+    *((vn.support_projection, ref_support_projection, kind)
+      for kind in BAD_OPERATORS)],
+    ids=lambda x: getattr(x, "__name__", x))
+def test_dual_maps_raise_their_own_bodies_errors(fn, ref, kind):
+    """The same error and witness, but for the idempotence defect of a q
+    handed to support: it is now measured on I - q, which has the same
+    defect up to rounding."""
+    alg = vn.subalgebra([np.diag([0.0, 1.0, 1.0])])
+    with pytest.raises(InputError) as got:
+        fn(alg, BAD_OPERATORS[kind])
+    with pytest.raises(InputError) as want:
+        ref(alg, BAD_OPERATORS[kind])
+    assert got.value.args == want.value.args
+    if kind == "not-idempotent":
+        assert math.isclose(got.value.witness["defect"],
+                            want.value.witness["defect"], rel_tol=1e-12)
+    else:
+        assert got.value.witness == want.value.witness
 
 
 def test_commutant_stack_is_read_only():
@@ -1378,6 +1475,28 @@ def test_projection_dimension_mismatch_is_typed(fn):
     assert err.value.witness == [2, 3]
 
 
+@pytest.mark.parametrize("call, error, message, witness", [
+    (lambda: vn.projection_join([]), PreconditionError,
+     "join of no projections", None),
+    (lambda: vn.projection_meet([]), PreconditionError,
+     "meet of no projections", None),
+    (lambda: vn.spectral_leq(np.eye(2), np.eye(3)), InputError,
+     "dimension mismatch", [2, 3]),
+    (lambda: vn.spectral_meet([]), PreconditionError,
+     "need a nonempty operator list", None),
+    (lambda: vn.subalgebra([]), InputError,
+     "need generators or an explicit dimension", None)],
+    ids=["join-of-none", "meet-of-none", "leq-across-dimensions",
+         "spectral-meet-of-none", "subalgebra-of-none"])
+def test_typed_errors_keep_their_message_and_witness(call, error, message,
+                                                    witness):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert err.value.witness == witness
+
+
 @pytest.mark.parametrize("fn", [
     vn.as_matrix, vn.check_hermitian, vn.eigen_hermitian, vn.check_projection,
     vn.spectral_family_of, lambda a: vn.subalgebra([a])],
@@ -1454,48 +1573,55 @@ def checks_of(seen, m):
     return sum(np.array_equal(x, m) for x in seen)
 
 
-@pytest.mark.parametrize("call, uses_b", [
-    (lambda a, b, alg: vn.spectral_family_of(a), 0),
-    (lambda a, b, alg: vn.rho_restrict(alg, a), 0),
-    (lambda a, b, alg: vn.sigma_restrict(alg, a), 0),
-    (lambda a, b, alg: vn.spectral_meet([a, b]), 1),
-    (lambda a, b, alg: vn.spectral_join([a, b]), 1),
-    (lambda a, b, alg: vn.spectral_leq(a, b), 1),
-    (lambda a, b, alg: vn.atomic_value(a, np.ones(3)), 0)],
+@pytest.mark.parametrize("call, counts", [
+    (lambda a, b, alg: vn.spectral_family_of(a), [1, 0, 0]),
+    (lambda a, b, alg: vn.rho_restrict(alg, a), [1, 0, 0]),
+    # sigma is -rho(-a): its one check sees -a
+    (lambda a, b, alg: vn.sigma_restrict(alg, a), [0, 1, 0]),
+    (lambda a, b, alg: vn.spectral_meet([a, b]), [1, 0, 1]),
+    (lambda a, b, alg: vn.spectral_join([a, b]), [1, 0, 1]),
+    (lambda a, b, alg: vn.spectral_leq(a, b), [1, 0, 1]),
+    (lambda a, b, alg: vn.atomic_value(a, np.ones(3)), [1, 0, 0])],
     ids=["spectral_family_of", "rho_restrict", "sigma_restrict",
          "spectral_meet", "spectral_join", "spectral_leq", "atomic_value"])
-def test_each_operator_is_checked_once(call, uses_b, monkeypatch):
+def test_each_operator_is_checked_once(call, counts, monkeypatch):
     """Steps that a call builds are checked as projections too; each operator
-    handed in is checked once.  Both are exactly Hermitian."""
+    handed in is checked once, as itself or negated: the counts are those of
+    a, -a and b.  All are exactly Hermitian."""
     rng = random.Random(3)
     a, b = clustered_hermitian(rng, 3), vn.random_hermitian(rng, 3)
     alg = vn.subalgebra([np.diag([0.0, 1.0, 1.0])])
     seen = counted_checks(monkeypatch)
     call(a, b, alg)
-    assert [checks_of(seen, op) for op in (a, b)] == [1, uses_b]
+    assert [checks_of(seen, op) for op in (a, -a, b)] == counts
 
 
-@pytest.mark.parametrize("argv, files, checks", [
-    (["spectral-family", "matrix_a.json"], ["matrix_a.json"], [1]),
+@pytest.mark.parametrize("argv, files, checked", [
+    (["spectral-family", "matrix_a.json"], ["matrix_a.json"],
+     lambda m: [m]),
     (["order", "matrix_low.json", "matrix_high.json"],
-     ["matrix_low.json", "matrix_high.json"], [1, 1]),
+     ["matrix_low.json", "matrix_high.json"], lambda lo, hi: [lo, hi]),
     (["restrict", "--algebra", "gens_diag.json", "--op", "matrix_a.json",
-      "--map", "rho"], ["matrix_a.json"], [1]),
+      "--map", "rho"], ["matrix_a.json"], lambda m: [m]),
+    # sigma is -rho(-a)
     (["restrict", "--algebra", "gens_diag.json", "--op", "matrix_a.json",
-      "--map", "sigma"], ["matrix_a.json"], [1]),
-    # one check in each of the two library calls, core and support
+      "--map", "sigma"], ["matrix_a.json"], lambda m: [-m]),
+    # core checks q, and support checks I - q in its call of core
     (["core", "--algebra", "gens_diag.json", "--proj", "proj_q.json"],
-     ["proj_q.json"], [2])],
+     ["proj_q.json"], lambda q: [q, np.eye(len(q)) - q])],
     ids=["spectral-family", "order", "rho", "sigma", "core"])
-def test_vn_commands_check_each_matrix_in_the_library(argv, files, checks,
+def test_vn_commands_check_each_matrix_in_the_library(argv, files, checked,
                                                       monkeypatch, capsys):
+    """Each matrix a command reads is checked in the library, once in each
+    form that a library call hands to ``check_hermitian``."""
     from obslat.cli import main
     seen = counted_checks(monkeypatch)
     args = [str(CORPUS / x) if x.endswith(".json") else x for x in argv]
     assert main(["vn", *args]) == 0
     capsys.readouterr()
     loaded = [jsonio.load_matrix(str(CORPUS / f)) for f in files]
-    assert [checks_of(seen, m) for m in loaded] == checks
+    want = checked(*loaded)
+    assert [checks_of(seen, m) for m in want] == [1] * len(want)
 
 
 def test_vn_order_solves_each_operator_once(monkeypatch, capsys):
