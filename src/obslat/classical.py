@@ -119,7 +119,7 @@ class FiniteTopSpace:
         return out
 
     def closure(self, mask: int) -> int:
-        """The complement of the interior of the complement."""
+        """The complement of the interior of the complement in the space."""
         self._points_of(mask)
         return self.full & ~self.interior(self.full & ~mask)
 

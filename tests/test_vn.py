@@ -812,7 +812,8 @@ def test_dual_maps_match_their_own_bodies(rng):
     strictly_between = 0
     for alg in algebras:
         dim = alg.dim
-        for a in (vn.random_hermitian(rng, dim), clustered_hermitian(rng, dim)):
+        for a in (vn.random_hermitian(rng, dim),
+                  clustered_hermitian(rng, dim)):
             assert np.linalg.norm(vn.sigma_restrict(alg, a)
                                   - ref_sigma_restrict(alg, a)) < 1e-12
         inner = vn.spectral_family_of(
@@ -837,12 +838,16 @@ BAD_OPERATORS = {
     "not-idempotent": vn.random_hermitian(random.Random(7), 3)}
 
 
-@pytest.mark.parametrize("fn, ref, kind", [
+DUAL_ERROR_CASES = [
     *((vn.sigma_restrict, ref_sigma_restrict, kind)
       for kind in BAD_OPERATORS if kind != "not-idempotent"),
     *((vn.support_projection, ref_support_projection, kind)
-      for kind in BAD_OPERATORS)],
-    ids=lambda x: getattr(x, "__name__", x))
+      for kind in BAD_OPERATORS)]
+
+
+@pytest.mark.parametrize("fn, ref, kind", DUAL_ERROR_CASES,
+                         ids=[f"{fn.__name__}-{kind}"
+                              for fn, _, kind in DUAL_ERROR_CASES])
 def test_dual_maps_raise_their_own_bodies_errors(fn, ref, kind):
     """The same error and witness, but for the idempotence defect of a q
     handed to support: it is now measured on I - q, which has the same
