@@ -16,7 +16,8 @@ from obslat import classical, corpus, vn
 from obslat.context import diagram, section_from_operator
 from obslat.jsonio import (family_to_json, lattice_to_json, matrix_to_json,
                            save_json, section_to_json, space_to_json,
-                           top_family_to_json)
+                           table_to_json, top_family_to_json)
+from obslat.observables import observable
 from obslat.spectral import spectral_family
 
 OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else \
@@ -47,16 +48,15 @@ def main() -> None:
         lattice_ref="b2"))
 
     # a valid table on mo2, keyed by full ideal member lists
-    put("table_mo2.json", {
-        "lattice": "mo2",
-        "values": {"a,1": 1.0, "a',1": 2.0, "b,1": 2.0, "b',1": 2.0,
-                   "1": 2.0}})
+    good = {mo2.index("a"): 1.0, mo2.index("a'"): 2.0, mo2.index("b"): 2.0,
+            mo2.index("b'"): 2.0, mo2.one: 2.0}
+    put("table_mo2.json",
+        table_to_json(observable(mo2, good), lattice_ref="mo2"))
     # same shape but the join law fails on the pair (a, b); checked:false so
     # it loads and `obslat obs check` gets to report the witness
-    put("table_bad_mo2.json", {
-        "lattice": "mo2", "checked": False,
-        "values": {"a,1": 1.0, "a',1": 2.0, "b,1": 1.5, "b',1": 2.0,
-                   "1": 2.0}})
+    bad = observable(mo2, {**good, mo2.index("b"): 1.5}, checked=False)
+    put("table_bad_mo2.json",
+        {**table_to_json(bad, lattice_ref="mo2"), "checked": False})
 
     rng = random.Random(5)
     put("matrix_a.json", {"matrix": matrix_to_json(

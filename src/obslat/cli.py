@@ -181,8 +181,7 @@ def cmd_spectral_spectrum(args) -> Report:
 def cmd_obs_eval(args) -> Report:
     fam = jsonio.load_family(args.family)
     lat = fam.lattice
-    names = jsonio.split_ideal_key(args.ideal)
-    ideal = stone.cone(lat, [lat.index(nm) for nm in names])
+    ideal = jsonio.read_ideal(lat, args.ideal)
     value = observables.observable_from_spectral(fam, ideal)
     return 0, {"ideal": ideal.names(), "value": value}, [
         f"f(H({lat.names[ideal.generator()]})) = {_fmt_val(value)}"]

@@ -19,12 +19,12 @@ import numpy as np
 from .classical import FiniteTopSpace
 from .context import ContextDiagram, diagram
 from .corpus import standard_lattices
-from .errors import InputError, ResourceError
-from .lattice import FiniteOrthoLattice, mask_from
+from .errors import InputError, PreconditionError, ResourceError
+from .lattice import FiniteOrthoLattice
 from .observables import ObservableFunction, observable
 from .presheaf import (LatticePresheaf, function_presheaf, spectral_presheaf)
 from .spectral import SpectralFamily, spectral_family
-from .stone import principal
+from .stone import DualIdeal, cone, principal
 from .vn import Tolerances, TOL, as_matrix
 
 CORPUS_ENV = "OBS_CORPUS_DIR"
@@ -210,11 +210,25 @@ def split_ideal_key(key: str) -> list[str]:
             cur = []
         else:
             cur.append(ch)
+    if depth:
+        raise InputError("unbalanced braces in ideal key", witness=key)
     parts.append("".join(cur))
     out = [p.strip() for p in parts if p.strip()]
     if not out:
         raise InputError("empty ideal key", witness=key)
     return out
+
+
+def read_ideal(lattice: FiniteOrthoLattice, key: str) -> DualIdeal:
+    """The dual ideal a key names: the cone of the filter base it lists,
+    the up-set of the list's meet.  The generator alone and the full member
+    list (what ``ideal_key`` writes) are two such bases."""
+    members = [lattice.index(nm) for nm in split_ideal_key(key)]
+    try:
+        return cone(lattice, members)
+    except PreconditionError as exc:
+        raise InputError("key names no filter base",
+                         witness={"key": key, **exc.witness}) from None
 
 
 def ideal_key(lattice: FiniteOrthoLattice, generator: int) -> str:
@@ -228,15 +242,7 @@ def load_table(ref, referrer: Path | None = None) -> ObservableFunction:
     lat = load_lattice(data.get("lattice"), path)
     vals: dict[int, float] = {}
     for key, v in _mapping(data["values"], "values").items():
-        names = split_ideal_key(str(key))
-        members = [lat.index(nm) for nm in names]
-        gen = lat.meet_of(members)
-        if gen == lat.zero:
-            raise InputError("key meets down to bottom, no dual ideal there",
-                             witness={"key": key})
-        if len(names) > 1 and mask_from(members) != lat.upset_mask(gen):
-            raise InputError("key does not list the members of a dual ideal",
-                             witness={"key": key, "generator": lat.names[gen]})
+        gen = read_ideal(lat, str(key)).generator()
         v = _real(v, f"values[{key}]")
         if gen in vals and vals[gen] != v:
             raise InputError("conflicting values for one ideal",

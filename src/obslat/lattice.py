@@ -176,11 +176,19 @@ class FiniteOrthoLattice:
         except ValueError:
             raise InputError(f"unknown element {name!r}", witness=name) from None
 
-    def _check_element(self, a: int, role: str) -> None:
-        """Refuse an index outside the lattice, naming its role."""
-        if not 0 <= a < self.n:
+    def _is_element(self, a) -> bool:
+        """Whether a indexes an element: of type int (a bool is not) or a
+        numpy integer, and in range."""
+        return (type(a) is int or isinstance(a, np.integer)) \
+            and 0 <= a < len(self.names)
+
+    def _check_element(self, a: int, role: str) -> int:
+        """The index a as an int; anything that indexes no element is
+        refused, naming its role."""
+        if not self._is_element(a):
             raise InputError(f"the {role} is not an element of the lattice",
                              witness=[a, self.n])
+        return int(a)
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.leq[a, b])
@@ -294,9 +302,8 @@ class FiniteOrthoLattice:
         membership test over all member pairs; the first failing pair in
         row-major order is the witness, meet before join.
         """
-        mem = sorted(set(int(m) for m in members))
-        for m in mem:
-            self._check_element(m, "sublattice member")
+        mem = sorted({self._check_element(m, "sublattice member")
+                      for m in members})
         if self.zero not in mem or self.one not in mem:
             raise PreconditionError("sublattice must contain bottom and top",
                                     witness=[self.names[self.zero], self.names[self.one]])

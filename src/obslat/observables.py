@@ -25,7 +25,7 @@ decimals.
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -35,6 +35,11 @@ from .errors import CheckFailure, InputError, PreconditionError
 from .lattice import FiniteOrthoLattice, bits
 from .spectral import SpectralFamily, spectral_family
 from .stone import DualIdeal, canonical_order
+
+
+# the types a table value may have, but a bool is refused, as the JSON
+# readers refuse one
+_REALS = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -82,18 +87,20 @@ def observable(lattice: FiniteOrthoLattice, values: dict[int, float],
     under = lattice.downset_mask(top) & ~(1 << lattice.zero)
     cells: list[float | None] = [None] * lattice.n
     for a, v in values.items():
-        a = int(a)
-        if not 0 <= a < lattice.n:
+        if not lattice._is_element(a):
             raise InputError("value keyed by unknown element", witness=a)
+        a = int(a)
         if not under >> a & 1:
             raise InputError(
                 f"values may only sit at nonzero elements under the top "
                 f"{lattice.names[top]}", witness=lattice.names[a])
-        cells[a] = float(v)
-        if not math.isfinite(cells[a]):
+        # NaN fails the comparison, as does an int past the float range
+        if type(v) is bool or not isinstance(v, _REALS) \
+                or not abs(v) <= sys.float_info.max:
             raise InputError(
                 f"the value at {lattice.names[a]} is not a finite real",
                 witness=lattice.names[a])
+        cells[a] = float(v)
     missing = [lattice.names[a] for a in bits(under) if cells[a] is None]
     if missing:
         raise InputError("table is not total", witness=missing)

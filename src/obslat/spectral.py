@@ -105,18 +105,17 @@ def spectral_family(lattice: FiniteOrthoLattice,
     lattice._check_element(top, "family top")
 
     def check(e: int) -> int:
-        if not 0 <= e < lattice.n:
+        if not lattice._is_element(e):
             raise InputError("breakpoint element out of range", witness=e)
         if not lattice.le(e, top):
             raise InputError(
                 f"element {lattice.names[e]} exceeds the family top "
                 f"{lattice.names[top]}",
                 witness=[lattice.names[e], lattice.names[top]])
-        return e
+        return int(e)
 
-    steps = _canonical_steps(((lam, int(e)) for lam, e in pairs), lattice.le,
-                             operator.eq, lattice.zero, top,
-                             lattice.names.__getitem__, check)
+    steps = _canonical_steps(pairs, lattice.le, operator.eq, lattice.zero,
+                             top, lattice.names.__getitem__, check)
     return SpectralFamily(lattice, steps, top)
 
 

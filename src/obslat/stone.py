@@ -13,9 +13,10 @@ graph share one sort.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
-from .errors import InputError, PreconditionError
+from .errors import PreconditionError
 from .lattice import FiniteOrthoLattice, bits, mask_from
 
 
@@ -50,29 +51,6 @@ class DualIdeal:
         return "{" + ",".join(self.names()) + "}"
 
 
-def dual_ideal_violation(lattice: FiniteOrthoLattice, mask: int) -> dict | None:
-    """None if the mask is a dual ideal, else a witness dict saying why not."""
-    if mask == 0:
-        return {"kind": "empty"}
-    members = bits(mask)
-    if any(m >= lattice.n for m in members):
-        raise InputError("mask names elements outside the lattice")
-    if lattice.zero in members:
-        return {"kind": "contains-bottom", "element": lattice.names[lattice.zero]}
-    mset = set(members)
-    for a in members:
-        for b in bits(lattice.upset_mask(a)):
-            if b not in mset:
-                return {"kind": "not-up-closed",
-                        "element": lattice.names[a], "missing": lattice.names[b]}
-        for b in members:
-            if lattice.meet(a, b) not in mset:
-                return {"kind": "not-meet-closed",
-                        "pair": [lattice.names[a], lattice.names[b]],
-                        "missing": lattice.names[lattice.meet(a, b)]}
-    return None
-
-
 def principal(lattice: FiniteOrthoLattice, a: int) -> DualIdeal:
     """The up-set of a nonzero element."""
     lattice._check_element(a, "ideal generator")
@@ -82,50 +60,43 @@ def principal(lattice: FiniteOrthoLattice, a: int) -> DualIdeal:
     return DualIdeal(lattice, a)
 
 
-def ideal_from_names(lattice: FiniteOrthoLattice, names: Iterable[str]) -> DualIdeal:
-    mask = mask_from(lattice.index(s) for s in names)
-    bad = dual_ideal_violation(lattice, mask)
-    if bad is not None:
-        raise InputError("the given set is not a dual ideal", witness=bad)
-    return DualIdeal(lattice, lattice.meet_of(bits(mask)))
-
-
 def is_filter_base(lattice: FiniteOrthoLattice, subset: Iterable[int]
                    ) -> tuple[bool, dict | None]:
-    """Nonempty, bottom-free, and downward directed inside itself."""
-    elems = sorted(set(int(a) for a in subset))
-    for a in elems:
-        lattice._check_element(a, "filter base member")
+    """Nonempty, bottom-free, and downward directed inside itself.
+
+    A finite set is directed exactly when it holds its own meet, so the meet
+    decides.  A refusal names the first pair, in ascending index order, with
+    no lower bound in the set."""
+    elems = sorted({lattice._check_element(a, "filter base member")
+                    for a in subset})
     if not elems:
         return False, {"kind": "empty"}
     if lattice.zero in elems:
         return False, {"kind": "contains-bottom"}
-    for a in elems:
-        for b in elems:
-            if not any(lattice.le(c, a) and lattice.le(c, b) for c in elems):
-                return False, {"kind": "no-lower-bound-in-set",
-                               "pair": [lattice.names[a], lattice.names[b]]}
-    return True, None
+    if lattice.meet_of(elems) in elems:
+        return True, None
+    mask, down = mask_from(elems), lattice.downset_mask
+    a, b = next((a, b) for a, b in combinations(elems, 2)
+                if not down(a) & down(b) & mask)
+    return False, {"kind": "no-lower-bound-in-set",
+                   "pair": [lattice.names[a], lattice.names[b]]}
 
 
 def cone(lattice: FiniteOrthoLattice, subset: Iterable[int]) -> DualIdeal:
-    """Smallest dual ideal containing a filter base: the up-set of its meet.
-
-    A finite downward-directed set contains its meet, so the generated dual
-    ideal is principal over it.
-    """
-    elems = sorted(set(int(a) for a in subset))
+    """Smallest dual ideal containing a filter base: the up-set of its meet,
+    which the base holds."""
+    elems = list(subset)
     ok, why = is_filter_base(lattice, elems)
     if not ok:
         raise PreconditionError("cone needs a filter base", witness=why)
     return principal(lattice, lattice.meet_of(elems))
 
 
-def canonical_order(lattice: FiniteOrthoLattice, top: int | None = None,
-                    among: Iterable[int] | None = None) -> list[int]:
+def canonical_order(lattice: FiniteOrthoLattice, top: int | None = None
+                    ) -> list[int]:
     """Generators of the dual ideals under ``top`` (default the lattice top),
-    or only those ``among`` the given ones, sorted by the size, then the
-    member tuple, of up(a) meet down(top) so reports are deterministic.
+    sorted by the size, then the member tuple, of up(a) meet down(top) so
+    reports are deterministic.
 
     The order depends on the lattice and the top alone, so it is sorted once
     per top and memoized on the lattice; each call returns a fresh list."""
@@ -141,17 +112,7 @@ def canonical_order(lattice: FiniteOrthoLattice, top: int | None = None,
 
         order = tuple(sorted(bits(under & ~(1 << lattice.zero)), key=key))
         lattice._orders[top] = order
-    if among is None:
-        return list(order)
-    rank = {a: k for k, a in enumerate(order)}
-    among = list(among)
-    stray = [a for a in among if a not in rank]
-    if stray:
-        name = lattice.names[stray[0]] if 0 <= stray[0] < lattice.n else stray[0]
-        raise PreconditionError(
-            f"{name} generates no dual ideal under the top "
-            f"{lattice.names[top]}", witness=name)
-    return sorted(among, key=rank.__getitem__)
+    return list(order)
 
 
 def enumerate_dual_ideals(lattice: FiniteOrthoLattice) -> list[DualIdeal]:
@@ -161,8 +122,9 @@ def enumerate_dual_ideals(lattice: FiniteOrthoLattice) -> list[DualIdeal]:
 
 def enumerate_quasipoints(lattice: FiniteOrthoLattice) -> list[DualIdeal]:
     """Maximal dual ideals: the up-sets of atoms, in canonical order."""
-    return [DualIdeal(lattice, t)
-            for t in canonical_order(lattice, among=lattice.atoms())]
+    atoms = set(lattice.atoms())
+    return [DualIdeal(lattice, t) for t in canonical_order(lattice)
+            if t in atoms]
 
 
 def basis_set(lattice: FiniteOrthoLattice, a: int) -> list[DualIdeal]:

@@ -305,6 +305,51 @@ def test_family_continuity_needs_clopen_values():
     assert report["regular_open"] and report["admissible_domain_open"]
 
 
+def ref_continuity_report(family):
+    """The report computed level by level, as before it became constant."""
+    space = family.space
+    levels = [family.base] + [u for _, u in family.breakpoints]
+    domain = family.admissible_domain()
+    return {"regular_open": all(space.interior(space.closure(u)) == u
+                                for u in levels),
+            "admissible_domain_open": space.is_open(domain)}
+
+
+def short_families(space, steps):
+    """Every family of at most ``steps`` steps (1 or 2): each open base, each
+    chain of opens strictly above it, flagged unbounded above and, when the
+    chain reaches the whole space, also bounded."""
+    opens = space.opens()
+    for base in opens:
+        above = [u for u in opens if u != base and u & base == base]
+        chains = [[u] for u in above]
+        if steps == 2:
+            chains += [[u, v] for u in above for v in above
+                       if u != v and u & v == u]
+        for chain in chains:
+            pairs = list(zip([0.0, 1.0], chain))
+            yield cl.top_spectral_family(space, pairs, base=base,
+                                         unbounded_above=True)
+            if chain[-1] == space.full:
+                yield cl.top_spectral_family(space, pairs, base=base)
+
+
+def test_continuity_report_matches_the_level_checks():
+    """Two-step families on the topologies on 1..3 points and on the digital
+    lines with 1..4 vertices, one-step families on the one with 5."""
+    spaces = [(cl.FiniteTopSpace(range(n), opens=opens), 2) for n in (1, 2, 3)
+              for opens in cl.all_topologies(n)]
+    spaces += [(cl.digital_line(n), 2 if n < 5 else 1) for n in range(1, 6)]
+    families = continuous = 0
+    for space, steps in spaces:
+        for fam in short_families(space, steps):
+            ok, _, report = cl.is_continuous_family(fam)
+            assert report == (ref_continuity_report(fam) if ok else {})
+            families += 1
+            continuous += ok
+    assert (families, continuous) == (28670, 232)
+
+
 def sublevel_regularization_gap(space, vals):
     """Values v where the interior of the intersection of the strict
     sublevel sets over every cut above v differs from the interior of the

@@ -9,7 +9,10 @@ from obslat import classical, jsonio
 from obslat.acceptance import fixture_diagram, fixture_section
 from obslat.corpus import standard_lattices
 from obslat.errors import CheckFailure, InputError
+from obslat.lattice import bits
+from obslat.observables import observable_table
 from obslat.spectral import spectral_family
+from test_stone import ref_is_filter_base, small_lattices
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -115,7 +118,8 @@ def test_load_table_accepts_keys_and_rejects_impostors():
     assert f.values[mo2.index("a")] == 1.0
     assert f.values[mo2.one] == 2.0
 
-    # a multi-name key must list the full ideal
+    # a key must list a filter base, and a and b have no lower bound in it;
+    # a and "a,1" name one ideal, so they may not disagree
     with pytest.raises(InputError):
         jsonio.load_table({"lattice": "mo2", "values": {"a,b": 1.0}})
     with pytest.raises(InputError):
@@ -123,6 +127,42 @@ def test_load_table_accepts_keys_and_rejects_impostors():
                            "values": {"a,1": 1.0, "a": 2.0}})
     with pytest.raises(InputError):
         jsonio.load_table({"lattice": "mo2"})
+
+
+def test_read_ideal_takes_exactly_the_filter_bases():
+    """Every nonempty key over the small standard lattices whose names a key
+    can hold (a product's names hold a comma outside braces) names the
+    ideal of its meet when the triple loop calls it a filter base, and is
+    refused with that loop's witness otherwise."""
+    lattices = keys = accepted = 0
+    for lat in small_lattices().values():
+        if any(jsonio.split_ideal_key(nm) != [nm] for nm in lat.names):
+            continue
+        lattices += 1
+        for mask in range(1, 1 << lat.n):
+            key = ",".join(lat.names[a] for a in bits(mask))
+            ok, why = ref_is_filter_base(lat, bits(mask))
+            if ok:
+                ideal = jsonio.read_ideal(lat, key)
+                assert ideal.generator() == lat.meet_of(bits(mask)), key
+                accepted += 1
+            else:
+                with pytest.raises(InputError) as err:
+                    jsonio.read_ideal(lat, key)
+                assert str(err.value) == "key names no filter base"
+                assert err.value.witness == {"key": key, **why}
+            keys += 1
+    assert (lattices, keys, accepted) == (12, 788, 134)
+
+
+def test_load_table_reads_a_partial_filter_base_key():
+    # {1},{1,2} lists a filter base but not the whole up-set of {1}
+    b3 = standard_lattices()["b3"]
+    one = b3.index("{1}")
+    f = observable_table(spectral_family(b3, [(0.5, one), (1.5, b3.one)]))
+    blob = jsonio.table_to_json(f, lattice_ref="b3")
+    blob["values"]["{1},{1,2}"] = blob["values"].pop(jsonio.ideal_key(b3, one))
+    assert jsonio.load_table(blob).values == f.values
 
 
 def test_table_round_trip():

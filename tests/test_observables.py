@@ -15,7 +15,7 @@ from obslat import corpus, observables as ob, stone
 from obslat.errors import CheckFailure, InputError, PreconditionError
 from obslat.lattice import FiniteOrthoLattice, bits, mask_from
 from obslat.spectral import restrict_family, sample_family, spectral_family
-from obslat.stone import dual_ideal_violation, principal
+from obslat.stone import principal
 from test_stone import oracle_lattices
 
 
@@ -126,6 +126,28 @@ def ref_completely_increasing(r):
                     "join": lat.names[j],
                     "value": r.at_element(j), "sup_of_values": expected}
     return True, None
+
+
+def dual_ideal_violation(lattice, mask):
+    """None if the mask is a dual ideal, else a witness dict saying why not:
+    the member-by-member scan the package once kept as a public check."""
+    if mask == 0:
+        return {"kind": "empty"}
+    members = bits(mask)
+    if lattice.zero in members:
+        return {"kind": "contains-bottom", "element": lattice.names[lattice.zero]}
+    mset = set(members)
+    for a in members:
+        for b in bits(lattice.upset_mask(a)):
+            if b not in mset:
+                return {"kind": "not-up-closed",
+                        "element": lattice.names[a], "missing": lattice.names[b]}
+        for b in members:
+            if lattice.meet(a, b) not in mset:
+                return {"kind": "not-meet-closed",
+                        "pair": [lattice.names[a], lattice.names[b]],
+                        "missing": lattice.names[lattice.meet(a, b)]}
+    return None
 
 
 def ref_reconstruct(f):

@@ -4,11 +4,13 @@ mask scans they replaced."""
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
-from obslat import corpus, stone
+from obslat import corpus, jsonio, observables as ob, stone
 from obslat.errors import InputError, PreconditionError
 from obslat.lattice import bits, mask_from
+from obslat.spectral import spectral_family
 
 
 def brute_dual_ideals(lat):
@@ -157,12 +159,12 @@ def test_chain3_recovery_counterexample(lattices):
     assert stone.principal(chain3, one).size() == 1
 
 
-def test_ideal_from_names_roundtrip(lattices):
+def test_read_ideal_roundtrip(lattices):
     mo2 = lattices["mo2"]
-    ideal = stone.ideal_from_names(mo2, ["a", "1"])
+    ideal = jsonio.read_ideal(mo2, "a,1")
     assert ideal.mask == stone.principal(mo2, mo2.index("a")).mask
     with pytest.raises(InputError):
-        stone.ideal_from_names(mo2, ["nope"])
+        jsonio.read_ideal(mo2, "nope")
 
 
 def test_quasipoints_over_center(lattices):
@@ -191,7 +193,7 @@ def test_dual_ideal_holds_its_generator(lattices):
             if f.compare] == ["least"]
     mo2 = lattices["mo2"]
     a = mo2.index("a")
-    ideal = stone.ideal_from_names(mo2, ["1", "a"])
+    ideal = jsonio.read_ideal(mo2, "1,a")
     assert ideal.least == a and ideal == stone.principal(mo2, a)
     assert ideal.mask == mo2.upset_mask(a)
 
@@ -275,18 +277,6 @@ def test_equal_lattices_and_sublattices_keep_their_own_orders():
     assert lat is not twin and lat == twin and hash(lat) == hash(twin)
 
 
-def test_canonical_order_sorts_only_generators_under_the_top(lattices):
-    b2 = lattices["b2"]
-    with pytest.raises(PreconditionError) as err:
-        stone.canonical_order(b2, among=[b2.zero])
-    assert err.value.witness == b2.names[b2.zero]
-    x, y = b2.atoms()
-    with pytest.raises(PreconditionError) as err:
-        stone.canonical_order(b2, top=x, among=[x, y])
-    assert err.value.witness == b2.names[y]
-    assert stone.canonical_order(b2, top=x, among=[x]) == [x]
-
-
 @pytest.mark.parametrize("index", [99, 6, -1])
 def test_canonical_order_refuses_a_top_outside_the_lattice(lattices, index):
     with pytest.raises(InputError) as err:
@@ -333,3 +323,105 @@ def test_cone_refuses_a_member_outside_the_lattice(lattices, index):
     assert str(err.value) == ("the filter base member is not an element of "
                               "the lattice")
     assert err.value.witness == [index, 6]
+
+
+# -- filter bases: the triple loop the meet replaced, kept as the oracle ----
+
+def ref_is_filter_base(lattice, subset):
+    """Nonempty, bottom-free, and every pair with a lower bound in the set,
+    by one le call per (pair, candidate) in ascending index order."""
+    elems = sorted(set(int(a) for a in subset))
+    for a in elems:
+        lattice._check_element(a, "filter base member")
+    if not elems:
+        return False, {"kind": "empty"}
+    if lattice.zero in elems:
+        return False, {"kind": "contains-bottom"}
+    for a in elems:
+        for b in elems:
+            if not any(lattice.le(c, a) and lattice.le(c, b) for c in elems):
+                return False, {"kind": "no-lower-bound-in-set",
+                               "pair": [lattice.names[a], lattice.names[b]]}
+    return True, None
+
+
+def small_lattices():
+    """The standard lattices with at most 12 elements, so every subset can be
+    tried."""
+    return {k: lat for k, lat in corpus.standard_lattices().items()
+            if lat.n <= 12}
+
+
+def test_filter_base_verdicts_and_witnesses_match_the_triple_loop():
+    subsets = bases = 0
+    for lat in small_lattices().values():
+        for mask in range(1 << lat.n):
+            got = stone.is_filter_base(lat, bits(mask))
+            assert got == ref_is_filter_base(lat, bits(mask)), (lat, mask)
+            subsets += 1
+            bases += got[0]
+    assert (len(small_lattices()), subsets, bases) == (14, 8992, 436)
+
+
+MO2 = corpus.standard_lattices()["mo2"]
+
+
+# case -> (call, its witness, its message); each call used to escape untyped
+# or to read a truncated index
+WRONG_TYPES = {
+    "observable-key-str": (lambda: ob.observable(MO2, {"a": 1.0}), "a",
+                           "value keyed by unknown element"),
+    "observable-key-none": (lambda: ob.observable(MO2, {None: 1.0}), None,
+                            "value keyed by unknown element"),
+    "observable-key-float": (lambda: ob.observable(MO2, {1.5: 1.0}), 1.5,
+                             "value keyed by unknown element"),
+    "observable-key-bool": (lambda: ob.observable(MO2, {True: 1.0}), True,
+                            "value keyed by unknown element"),
+    "observable-value-none": (lambda: ob.observable(MO2, {1: None}), "a",
+                              "the value at a is not a finite real"),
+    "observable-value-str": (lambda: ob.observable(MO2, {1: "x"}), "a",
+                             "the value at a is not a finite real"),
+    "observable-value-bool": (lambda: ob.observable(MO2, {1: True}), "a",
+                              "the value at a is not a finite real"),
+    "observable-value-huge": (lambda: ob.observable(MO2, {1: 10**400}), "a",
+                              "the value at a is not a finite real"),
+    "family-element-str": (
+        lambda: spectral_family(MO2, [(1.0, "a"), (2.0, 5)]), "a",
+        "breakpoint element out of range"),
+    "family-element-float": (
+        lambda: spectral_family(MO2, [(1.0, 1.5), (2.0, 5)]), 1.5,
+        "breakpoint element out of range"),
+    "cone-str": (lambda: stone.cone(MO2, ["a"]), ["a", 6],
+                 "the filter base member is not an element of the lattice"),
+    "filter-base-float": (
+        lambda: stone.is_filter_base(MO2, [1.5]), [1.5, 6],
+        "the filter base member is not an element of the lattice"),
+    "sublattice-float": (
+        lambda: MO2.sublattice([0, 1.5, 2, 5]), [1.5, 6],
+        "the sublattice member is not an element of the lattice"),
+    "criterion-key-str": (
+        lambda: ob.observability_criterion(MO2, {"a": 1.0}), ["a", 6],
+        "the quasipoint key is not an element of the lattice"),
+    "principal-bool": (
+        lambda: stone.principal(MO2, True), [True, 6],
+        "the ideal generator is not an element of the lattice"),
+    "key-unclosed-brace": (lambda: jsonio.split_ideal_key("{1"), "{1",
+                           "unbalanced braces in ideal key"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPES))
+def test_indices_and_values_of_the_wrong_type_are_refused(case):
+    call, witness, message = WRONG_TYPES[case]
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
+    assert err.value.witness == witness
+
+
+def test_numpy_integers_are_element_indices():
+    a = np.int64(MO2.index("a"))
+    assert stone.principal(MO2, a) == stone.principal(MO2, 1)
+    assert stone.cone(MO2, [a, np.int32(5)]).generator() == 1
+    assert spectral_family(MO2, [(1.0, a), (2.0, np.int64(5))]).elements() \
+        == [1, 5]
