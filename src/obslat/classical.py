@@ -32,6 +32,14 @@ from .spectral import _canonical_steps, _step_value, spectral_family
 OPENS_CAP = 4096
 
 
+def _mask(u) -> int:
+    """A point-set mask as a Python int: an int (numpy's included, no bool)
+    that is not negative; a float is refused rather than truncated."""
+    if isinstance(u, bool) or not isinstance(u, (int, np.integer)) or u < 0:
+        raise InputError("a mask is a nonnegative int", witness=repr(u))
+    return int(u)
+
+
 class FiniteTopSpace:
     """Finite topological space; subsets of points are bitmasks."""
 
@@ -46,7 +54,7 @@ class FiniteTopSpace:
         if (opens is None) == (nb_masks is None):
             raise InputError("give exactly one of opens or nb_masks")
         if opens is not None:
-            opens = sorted(set(int(u) for u in opens))
+            opens = sorted(set(_mask(u) for u in opens))
             if 0 not in opens or self.full not in opens:
                 raise InputError(
                     "opens must contain the empty set and the whole space")
@@ -56,7 +64,7 @@ class FiniteTopSpace:
                     witness=[u for u in opens if not 0 <= u <= self.full])
             nb_masks = [reduce(operator.and_, (u for u in opens if u >> x & 1))
                         for x in range(n)]
-        self.nb_masks = [int(m) for m in nb_masks]
+        self.nb_masks = [_mask(m) for m in nb_masks]
         if len(self.nb_masks) != n:
             raise InputError(f"give one minimal neighborhood for each of "
                              f"the {n} points", witness=len(self.nb_masks))
@@ -102,7 +110,9 @@ class FiniteTopSpace:
     # -- topology ------------------------------------------------------------
 
     def _points_of(self, mask: int) -> list[int]:
-        """``bits`` of a mask, which must name no point outside the space."""
+        """``bits`` of a mask (``_mask``), which must name no point outside
+        the space."""
+        mask = _mask(mask)
         if mask > self.full:
             raise InputError("mask names points outside the space",
                              witness=mask)
@@ -260,6 +270,7 @@ def top_spectral_family(space: FiniteTopSpace,
     """Canonical form (``spectral._canonical_steps``) in the inclusion order
     from the open base; all values open, the last one the whole space unless
     the family is flagged unbounded above."""
+    base = _mask(base)
     if not space.is_open(base):
         raise InputError("base value must be open",
                          witness=space.set_names(base))
@@ -270,7 +281,7 @@ def top_spectral_family(space: FiniteTopSpace,
                              witness=space.set_names(u))
         return u
 
-    steps = _canonical_steps(((lam, int(u)) for lam, u in pairs),
+    steps = _canonical_steps(((lam, _mask(u)) for lam, u in pairs),
                              lambda u, v: u & v == u, operator.eq, base,
                              None if unbounded_above else space.full,
                              space.set_names, check)

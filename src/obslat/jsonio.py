@@ -193,25 +193,29 @@ def family_to_json(family: SpectralFamily,
 
 # -- observable tables --------------------------------------------------------------
 
+# the nestings a member name may hold commas in: the powerset lattices'
+# braces and the products' pairs
+_NESTINGS = (("{", "}", "braces"), ("(", ")", "parentheses"))
+
+
 def split_ideal_key(key: str) -> list[str]:
-    """Split a comma-joined member list, ignoring commas inside braces (the
-    powerset lattices put commas in their element names)."""
-    parts, depth, cur = [], 0, []
+    """Split a comma-joined member list, ignoring commas nested inside
+    braces or parentheses (``_NESTINGS``)."""
+    parts, depth, cur = [], [0] * len(_NESTINGS), []
     for ch in key:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                raise InputError("unbalanced braces in ideal key",
+        for i, (opening, closing, what) in enumerate(_NESTINGS):
+            depth[i] += (ch == opening) - (ch == closing)
+            if depth[i] < 0:
+                raise InputError(f"unbalanced {what} in ideal key",
                                  witness=key)
-        if ch == "," and depth == 0:
+        if ch == "," and not any(depth):
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
-    if depth:
-        raise InputError("unbalanced braces in ideal key", witness=key)
+    for d, (_, _, what) in zip(depth, _NESTINGS):
+        if d:
+            raise InputError(f"unbalanced {what} in ideal key", witness=key)
     parts.append("".join(cur))
     out = [p.strip() for p in parts if p.strip()]
     if not out:

@@ -239,14 +239,23 @@ def spectral_family_of(a, tol: Tolerances = TOL) -> OperatorSpectralFamily:
 
 def _range_values(a, ps: np.ndarray, tol: Tolerances) -> np.ndarray:
     """For each projection P of the stack ps, the first breakpoint of a whose
-    step E_k holds ran P within the sub tolerance: ``projection_leq``'s
-    test, read in a's eigenbasis.  V* P is one product for the whole stack;
-    V is unitary, so |E_k P - P| = |(I - E_k) P| is the root of the squared
-    row norms of V* P summed over rows k and on."""
+    step E_k holds ran P within the sub tolerance: one eigensolve
+    (``_clustered_eigen``), then ``_first_holding``."""
     vecs, breakpoints, ends = _clustered_eigen(a, tol)
     if len(vecs) != ps.shape[-1]:
         raise InputError("operator dimension mismatch",
                          witness=[len(vecs), int(ps.shape[-1])])
+    return _first_holding(vecs, breakpoints, ends, ps, tol)
+
+
+def _first_holding(vecs, breakpoints, ends, ps: np.ndarray, tol: Tolerances
+                   ) -> np.ndarray:
+    """For each projection P of the stack ps, the first breakpoint whose
+    step V_k V_k* (``_clustered_eigen``'s form) holds ran P within the sub
+    tolerance: ``projection_leq``'s test, read in the eigenbasis V.  V* P is
+    one product for the whole stack; V is unitary, so |E_k P - P| =
+    |(I - E_k) P| is the root of the squared row norms of V* P summed over
+    rows k and on."""
     w = vecs.conj().T @ ps
     rows = (w.real ** 2 + w.imag ** 2).sum(axis=-1)
     tails = np.zeros((len(ps), len(vecs) + 1))
@@ -361,13 +370,18 @@ def commutant_basis(mats, dim: int, tol: Tolerances = TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VNSubalgebra:
-    """Unital *-closed linear span inside a full matrix algebra."""
+    """Unital *-closed linear span inside a full matrix algebra.  An
+    algebra of joint eigenblocks (``_block_algebra``) also holds its atoms,
+    the minimal projections P_i, as a stack; one from the Sylvester path or
+    built by hand holds None."""
     dim: int = 0
     generators: tuple = ()
     basis: tuple = ()            # matrices whose vecs are orthonormal
     commutant: np.ndarray = field(   # (k, d, d), read-only; vecs orthonormal
         default_factory=lambda: np.zeros((0, 0, 0), dtype=complex),
         compare=False)
+    atoms: np.ndarray | None = field(   # (n, d, d), read-only, or None
+        default=None, compare=False)
 
     @property
     def linear_dim(self) -> int:
@@ -412,16 +426,18 @@ def _abelian(gens, tol: Tolerances) -> bool:
 
 
 def _block_algebra(gens, dim: int, blocks, projs) -> VNSubalgebra:
-    """The functions on the joint eigenblocks: basis P_i / sqrt(m_i) for the
-    blocks' isometries b_i of rank m_i, and their commutant, the direct sum
-    of the full matrix algebras on ran P_i, as the matrix units
-    b_i[:, a] b_i[:, c]* within each block."""
+    """The functions on the joint eigenblocks: atoms P_i and basis
+    P_i / sqrt(m_i) for the blocks' isometries b_i of rank m_i, and their
+    commutant, the direct sum of the full matrix algebras on ran P_i, as the
+    matrix units b_i[:, a] b_i[:, c]* within each block."""
     basis = tuple(p / np.sqrt(b.shape[1]) for b, p in zip(blocks, projs))
     comm = np.concatenate([
         (b.T[:, None, :, None] * b.conj().T[None, :, None, :]).reshape(
             -1, dim, dim) for b in blocks])
-    comm.flags.writeable = False
-    return VNSubalgebra(dim, tuple(gens), basis, comm)
+    atoms = np.array(projs)
+    for x in (comm, atoms):
+        x.flags.writeable = False
+    return VNSubalgebra(dim, tuple(gens), basis, comm, atoms)
 
 
 def _sylvester_algebra(gens, dim: int, tol: Tolerances) -> VNSubalgebra:
@@ -525,7 +541,8 @@ _CORE_CHUNK = 1 << 16
 
 def _cores(m: VNSubalgebra, vecs: np.ndarray, ks, tol: Tolerances
            ) -> np.ndarray:
-    """Core of span(vecs[:, :k]) for each k, ``vecs`` unitary, as a stack.
+    """Core of span(vecs[:, :k]) for each k, ``vecs`` unitary, as a stack:
+    ``rho_restrict`` on an algebra without atoms, and core and support.
     With the K commutant elements in that basis, h = V* C V (one batched
     product), V_k x lies in the core iff h[:, k:, :k] x = 0: (I - P_k) G V_k
     is V_{>k} (V* G V)[k:, :k] and V_{>k} is an isometry, so these K (d - k)
@@ -576,11 +593,20 @@ def rho_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
     """Smallest spectral-order upper bound of a inside the subalgebra,
     synthesized from the cores of a's spectral projections.  The projection
     at a breakpoint spans the eigenvectors up to the end of its cluster, so
-    the eigenbasis serves every core (``_cores``)."""
+    the eigenbasis serves every core.  On an algebra with atoms P_i, the
+    commutant, the direct sum of the full matrix algebras on ran P_i,
+    leaves invariant exactly the sums of whole atoms, so the core of E_k is
+    the sum of the P_i <= E_k and the synthesis is sum v_i P_i, v_i the
+    first breakpoint whose step holds P_i (``_first_holding``, the rule of
+    a context's section).  Otherwise the cores come from ``_cores``."""
     vecs, breakpoints, ends = _clustered_eigen(a, tol)
     _in_algebra_dim(m, vecs)
-    return family_from_steps(breakpoints, _cores(m, vecs, ends, tol),
-                             tol).synthesize()
+    if m.atoms is None:
+        return family_from_steps(breakpoints, _cores(m, vecs, ends, tol),
+                                 tol).synthesize()
+    vals = _first_holding(vecs, breakpoints, ends, m.atoms, tol)
+    # adding to 0.0 keeps zero entries at +0.0 when every value is negative
+    return 0.0 + np.tensordot(vals, m.atoms, axes=1)
 
 
 def sigma_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:

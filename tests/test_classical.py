@@ -4,6 +4,7 @@ import random
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from obslat import classical as cl
@@ -67,6 +68,26 @@ def test_masks_outside_the_space_are_refused(call, mask):
         call(mask)
     assert str(err.value) == "mask names points outside the space"
     assert err.value.witness == mask
+
+
+@pytest.mark.parametrize("call, mask, good", [
+    (lambda u: cl.FiniteTopSpace(["x", "y"], opens=[0, u, 3]), 1.5, 1),
+    (lambda u: cl.FiniteTopSpace(["x", "y"], opens=[0, u, 3]), True, 1),
+    (lambda u: cl.FiniteTopSpace(["x", "y"], nb_masks=[1, u]), 2.0, 2),
+    (lambda u: cl.top_spectral_family(SP3, [(1.0, u), (2.0, 0b111)]), 1.0, 1),
+    (lambda u: cl.top_spectral_family(SP3, [(2.0, 0b111)], base=u), 0.0, 1),
+    (SP3.interior, 1.5, 1), (SP3.closure, True, 1), (SP3.is_open, 3.0, 3)],
+    ids=["opens-float", "opens-bool", "nb-float", "value-float", "base-float",
+         "interior-float", "closure-bool", "is_open-float"])
+def test_masks_that_are_no_integers_are_refused(call, mask, good):
+    """A float mask was truncated by ``int`` (opens [0, 1.5, 3] read as
+    [0, 1, 3]) or failed inside the neighbourhood scan with ``TypeError``,
+    and a bool was read as 0 or 1; numpy integers stay masks."""
+    with pytest.raises(InputError) as err:
+        call(mask)
+    assert str(err.value) == "a mask is a nonnegative int"
+    assert err.value.witness == repr(mask)
+    call(np.int64(good))
 
 
 def test_opens_must_close_under_union_intersection():

@@ -86,6 +86,16 @@ def test_obs_commands(capsys, tmp_path):
                              "--table", c("table_mo2.json"))
     assert code == 0 and payload["intersection_condition"]
 
+    # a product's element names hold a comma inside parentheses
+    fam = tmp_path / "family_mo2xb1.json"
+    fam.write_text(json.dumps({"lattice": "mo2xb1", "breakpoints": [
+        [1.0, "(a,{1})"], [2.0, "(1,{1})"]]}))
+    for key in ("(a,{1})", "(a,{1}),(1,{1})"):
+        code, payload = run_json(capsys, "obs", "eval", "--family", str(fam),
+                                 "--ideal", key)
+        assert code == 0 and payload == {"ideal": ["(a,{1})", "(1,{1})"],
+                                         "value": 1.0}
+
     code, payload = run_json(capsys, "obs", "check",
                              "--table", c("table_bad_mo2.json"))
     assert code == 1

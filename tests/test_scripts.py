@@ -46,7 +46,8 @@ def test_sweep_matches_the_recording():
     in each, byte for byte.  Regenerate the
     recording after a deliberate change of behaviour with
     ``PYTHONPATH=src python3 scripts/sweep.py 0 60 > tests/sweep_slice.jsonl``.
-    Most lines restrict to a step strictly between 0 and I, and most meet
+    Most lines restrict to a step strictly between 0 and I, onto C0 alone
+    too, and most meet
     and join families have such a step, and many cores and supports lie
     strictly between 0, q and I, so the recording pins steps that are
     neither."""
@@ -60,6 +61,9 @@ def test_sweep_matches_the_recording():
     assert sum(any(between(d, algebra[name])
                    for algebra in d["restricted"].values()
                    for name in ("rho", "sigma")) for d in lines) >= 40
+    # C0, one generator's eigenblocks, is the algebra whose atoms rho reads
+    assert sum(any(between(d, d["restricted"]["C0"][name])
+                   for name in ("rho", "sigma")) for d in lines) >= 35
     assert sum(between(d, d[name]) for d in lines
                for name in ("meet", "join")) >= 60
 

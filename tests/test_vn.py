@@ -1,9 +1,11 @@
 """Matrix side: the eigensolver, the spectral order, commutants against the
 one-stack null space, the two coarse-graining maps, and the caps."""
+import json
 import math
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -1085,6 +1087,119 @@ def test_restriction_on_the_trivial_algebra_at_the_cap_stays_small(fn):
     vals = np.linalg.eigvalsh(b)
     want = vals[-1] if fn is vn.rho_restrict else vals[0]
     assert np.linalg.norm(out - want * np.eye(16)) < 1e-9
+
+
+# -- rho and sigma onto an algebra with atoms, against the cores route ------------
+
+def without_atoms(m):
+    """The same algebra with no atoms: rho and sigma take ``_cores``."""
+    return replace(m, atoms=None)
+
+
+@st.composite
+def atom_route_cases(draw):
+    """At d = 1..16, one generator with repeated integer levels, two such
+    in one random basis U (commuting), or the trivial algebra; with a
+    random Hermitian, levels 0-2 in U with one plane turned, and a distinct
+    level per atom in U with one plane turned by 0.2-1.4, whose rho and
+    sigma have a step strictly between 0 and I once there are three atoms."""
+    dim = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["one", "two", "trivial"]))
+    levels = draw(st.integers(1, 4))
+    np_rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = np_rng.normal(size=(dim, dim)) + 1j * np_rng.normal(size=(dim, dim))
+    u = np.linalg.qr(z)[0]
+    drawn = [np_rng.integers(0, levels, dim).astype(float)
+             for _ in range({"one": 1, "two": 2, "trivial": 0}[kind])]
+    alg = vn.subalgebra([(u * v) @ u.conj().T for v in drawn], dim=dim)
+    keys = list(zip(*drawn)) if drawn else [()] * dim
+    atom_of = [sorted(set(keys)).index(k) for k in keys]
+    turn = np.eye(dim, dtype=complex)
+    if dim > 1:
+        i, j = np_rng.choice(dim, 2, replace=False)
+        t = np_rng.uniform(0.2, 1.4)
+        turn[[i, i, j, j], [i, j, i, j]] = [np.cos(t), -np.sin(t),
+                                            np.sin(t), np.cos(t)]
+    w = u @ turn
+    ops = [vn.random_hermitian(random.Random(int(np_rng.integers(1 << 30))),
+                               dim),
+           (w * np_rng.integers(0, 3, dim).astype(float)) @ w.conj().T,
+           (w * np.array(atom_of, dtype=float)) @ w.conj().T]
+    return alg, [(op + op.conj().T) / 2 for op in ops], len(set(atom_of))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=atom_route_cases())
+def test_atom_route_matches_the_cores_route(case):
+    alg, ops, atoms = case
+    assert len(alg.atoms) == atoms
+    old = without_atoms(alg)
+    for fn in (vn.rho_restrict, vn.sigma_restrict):
+        for a in ops:
+            assert np.linalg.norm(fn(alg, a) - fn(old, a)) < 1e-12
+        if atoms >= 3:
+            ranks = [vn.rank_of_projection(p) for p in
+                     vn.spectral_family_of(fn(alg, ops[-1])).projections]
+            assert any(0 < r < alg.dim for r in ranks)
+
+
+@pytest.mark.parametrize("kind", ["not-hermitian", "wrong-dimension"])
+@pytest.mark.parametrize("fn", [vn.rho_restrict, vn.sigma_restrict],
+                         ids=lambda fn: fn.__name__)
+def test_atom_route_raises_the_cores_routes_errors(fn, kind):
+    alg = vn.subalgebra([np.diag([0.0, 1.0, 1.0])])
+    with pytest.raises(InputError) as got:
+        fn(alg, BAD_OPERATORS[kind])
+    with pytest.raises(InputError) as want:
+        fn(without_atoms(alg), BAD_OPERATORS[kind])
+    assert type(got.value) is type(want.value)
+    assert got.value.args == want.value.args
+    assert got.value.witness == want.value.witness
+
+
+@pytest.mark.parametrize("path, calls", [("blocks", 0), ("sylvester", 3)])
+def test_rho_on_a_block_algebra_solves_no_null_space(path, calls,
+                                                     monkeypatch):
+    """rho reads a block algebra's atoms; the Sylvester path's algebra has
+    none, so its three cores take one null space each."""
+    gens = [np.diag([0.0, 1.0, 1.0])]
+    alg = (vn.subalgebra(gens) if path == "blocks"
+           else sylvester_subalgebra(gens, 3))
+    assert (alg.atoms is None) == (path == "sylvester")
+    seen = []
+    solve = vn.null_space
+
+    def counted(stacked, tol=vn.TOL):
+        seen.append(stacked)
+        return solve(stacked, tol)
+
+    monkeypatch.setattr(vn, "null_space", counted)
+    vn.rho_restrict(alg, vn.random_hermitian(random.Random(5), 3))
+    assert len(seen) == calls
+
+
+def test_atom_stack_is_read_only():
+    alg = vn.subalgebra([np.diag([0.0, 1.0, 1.0])])
+    assert alg.atoms.shape == (2, 3, 3)
+    assert not alg.atoms.flags.writeable
+    assert sylvester_subalgebra([np.diag([0.0, 1.0, 1.0])], 3).atoms is None
+
+
+def test_restrict_of_a_negative_operator_prints_no_negative_zero(tmp_path,
+                                                                 capsys):
+    """Every value sum v_i P_i takes is negative, so each zero entry is a
+    sum of products v_i * 0.0 = -0.0 unless it is added to +0.0."""
+    from obslat.cli import main
+    op = tmp_path / "negative.json"
+    op.write_text(json.dumps({"matrix": jsonio.matrix_to_json(
+        np.diag([-1.0, -2.0, -3.0]))}))
+    for m in ("rho", "sigma"):
+        assert main(["vn", "restrict", "--algebra",
+                     str(CORPUS / "gens_diag.json"), "--op", str(op),
+                     "--map", m, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        assert json.loads(out)["matrix"][0][0] == [-1.0, 0.0]
 
 
 def test_non_generic_pair_raises_with_the_span_witness(monkeypatch):
