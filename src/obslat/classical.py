@@ -58,10 +58,9 @@ class FiniteTopSpace:
             if 0 not in opens or self.full not in opens:
                 raise InputError(
                     "opens must contain the empty set and the whole space")
-            if opens[0] != 0 or opens[-1] != self.full:
-                raise InputError(
-                    "opens name points outside the space",
-                    witness=[u for u in opens if not 0 <= u <= self.full])
+            if opens[-1] != self.full:
+                raise InputError("opens name points outside the space",
+                                 witness=[u for u in opens if u > self.full])
             nb_masks = [reduce(operator.and_, (u for u in opens if u >> x & 1))
                         for x in range(n)]
         self.nb_masks = [_mask(m) for m in nb_masks]
