@@ -33,7 +33,10 @@ eigenbasis with one coordinate plane turned, drawn from the seed triple
 (SEED, k, 1), so its cores fall strictly between 0 and I.  Under
 ``meet`` and ``join`` it records ``vn.spectral_meet`` and
 ``vn.spectral_join`` of the operator of the first section and that second
-operator, as breakpoints and step ranks.  Floats are rounded to 8 places
+operator, as breakpoints and step ranks, and under ``atomic`` the
+``vn.atomic_value`` of the second operator at each standard basis vector
+and at the all-ones vector (on ``diagonal`` lines most basis vectors are
+its eigenvectors, so their values vary).  Floats are rounded to 8 places
 and keys are sorted.  Run from anywhere:
 
     PYTHONPATH=src python3 scripts/sweep.py SEED COUNT
@@ -197,6 +200,8 @@ def sweep_line(seed: int, index: int) -> str:
     target = restricted_operator(seed, index, named["C0"][0])
     line = {"seed": seed, "index": index, "shape": shape, "dim": dim,
             **meet_and_join([op, target]),
+            "atomic": [vn.atomic_value(target, x)
+                       for x in (*np.eye(dim), np.ones(dim))],
             "restricted": {
                 "C0": restrictions(named["C0"], dim, target),
                 "C0+C1": restrictions(named["C0"] + named["C1"], dim, target)}}

@@ -25,8 +25,7 @@ from . import acceptance, classical, observables, spectral, stone, vn
 from . import jsonio
 from . import presheaf as presheaf_mod
 from .context import glue_section, section_from_operator
-from .errors import (CheckFailure, InputError, ObslatError, PreconditionError,
-                     ResourceError)
+from .errors import CheckFailure, InputError, ObslatError, PreconditionError
 from .vn import TOL, Tolerances
 
 Report = tuple[int, dict, list[str]]
@@ -593,11 +592,8 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         _print_error(exc)
         return 1
-    except (InputError, PreconditionError, ResourceError) as exc:
-        _print_error(exc)
-        return 2
     except ObslatError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        _print_error(exc)
         return 2
     except BrokenPipeError:
         # The reader went away.  Point stdout at devnull so that the flush at

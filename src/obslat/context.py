@@ -322,8 +322,10 @@ def pool_values(dia: ContextDiagram, section) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlueReport:
+    """The gluing verdicts; it may hold an operator, so it compares and
+    hashes by identity."""
     pool_labels: tuple = ()
     values: tuple = ()
     commuting_ok: bool = True
@@ -423,8 +425,9 @@ def _extendability(dia: ContextDiagram, values: list[float]
     if M does.  M does unless some projection valued above lam lies under
     M_lam; the first one, scanning lam upwards and then the pool in index
     order, is the certificate for "no".  Otherwise M, which reaches the
-    identity at the top value, is synthesized, and re-checking its section
-    guards the numerics."""
+    identity at the top value, is synthesized, and re-reading its values on
+    the pool (``vn._range_values``) guards the numerics: the first pool
+    projection off by more than ``tol.cluster`` raises."""
     tol = dia.tol
     vals = np.array(values)
     levels = sorted(set(values))
@@ -443,11 +446,12 @@ def _extendability(dia: ContextDiagram, values: list[float]
         joins.append(m)
     joins.append(np.eye(dia.dim, dtype=complex))
     candidate = family_from_steps(levels, joins, tol).synthesize()
-    induced = section_from_operator(dia, candidate)
-    for (name, e), i in dia.element_pool.items():
-        if abs(induced[name][e] - values[i]) > tol.cluster:
-            raise ResourceError(
-                "the synthesized operator does not reproduce the section",
-                witness={"projection": dia.pool_labels[i],
-                         "value": values[i], "induced": induced[name][e]})
+    induced = _range_values(candidate, dia.pool, tol)
+    off = np.abs(induced - vals) > tol.cluster
+    if off.any():
+        i = int(off.argmax())
+        raise ResourceError(
+            "the synthesized operator does not reproduce the section",
+            witness={"projection": dia.pool_labels[i], "value": values[i],
+                     "induced": float(induced[i])})
     return "yes", {"reason": "verified-candidate"}, candidate

@@ -181,9 +181,10 @@ def projection_meet(ps, tol: Tolerances = TOL) -> np.ndarray:
 
 # -- operator spectral families ----------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSpectralFamily:
-    """Clustered eigenvalue breakpoints with cumulative eigenprojections."""
+    """Clustered eigenvalue breakpoints with cumulative eigenprojections.
+    It holds arrays, so it compares and hashes by identity."""
     breakpoints: tuple[float, ...] = ()
     projections: tuple = ()          # ndarrays, strictly increasing ranges
     dim: int = 0
@@ -250,12 +251,12 @@ def _range_values(a, ps: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 def _first_holding(vecs, breakpoints, ends, ps: np.ndarray, tol: Tolerances
                    ) -> np.ndarray:
-    """For each projection P of the stack ps, the first breakpoint whose
-    step V_k V_k* (``_clustered_eigen``'s form) holds ran P within the sub
-    tolerance: ``projection_leq``'s test, read in the eigenbasis V.  V* P is
-    one product for the whole stack; V is unitary, so |E_k P - P| =
-    |(I - E_k) P| is the root of the squared row norms of V* P summed over
-    rows k and on."""
+    """For each projection P of the stack ps (or unit column, for its
+    line), the first breakpoint whose step V_k V_k* (``_clustered_eigen``'s
+    form) holds ran P within the sub tolerance: ``projection_leq``'s test,
+    read in the eigenbasis V.  V* P is one product for the whole stack; V
+    is unitary, so |E_k P - P| = |(I - E_k) P| is the root of the squared
+    row norms of V* P summed over rows k and on."""
     w = vecs.conj().T @ ps
     rows = (w.real ** 2 + w.imag ** 2).sum(axis=-1)
     tails = np.zeros((len(ps), len(vecs) + 1))
@@ -368,20 +369,19 @@ def commutant_basis(mats, dim: int, tol: Tolerances = TOL) -> np.ndarray:
     return null_space(_sylvester_stack(mats, dim), tol).T.reshape(-1, dim, dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VNSubalgebra:
     """Unital *-closed linear span inside a full matrix algebra.  An
     algebra of joint eigenblocks (``_block_algebra``) also holds its atoms,
     the minimal projections P_i, as a stack; one from the Sylvester path or
-    built by hand holds None."""
+    built by hand holds None.  It holds arrays, so it compares and hashes by
+    identity."""
     dim: int = 0
     generators: tuple = ()
     basis: tuple = ()            # matrices whose vecs are orthonormal
     commutant: np.ndarray = field(   # (k, d, d), read-only; vecs orthonormal
-        default_factory=lambda: np.zeros((0, 0, 0), dtype=complex),
-        compare=False)
-    atoms: np.ndarray | None = field(   # (n, d, d), read-only, or None
-        default=None, compare=False)
+        default_factory=lambda: np.zeros((0, 0, 0), dtype=complex))
+    atoms: np.ndarray | None = None     # (n, d, d), read-only, or None
 
     @property
     def linear_dim(self) -> int:
@@ -533,12 +533,6 @@ def _in_algebra_dim(m: VNSubalgebra, x: np.ndarray) -> np.ndarray:
     return x
 
 
-# Size budget of the commute check in ``_cores``: commutant entries times
-# cores per ``_commuting`` call.  The commutant of ``trivial_algebra(16)``
-# (256 elements of 16 x 16) fills it alone, so there each core goes alone.
-_CORE_CHUNK = 1 << 16
-
-
 def _cores(m: VNSubalgebra, vecs: np.ndarray, ks, tol: Tolerances
            ) -> np.ndarray:
     """Core of span(vecs[:, :k]) for each k, ``vecs`` unitary, as a stack:
@@ -547,11 +541,10 @@ def _cores(m: VNSubalgebra, vecs: np.ndarray, ks, tol: Tolerances
     product), V_k x lies in the core iff h[:, k:, :k] x = 0: (I - P_k) G V_k
     is V_{>k} (V* G V)[k:, :k] and V_{>k} is an isometry, so these K (d - k)
     rows have the singular values of the (K d, k) system.  One k at a time
-    keeps memory at one system.  Then ``_commuting`` checks that the cores
-    commute with every element (hence lie in the algebra), one call per
-    chunk of as many cores as ``_CORE_CHUNK`` allows; a breach is an
-    internal numeric failure, witnessed by the first breaching element's
-    defect on the first breaching core."""
+    keeps memory at one system.  Each core, once built, is checked by one
+    ``_commuting`` call to commute with every element (hence to lie in the
+    algebra); a breach is an internal numeric failure, witnessed by the
+    first breaching element's defect."""
     comm = np.asarray(m.commutant)
     h = vecs.conj().T @ comm @ vecs
     cores = np.empty((len(ks), m.dim, m.dim), dtype=complex)
@@ -560,14 +553,10 @@ def _cores(m: VNSubalgebra, vecs: np.ndarray, ks, tol: Tolerances
         if k:
             basis = basis @ null_space(h[:, k:, :k].reshape(-1, k), tol)
         cores[i] = basis @ basis.conj().T
-    step = max(1, _CORE_CHUNK // max(comm.size, 1))
-    for i in range(0, len(cores), step):
-        ok, defects = _commuting(comm, cores[i:i + step, None], tol)
+        ok, defects = _commuting(comm, cores[i], tol)
         if not ok.all():
-            c = int(ok.all(axis=1).argmin())
             raise ResourceError("core failed to commute with the commutant",
-                                witness={"defect": float(
-                                    defects[c, ok[c].argmin()])})
+                                witness={"defect": float(defects[ok.argmin()])})
     return cores
 
 
@@ -618,7 +607,8 @@ def sigma_restrict(m: VNSubalgebra, a, tol: Tolerances = TOL) -> np.ndarray:
 
 def atomic_value(a, x, tol: Tolerances = TOL) -> float:
     """The first breakpoint whose spectral projection contains the given
-    vector (normalized here)."""
+    vector (normalized here): ``_first_holding`` on the vector's line, the
+    rule of a context's section."""
     x = _complex_entries(x)
     if x is None:
         raise InputError("vector entries must be numbers in equal rows")
@@ -630,12 +620,12 @@ def atomic_value(a, x, tol: Tolerances = TOL) -> float:
     if nrm <= tol.pivot:
         raise InputError("need a nonzero vector")
     x = x / nrm
-    fam = spectral_family_of(a, tol)
-    if x.shape[0] != fam.dim:
+    vecs, breakpoints, ends = _clustered_eigen(a, tol)
+    if x.shape[0] != len(vecs):
         raise InputError("vector dimension differs from the operator's",
-                         witness=[int(x.shape[0]), fam.dim])
-    holds = projection_leq(x[:, None], np.array(fam.projections), tol)
-    return float(fam.breakpoints[holds.argmax() if holds.any() else -1])
+                         witness=[int(x.shape[0]), len(vecs)])
+    return float(_first_holding(vecs, breakpoints, ends, x[None, :, None],
+                                tol)[0])
 
 
 # -- samplers -----------------------------------------------------------------

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obslat import jsonio
+from obslat import cli, jsonio
+from obslat.errors import ObslatError
 from obslat.lattice import bits
 from obslat.cli import _matrix_lines, _merge_grid_flag, build_parser, main
 
@@ -344,6 +345,17 @@ def test_error_exits(capsys, tmp_path):
     code, _, err = run(capsys, "obs", "eval",
                        "--family", c("family_mo2.json"), "--ideal", " , ")
     assert code == 2
+
+
+def test_any_typed_error_exits_2_with_its_witness(capsys, monkeypatch):
+    """A handler's ``ObslatError`` of no subclass prints its witness too."""
+    def raising(args):
+        raise ObslatError("x", witness={"k": 1})
+
+    monkeypatch.setattr(cli, "cmd_lattice_list", raising)
+    code, _, err = run(capsys, "lattice", "list")
+    assert code == 2
+    assert json.loads(err) == {"error": "x", "witness": {"k": 1}}
 
 
 def test_json_output_is_deterministic(capsys):

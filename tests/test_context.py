@@ -197,18 +197,47 @@ def test_extendability_certificates():
 
 def test_synthesis_guard_raises_on_a_breach(monkeypatch):
     dia = fixture_diagram()
-    honest = cx.section_from_operator
+    honest = cx._range_values
 
-    def off_by_one(d, a):
-        out = honest(d, a)
-        out["Az"][1] += 1.0
+    def off_by_one(a, ps, tol):
+        out = honest(a, ps, tol)
+        out[dia.pool_labels.index("Az:{1}")] += 1.0
         return out
 
-    monkeypatch.setattr(cx, "section_from_operator", off_by_one)
+    monkeypatch.setattr(cx, "_range_values", off_by_one)
     with pytest.raises(ResourceError) as err:
         cx._extendability(dia, [1.0, 2.0, 2.0, 2.0, 2.0])
     assert err.value.witness == {"projection": "Az:{1}", "value": 1.0,
                                  "induced": 2.0}
+
+
+def test_extendability_reads_the_candidate_on_the_pool(monkeypatch):
+    """The guard reads the candidate's values on the pool, not a section."""
+    dia = fixture_diagram()
+    monkeypatch.setattr(cx, "section_from_operator", lambda *args: pytest.fail(
+        "the guard built a section"))
+    assert cx._extendability(dia, [0.0, 1.0, 1.0, 1.0, 1.0])[0] == "yes"
+
+
+def glue_of_an_operator():
+    """A report that holds its operator."""
+    dia = fixture_diagram()
+    report = cx.glue_section(dia, cx.section_from_operator(dia, AZ))
+    assert report.operator is not None
+    return report
+
+
+@pytest.mark.parametrize("build", [
+    lambda: vn.subalgebra([np.diag([1.0, 2.0, 3.0])]),
+    lambda: vn.spectral_family_of(np.diag([1.0, 2.0])),
+    glue_of_an_operator],
+    ids=["VNSubalgebra", "OperatorSpectralFamily", "GlueReport"])
+def test_array_holding_records_compare_by_identity(build):
+    """Records that hold arrays compare and hash by identity: == and hash
+    neither raise nor compare arrays."""
+    first, second = build(), build()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
 
 
 def test_dim3_fixture_is_not_extendable():

@@ -43,14 +43,16 @@ def test_sweep_matches_the_recording():
     with the family of each extendable one's operator, the spectral meet
     and join of two operators, and the linear dimension of two algebras
     with rho and sigma onto each and the core and support of a projection
-    in each, byte for byte.  Regenerate the
+    in each, and the atomic values of the second operator at the standard
+    basis and the all-ones vector, byte for byte.  Regenerate the
     recording after a deliberate change of behaviour with
     ``PYTHONPATH=src python3 scripts/sweep.py 0 60 > tests/sweep_slice.jsonl``.
     Most lines restrict to a step strictly between 0 and I, onto C0 alone
     too, and most meet
     and join families have such a step, and many cores and supports lie
     strictly between 0, q and I, so the recording pins steps that are
-    neither."""
+    neither.  On diagonal lines most standard basis vectors are
+    eigenvectors of the second operator, so their atomic values vary."""
     recorded = (ROOT / "tests" / "sweep_slice.jsonl").read_text()
     assert run_script("sweep.py", 0, 60) == recorded
     lines = [json.loads(line) for line in recorded.splitlines()]
@@ -72,6 +74,7 @@ def test_sweep_matches_the_recording():
 
     assert sum(strict(d, algebra["hulls"]) for d in lines
                for algebra in d["restricted"].values()) >= 50
+    assert sum(len(set(d["atomic"])) >= 2 for d in lines) >= 12
 
 
 def test_sweep_compare_finds_head_and_the_tree_alike():

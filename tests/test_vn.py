@@ -736,22 +736,21 @@ def shift_breaking_algebra(dim, i, fill, adjoint):
     return vn.VNSubalgebra(dim, (), (np.eye(dim, dtype=complex),), comm)
 
 
-@pytest.mark.parametrize("dim, i, fill, chunks", [
-    (4, 2, 0, 1),        # all cores in one chunk
-    (8, 5, 298, 3),      # three cores a chunk, rho's breaches in chunk 2
-    (16, 2, 138, 16)],   # one core a chunk
-    ids=["one-chunk", "three-chunks", "core-per-chunk"])
+@pytest.mark.parametrize("where, dim, fill", [
+    ("first", 4, 0), ("middle", 8, 20), ("last", 16, 60)])
 @pytest.mark.parametrize("fn", [vn.rho_restrict, vn.sigma_restrict],
                          ids=lambda fn: fn.__name__)
-def test_core_check_keeps_the_per_core_loops_witness(fn, dim, i, fill, chunks,
+def test_core_check_keeps_the_per_core_loops_witness(fn, where, dim, fill,
                                                      monkeypatch):
-    """The batched check raises on a later core, in a later chunk too, with
-    the per-core loop's witness: the first breaching core's first breaching
-    element, not the largest defect nor a later core's."""
+    """The check raises on the first breaching core, wherever it falls, with
+    the per-core loop's witness: that core's first breaching element, not
+    the largest defect nor a later core's.  The first breach falls on the
+    first core, a middle one, or the last one that a second breach follows
+    (the last core, the identity, never breaches)."""
     sigma = fn is vn.sigma_restrict
+    first = {"first": 0, "middle": (dim - 3) // 2, "last": dim - 3}[where]
+    i = dim - 2 - first if sigma else first + 1
     alg = shift_breaking_algebra(dim, i, fill, sigma)
-    per_chunk = vn._CORE_CHUNK // alg.commutant.size
-    assert -(-dim // per_chunk) == chunks
     a = np.diag(np.arange(dim, dtype=float))
     with pytest.raises(ResourceError) as got:
         fn(alg, a)
@@ -763,7 +762,6 @@ def test_core_check_keeps_the_per_core_loops_witness(fn, dim, i, fill, chunks,
         "defect": 3.0 if sigma else 1.0}
     vecs = vn.eigen_hermitian(-a if sigma else a)[1]
     ks = list(range(1, dim + 1))
-    first = dim - i - 2 if sigma else i - 1
     ref_cores(alg, vecs, ks[:first])
     with pytest.raises(ResourceError):
         ref_cores(alg, vecs, ks[:first + 1])
@@ -1657,21 +1655,36 @@ def ref_atomic_value(a, x, tol=vn.TOL):
     return float(fam.breakpoints[-1])
 
 
-@settings(max_examples=80, deadline=None)
-@given(dim=st.integers(1, 5), seed=st.integers(0, 10 ** 6),
-       entries=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10),
-       eigen=st.none() | st.integers(0, 4))
-def test_atomic_value_matches_the_step_loop(dim, seed, entries, eigen):
-    """Operators with repeated eigenvalues in a random basis; vectors drawn
-    by hypothesis, or one of the operator's eigenvectors."""
-    a = clustered_hermitian(random.Random(seed), dim)
+@settings(max_examples=120, deadline=None)
+@given(dim=st.integers(1, 16), seed=st.integers(0, 10 ** 6),
+       entries=st.lists(st.floats(-2.0, 2.0), min_size=32, max_size=32),
+       eigen=st.none() | st.integers(0, 15), spread=st.booleans())
+def test_atomic_value_matches_the_step_loop(dim, seed, entries, eigen,
+                                            spread):
+    """Operators at d = 1-16 whose eigenvalues repeat, or with ``spread``
+    lie apart within the cluster gap, in a random basis; complex vectors
+    drawn by hypothesis, or one of the operator's eigenvectors."""
+    rng = random.Random(seed)
+    a = clustered_hermitian(rng, dim)
+    if spread:
+        # Weyl: each eigenvalue moves by at most |E| ~ 8e-10 < cluster / 2
+        a = a + 1e-10 * vn.random_hermitian(rng, dim)
     if eigen is None:
-        x = np.array(entries[:dim]) + 1j * np.array(entries[5:5 + dim])
+        x = np.array(entries[:dim]) + 1j * np.array(entries[16:16 + dim])
         if np.linalg.norm(x) <= vn.TOL.pivot:
             x = np.ones(dim)
     else:
         x = np.linalg.eigh(a)[1][:, eigen % dim]
     assert vn.atomic_value(a, x) == ref_atomic_value(a, x)
+
+
+def test_atomic_value_builds_no_family(monkeypatch):
+    """The value is read in the eigenbasis, with no spectral family and no
+    stacked containment test."""
+    for name in ("spectral_family_of", "projection_leq"):
+        monkeypatch.setattr(vn, name, lambda *args, name=name: pytest.fail(
+            f"atomic_value called {name}"))
+    assert vn.atomic_value(np.diag([0.0, 1.0, 1.0]), [0, 1, 1]) == 1.0
 
 
 def counted_checks(monkeypatch):
