@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -180,26 +181,15 @@ def criterion_bijection(seed: int) -> CriterionResult:
             f2, ok_flag, _ = observables.observable_from_increasing(f)
             if not ok_flag or f2.values != f.values:
                 identity_failures += 1
-    boolean_pass = 0
-    boolean_total = 0
+    verdicts = []
     for name in ("b1", "b2", "b3", "b4"):
         lat = lats[name]
         ats = lat.atoms()
-        grids = [[0.0, 0.5, 1.0]] * len(ats)
-        choice = [0] * len(ats)
-        while True:
-            table = {t: grids[i][choice[i]] for i, t in enumerate(ats)}
-            ok, _, _ = observables.observability_criterion(lat, table)
-            boolean_total += 1
-            if ok:
-                boolean_pass += 1
-            k = 0
-            while k < len(ats) and choice[k] == 2:
-                choice[k] = 0
-                k += 1
-            if k == len(ats):
-                break
-            choice[k] += 1
+        # every table on the atoms over the grid, the first atom fastest
+        verdicts += [observables.observability_criterion(
+                         lat, dict(zip(ats, combo[::-1])))[0]
+                     for combo in product([0.0, 0.5, 1.0], repeat=len(ats))]
+    boolean_pass, boolean_total = sum(verdicts), len(verdicts)
     mo2 = lats["mo2"]
     fixture = {mo2.index("a"): 1.0, mo2.index("b"): 1.5,
                mo2.index("a'"): 2.0, mo2.index("b'"): 2.0}

@@ -494,14 +494,7 @@ def continuous_functions(space: FiniteTopSpace, values: list[float]
     linkage classes (exactly the continuous real functions up to the choice
     of value set)."""
     classes = space.nb_classes()
-    out = []
-    for k in range(len(values) ** len(classes)):
-        x = k
-        assign = {}
-        for cls in classes:
-            v = values[x % len(values)]
-            x //= len(values)
-            for i in bits(cls):
-                assign[space.points[i]] = v
-        out.append(assign)
-    return out
+    # product varies its last place fastest; reversed, the first class does
+    return [{space.points[i]: v for cls, v in zip(classes, combo[::-1])
+             for i in bits(cls)}
+            for combo in product(values, repeat=len(classes))]

@@ -331,7 +331,7 @@ def cmd_classical_demo(args) -> Report:
 def cmd_context_glue(args) -> Report:
     tol = _parse_tol(args.tol)
     dia = jsonio.load_diagram(args.diagram, tol=tol)
-    _, section = jsonio.load_section(args.sections, tol=tol, dia=dia)
+    _, section = jsonio.load_section(args.sections, dia=dia)
     try:
         report = glue_section(dia, section)
     except PreconditionError as exc:

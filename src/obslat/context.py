@@ -29,10 +29,9 @@ from .corpus import boolean_algebra
 from .errors import InputError, PreconditionError, ResourceError
 from .lattice import FiniteOrthoLattice, _cliques, _row_masks, bits, mask_from
 from .observables import check_completely_increasing, observable
-from .vn import (TOL, Tolerances, _abelian, _commuting, _generators,
-                 _range_values, as_matrix, family_from_steps,
-                 joint_eigenblocks, projection_join, projection_joins,
-                 projection_leq)
+from .vn import (TOL, Tolerances, _abelian, _commuting, _eigenblocks,
+                 _generators, _range_values, as_matrix, family_from_steps,
+                 projection_join, projection_joins, projection_leq)
 
 MAX_MINIMAL = 6
 MAX_CONTEXTS = 24
@@ -84,7 +83,7 @@ def context_from_generators(name: str, gens, dim: int | None = None,
     if not _abelian(gens, tol):
         raise InputError("context algebras must be abelian",
                          witness={"context": name})
-    mins = joint_eigenblocks(gens, dim, tol)
+    mins = _eigenblocks(gens, dim, tol)[1]
     if len(mins) > MAX_MINIMAL:
         raise ResourceError(
             "too many minimal projections for the lattice bridge",

@@ -12,7 +12,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import InputError
-from .lattice import FiniteOrthoLattice
+from .lattice import FiniteOrthoLattice, check_element_cap
 
 
 def subset_name(mask: int) -> str:
@@ -39,6 +39,7 @@ def chain(k: int) -> FiniteOrthoLattice:
     """Total order with k elements.  No orthocomplement for k > 2."""
     if k < 2:
         raise InputError("chain needs at least 2 elements")
+    check_element_cap(k)
     if k == 2:
         names = ["0", "1"]
     elif k == 3:

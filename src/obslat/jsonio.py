@@ -412,7 +412,6 @@ def load_generators(ref, referrer: Path | None = None
 
 
 def load_section(ref, referrer: Path | None = None,
-                 tol: Tolerances = TOL,
                  dia: ContextDiagram | None = None
                  ) -> tuple[ContextDiagram, dict]:
     data, path = _dereference(ref, referrer)
@@ -421,7 +420,7 @@ def load_section(ref, referrer: Path | None = None,
     if dia is None:
         if "diagram" not in data:
             raise InputError("a section file needs 'diagram' and 'values'")
-        dia = load_diagram(data.get("diagram"), path, tol=tol)
+        dia = load_diagram(data.get("diagram"), path)
     section: dict[str, dict[int, float]] = {}
     for cname, table in _mapping(data["values"], "values").items():
         ctx = dia.context_named(str(cname))

@@ -27,6 +27,13 @@ from .errors import InputError, PreconditionError, ResourceError
 ELEMENT_CAP = 64
 
 
+def check_element_cap(n: int) -> None:
+    """Refuse n elements above ELEMENT_CAP, before anything n x n is built."""
+    if n > ELEMENT_CAP:
+        raise ResourceError(f"{n} elements exceeds cap {ELEMENT_CAP}",
+                            witness={"n": n, "cap": ELEMENT_CAP})
+
+
 class FiniteOrthoLattice:
     """A finite bounded lattice, optionally with an orthocomplementation.
 
@@ -41,12 +48,10 @@ class FiniteOrthoLattice:
         n = len(names)
         if n == 0:
             raise InputError("empty element list")
+        check_element_cap(n)
         if len(set(names)) != n:
             raise InputError("duplicate element names", witness=sorted(
                 s for s in set(names) if list(names).count(s) > 1))
-        if n > ELEMENT_CAP:
-            raise ResourceError(f"{n} elements exceeds cap {ELEMENT_CAP}",
-                                witness={"n": n, "cap": ELEMENT_CAP})
         leq = np.asarray(leq, dtype=bool)
         if leq.shape != (n, n):
             raise InputError(f"leq matrix must be {n}x{n}")
@@ -86,8 +91,9 @@ class FiniteOrthoLattice:
         paired automatically.  Every element must end up with an image.
         """
         names = tuple(str(s) for s in names)
-        index = {s: i for i, s in enumerate(names)}
         n = len(names)
+        check_element_cap(n)
+        index = {s: i for i, s in enumerate(names)}
         rel = np.zeros((n, n), dtype=bool)
         for a, b in pairs:
             if a not in index or b not in index:

@@ -309,27 +309,26 @@ def spectral_leq(a, b, tol: Tolerances = TOL) -> bool:
                for lam in merged_breakpoints([fa, fb], tol))
 
 
-def _pointwise(ops, combine, tol: Tolerances) -> np.ndarray:
+def spectral_meet(ops, tol: Tolerances = TOL) -> np.ndarray:
+    """Greatest lower bound: -join(-ops), since negation reverses the
+    spectral order; a cluster of near-equal breakpoints takes its smallest
+    member.  Subtracting from 0.0 keeps zero entries at +0.0."""
+    return 0.0 - spectral_join([-as_matrix(x) for x in ops], tol)
+
+
+def spectral_join(ops, tol: Tolerances = TOL) -> np.ndarray:
+    """Least upper bound: pointwise meet of the spectral projections at the
+    merged breakpoints, then synthesis.  Step families are right-continuous,
+    so the regularized value at each merged breakpoint is the plain
+    intersection there."""
     fams = [spectral_family_of(x, tol) for x in ops]
     if not fams:
         raise PreconditionError("need a nonempty operator list")
     _one_dim(f.dim for f in fams)
     lams = merged_breakpoints(fams, tol)
-    steps = [combine([f.value_at(lam) for f in fams], tol) for lam in lams]
+    steps = [projection_meet([f.value_at(lam) for f in fams], tol)
+             for lam in lams]
     return family_from_steps(lams, steps, tol).synthesize()
-
-
-def spectral_meet(ops, tol: Tolerances = TOL) -> np.ndarray:
-    """Greatest lower bound in the spectral order: pointwise join of the
-    spectral projections, then synthesis."""
-    return _pointwise(ops, projection_join, tol)
-
-
-def spectral_join(ops, tol: Tolerances = TOL) -> np.ndarray:
-    """Least upper bound: pointwise meet of the spectral projections.  Step
-    families are right-continuous, so the regularized value at each merged
-    breakpoint is the plain intersection there."""
-    return _pointwise(ops, projection_meet, tol)
 
 
 # -- subalgebras and commutants ------------------------------------------------

@@ -254,6 +254,36 @@ def test_continuous_functions_enumeration():
     assert len(cl.continuous_functions(disc, [0.0, 1.0])) == 4
 
 
+def ref_continuous_functions(space, values):
+    """The parent enumeration, verbatim: a mixed-radix counter over the
+    linkage classes, the first class varying fastest."""
+    classes = space.nb_classes()
+    out = []
+    for k in range(len(values) ** len(classes)):
+        x = k
+        assign = {}
+        for cls in classes:
+            v = values[x % len(values)]
+            x //= len(values)
+            for i in bits(cls):
+                assign[space.points[i]] = v
+        out.append(assign)
+    return out
+
+
+@pytest.mark.parametrize("values", [[0], [0, 1], [0, 0.5, 1]])
+def test_continuous_functions_match_the_counter(values):
+    """Every topology on 1..4 points: the same assignments, in the same
+    order, each with the same key order."""
+    for n in (1, 2, 3, 4):
+        for opens in cl.all_topologies(n):
+            space = cl.FiniteTopSpace(range(n), opens=opens)
+            got = cl.continuous_functions(space, values)
+            want = ref_continuous_functions(space, values)
+            assert [list(f.items()) for f in got] == [
+                list(f.items()) for f in want]
+
+
 def test_family_validation():
     sp = cl.sierpinski3()
     with pytest.raises(InputError):

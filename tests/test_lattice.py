@@ -3,6 +3,7 @@ construction errors, and the whole-array construction and checks against
 the element-by-element loops they replaced."""
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,28 @@ def test_size_cap():
     pairs = [(f"x{i}", f"x{i + 1}") for i in range(64)]
     with pytest.raises(ResourceError):
         FiniteOrthoLattice.from_relation(names, pairs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda names: jsonio.load_lattice({"elements": names}),
+    lambda names: FiniteOrthoLattice(names, np.eye(1, dtype=bool)),
+    lambda names: corpus.chain(len(names))],
+    ids=["load_lattice", "init", "chain"])
+def test_an_oversized_lattice_is_refused_before_anything_n_by_n(build):
+    """5,000 names raise the cap error with a peak under 1 MB: nothing
+    n x n, and no quadratic duplicate witness, is built first.  A repeated
+    name among them reports the cap too."""
+    names = [f"x{i}" for i in range(4999)] + ["x0"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError) as err:
+            build(names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "5000 elements exceeds cap 64"
+    assert err.value.witness == {"n": 5000, "cap": 64}
+    assert peak < 2 ** 20
 
 
 def test_duplicate_names_rejected():

@@ -249,7 +249,7 @@ def test_broken_families_raise_the_step_loops_first_error():
 @pytest.mark.parametrize("seed", range(4))
 def test_family_from_steps_matches_the_step_loop_at_dimension_16(seed):
     """The pointwise joins of two operators' families at their merged
-    breakpoints, as ``spectral_meet`` builds them, shuffled, with repeated
+    breakpoints, as ``ref_spectral_meet`` builds them, shuffled, with repeated
     steps and a zero step mixed in: at least 30 steps."""
     rng = random.Random(seed)
     fams = [vn.spectral_family_of(vn.random_hermitian(rng, 16))
@@ -504,6 +504,61 @@ def test_meet_is_greatest_lower_bound(rng):
         meet = vn.spectral_meet([a, b])
         assert vn.spectral_leq(meet, a)
         assert vn.spectral_leq(meet, b)
+
+
+# The parent route, verbatim: meet and join each pointwise at the merged
+# breakpoints, the meet joining the spectral projections there.
+def ref_pointwise(ops, combine, tol=vn.TOL):
+    fams = [vn.spectral_family_of(x, tol) for x in ops]
+    if not fams:
+        raise PreconditionError("need a nonempty operator list")
+    vn._one_dim(f.dim for f in fams)
+    lams = vn.merged_breakpoints(fams, tol)
+    steps = [combine([f.value_at(lam) for f in fams], tol) for lam in lams]
+    return vn.family_from_steps(lams, steps, tol).synthesize()
+
+
+def ref_spectral_meet(ops, tol=vn.TOL):
+    return ref_pointwise(ops, vn.projection_join, tol)
+
+
+def ref_spectral_join(ops, tol=vn.TOL):
+    return ref_pointwise(ops, vn.projection_meet, tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.integers(1, 8), count=st.integers(2, 4),
+       seed=st.integers(0, 10 ** 6), shared=st.integers(0, 2))
+def test_meet_and_join_match_the_pointwise_route(dim, count, seed, shared):
+    """Random Hermitians, or (one draw in three) operators with levels 0, 1,
+    2 in one shared eigenbasis, so their breakpoints coincide across
+    families and their steps skip ranks."""
+    rng = random.Random(seed)
+    if shared == 0:
+        u, _ = np.linalg.qr(vn.random_hermitian(rng, dim) + 1j * np.eye(dim))
+        ops = [u @ np.diag([float(rng.randrange(3)) for _ in range(dim)])
+               @ u.conj().T for _ in range(count)]
+        ops = [(a + a.conj().T) / 2 for a in ops]
+    else:
+        ops = [vn.random_hermitian(rng, dim) for _ in range(count)]
+    assert np.linalg.norm(vn.spectral_meet(ops)
+                          - ref_spectral_meet(ops)) < 1e-12
+    assert np.linalg.norm(vn.spectral_join(ops)
+                          - ref_spectral_join(ops)) < 1e-12
+
+
+def test_a_cluster_of_breakpoints_takes_its_bound_side_member():
+    """Breakpoints 1 and 1 + 5e-9 share a cluster: the meet labels it by
+    its smallest member, the join by its largest, each exactly."""
+    a, b = np.diag([1.0, 0.0]), np.diag([1.0 + 5e-9, 0.0])
+    assert np.array_equal(vn.spectral_meet([a, b]), a)
+    assert np.array_equal(vn.spectral_join([a, b]), b)
+
+
+def test_spectral_meet_takes_operators_only():
+    fam = vn.spectral_family_of(np.diag([0.0, 1.0]))
+    with pytest.raises(InputError):
+        vn.spectral_meet([fam, np.eye(2)])
 
 
 def test_commutant_dimensions():
@@ -1707,26 +1762,27 @@ def checks_of(seen, m):
 
 
 @pytest.mark.parametrize("call, counts", [
-    (lambda a, b, alg: vn.spectral_family_of(a), [1, 0, 0]),
-    (lambda a, b, alg: vn.rho_restrict(alg, a), [1, 0, 0]),
+    (lambda a, b, alg: vn.spectral_family_of(a), [1, 0, 0, 0]),
+    (lambda a, b, alg: vn.rho_restrict(alg, a), [1, 0, 0, 0]),
     # sigma is -rho(-a): its one check sees -a
-    (lambda a, b, alg: vn.sigma_restrict(alg, a), [0, 1, 0]),
-    (lambda a, b, alg: vn.spectral_meet([a, b]), [1, 0, 1]),
-    (lambda a, b, alg: vn.spectral_join([a, b]), [1, 0, 1]),
-    (lambda a, b, alg: vn.spectral_leq(a, b), [1, 0, 1]),
-    (lambda a, b, alg: vn.atomic_value(a, np.ones(3)), [1, 0, 0])],
+    (lambda a, b, alg: vn.sigma_restrict(alg, a), [0, 1, 0, 0]),
+    # the meet is -join(-a, -b): its checks see -a and -b
+    (lambda a, b, alg: vn.spectral_meet([a, b]), [0, 1, 0, 1]),
+    (lambda a, b, alg: vn.spectral_join([a, b]), [1, 0, 1, 0]),
+    (lambda a, b, alg: vn.spectral_leq(a, b), [1, 0, 1, 0]),
+    (lambda a, b, alg: vn.atomic_value(a, np.ones(3)), [1, 0, 0, 0])],
     ids=["spectral_family_of", "rho_restrict", "sigma_restrict",
          "spectral_meet", "spectral_join", "spectral_leq", "atomic_value"])
 def test_each_operator_is_checked_once(call, counts, monkeypatch):
     """Steps that a call builds are checked as projections too; each operator
     handed in is checked once, as itself or negated: the counts are those of
-    a, -a and b.  All are exactly Hermitian."""
+    a, -a, b and -b.  All are exactly Hermitian."""
     rng = random.Random(3)
     a, b = clustered_hermitian(rng, 3), vn.random_hermitian(rng, 3)
     alg = vn.subalgebra([np.diag([0.0, 1.0, 1.0])])
     seen = counted_checks(monkeypatch)
     call(a, b, alg)
-    assert [checks_of(seen, op) for op in (a, -a, b)] == counts
+    assert [checks_of(seen, op) for op in (a, -a, b, -b)] == counts
 
 
 @pytest.mark.parametrize("argv, files, checked", [
